@@ -18,6 +18,7 @@ from .instances import read_jsonl, write_jsonl
 from .pipeline import (
     RunConfig,
     SchemaRepo,
+    _p_target,
     build_gateway,
     ingest_seeds,
     run_eqe,
@@ -152,7 +153,7 @@ def _dispatch(args) -> int:
             if args.state:
                 state = scheduler.state_from_json(Path(args.state).read_text())
             else:
-                state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+                state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k, _p_target(cfg))
             next_set, evolved, state = run_oge(
                 instances, cfg, repo, gateway, state, args.round)
             write_jsonl(next_set, out_dir / f"oge-{args.round}.jsonl")

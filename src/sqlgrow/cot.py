@@ -46,11 +46,9 @@ def synthesize_cot(
     teacher_tag: str = "mock",
     limits: ExecutionLimits = ExecutionLimits(),
     seed: int = 0,
-    gold_result=None,
 ) -> CotRecord | CotDiscard | CotDeferral:
     """Rejection-sample a verified trace for one instance."""
-    if gold_result is None:
-        gold_result = collect_result(conn, instance.sql, limits)
+    gold_result = collect_result(conn, instance.sql, limits)
     if gold_result is None or not gold_result.rows:
         return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
 

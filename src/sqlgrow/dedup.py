@@ -9,10 +9,10 @@ schemas both survive.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .errors import StructuralError, TransportError
 from .instances import QueryInstance, stage_rank
@@ -30,6 +30,13 @@ class QuestionVector:
 
 @dataclass(frozen=True)
 class RemovalRecord:
+    """One removed instance and the kept instance most similar to it.
+
+    ``kept_id`` names the most similar item of the final kept set, which
+    can come later in scan order than the removed item. It is not
+    necessarily the earlier kept item that blocked the removal.
+    """
+
     removed_id: str
     kept_id: str
     similarity: float
@@ -43,6 +50,8 @@ class HttpEmbeddingBackend:
     timeout_s: float = 60.0
 
     def embed(self, texts: list[str]) -> list[list[float]]:
+        import requests  # only HTTP backends need it; keeps `import sqlgrow` light
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -78,14 +87,19 @@ def _bucket(gram: str, dim: int) -> int:
     return int(digest[:8], 16) % dim
 
 
+def _bucket_counts(text: str, dim: int = FALLBACK_DIM) -> Counter:
+    """Hashed trigram counts of one text, keyed by bucket."""
+    counts = Counter(_bucket(gram, dim) for gram in word_trigrams(text))
+    if not counts:
+        counts[_EMPTY_AXIS] = 1  # reserved axis for zero-content questions
+    return counts
+
+
 def lexical_vector(text: str, dim: int = FALLBACK_DIM) -> np.ndarray:
+    """Dense unit trigram vector of one text, over all ``dim`` buckets."""
     vec = np.zeros(dim, dtype=np.float64)
-    grams = word_trigrams(text)
-    if not grams:
-        vec[_EMPTY_AXIS] = 1.0  # reserved axis for zero-content questions
-        return vec
-    for gram in grams:
-        vec[_bucket(gram, dim)] += 1.0
+    for bucket, count in _bucket_counts(text, dim).items():
+        vec[bucket] = count
     return vec / np.linalg.norm(vec)
 
 
@@ -95,7 +109,13 @@ def embed_questions(
     instance_ids: list[str] | None = None,
     dim: int = FALLBACK_DIM,
 ) -> list[QuestionVector]:
-    """One unit vector per question; lexical trigram fallback without a backend."""
+    """One unit vector per question; lexical trigram fallback without a backend.
+
+    The lexical vectors of one call are the rows of one count matrix over
+    only the buckets its questions use, so they share a basis: they are
+    comparable with each other, not with vectors from another call or with
+    ``lexical_vector``.
+    """
     ids = instance_ids or [str(i) for i in range(len(questions))]
     if len(ids) != len(questions):
         raise StructuralError("instance ids and questions are misaligned")
@@ -112,10 +132,15 @@ def embed_questions(
                 vec = vec / norm
             out.append(QuestionVector(qid, vec, "external-embedder"))
         return out
-    return [
-        QuestionVector(qid, lexical_vector(q, dim), "lexical-fallback")
-        for qid, q in zip(ids, questions)
-    ]
+    counts = [_bucket_counts(q, dim) for q in questions]
+    column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
+    matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
+    for row, text_counts in zip(matrix, counts):
+        for bucket, count in text_counts.items():
+            row[column[bucket]] = count
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    return [QuestionVector(qid, row, "lexical-fallback")
+            for qid, row in zip(ids, matrix)]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -127,7 +152,11 @@ def dedup_schema_group(
     vectors: list[QuestionVector],
     tau: float,
 ) -> tuple[list[QueryInstance], list[RemovalRecord]]:
-    """Greedy first-kept-wins scan over one schema group."""
+    """Greedy first-kept-wins scan over one schema group.
+
+    All pairwise similarities come from one matrix product of the group's
+    vectors, which must therefore share a basis.
+    """
     if len(instances) != len(vectors):
         raise StructuralError("instances and vectors are misaligned")
     schema_ids = {inst.schema_id for inst in instances}
@@ -136,24 +165,27 @@ def dedup_schema_group(
     for inst, vec in zip(instances, vectors):
         if inst.id != vec.instance_id:
             raise StructuralError("instances and vectors are misaligned")
+    if len({len(v.vector) for v in vectors}) > 1:
+        raise StructuralError("vectors of one group differ in dimension")
+    if not instances:
+        return [], []
 
     order = sorted(range(len(instances)),
                    key=lambda i: (stage_rank(instances[i].stage), instances[i].id))
-    by_vec = {i: vectors[i].vector for i in order}
+    matrix = np.vstack([v.vector for v in vectors])
+    sims = matrix @ matrix.T
 
-    def similarity(i: int, j: int) -> float:
-        return cosine(by_vec[i], by_vec[j])
-
-    kept_idx = _greedy_scan(order, similarity, tau)
+    kept_idx = _greedy_scan(order, lambda i, j: sims[i, j], tau)
     kept_set = set(kept_idx)
     removals = []
     for i in order:
         if i in kept_set:
             continue
-        nearest = max(kept_idx, key=lambda j: similarity(i, j))
+        # argmax takes the first maximum: a tie goes to the earliest kept item
+        nearest = kept_idx[int(np.argmax(sims[i, kept_idx]))]
         removals.append(
             RemovalRecord(instances[i].id, instances[nearest].id,
-                          round(similarity(i, nearest), 6))
+                          round(float(sims[i, nearest]), 6))
         )
     kept = [instances[i] for i in sorted(kept_set)]
     return kept, removals

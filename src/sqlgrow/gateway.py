@@ -16,8 +16,6 @@ import sqlite3
 import time
 from dataclasses import dataclass
 
-import requests
-
 from . import tree as t
 from .errors import (
     InfeasibleOperatorError,
@@ -58,14 +56,6 @@ class DecodingParams:
 
 
 @dataclass(frozen=True)
-class GenerationRequest:
-    role: str
-    template_id: str
-    bindings: dict
-    decoding: DecodingParams = DecodingParams()
-
-
-@dataclass(frozen=True)
 class ExpansionResult:
     question: str
     evidence: str
@@ -93,6 +83,8 @@ class HttpChatBackend:
     retries: int = 2
 
     def complete(self, messages: list[dict], decoding: DecodingParams) -> list[str]:
+        import requests  # only HTTP backends need it; keeps `import sqlgrow` light
+
         payload = {
             "model": self.model,
             "messages": messages,

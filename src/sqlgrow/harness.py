@@ -57,11 +57,28 @@ class RefinementOutcome:
     reason: str = ""
 
 
+# Statements may only read. Recursive CTEs read too; the execute deadline
+# bounds them. Everything else, ATTACH and PRAGMA included, is denied when
+# the statement is prepared, so nothing reaches a file.
+_ALLOWED_ACTIONS = frozenset({
+    sqlite3.SQLITE_SELECT,
+    sqlite3.SQLITE_READ,
+    sqlite3.SQLITE_FUNCTION,
+    sqlite3.SQLITE_RECURSIVE,
+})
+
+
+def _authorize(action, *_args) -> int:
+    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+
+
 def open_readonly(db_file) -> sqlite3.Connection:
     path = Path(db_file)
     if not path.is_file():
         raise IOError(f"database file not found: {path}")
-    return sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    conn.set_authorizer(_authorize)
+    return conn
 
 
 def execute_sql(

@@ -22,7 +22,6 @@ from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extrac
 from .gateway import HttpChatBackend, LlmGateway
 from .harness import (
     ExecutionLimits,
-    collect_result,
     execute_sql,
     is_acceptable,
     open_readonly,
@@ -41,9 +40,6 @@ from .operators import OperatorId, check_applicability
 from .parser import parse_sql
 from .resolve import resolve_references
 from .schema import DatabaseSchema, load_schema
-
-STAGES = ("ingest", "eqe", "oge", "cot", "dedup", "final")
-
 
 @dataclass
 class RunConfig:
@@ -534,16 +530,12 @@ def _run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
     discards: list[CotDiscard] = []
     deferrals: list[CotDeferral] = []
     teacher_tag = "live" if "teach" in gateway.backends else "mock"
-    gold_cache: dict[str, object] = {}
     for inst in pool:
         conn = repo.connection(inst.schema_id)
         schema = repo.schema(inst.schema_id)
-        if inst.id not in gold_cache:
-            gold_cache[inst.id] = collect_result(conn, inst.sql, cfg.limits)
         outcome = synthesize_cot(
             inst, conn, gateway, schema, n=cfg.cot_n, teacher_tag=teacher_tag,
             limits=cfg.limits, seed=derive_seed(cfg.global_seed, inst.id, "cot"),
-            gold_result=gold_cache[inst.id],
         )
         if isinstance(outcome, CotRecord):
             records.append(outcome)

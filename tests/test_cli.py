@@ -75,6 +75,20 @@ def test_staged_eqe_then_oge(workspace):
     assert (tmp_path / "out" / "state-1.json").is_file()
 
 
+def test_staged_oge_uses_configured_p_target(workspace):
+    tmp_path, cfg = workspace
+    p_target = {"FUNC": 0.5, "OP": 0.1, "LOGIC": 0.1, "JOIN": 0.1,
+                "NEST": 0.1, "SET": 0.1}
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "p_target": p_target}))
+    main(["ingest", "--config", str(cfg)])
+    main(["eqe", "--config", str(cfg),
+          "--in", str(tmp_path / "out" / "seeds.jsonl")])
+    assert main(["oge", "--config", str(cfg),
+                 "--in", str(tmp_path / "out" / "eqe.jsonl"), "--round", "1"]) == 0
+    state = json.loads((tmp_path / "out" / "state-1.json").read_text())
+    assert state["p_target"] == p_target
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rounds": -3}))

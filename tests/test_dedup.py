@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import fixtures
 from sqlgrow.dedup import (
     QuestionVector,
     _greedy_scan,
@@ -14,8 +15,10 @@ from sqlgrow.dedup import (
     lexical_vector,
     word_trigrams,
 )
-from sqlgrow.errors import StructuralError
-from sqlgrow.instances import QueryInstance
+from sqlgrow.errors import SqlgrowError, StructuralError
+from sqlgrow.gateway import LlmGateway
+from sqlgrow.instances import QueryInstance, stage_rank
+from sqlgrow.operators import OperatorId
 
 
 def inst(iid, question="q", schema="olympics", stage="seed"):
@@ -133,8 +136,108 @@ def test_misaligned_inputs_rejected():
         dedup_schema_group(instances, vectors, tau=0.9)
 
 
+def test_vectors_from_separate_calls_rejected():
+    instances = [inst("a", "list all athletes"), inst("b", "count the games")]
+    vectors = (embed_questions(["list all athletes"], instance_ids=["a"])
+               + embed_questions(["count the games"], instance_ids=["b"]))
+    with pytest.raises(StructuralError):
+        dedup_schema_group(instances, vectors, tau=0.9)
+
+
 def test_mixed_schema_group_rejected():
     instances = [inst("a", schema="s1"), inst("b", schema="s2")]
     vectors = embed_questions(["x", "y"], instance_ids=["a", "b"])
     with pytest.raises(StructuralError):
         dedup_schema_group(instances, vectors, tau=0.9)
+
+
+def test_kept_id_is_nearest_kept_even_when_later():
+    # b is blocked by a (0.92 > tau) but lies nearer to c (0.99), which is
+    # kept after it: kept_id names c, the most similar kept item
+    theta = math.acos(0.92)
+    delta = math.acos(0.99)
+    a = qv("a", [1.0, 0.0])
+    b = qv("b", [math.cos(theta), math.sin(theta)])
+    c = qv("c", [math.cos(theta + delta), math.sin(theta + delta)])
+    instances = [inst("a"), inst("b"), inst("c")]
+    kept, removed = dedup_schema_group(instances, [a, b, c], tau=0.9)
+    assert [k.id for k in kept] == ["a", "c"]
+    assert [(r.removed_id, r.kept_id) for r in removed] == [("b", "c")]
+    assert removed[0].similarity == pytest.approx(0.99, abs=1e-6)
+
+
+def test_lexical_vectors_share_one_compact_basis():
+    questions = ["list all athletes", "count the games", ""]
+    used = set()
+    for q in questions:
+        used.update(np.flatnonzero(lexical_vector(q)).tolist())
+    vectors = embed_questions(questions)
+    assert {len(v.vector) for v in vectors} == {len(used)}
+
+
+def _mock_questions(schemas, connections):
+    """Seed questions, their mock rephrasings and mock evolutions per schema."""
+    gateway = LlmGateway()
+    groups = {}
+    for schema_id, seeds in fixtures.SEED_QUESTIONS.items():
+        schema, conn = schemas[schema_id], connections[schema_id]
+        group = [("seed", question, None) for question, _ in seeds]
+        for k, (question, sql) in enumerate(seeds):
+            for seed in (0, 1):
+                exp = gateway.generate_expansion(question, "", sql, schema, conn, seed)
+                group.append(("EQE", exp.question, None))
+            for op in OperatorId:  # evolve the last rephrasing
+                try:
+                    evo = gateway.generate_evolution(exp.question, "", exp.sql,
+                                                     schema, op, conn, k)
+                except SqlgrowError:
+                    continue
+                group.append(("OGE-1", evo.question, op))
+        group += [("EQE", "", None), ("EQE", "?!", None), ("EQE", "a b", None)]
+        groups[schema_id] = [
+            QueryInstance(id=f"{schema_id}-{i:03d}", schema_id=schema_id,
+                          question=question, evidence="", sql="SELECT 1",
+                          stage=stage, operator_applied=op)
+            for i, (stage, question, op) in enumerate(group)
+        ]
+    return groups
+
+
+def _dense_oracle(group, tau):
+    """The scan over dense 4,096-dim vectors and per-pair cosines."""
+    dense = {i.id: lexical_vector(i.question) for i in group}
+    order = sorted(group, key=lambda i: (stage_rank(i.stage), i.id))
+    kept = []
+    for item in order:
+        if all(cosine(dense[item.id], dense[k.id]) <= tau for k in kept):
+            kept.append(item)
+    removals = []
+    for item in order:
+        if item in kept:
+            continue
+        nearest = max(kept, key=lambda k: cosine(dense[item.id], dense[k.id]))
+        removals.append((item.id, nearest.id,
+                         round(cosine(dense[item.id], dense[nearest.id]), 6)))
+    return dense, sorted(k.id for k in kept), removals
+
+
+@pytest.mark.parametrize("tau", [0.9, 0.6])
+def test_matrix_scan_matches_dense_oracle(schemas, connections, tau):
+    total_removed = 0
+    for group in _mock_questions(schemas, connections).values():
+        assert len(group) > 100
+        vectors = embed_questions([i.question for i in group],
+                                  instance_ids=[i.id for i in group])
+        kept, removed = dedup_schema_group(group, vectors, tau)
+        dense, oracle_kept, oracle_removed = _dense_oracle(group, tau)
+        assert sorted(k.id for k in kept) == oracle_kept
+        assert [(r.removed_id, r.kept_id) for r in removed] == [
+            (rid, kid) for rid, kid, _ in oracle_removed]
+        for r, (_, _, sim) in zip(removed, oracle_removed):
+            assert r.similarity == pytest.approx(sim, abs=1e-9)
+        compact = np.vstack([v.vector for v in vectors])
+        exact = np.array([[cosine(dense[a.id], dense[b.id]) for b in group]
+                          for a in group])
+        assert np.abs(compact @ compact.T - exact).max() < 1e-9
+        total_removed += len(removed)
+    assert total_removed > 0

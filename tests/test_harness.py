@@ -67,6 +67,31 @@ def test_execute_never_writes(db_dir, connections):
     assert before == after
 
 
+@pytest.mark.parametrize("sql", [
+    "ATTACH DATABASE '{target}' AS e",
+    "CREATE TABLE e.t(x)",
+    "CREATE TEMP TABLE scratch(x)",
+    "INSERT INTO person (id, full_name) VALUES (999, 'x')",
+    "PRAGMA user_version = 7",
+])
+def test_readonly_harness_refuses_writes(db_dir, tmp_path, sql):
+    path = db_dir / "olympics.db"
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    target = tmp_path / "attached.db"
+    conn = open_readonly(path)
+    try:
+        fb = execute_sql(conn, sql.format(target=target))
+        assert not fb.ok
+        if "e.t" not in sql:  # with ATTACH denied, schema "e" does not exist
+            assert "not authorized" in fb.error
+        assert execute_sql(conn, "SELECT COUNT(*) FROM person").ok
+    finally:
+        conn.close()
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
 # -- result comparison --------------------------------------------------------
 
 def rs(rows, ordered=False):

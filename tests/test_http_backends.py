@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +105,15 @@ def test_embedding_backend_failure_is_transport_error(stub_server):
                                    model="emb")
     with pytest.raises(TransportError):
         backend.embed(["q"])
+
+
+def test_import_does_not_load_requests():
+    # only the HTTP backends need requests, and they import it on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sqlgrow, sys; assert 'requests' not in sys.modules"],
+        env=env, check=True,
+    )
