@@ -30,7 +30,7 @@ from .operators import (
     operator_instruction,
     plan_mutation,
 )
-from .parser import parse_sql
+from .parser import parse_cached
 from .prompts import render_template
 from .render import render_sql
 from .resolve import resolve_references
@@ -146,7 +146,7 @@ class LlmGateway:
         return _request_expansion(backend, prompt)
 
     def _mock_expansion(self, question, evidence, sql, schema, db, seed):
-        ast = parse_sql(sql)
+        ast = parse_cached(sql)
         try:
             plan = plan_mutation(ast, schema, OperatorId.LOGIC, seed, db)
             mutated = apply_mutation(ast, plan)
@@ -175,7 +175,7 @@ class LlmGateway:
     ) -> ExpansionResult:
         backend = self._backend("evolve")
         if backend is None:
-            ast = parse_sql(sql)
+            ast = parse_cached(sql)
             plan = plan_mutation(ast, schema, op, seed, db)
             mutated = apply_mutation(ast, plan)
             return ExpansionResult(
@@ -236,7 +236,7 @@ class LlmGateway:
         text = backend.complete(
             [{"role": "user", "content": prompt}], DecodingParams(temperature=0.0)
         )[0]
-        entries = _first_json_array(text)
+        entries = _first_json(text, list)
         scores: dict[OperatorId, tuple[float, str]] = {}
         for entry in entries:
             if not isinstance(entry, dict):
@@ -318,7 +318,7 @@ def _mock_refine(question, draft, schema, feedback, db):
         return draft
 
     try:
-        ast = parse_sql(draft)
+        ast = parse_cached(draft)
     except SqlgrowError:
         return draft
 
@@ -479,36 +479,27 @@ def _last_code_block(text: str) -> str:
     return blocks[-1].strip() if blocks else ""
 
 
-def _first_json_object(text: str) -> dict:
-    decoder = json.JSONDecoder()
-    for start in range(len(text)):
-        if text[start] != "{":
-            continue
-        try:
-            value, _ = decoder.raw_decode(text[start:])
-        except ValueError:
-            continue
-        if isinstance(value, dict):
-            return value
-    raise ResponseFormatError("no JSON object found in model response")
+_JSON_OPENERS = {dict: ("{", "object"), list: ("[", "array")}
 
 
-def _first_json_array(text: str) -> list:
+def _first_json(text: str, kind: type):
+    """The first JSON value of ``kind`` (dict or list) embedded in text."""
+    opener, name = _JSON_OPENERS[kind]
     decoder = json.JSONDecoder()
-    for start in range(len(text)):
-        if text[start] != "[":
-            continue
+    start = text.find(opener)
+    while start != -1:
         try:
-            value, _ = decoder.raw_decode(text[start:])
+            value, _ = decoder.raw_decode(text, start)
         except ValueError:
-            continue
-        if isinstance(value, list):
+            value = None
+        if isinstance(value, kind):
             return value
-    raise ResponseFormatError("no JSON array found in model response")
+        start = text.find(opener, start + 1)
+    raise ResponseFormatError(f"no JSON {name} found in model response")
 
 
 def _parse_expansion(text: str) -> ExpansionResult:
-    data = _first_json_object(text)
+    data = _first_json(text, dict)
     if "gold_sql" not in data or "question" not in data:
         raise ResponseFormatError(
             "expansion response must carry question and gold_sql keys"

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import sqlite3
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SqlgrowError
-from .parser import parse_sql
+from .parser import parse_cached
 from .resolve import resolve_references
 from . import tree as t
 
@@ -42,10 +43,33 @@ class ExecutionFeedback:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResultMultiset:
+    """Normalized result rows of one query.
+
+    ``ordered`` is either given or read from the query's SQL text the first
+    time something asks for it, so a comparison that the rows settle alone
+    never parses the query. Equality, hashing and repr cover ``rows`` and
+    ``ordered``.
+    """
+
     rows: tuple[tuple, ...]
     ordered: bool
+    sql: str = field(default="", compare=False, repr=False)
+
+    def __init__(self, rows: tuple[tuple, ...], ordered: bool | None = None,
+                 sql: str = ""):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sql", sql)
+        if ordered is not None:
+            object.__setattr__(self, "ordered", ordered)
+
+    def __getattr__(self, name):
+        # Python calls this only for attributes not yet set.
+        if name != "ordered":
+            raise AttributeError(name)
+        object.__setattr__(self, "ordered", _is_ordered(self.sql))
+        return self.ordered
 
 
 @dataclass(frozen=True)
@@ -87,28 +111,15 @@ def execute_sql(
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> ExecutionFeedback:
     """Run a query read-only; every failure comes back as feedback."""
-    deadline = time.monotonic() + limits.timeout_ms / 1000.0
-
-    def guard():
-        return 1 if time.monotonic() > deadline else 0
-
-    conn.set_progress_handler(guard, _PROGRESS_OPCODES)
     start = time.monotonic()
     try:
-        cur = conn.execute(sql)
-        rows = cur.fetchmany(limits.max_rows + 1)
-        columns = tuple(d[0] for d in cur.description or ())
-    except sqlite3.OperationalError as exc:
+        columns, rows = _run_query(conn, sql, limits)
+    except sqlite3.Error as exc:
         message = str(exc)
-        if "interrupted" in message:
+        if isinstance(exc, sqlite3.OperationalError) and "interrupted" in message:
             message = "timeout"
         return ExecutionFeedback(ok=False, error=message,
                                  elapsed_ms=_ms_since(start))
-    except sqlite3.Error as exc:
-        return ExecutionFeedback(ok=False, error=str(exc),
-                                 elapsed_ms=_ms_since(start))
-    finally:
-        conn.set_progress_handler(None, 0)
 
     truncated = len(rows) > limits.max_rows
     if truncated:
@@ -125,6 +136,23 @@ def execute_sql(
         elapsed_ms=_ms_since(start),
         truncated=truncated,
     )
+
+
+def _run_query(conn: sqlite3.Connection, sql: str, limits: ExecutionLimits):
+    """Column names and up to ``max_rows + 1`` rows; SQLite errors propagate.
+
+    A query still running at the deadline is interrupted and raises an
+    OperationalError that says "interrupted".
+    """
+    deadline = time.monotonic() + limits.timeout_ms / 1000.0
+    conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0,
+                              _PROGRESS_OPCODES)
+    try:
+        cur = conn.execute(sql)
+        rows = cur.fetchmany(limits.max_rows + 1)
+        return tuple(d[0] for d in cur.description or ()), rows
+    finally:
+        conn.set_progress_handler(None, 0)
 
 
 def _ms_since(start: float) -> float:
@@ -190,25 +218,18 @@ def collect_result(
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> ResultMultiset | None:
     """Normalized result rows, or None when execution fails."""
-    feedback_rows: list[tuple] = []
-    deadline = time.monotonic() + limits.timeout_ms / 1000.0
-    conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0,
-                              _PROGRESS_OPCODES)
     try:
-        cur = conn.execute(sql)
-        raw = cur.fetchmany(limits.max_rows + 1)
+        _, raw = _run_query(conn, sql, limits)
     except sqlite3.Error:
         return None
-    finally:
-        conn.set_progress_handler(None, 0)
-    for row in raw[: limits.max_rows]:
-        feedback_rows.append(tuple(normalize_cell(c) for c in row))
-    return ResultMultiset(tuple(feedback_rows), ordered=_is_ordered(sql))
+    rows = tuple(tuple(normalize_cell(c) for c in row)
+                 for row in raw[: limits.max_rows])
+    return ResultMultiset(rows, sql=sql)
 
 
 def _is_ordered(sql: str) -> bool:
     try:
-        ast = parse_sql(sql)
+        ast = parse_cached(sql)
     except SqlgrowError:
         return False
     if ast.kind == t.SETOP:
@@ -218,14 +239,17 @@ def _is_ordered(sql: str) -> bool:
 
 
 def results_equivalent(a: ResultMultiset, b: ResultMultiset) -> bool:
-    """Sequence comparison when either side is ordered, else multisets."""
-    if a.ordered or b.ordered:
-        return a.rows == b.rows
-    if len(a.rows) != len(b.rows):
-        return False
-    from collections import Counter
+    """Sequence comparison when either side is ordered, else multisets.
 
-    return Counter(a.rows) == Counter(b.rows)
+    The rows decide first: identical sequences are equivalent and different
+    multisets are not. Only two results that hold the same multiset in a
+    different order consult the ``ordered`` flags, which may parse the SQL.
+    """
+    if a.rows == b.rows:
+        return True
+    if len(a.rows) != len(b.rows) or Counter(a.rows) != Counter(b.rows):
+        return False
+    return not (a.ordered or b.ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +295,7 @@ def refine_until_valid(
 
 def _grounding_problem(sql: str, schema) -> str:
     try:
-        ast = parse_sql(sql)
+        ast = parse_cached(sql)
     except SqlgrowError as exc:
         return f"parse failure: {exc}"
     try:

@@ -22,6 +22,7 @@ from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extrac
 from .gateway import HttpChatBackend, LlmGateway
 from .harness import (
     ExecutionLimits,
+    _grounding_problem,
     execute_sql,
     is_acceptable,
     open_readonly,
@@ -37,8 +38,7 @@ from .instances import (
     write_jsonl,
 )
 from .operators import OperatorId, check_applicability
-from .parser import parse_sql
-from .resolve import resolve_references
+from .parser import parse_cached
 from .schema import DatabaseSchema, load_schema
 
 @dataclass
@@ -215,7 +215,7 @@ def ingest_seeds(path, repo: SchemaRepo, cfg: RunConfig | None = None):
             quarantined.append({"index": i, "question": question,
                                 "schema_id": schema_id, "reason": reason})
             continue
-        ast = parse_sql(sql)
+        ast = parse_cached(sql)
         seeds.append(QueryInstance(
             id=f"seed-{i:04d}",
             schema_id=schema_id,
@@ -228,24 +228,15 @@ def ingest_seeds(path, repo: SchemaRepo, cfg: RunConfig | None = None):
     return seeds, quarantined
 
 
-def _seed_problem(sql, schema, conn, limits) -> str | None:
-    try:
-        ast = parse_sql(sql)
-    except SqlgrowError as exc:
-        return f"parse failure: {exc}"
-    try:
-        report = resolve_references(ast, schema)
-    except SqlgrowError as exc:
-        return f"resolution failure: {exc}"
-    if report.unresolved:
-        names = sorted({b.name for b in report.unresolved})
-        return "unresolved columns: " + ", ".join(names)
+def _seed_problem(sql, schema, conn, limits) -> str:
+    """Why a seed is quarantined, or "" when it grounds and returns rows."""
+    reason = _grounding_problem(sql, schema)
+    if reason:
+        return reason
     feedback = execute_sql(conn, sql, limits)
     if not feedback.ok:
         return feedback.error
-    if feedback.row_count == 0:
-        return "empty result"
-    return None
+    return "" if feedback.row_count else "empty result"
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +297,7 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 sql=outcome.sql,
                 stage=STAGE_EQE,
                 parent_id=seed_inst.id,
-                features=extract_features(parse_sql(outcome.sql)),
+                features=extract_features(parse_cached(outcome.sql)),
             ))
     return accepted
 
@@ -328,7 +319,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
         schema = repo.schema(inst.schema_id)
         conn = repo.connection(inst.schema_id)
         try:
-            ast = parse_sql(inst.sql)
+            ast = parse_cached(inst.sql)
         except SqlgrowError as exc:
             rejections.append({"stage": stage, "parent": inst.id,
                                "reason": f"unparseable input: {exc}"})
@@ -393,7 +384,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 stage=stage,
                 parent_id=inst.id,
                 operator_applied=op,
-                features=extract_features(parse_sql(outcome.sql)),
+                features=extract_features(parse_cached(outcome.sql)),
             )
             next_set.append(child)
             evolved.append(child)
@@ -638,7 +629,7 @@ def stats_report(dataset_path) -> tuple[str, str]:
     histogram: dict[str, int] = {}
     status_counts: dict[str, int] = {}
     for inst in instances:
-        features = inst.features or extract_features(parse_sql(inst.sql))
+        features = inst.features or extract_features(parse_cached(inst.sql))
         by_stage.setdefault(inst.stage, []).append(features)
         if inst.operator_applied:
             histogram[inst.operator_applied.name] = (

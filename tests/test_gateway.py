@@ -10,8 +10,7 @@ from sqlgrow.gateway import (
     CotCandidate,
     ExpansionResult,
     LlmGateway,
-    _first_json_array,
-    _first_json_object,
+    _first_json,
     _last_code_block,
     _parse_expansion,
 )
@@ -157,12 +156,24 @@ def test_parse_expansion_missing_gold_sql():
 
 def test_first_json_object_skips_prose_braces():
     text = "ignore {not json} ... {\"a\": 1}"
-    assert _first_json_object(text) == {"a": 1}
+    assert _first_json(text, dict) == {"a": 1}
 
 
 def test_first_json_array():
     text = 'header [1, 2, {"x": 3}] trailer'
-    assert _first_json_array(text) == [1, 2, {"x": 3}]
+    assert _first_json(text, list) == [1, 2, {"x": 3}]
+
+
+def test_first_json_skips_values_of_the_other_kind():
+    assert _first_json('[1] then {"a": [2]}', dict) == {"a": [2]}
+    assert _first_json('{"a": 1} then [3]', list) == [3]
+
+
+def test_first_json_error_names_the_kind():
+    with pytest.raises(ResponseFormatError, match="no JSON object found"):
+        _first_json("[1, 2] {broken", dict)
+    with pytest.raises(ResponseFormatError, match="no JSON array found"):
+        _first_json("{} [broken", list)
 
 
 def test_last_code_block_extraction():

@@ -1,9 +1,11 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import STAGE_SQL_2
+from sqlgrow import harness
 from sqlgrow.harness import (
     ExecutionFeedback,
     ExecutionLimits,
@@ -135,6 +137,67 @@ def test_results_equivalent_reflexive_symmetric(rows):
     b = rs(list(reversed(rows)))
     assert results_equivalent(a, a)
     assert results_equivalent(a, b) == results_equivalent(b, a)
+
+
+def _sequence_or_multiset(a, b):
+    """The comparison rule before ordering was read on demand."""
+    if a.ordered or b.ordered:
+        return a.rows == b.rows
+    return len(a.rows) == len(b.rows) and Counter(a.rows) == Counter(b.rows)
+
+
+_row_lists = st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(["x", "y", None])),
+                      max_size=5)
+
+
+@given(_row_lists, st.data(), st.booleans(), st.booleans())
+def test_rows_first_comparison_matches_the_flag_first_rule(rows, data, a_ord, b_ord):
+    other = data.draw(st.one_of(st.just(rows), st.permutations(rows), _row_lists))
+    a, b = rs(rows, a_ord), rs(other, b_ord)
+    assert results_equivalent(a, b) == _sequence_or_multiset(a, b)
+
+
+def test_identical_rows_compare_without_parsing(connections, monkeypatch):
+    def no_parse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(harness, "parse_cached", no_parse)
+    conn = connections["olympics"]
+    a = collect_result(conn, "SELECT full_name FROM person ORDER BY id")
+    b = collect_result(conn, "SELECT p.full_name FROM person AS p ORDER BY p.id")
+    assert len(a.rows) > 1
+    assert results_equivalent(a, b)
+    assert results_equivalent(a, a)
+
+
+def test_ordered_results_in_another_order_differ(connections):
+    conn = connections["olympics"]
+    up = collect_result(conn, "SELECT full_name FROM person ORDER BY full_name")
+    down = collect_result(conn, "SELECT full_name FROM person ORDER BY full_name DESC")
+    unordered = collect_result(conn, "SELECT full_name FROM person")
+    assert sorted(up.rows) == sorted(down.rows) and up.rows != down.rows
+    assert up.ordered and down.ordered and not unordered.ordered
+    assert not results_equivalent(up, down)
+    assert not results_equivalent(down, up)
+
+
+def test_given_ordered_flag_is_kept():
+    assert rs([(1,)], ordered=True).ordered
+    assert not ResultMultiset(((1,),), False, sql="SELECT 1 ORDER BY 1").ordered
+
+
+def test_result_multiset_is_a_frozen_value():
+    lazy = ResultMultiset(((1,), (2,)), sql="SELECT x FROM t ORDER BY x")
+    given_flag = ResultMultiset(((1,), (2,)), True)
+    assert lazy == given_flag and hash(lazy) == hash(given_flag)
+    assert lazy != ResultMultiset(((1,), (2,)), False)
+    assert lazy != ResultMultiset(((2,), (1,)), True)
+    assert repr(lazy) == "ResultMultiset(rows=((1,), (2,)), ordered=True)"
+    with pytest.raises(AttributeError):
+        lazy.rows = ()
+    with pytest.raises(AttributeError):
+        lazy.ordered = False
+    assert lazy.rows == ((1,), (2,)) and lazy.ordered
 
 
 # -- refinement loop ----------------------------------------------------------

@@ -2,10 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import GOLDEN_CORPUS, STAGE_SQL_0, STAGE_SQL_3
-from sqlgrow import tree as t
-from sqlgrow.errors import SqlSyntaxError, StructuralError, UnsupportedSqlError
+from sqlgrow import parser, tree as t
+from sqlgrow.errors import (
+    InfeasibleOperatorError,
+    SqlSyntaxError,
+    StructuralError,
+    UnsupportedSqlError,
+)
 from sqlgrow.features import tokenize_sql
-from sqlgrow.parser import parse_sql
+from sqlgrow.operators import OperatorId, apply_mutation, plan_mutation
+from sqlgrow.parser import PARSE_MEMO_SIZE, parse_cached, parse_sql
 from sqlgrow.render import render_sql
 
 
@@ -123,3 +129,56 @@ def test_lexer_is_total_or_raises_cleanly(text):
     except SqlSyntaxError:
         return
     assert first == second
+
+
+# -- memo ------------------------------------------------------------------
+
+def test_memo_returns_the_identical_tree():
+    assert parse_cached(STAGE_SQL_3) is parse_cached(STAGE_SQL_3)
+
+
+def test_memo_raises_a_parse_error_again():
+    text = "SELECT name FROM person WHERE"
+    raised = []
+    for _ in range(2):
+        with pytest.raises(SqlSyntaxError) as info:
+            parse_cached(text)
+        raised.append(info.value)
+    assert type(raised[0]) is type(raised[1])
+    assert str(raised[0]) == str(raised[1])
+    assert raised[0].position == raised[1].position
+
+
+def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
+    ast = parse_cached(STAGE_SQL_0)
+    before = render_sql(ast)
+    mutated = 0
+    for op in OperatorId:
+        try:
+            plan = plan_mutation(ast, olympics_schema, op, 0)
+        except InfeasibleOperatorError:
+            continue
+        assert render_sql(apply_mutation(ast, plan)) != before
+        mutated += 1
+    assert mutated
+    assert render_sql(parse_cached(STAGE_SQL_0)) == before
+
+
+def test_memo_is_bounded():
+    assert parse_cached.cache_info().maxsize == PARSE_MEMO_SIZE
+    assert PARSE_MEMO_SIZE is not None and PARSE_MEMO_SIZE > 0
+
+
+def test_memo_parses_only_on_a_miss(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_sql(text)
+
+    monkeypatch.setattr(parser, "parse_sql", counting)
+    parse_cached.cache_clear()
+    text = "SELECT 1 AS memo_probe"
+    assert parse_cached(text) is parse_cached(text)
+    assert calls == [text]
+    assert parse_sql(text) is not parse_cached(text)
