@@ -18,12 +18,16 @@ from .instances import read_jsonl, write_jsonl
 from .pipeline import (
     RunConfig,
     SchemaRepo,
-    _p_target,
     build_gateway,
+    dedup_pool,
     ingest_seeds,
+    initial_state,
+    run_cot,
     run_eqe,
     run_full,
     run_oge,
+    save_ingest,
+    save_round,
     stats_report,
     verify_dataset,
 )
@@ -42,18 +46,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--global-seed", dest="global_seed", type=int, help="run seed")
     parser.add_argument("--max-attempts", dest="max_attempts", type=int,
                         help="refinement attempts per candidate")
-    parser.add_argument("--workers", type=int, help="worker count (reserved)")
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("seeds", "db_dir", "out_dir", "rounds", "budget_k", "epsilon",
-                    "tau", "cot_n", "global_seed", "max_attempts", "workers")
-    }
+    """The config file, or defaults, overridden by flags named after fields."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in RunConfig.__dataclass_fields__ and value is not None}
     if args.config:
         return RunConfig.from_file(args.config, overrides)
-    cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
+    cfg = RunConfig(**overrides)
     cfg.validate()
     return cfg
 
@@ -130,15 +131,12 @@ def _dispatch(args) -> int:
         return 0
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     repo = SchemaRepo(cfg.db_dir)
     gateway = build_gateway(cfg)
     try:
         if args.command == "ingest":
             seeds, quarantined = ingest_seeds(cfg.seeds, repo, cfg)
-            write_jsonl(seeds, out_dir / "seeds.jsonl")
-            (out_dir / "quarantine.json").write_text(
-                json.dumps(quarantined, sort_keys=True, indent=2))
+            save_ingest(out_dir, seeds, quarantined)
             print(f"{len(seeds)} seeds accepted, {len(quarantined)} quarantined")
             return 0
 
@@ -153,35 +151,22 @@ def _dispatch(args) -> int:
             if args.state:
                 state = scheduler.state_from_json(Path(args.state).read_text())
             else:
-                state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k, _p_target(cfg))
+                state = initial_state(cfg)
             next_set, evolved, state = run_oge(
                 instances, cfg, repo, gateway, state, args.round)
-            write_jsonl(next_set, out_dir / f"oge-{args.round}.jsonl")
-            (out_dir / f"state-{args.round}.json").write_text(
-                scheduler.state_to_json(state))
+            save_round(out_dir, args.round, next_set, state)
             print(f"{len(evolved)} evolved instances accepted in round {args.round}")
             return 0
 
         if args.command == "cot":
-            from .pipeline import _run_cot
-
-            records, discards, deferrals = _run_cot(instances, cfg, repo, gateway)
-            traces = {r.instance_id: r.trace for r in records}
-            kept = []
-            for inst in instances:
-                if inst.id in traces:
-                    inst = inst.with_status("cot-kept")
-                    inst.cot = traces[inst.id]
-                    kept.append(inst)
+            kept, discards, deferrals = run_cot(instances, cfg, repo, gateway)
             write_jsonl(kept, out_dir / "cot.jsonl")
-            print(f"kept {len(records)}, discarded {len(discards)}, "
+            print(f"kept {len(kept)}, discarded {len(discards)}, "
                   f"deferred {len(deferrals)}")
             return 0
 
         if args.command == "dedup":
-            from .pipeline import _dedup_pool
-
-            kept, removals = _dedup_pool(instances, cfg)
+            kept, removals = dedup_pool(instances, cfg)
             write_jsonl(kept, out_dir / "dedup.jsonl")
             print(f"kept {len(kept)}, removed {len(removals)}")
             return 0

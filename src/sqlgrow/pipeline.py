@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -57,7 +58,6 @@ class RunConfig:
     max_rows: int = 1000
     max_attempts: int = 3
     global_seed: int = 0
-    workers: int = 1
     dedup_before_cot: bool = False
     backends: dict = field(default_factory=dict)
     embedder: dict | None = None
@@ -77,8 +77,6 @@ class RunConfig:
             raise ConfigError("expansions_per_seed must be >= 1")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     @property
     def limits(self) -> ExecutionLimits:
@@ -152,30 +150,20 @@ class SchemaRepo:
         self._conns.clear()
 
 
-def build_gateway(cfg: RunConfig) -> LlmGateway:
-    backends = {}
-    for role, spec in (cfg.backends or {}).items():
-        import os
+def _backend_args(spec: dict) -> dict:
+    """An ``{endpoint, model, api_key_env}`` config block as backend arguments."""
+    return {"endpoint": spec["endpoint"], "model": spec.get("model", ""),
+            "api_key": os.environ.get(spec.get("api_key_env", ""), "")}
 
-        backends[role] = HttpChatBackend(
-            endpoint=spec["endpoint"],
-            model=spec.get("model", ""),
-            api_key=os.environ.get(spec.get("api_key_env", ""), ""),
-        )
+
+def build_gateway(cfg: RunConfig) -> LlmGateway:
+    backends = {role: HttpChatBackend(**_backend_args(spec))
+                for role, spec in (cfg.backends or {}).items()}
     return LlmGateway(backends=backends, global_seed=cfg.global_seed)
 
 
 def build_embedder(cfg: RunConfig) -> HttpEmbeddingBackend | None:
-    if not cfg.embedder:
-        return None
-    import os
-
-    spec = cfg.embedder
-    return HttpEmbeddingBackend(
-        endpoint=spec["endpoint"],
-        model=spec.get("model", ""),
-        api_key=os.environ.get(spec.get("api_key_env", ""), ""),
-    )
+    return HttpEmbeddingBackend(**_backend_args(cfg.embedder)) if cfg.embedder else None
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +227,15 @@ def _seed_problem(sql, schema, conn, limits) -> str:
     return "" if feedback.row_count else "empty result"
 
 
+def save_ingest(out_dir: Path, seeds, quarantined) -> None:
+    """Write the accepted and quarantined seeds, as run_full checkpoints them."""
+    write_jsonl(seeds, out_dir / "seeds.jsonl")
+    (out_dir / "quarantine.json").write_text(
+        json.dumps(quarantined, sort_keys=True, indent=2))
+
+
 # ---------------------------------------------------------------------------
-# Stage: exploratory expansion
+# Stages that grow candidates: exploratory expansion and evolution rounds
 # ---------------------------------------------------------------------------
 
 _TRANSPORT_TRIES = 2  # transport failures retry the instance once
@@ -256,6 +251,49 @@ def _with_transport_retry(action):
     raise last
 
 
+def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
+          rejections):
+    """The grounded child that ``generate()`` proposes, or None once rejected.
+
+    A failed refinement, a transport failure that outlasts the retry or any
+    other package error becomes one rejection record; it carries
+    ``operator`` only when ``op`` is given (evolution rounds).
+    """
+    def generate_and_refine():
+        result = generate()
+        outcome = refine_until_valid(
+            result.question, result.sql, schema, conn,
+            refiner=lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn),
+            max_attempts=cfg.max_attempts, limits=cfg.limits,
+        )
+        return result, outcome
+
+    try:
+        result, outcome = _with_transport_retry(generate_and_refine)
+        reason = None if outcome.accepted else outcome.reason
+    except TransportError as exc:
+        reason = f"transport: {exc}"
+    except SqlgrowError as exc:
+        reason = str(exc)
+    if reason is not None:
+        record = {"stage": stage, "parent": parent.id, "reason": reason}
+        if op is not None:
+            record["operator"] = op.name
+        rejections.append(record)
+        return None
+    return QueryInstance(
+        id=child_id,
+        schema_id=parent.schema_id,
+        question=result.question,
+        evidence=result.evidence,
+        sql=outcome.sql,
+        stage=stage,
+        parent_id=parent.id,
+        operator_applied=op,
+        features=extract_features(parse_cached(outcome.sql)),
+    )
+
+
 def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             rejections: list | None = None):
     accepted: list[QueryInstance] = []
@@ -265,52 +303,29 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
         conn = repo.connection(seed_inst.schema_id)
         for j in range(cfg.expansions_per_seed):
             call_seed = derive_seed(cfg.global_seed, seed_inst.id, "eqe", j)
-
-            def expand_and_refine():
-                result = gateway.generate_expansion(
+            child = _grow(
+                seed_inst, f"{seed_inst.id}/e{j}", STAGE_EQE, None,
+                lambda: gateway.generate_expansion(
                     seed_inst.question, seed_inst.evidence, seed_inst.sql,
-                    schema, db=conn, seed=call_seed,
-                )
-                outcome = refine_until_valid(
-                    result.question, result.sql, schema, conn,
-                    refiner=lambda q, s, sc, fb: gateway.refine_sql(
-                        q, s, sc, fb, db=conn),
-                    max_attempts=cfg.max_attempts, limits=cfg.limits,
-                )
-                return result, outcome
-
-            try:
-                result, outcome = _with_transport_retry(expand_and_refine)
-            except TransportError as exc:
-                rejections.append({"stage": STAGE_EQE, "parent": seed_inst.id,
-                                   "reason": f"transport: {exc}"})
-                continue
-            if not outcome.accepted:
-                rejections.append({"stage": STAGE_EQE, "parent": seed_inst.id,
-                                   "reason": outcome.reason})
-                continue
-            accepted.append(QueryInstance(
-                id=f"{seed_inst.id}/e{j}",
-                schema_id=seed_inst.schema_id,
-                question=result.question,
-                evidence=result.evidence,
-                sql=outcome.sql,
-                stage=STAGE_EQE,
-                parent_id=seed_inst.id,
-                features=extract_features(parse_cached(outcome.sql)),
-            ))
+                    schema, db=conn, seed=call_seed),
+                cfg, schema, conn, gateway, rejections,
+            )
+            if child is not None:
+                accepted.append(child)
     return accepted
 
 
-# ---------------------------------------------------------------------------
-# Stage: evolution rounds
-# ---------------------------------------------------------------------------
+def initial_state(cfg: RunConfig) -> scheduler.EvolutionState:
+    """The scheduler state before round 1, with the configured target shares."""
+    p_target = ({OperatorId[name]: weight for name, weight in cfg.p_target.items()}
+                if cfg.p_target else None)
+    return scheduler.fresh_state(cfg.epsilon, cfg.budget_k, p_target)
+
 
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             state: scheduler.EvolutionState, round_no: int,
             rejections: list | None = None):
-    """One evolution round; returns (next set, newly evolved, state)."""
-    next_set: list[QueryInstance] = []
+    """One evolution round; returns (next set, newly evolved, state); both sets are equal."""
     evolved: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     stage = oge_stage(round_no)
@@ -347,49 +362,23 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
 
         for op in chosen:
             call_seed = derive_seed(cfg.global_seed, inst.id, round_no, op.name)
-
-            def evolve_and_refine():
-                result = gateway.generate_evolution(
+            child = _grow(
+                inst, f"{inst.id}/{op.name.lower()}{round_no}", stage, op,
+                lambda: gateway.generate_evolution(
                     inst.question, inst.evidence, inst.sql, schema, op,
-                    db=conn, seed=call_seed,
-                )
-                outcome = refine_until_valid(
-                    result.question, result.sql, schema, conn,
-                    refiner=lambda q, s, sc, fb: gateway.refine_sql(
-                        q, s, sc, fb, db=conn),
-                    max_attempts=cfg.max_attempts, limits=cfg.limits,
-                )
-                return result, outcome
-
-            try:
-                result, outcome = _with_transport_retry(evolve_and_refine)
-            except TransportError as exc:
-                rejections.append({"stage": stage, "parent": inst.id,
-                                   "operator": op.name, "reason": f"transport: {exc}"})
-                continue
-            except SqlgrowError as exc:
-                rejections.append({"stage": stage, "parent": inst.id,
-                                   "operator": op.name, "reason": str(exc)})
-                continue
-            if not outcome.accepted:
-                rejections.append({"stage": stage, "parent": inst.id,
-                                   "operator": op.name, "reason": outcome.reason})
-                continue
-            child = QueryInstance(
-                id=f"{inst.id}/{op.name.lower()}{round_no}",
-                schema_id=inst.schema_id,
-                question=result.question,
-                evidence=result.evidence,
-                sql=outcome.sql,
-                stage=stage,
-                parent_id=inst.id,
-                operator_applied=op,
-                features=extract_features(parse_cached(outcome.sql)),
+                    db=conn, seed=call_seed),
+                cfg, schema, conn, gateway, rejections,
             )
-            next_set.append(child)
-            evolved.append(child)
-            state = scheduler.record_acceptance(state, op)
-    return next_set, evolved, state
+            if child is not None:
+                evolved.append(child)
+                state = scheduler.record_acceptance(state, op)
+    return list(evolved), evolved, state
+
+
+def save_round(out_dir: Path, round_no: int, instances, state) -> None:
+    """Write a round's instances and scheduler state, as run_full checkpoints them."""
+    write_jsonl(instances, out_dir / f"oge-{round_no}.jsonl")
+    (out_dir / f"state-{round_no}.json").write_text(scheduler.state_to_json(state))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +404,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
             quarantined = json.loads((ckpt_dir / "quarantine.json").read_text())
         else:
             seeds, quarantined = ingest_seeds(cfg.seeds, repo, cfg)
-            write_jsonl(seeds, ckpt_dir / "seeds.jsonl")
-            (ckpt_dir / "quarantine.json").write_text(
-                json.dumps(quarantined, sort_keys=True, indent=2))
+            save_ingest(ckpt_dir, seeds, quarantined)
             _mark_done(ckpt_dir, "ingest")
 
         # exploratory expansion
@@ -429,13 +416,12 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
             _mark_done(ckpt_dir, "eqe")
 
         # evolution rounds
-        state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k, _p_target(cfg))
+        state = initial_state(cfg)
         current, evolved = eqe, []
         for round_no in range(1, cfg.rounds + 1):
             stage_name = f"oge-{round_no}"
-            ckpt = ckpt_dir / f"{stage_name}.jsonl"
             if stage_name in done:
-                current = read_jsonl(ckpt)
+                current = read_jsonl(ckpt_dir / f"{stage_name}.jsonl")
                 evolved.extend(current)
                 state = scheduler.state_from_json(
                     (ckpt_dir / f"state-{round_no}.json").read_text())
@@ -443,9 +429,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
                 current, delta, state = run_oge(
                     current, cfg, repo, gateway, state, round_no, rejections)
                 evolved.extend(delta)
-                write_jsonl(current, ckpt)
-                (ckpt_dir / f"state-{round_no}.json").write_text(
-                    scheduler.state_to_json(state))
+                save_round(ckpt_dir, round_no, current, state)
                 _mark_done(ckpt_dir, stage_name)
 
         pool = seeds + eqe + evolved
@@ -453,25 +437,16 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
         # optional early dedup to save teacher calls
         removals = []
         if cfg.dedup_before_cot:
-            pool, removals = _dedup_pool(pool, cfg)
+            pool, removals = dedup_pool(pool, cfg)
 
         # chain-of-thought verification
-        cot_records, discards, deferrals = _run_cot(pool, cfg, repo, gateway)
-        kept_ids = {r.instance_id for r in cot_records}
-        traces = {r.instance_id: r.trace for r in cot_records}
-        surviving = []
-        for inst in pool:
-            if inst.id in kept_ids:
-                inst = inst.with_status("cot-kept")
-                inst.cot = traces[inst.id]
-                surviving.append(inst)
-            else:
-                surviving.append(inst.with_status("cot-discarded"))
-        dataset = [inst for inst in surviving if inst.status == "cot-kept"]
+        dataset, discards, deferrals = run_cot(pool, cfg, repo, gateway)
+        cot_counts = {"kept": len(dataset), "discarded": len(discards),
+                      "deferred": len(deferrals)}
 
         # final dedup
         if not cfg.dedup_before_cot:
-            dataset, removals = _dedup_pool(dataset, cfg)
+            dataset, removals = dedup_pool(dataset, cfg)
 
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
@@ -479,7 +454,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
 
         manifest = _build_manifest(
             cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
-            removals, cot_records, discards, deferrals, state,
+            removals, cot_counts, state,
         )
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -493,13 +468,8 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
         repo.close()
 
 
-def _p_target(cfg: RunConfig):
-    if not cfg.p_target:
-        return None
-    return {OperatorId[name]: weight for name, weight in cfg.p_target.items()}
-
-
-def _dedup_pool(pool, cfg: RunConfig):
+def dedup_pool(pool, cfg: RunConfig):
+    """Near-duplicate removal per schema; returns (kept, removal records)."""
     embedder = build_embedder(cfg)
     kept_all, removals = [], []
     by_schema: dict[str, list[QueryInstance]] = {}
@@ -516,8 +486,12 @@ def _dedup_pool(pool, cfg: RunConfig):
     return kept_all, removals
 
 
-def _run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
-    records: list[CotRecord] = []
+def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
+    """Verify a reasoning trace for each instance; returns (kept, discards, deferrals).
+
+    Kept instances, in pool order, have status "cot-kept" and carry their trace.
+    """
+    kept: list[QueryInstance] = []
     discards: list[CotDiscard] = []
     deferrals: list[CotDeferral] = []
     teacher_tag = "live" if "teach" in gateway.backends else "mock"
@@ -529,16 +503,18 @@ def _run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
             limits=cfg.limits, seed=derive_seed(cfg.global_seed, inst.id, "cot"),
         )
         if isinstance(outcome, CotRecord):
-            records.append(outcome)
+            inst = inst.with_status("cot-kept")
+            inst.cot = outcome.trace
+            kept.append(inst)
         elif isinstance(outcome, CotDiscard):
             discards.append(outcome)
         else:
             deferrals.append(outcome)
-    return records, discards, deferrals
+    return kept, discards, deferrals
 
 
 def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
-                    removals, cot_records, discards, deferrals, state) -> dict:
+                    removals, cot_counts, state) -> dict:
     stage_counts: dict[str, int] = {}
     for inst in dataset:
         stage_counts[inst.stage] = stage_counts.get(inst.stage, 0) + 1
@@ -571,11 +547,7 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
         "operator_acceptances": {op.name: state.counts[op] for op in OperatorId},
         "rejections": rejection_counts,
         "quarantined_seeds": len(quarantined),
-        "cot": {
-            "kept": len(cot_records),
-            "discarded": len(discards),
-            "deferred": len(deferrals),
-        },
+        "cot": cot_counts,
         "dedup": {
             "removed": len(removals),
             # tau calibrates differently on the lexical fallback

@@ -118,3 +118,22 @@ def test_staged_cot_then_dedup(workspace):
                  "--in", str(tmp_path / "out" / "cot.jsonl")]) == 0
     deduped = read_jsonl(tmp_path / "out" / "dedup.jsonl")
     assert 0 < len(deduped) <= len(kept)
+
+
+def test_staged_commands_write_the_checkpoints_of_run(workspace):
+    tmp_path, cfg = workspace
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "rounds": 2}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    staged = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert main(["eqe", "--config", str(cfg), "--in", str(staged / "seeds.jsonl")]) == 0
+    assert main(["oge", "--config", str(cfg), "--in", str(staged / "eqe.jsonl"),
+                 "--round", "1"]) == 0
+    assert main(["oge", "--config", str(cfg), "--in", str(staged / "oge-1.jsonl"),
+                 "--round", "2", "--state", str(staged / "state-1.json")]) == 0
+    names = ["seeds.jsonl", "quarantine.json", "eqe.jsonl", "oge-1.jsonl",
+             "oge-2.jsonl", "state-1.json", "state-2.json"]
+    assert sorted(p.name for p in staged.iterdir()) == sorted(names)
+    for name in names:
+        assert (staged / name).read_bytes() == \
+            (tmp_path / "full" / "checkpoints" / name).read_bytes(), name

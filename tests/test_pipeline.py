@@ -3,7 +3,7 @@ import json
 import pytest
 
 import fixtures
-from sqlgrow.errors import ConfigError
+from sqlgrow.errors import ConfigError, ResponseFormatError, TransportError
 from sqlgrow.features import aggregate_features
 from sqlgrow.gateway import LlmGateway
 from sqlgrow.instances import QueryInstance, read_jsonl
@@ -13,6 +13,7 @@ from sqlgrow.pipeline import (
     SchemaRepo,
     derive_seed,
     ingest_seeds,
+    run_cot,
     run_eqe,
     run_full,
     run_oge,
@@ -220,29 +221,35 @@ def test_stats_report_missing_file():
         stats_report("/nonexistent/dataset.jsonl")
 
 
-class FlakyExpandGateway(LlmGateway):
-    """Fails the first expansion call for each seed, then recovers."""
+class FlakyGateway(LlmGateway):
+    """Fails the first ``fail_times`` generation calls of each candidate."""
 
     def __init__(self, fail_times=1):
         super().__init__()
-        self.failures_left = {}
         self.fail_times = fail_times
+        self.calls = []
+
+    def _outage(self, seed):
+        self.calls.append(seed)
+        if self.calls.count(seed) <= self.fail_times:
+            raise TransportError("synthetic outage")
 
     def generate_expansion(self, question, evidence, sql, schema, db=None, seed=0):
-        from sqlgrow.errors import TransportError
-
-        left = self.failures_left.setdefault(seed, self.fail_times)
-        if left > 0:
-            self.failures_left[seed] = left - 1
-            raise TransportError("synthetic outage")
+        self._outage(seed)
         return super().generate_expansion(question, evidence, sql, schema,
+                                          db=db, seed=seed)
+
+    def generate_evolution(self, question, evidence, sql, schema, op,
+                           db=None, seed=0):
+        self._outage(seed)
+        return super().generate_evolution(question, evidence, sql, schema, op,
                                           db=db, seed=seed)
 
 
 def test_transport_failure_retried_then_recovers(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
-    accepted = run_eqe(seeds, cfg, repo, FlakyExpandGateway(fail_times=1))
+    accepted = run_eqe(seeds, cfg, repo, FlakyGateway(fail_times=1))
     assert len(accepted) == len(seeds)  # one retry absorbs the outage
 
 
@@ -250,11 +257,59 @@ def test_persistent_transport_failure_recorded_not_fatal(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     rejections = []
-    accepted = run_eqe(seeds, cfg, repo, FlakyExpandGateway(fail_times=99),
+    accepted = run_eqe(seeds, cfg, repo, FlakyGateway(fail_times=99),
                        rejections)
     assert accepted == []
     assert len(rejections) == len(seeds)
     assert all(r["reason"].startswith("transport") for r in rejections)
+
+
+class MalformedExpandGateway(LlmGateway):
+    """Every expansion reply breaks the output contract."""
+
+    def generate_expansion(self, *args, **kwargs):
+        raise ResponseFormatError("no JSON object found in model response")
+
+
+def test_eqe_format_error_recorded_not_fatal(repo, mini_seed_file):
+    cfg = RunConfig(global_seed=3, expansions_per_seed=2)
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    rejections = []
+    assert run_eqe(seeds, cfg, repo, MalformedExpandGateway(), rejections) == []
+    assert rejections == [
+        {"stage": "EQE", "parent": s.id,
+         "reason": "no JSON object found in model response"}
+        for s in seeds for _ in range(2)
+    ]
+
+
+def test_oge_transport_failure_retried_then_recovers(repo, mini_seed_file):
+    cfg = RunConfig(global_seed=3)
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+    _, steady, _ = run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
+    rejections = []
+    _, flaky, _ = run_oge(seeds, cfg, repo, FlakyGateway(fail_times=1),
+                          state, 1, rejections)
+    assert [c.to_dict() for c in flaky] == [c.to_dict() for c in steady]
+    assert not any(r["reason"].startswith("transport") for r in rejections)
+
+
+def test_oge_persistent_transport_failure_rejects_each_operator(repo, mini_seed_file):
+    cfg = RunConfig(global_seed=3)
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+    gateway = FlakyGateway(fail_times=99)
+    rejections = []
+    _, evolved, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
+    assert evolved == [] and after == state
+    assert len(rejections) == cfg.budget_k * len(seeds)
+    assert all(r["stage"] == "OGE-1" and r["reason"].startswith("transport: ")
+               for r in rejections)
+    # each chosen operator was tried twice and rejected once, under its name
+    rejected = [derive_seed(cfg.global_seed, r["parent"], 1, r["operator"])
+                for r in rejections]
+    assert sorted(gateway.calls) == sorted(rejected * 2)
 
 
 def test_schema_repo_nested_layout(tmp_path):
@@ -360,8 +415,6 @@ class SelectiveTeacherGateway(LlmGateway):
 
 
 def test_discarded_child_keeps_ancestors(repo, mini_seed_file):
-    from sqlgrow.pipeline import _run_cot
-
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     gateway = LlmGateway()
@@ -369,8 +422,9 @@ def test_discarded_child_keeps_ancestors(repo, mini_seed_file):
     assert eqe
     # fail the teacher only for expansion children ("Rephrased" marker)
     selective = SelectiveTeacherGateway("Rephrased")
-    records, discards, deferrals = _run_cot(seeds + eqe, cfg, repo, selective)
-    kept_ids = {r.instance_id for r in records}
+    kept, discards, deferrals = run_cot(seeds + eqe, cfg, repo, selective)
+    assert all(inst.status == "cot-kept" and inst.cot for inst in kept)
+    kept_ids = {inst.id for inst in kept}
     discarded_ids = {d.instance_id for d in discards}
     assert all(child.id in discarded_ids for child in eqe)
     assert all(seed.id in kept_ids for seed in seeds)  # ancestors unaffected
