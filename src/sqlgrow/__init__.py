@@ -37,6 +37,8 @@ from .operators import (
     FeasibilityReport,
     MutationPlan,
     OperatorId,
+    ParentAnalysis,
+    analyze,
     apply_mutation,
     check_applicability,
     operator_instruction,

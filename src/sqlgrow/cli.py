@@ -152,9 +152,9 @@ def _dispatch(args) -> int:
                 state = scheduler.state_from_json(Path(args.state).read_text())
             else:
                 state = initial_state(cfg)
-            next_set, evolved, state = run_oge(
+            evolved, state = run_oge(
                 instances, cfg, repo, gateway, state, args.round)
-            save_round(out_dir, args.round, next_set, state)
+            save_round(out_dir, args.round, evolved, state)
             print(f"{len(evolved)} evolved instances accepted in round {args.round}")
             return 0
 

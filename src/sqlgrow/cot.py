@@ -1,8 +1,8 @@
 """Execution-verified reasoning traces via rejection sampling.
 
 For each instance the teacher proposes n (trace, SQL) candidates; each
-candidate executes against the live database and the first one whose
-result matches the gold result wins. Instances with no correct candidate
+candidate's result on the live database is compared with the gold result,
+and the first one that matches wins. Instances with no correct candidate
 are discarded with every failure reason recorded.
 """
 
@@ -47,9 +47,17 @@ def synthesize_cot(
     limits: ExecutionLimits = ExecutionLimits(),
     seed: int = 0,
 ) -> CotRecord | CotDiscard | CotDeferral:
-    """Rejection-sample a verified trace for one instance."""
+    """Rejection-sample a verified trace for one instance.
+
+    The gold query runs once. A candidate whose SQL text is exactly the
+    gold's reuses that result instead of running again, so a query whose
+    result varies between runs (``random()``, ``randomblob()``,
+    ``date('now')``, ``CURRENT_TIMESTAMP``) always verifies against itself.
+    Every other candidate runs and is compared with the gold result; rows
+    are normalized only when the raw rows differ.
+    """
     gold_result = collect_result(conn, instance.sql, limits)
-    if gold_result is None or not gold_result.rows:
+    if gold_result is None or not gold_result.row_count:
         return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
 
     try:
@@ -68,7 +76,10 @@ def synthesize_cot(
 
     failures = []
     for index, candidate in enumerate(candidates, start=1):
-        result = collect_result(conn, candidate.predicted_sql, limits)
+        if candidate.predicted_sql == instance.sql:
+            result = gold_result
+        else:
+            result = collect_result(conn, candidate.predicted_sql, limits)
         if result is None:
             failures.append(f"candidate {index}: execution error")
             continue

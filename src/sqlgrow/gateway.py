@@ -26,6 +26,7 @@ from .errors import (
 from .harness import ExecutionFeedback, render_feedback
 from .operators import (
     OperatorId,
+    ParentAnalysis,
     apply_mutation,
     operator_instruction,
     plan_mutation,
@@ -132,11 +133,17 @@ class LlmGateway:
         schema: DatabaseSchema,
         db: sqlite3.Connection | None = None,
         seed: int = 0,
+        analysis: ParentAnalysis | None = None,
     ) -> ExpansionResult:
+        """A rephrased, grounded variant of the seed.
+
+        ``analysis``, the ``operators.analyze`` result of the parsed seed SQL,
+        spares the mock from analysing that tree again.
+        """
         backend = self._backend("expand")
         if backend is None:
             return self._mock_expansion(seed_question, seed_evidence, seed_sql,
-                                        schema, db, seed)
+                                        schema, db, seed, analysis)
         prompt = render_template("expand", {
             "DATABASE_SCHEMA": render_schema_prompt(schema),
             "EVIDENCE": seed_evidence or "None.",
@@ -145,10 +152,11 @@ class LlmGateway:
         })
         return _request_expansion(backend, prompt)
 
-    def _mock_expansion(self, question, evidence, sql, schema, db, seed):
+    def _mock_expansion(self, question, evidence, sql, schema, db, seed, analysis):
         ast = parse_cached(sql)
         try:
-            plan = plan_mutation(ast, schema, OperatorId.LOGIC, seed, db)
+            plan = plan_mutation(ast, schema, OperatorId.LOGIC, seed, db,
+                                 analysis=analysis)
             mutated = apply_mutation(ast, plan)
             new_sql = render_sql(mutated)
             suffix = f" ({plan.payload['summary']})"
@@ -172,11 +180,17 @@ class LlmGateway:
         op: OperatorId,
         db: sqlite3.Connection | None = None,
         seed: int = 0,
+        analysis: ParentAnalysis | None = None,
     ) -> ExpansionResult:
+        """The query evolved by one operator, with its question.
+
+        ``analysis``, the ``operators.analyze`` result of the parsed ``sql``,
+        spares the mock from analysing that tree again.
+        """
         backend = self._backend("evolve")
         if backend is None:
             ast = parse_cached(sql)
-            plan = plan_mutation(ast, schema, op, seed, db)
+            plan = plan_mutation(ast, schema, op, seed, db, analysis=analysis)
             mutated = apply_mutation(ast, plan)
             return ExpansionResult(
                 question=f"{question} ({plan.payload['summary']})",

@@ -45,31 +45,47 @@ class ExecutionFeedback:
 
 @dataclass(frozen=True, init=False)
 class ResultMultiset:
-    """Normalized result rows of one query.
+    """Result rows of one query, normalized for comparison.
 
-    ``ordered`` is either given or read from the query's SQL text the first
-    time something asks for it, so a comparison that the rows settle alone
-    never parses the query. Equality, hashing and repr cover ``rows`` and
-    ``ordered``.
+    A result from ``collect_result`` keeps the rows SQLite returned in
+    ``raw`` and normalizes them into ``rows`` the first time something asks
+    for them. ``ordered`` is either given or read from the query's SQL text
+    on first read. So a comparison that the raw rows settle neither
+    normalizes a cell nor parses the query. Equality, hashing and repr cover
+    ``rows`` and ``ordered``.
     """
 
     rows: tuple[tuple, ...]
     ordered: bool
     sql: str = field(default="", compare=False, repr=False)
+    raw: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, rows: tuple[tuple, ...], ordered: bool | None = None,
-                 sql: str = ""):
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple, ...] | None = None,
+                 ordered: bool | None = None, sql: str = "",
+                 raw: tuple[tuple, ...] | None = None):
+        if rows is None and raw is None:
+            raise TypeError("ResultMultiset needs rows or raw rows")
         object.__setattr__(self, "sql", sql)
+        object.__setattr__(self, "raw", raw)
+        if rows is not None:
+            object.__setattr__(self, "rows", rows)
         if ordered is not None:
             object.__setattr__(self, "ordered", ordered)
 
     def __getattr__(self, name):
         # Python calls this only for attributes not yet set.
-        if name != "ordered":
+        if name == "rows":
+            value = tuple(tuple(normalize_cell(c) for c in row) for row in self.raw)
+        elif name == "ordered":
+            value = _is_ordered(self.sql)
+        else:
             raise AttributeError(name)
-        object.__setattr__(self, "ordered", _is_ordered(self.sql))
-        return self.ordered
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def row_count(self) -> int:
+        return len(self.rows if self.raw is None else self.raw)
 
 
 @dataclass(frozen=True)
@@ -217,14 +233,12 @@ def collect_result(
     sql: str,
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> ResultMultiset | None:
-    """Normalized result rows, or None when execution fails."""
+    """The result rows, normalized when first read, or None when execution fails."""
     try:
         _, raw = _run_query(conn, sql, limits)
     except sqlite3.Error:
         return None
-    rows = tuple(tuple(normalize_cell(c) for c in row)
-                 for row in raw[: limits.max_rows])
-    return ResultMultiset(rows, sql=sql)
+    return ResultMultiset(sql=sql, raw=tuple(raw[: limits.max_rows]))
 
 
 def _is_ordered(sql: str) -> bool:
@@ -241,10 +255,14 @@ def _is_ordered(sql: str) -> bool:
 def results_equivalent(a: ResultMultiset, b: ResultMultiset) -> bool:
     """Sequence comparison when either side is ordered, else multisets.
 
-    The rows decide first: identical sequences are equivalent and different
-    multisets are not. Only two results that hold the same multiset in a
-    different order consult the ``ordered`` flags, which may parse the SQL.
+    The rows decide first. Equal raw rows are equivalent, since equal cells
+    normalize to equal cells, so rows are normalized only when the raw rows
+    differ. Then identical sequences are equivalent and different multisets
+    are not. Only two results that hold the same multiset in a different
+    order consult the ``ordered`` flags, which may parse the SQL.
     """
+    if a.raw is not None and a.raw == b.raw:
+        return True
     if a.rows == b.rows:
         return True
     if len(a.rows) != len(b.rows) or Counter(a.rows) != Counter(b.rows):

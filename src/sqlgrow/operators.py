@@ -25,7 +25,7 @@ import sqlite3
 from dataclasses import dataclass
 
 from . import tree as t
-from .errors import InfeasibleOperatorError, StructuralError
+from .errors import InfeasibleOperatorError, SqlgrowError, StructuralError
 from .resolve import resolve_references
 from .schema import DatabaseSchema, fk_join_graph
 
@@ -267,27 +267,61 @@ _JUSTIFICATIONS = {
 }
 
 
+@dataclass(frozen=True)
+class ParentAnalysis:
+    """What the operators read of one tree: column bindings and site contexts.
+
+    ``analyze`` builds it once per parent, and passing it as ``analysis=``
+    spares each ``check_applicability`` and ``plan_mutation`` call from
+    resolving and annotating the tree again. ``relation_at`` and
+    ``annotator`` are None when the tree does not resolve; then no operator
+    has a site.
+    """
+
+    ast: t.Node
+    relation_at: dict[t.Path, str] | None
+    annotator: _Annotator | None
+
+
+def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
+    """Resolve and annotate a tree once for every operator."""
+    try:
+        report = resolve_references(ast, schema)
+    except SqlgrowError:
+        return ParentAnalysis(ast, None, None)
+    relation_at = {b.path: b.relation for b in report.resolved}
+    return ParentAnalysis(ast, relation_at, _Annotator().run(ast))
+
+
+def _analysis_of(ast, schema, analysis: ParentAnalysis | None) -> ParentAnalysis:
+    if analysis is None:
+        return analyze(ast, schema)
+    if analysis.ast is not ast and analysis.ast != ast:
+        raise StructuralError("analysis belongs to a different tree")
+    return analysis
+
+
 def check_applicability(
     ast: t.Node,
     schema: DatabaseSchema,
     op: OperatorId,
     saturation: int = DEFAULT_SITE_SATURATION,
+    *,
+    analysis: ParentAnalysis | None = None,
 ) -> FeasibilityReport:
     """Rule-based feasibility: enumerate rewrite sites and score them."""
-    sites = [site for site, _ in _enumerate_sites(ast, schema, op)]
+    analysis = _analysis_of(ast, schema, analysis)
+    sites = [site for site, _ in _enumerate_sites(ast, schema, op, analysis)]
     score = min(1.0, len(sites) / saturation) if sites else 0.0
     note = _JUSTIFICATIONS[op] if sites else "no eligible rewrite site"
     return FeasibilityReport(op, score, tuple(sites), note)
 
 
-def _enumerate_sites(ast, schema, op):
+def _enumerate_sites(ast, schema, op, analysis):
     """Yields (target_path, site_info) pairs in deterministic order."""
-    try:
-        report = resolve_references(ast, schema)
-    except Exception:
+    relation_at, ann = analysis.relation_at, analysis.annotator
+    if relation_at is None:
         return []
-    relation_at = {b.path: b.relation for b in report.resolved}
-    ann = _Annotator().run(ast)
 
     if op is OperatorId.FUNC:
         return _func_sites(ast, schema, ann, relation_at)
@@ -639,9 +673,12 @@ def plan_mutation(
     op: OperatorId,
     seed: int,
     db: sqlite3.Connection | None = None,
+    *,
+    analysis: ParentAnalysis | None = None,
 ) -> MutationPlan:
     """Pick a rewrite site uniformly (seeded) and fill a grounded payload."""
-    sites = list(_enumerate_sites(ast, schema, op))
+    analysis = _analysis_of(ast, schema, analysis)
+    sites = list(_enumerate_sites(ast, schema, op, analysis))
     if not sites:
         raise InfeasibleOperatorError(f"{op.name} has no eligible site")
     rng = random.Random(seed)
@@ -658,7 +695,7 @@ def plan_mutation(
         return _plan_join(path, info, rng)
     if op is OperatorId.NEST:
         return _plan_nest(schema, path, info, rng)
-    return _plan_set(ast, schema, rng, sampler)
+    return _plan_set(ast, schema, rng, sampler, analysis)
 
 
 def _plan_func(path, info, rng):
@@ -858,9 +895,10 @@ def _plan_nest(schema, path, info, rng):
     })
 
 
-def _plan_set(ast, schema, rng, sampler):
+def _plan_set(ast, schema, rng, sampler, analysis):
     symbol = ("union", "intersect", "except")[rng.randrange(3)]
-    second, perturb_note = _perturbed_copy(ast, schema, symbol, rng, sampler)
+    second, perturb_note = _perturbed_copy(ast, schema, symbol, rng, sampler,
+                                           analysis)
     return MutationPlan(OperatorId.SET, (), {
         "symbol": symbol,
         "second": second,
@@ -884,15 +922,14 @@ def _literal_comparison_paths(ast):
     return out
 
 
-def _perturbed_copy(ast, schema, symbol, rng, sampler):
+def _perturbed_copy(ast, schema, symbol, rng, sampler, analysis):
     """Second operand for SET, shaped so the composition stays non-empty."""
-    report = resolve_references(ast, schema)
-    relation_at = {b.path: b.relation for b in report.resolved}
+    relation_at, cores = analysis.relation_at, analysis.annotator.cores
     comparisons = _literal_comparison_paths(ast)
 
     if symbol == "intersect":
         # relax the copy: drop one predicate so q ∩ copy == q
-        for core_path, _ in _Annotator().run(ast).cores:
+        for core_path, _ in cores:
             core = t.node_at(ast, core_path)
             found = t.get_clause(core, "where")
             if not found:
@@ -929,8 +966,7 @@ def _perturbed_copy(ast, schema, symbol, rng, sampler):
         return changed, note
 
     # no predicate to perturb: narrow the copy so EXCEPT keeps everything
-    ann = _Annotator().run(ast)
-    for core_path, _ in ann.cores:
+    for core_path, _ in cores:
         columns = _scope_columns(ast, core_path, schema)
         if not columns:
             continue

@@ -38,7 +38,7 @@ from .instances import (
     stage_rank,
     write_jsonl,
 )
-from .operators import OperatorId, check_applicability
+from .operators import OperatorId, analyze, check_applicability
 from .parser import parse_cached
 from .schema import DatabaseSchema, load_schema
 
@@ -301,13 +301,17 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
     for seed_inst in seeds:
         schema = repo.schema(seed_inst.schema_id)
         conn = repo.connection(seed_inst.schema_id)
+        try:
+            analysis = analyze(parse_cached(seed_inst.sql), schema)
+        except SqlgrowError:
+            analysis = None  # the expansion meets the same error and handles it
         for j in range(cfg.expansions_per_seed):
             call_seed = derive_seed(cfg.global_seed, seed_inst.id, "eqe", j)
             child = _grow(
                 seed_inst, f"{seed_inst.id}/e{j}", STAGE_EQE, None,
                 lambda: gateway.generate_expansion(
                     seed_inst.question, seed_inst.evidence, seed_inst.sql,
-                    schema, db=conn, seed=call_seed),
+                    schema, db=conn, seed=call_seed, analysis=analysis),
                 cfg, schema, conn, gateway, rejections,
             )
             if child is not None:
@@ -325,7 +329,11 @@ def initial_state(cfg: RunConfig) -> scheduler.EvolutionState:
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             state: scheduler.EvolutionState, round_no: int,
             rejections: list | None = None):
-    """One evolution round; returns (next set, newly evolved, state); both sets are equal."""
+    """One evolution round; returns (newly evolved instances, state).
+
+    Each parent is resolved and annotated once: the six applicability checks
+    and the mock evolution's plan share one ``operators.analyze`` result.
+    """
     evolved: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     stage = oge_stage(round_no)
@@ -340,8 +348,10 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                                "reason": f"unparseable input: {exc}"})
             continue
 
+        analysis = analyze(ast, schema)
         rule_scores = {
-            op: check_applicability(ast, schema, op).score for op in OperatorId
+            op: check_applicability(ast, schema, op, analysis=analysis).score
+            for op in OperatorId
         }
         feas = dict(rule_scores)
         if "strategize" in gateway.backends:
@@ -366,13 +376,13 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 inst, f"{inst.id}/{op.name.lower()}{round_no}", stage, op,
                 lambda: gateway.generate_evolution(
                     inst.question, inst.evidence, inst.sql, schema, op,
-                    db=conn, seed=call_seed),
+                    db=conn, seed=call_seed, analysis=analysis),
                 cfg, schema, conn, gateway, rejections,
             )
             if child is not None:
                 evolved.append(child)
                 state = scheduler.record_acceptance(state, op)
-    return list(evolved), evolved, state
+    return evolved, state
 
 
 def save_round(out_dir: Path, round_no: int, instances, state) -> None:
@@ -422,15 +432,14 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
             stage_name = f"oge-{round_no}"
             if stage_name in done:
                 current = read_jsonl(ckpt_dir / f"{stage_name}.jsonl")
-                evolved.extend(current)
                 state = scheduler.state_from_json(
                     (ckpt_dir / f"state-{round_no}.json").read_text())
             else:
-                current, delta, state = run_oge(
+                current, state = run_oge(
                     current, cfg, repo, gateway, state, round_no, rejections)
-                evolved.extend(delta)
                 save_round(ckpt_dir, round_no, current, state)
                 _mark_done(ckpt_dir, stage_name)
+            evolved.extend(current)
 
         pool = seeds + eqe + evolved
 

@@ -9,7 +9,7 @@ the rewritten node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import StructuralError
 
@@ -181,10 +181,6 @@ def walk(root: Node) -> Iterator[tuple[Path, Node]]:
         yield path, node
         for i in range(len(node.children) - 1, -1, -1):
             stack.append(((*path, i), node.children[i]))
-
-
-def find_paths(root: Node, pred: Callable[[Node], bool]) -> list[Path]:
-    return [path for path, node in walk(root) if pred(node)]
 
 
 def is_query(node: Node) -> bool:

@@ -1,9 +1,12 @@
-"""The names the benchmark wraps exist, and run_full reaches them at call time.
+"""The names the benchmark wraps exist, and callers reach them at call time.
 
 ``perfbench/spans.py`` times each layer by rebinding the functions listed in
 its ``LAYERS`` table. A renamed function would only fail the separate
 benchmark suite, so this reads the table (without importing the benchmark)
-and resolves every entry against the package.
+and resolves every entry against the package. The counts the benchmark
+takes from those spans are real work only if the callers look the names up
+in their module when they call them, which the other tests check by
+patching those names.
 """
 
 import ast
@@ -14,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import fixtures
-from sqlgrow import pipeline
+from sqlgrow import cot, operators, pipeline, scheduler
+from sqlgrow.gateway import CotCandidate, LlmGateway
+from sqlgrow.instances import QueryInstance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,6 +45,19 @@ def test_wrapped_function_exists(owner, attr):
     assert callable(getattr(target, attr))
 
 
+def _count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper; returns the list it appends to."""
+    called = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        called.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return called
+
+
 def test_run_full_looks_up_stage_functions_at_call_time(monkeypatch, tmp_path, db_dir):
     called = []
     for name in ("run_eqe", "run_oge"):
@@ -59,3 +77,47 @@ def test_run_full_looks_up_stage_functions_at_call_time(monkeypatch, tmp_path, d
         seeds=str(seeds), db_dir=str(db_dir), out_dir=str(tmp_path / "out"),
         rounds=2))
     assert called == ["run_eqe", "run_oge", "run_oge"]
+
+
+class _ScriptedTeacher:
+    def __init__(self, sql):
+        self.sql = sql
+
+    def generate_cot_candidates(self, *args, **kwargs):
+        return [CotCandidate("trace", self.sql)]
+
+
+@pytest.mark.parametrize("candidate_sql,runs", [
+    ("SELECT full_name FROM person WHERE weight > 90", 1),
+    ("SELECT p.full_name FROM person AS p WHERE p.weight > 90", 2),
+])
+def test_cot_runs_the_gold_once_through_collect_result(
+        monkeypatch, connections, olympics_schema, candidate_sql, runs):
+    called = _count_calls(monkeypatch, cot, "collect_result")
+    gold = QueryInstance(id="q1", schema_id="olympics", question="who?", evidence="",
+                         sql="SELECT full_name FROM person WHERE weight > 90",
+                         stage="seed")
+    outcome = cot.synthesize_cot(gold, connections["olympics"],
+                                 _ScriptedTeacher(candidate_sql), olympics_schema, n=1)
+    assert isinstance(outcome, cot.CotRecord)
+    assert len(called) == runs
+
+
+def test_run_oge_resolves_each_parent_once_for_its_operators(
+        monkeypatch, tmp_path, db_dir):
+    repo = pipeline.SchemaRepo(db_dir)
+    try:
+        cfg = pipeline.RunConfig(global_seed=3)
+        seed_file = tmp_path / "seeds.json"
+        seed_file.write_text(json.dumps([
+            {"question": q, "SQL": sql, "db_id": "olympics"}
+            for q, sql in fixtures.SEED_QUESTIONS["olympics"][:6]
+        ]))
+        seeds, _ = pipeline.ingest_seeds(seed_file, repo, cfg)
+        called = _count_calls(monkeypatch, operators, "resolve_references")
+        evolved, _ = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
+                                      scheduler.fresh_state(cfg.epsilon, cfg.budget_k), 1)
+    finally:
+        repo.close()
+    assert evolved
+    assert len(called) == len(seeds) == 6

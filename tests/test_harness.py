@@ -157,6 +157,76 @@ def test_rows_first_comparison_matches_the_flag_first_rule(rows, data, a_ord, b_
     assert results_equivalent(a, b) == _sequence_or_multiset(a, b)
 
 
+def _normalise_first(a_raw, b_raw, a_ordered, b_ordered):
+    """The comparison rule before raw rows were compared first."""
+    a = [tuple(normalize_cell(c) for c in row) for row in a_raw]
+    b = [tuple(normalize_cell(c) for c in row) for row in b_raw]
+    if a == b:
+        return True
+    if len(a) != len(b) or Counter(a) != Counter(b):
+        return False
+    return not (a_ordered or b_ordered)
+
+
+def _twin(cell):
+    """An equal cell of another Python type, where SQLite can return one."""
+    if isinstance(cell, bool):
+        return int(cell)
+    if isinstance(cell, int) and float(cell) == cell:
+        return float(cell)
+    if isinstance(cell, float) and cell.is_integer():
+        return int(cell)
+    return cell
+
+
+_sqlite_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(2**53 - 2, 2**53 + 2),
+    st.floats(allow_nan=False),
+    st.floats(2.0**53 - 4, 2.0**53 + 4),
+    st.sampled_from([0.0, -0.0, 2.0, 1.5, 0.30000000001, 0.3]),
+    st.sampled_from(["1.50", "1.5", "1", "01", "-0", "0.0", "x", ""]),
+    st.binary(max_size=2),
+)
+_raw_rows = st.lists(st.tuples(_sqlite_cells, _sqlite_cells), max_size=4)
+
+
+@given(_raw_rows, st.data(), st.booleans(), st.booleans())
+def test_raw_first_comparison_matches_normalising_first(rows, data, a_ord, b_ord):
+    twins = [tuple(_twin(c) for c in row) for row in rows]
+    other = data.draw(st.one_of(st.just(rows), st.just(twins),
+                                st.permutations(twins), _raw_rows))
+    a = ResultMultiset(raw=tuple(rows), ordered=a_ord)
+    b = ResultMultiset(raw=tuple(other), ordered=b_ord)
+    assert results_equivalent(a, b) == _normalise_first(rows, other, a_ord, b_ord)
+
+
+def test_equal_raw_rows_compare_without_normalizing(connections, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "normalize_cell", lambda c: calls.append(c) or c)
+    conn = connections["olympics"]
+    a = collect_result(conn, "SELECT full_name, weight FROM person ORDER BY id")
+    b = collect_result(conn, "SELECT p.full_name, p.weight FROM person AS p ORDER BY p.id")
+    assert a.row_count > 1
+    assert results_equivalent(a, b) and results_equivalent(a, a)
+    assert calls == []
+    fewer = collect_result(conn, "SELECT full_name, weight FROM person ORDER BY id LIMIT 1")
+    assert not results_equivalent(a, fewer)
+    assert calls
+
+
+def test_lazily_normalized_result_equals_the_eager_one():
+    lazy = ResultMultiset(raw=((1.0, "1.50"), (None, 2)), ordered=False)
+    eager = rs([(1, "1.5"), (None, 2.0)])
+    assert lazy.row_count == 2
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager)
+    with pytest.raises(TypeError):
+        ResultMultiset()
+
+
 def test_identical_rows_compare_without_parsing(connections, monkeypatch):
     def no_parse(text):
         raise AssertionError(f"parsed {text!r}")

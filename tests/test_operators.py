@@ -1,12 +1,15 @@
 import pytest
 
+import fixtures
 from fixtures import STAGE_SQL_1, STAGE_SQL_2, STAGE_SQL_0
+from sqlgrow import operators
 from sqlgrow import tree as t
-from sqlgrow.errors import InfeasibleOperatorError, StructuralError
+from sqlgrow.errors import AmbiguousColumnError, InfeasibleOperatorError, StructuralError
 from sqlgrow.features import extract_features
 from sqlgrow.operators import (
     MutationPlan,
     OperatorId,
+    analyze,
     apply_mutation,
     check_applicability,
     operator_instruction,
@@ -75,6 +78,63 @@ def test_score_saturation(olympics_schema):
     ast = parse_sql("SELECT full_name, weight FROM person WHERE weight > 60")
     report = check_applicability(ast, olympics_schema, OperatorId.FUNC)
     assert report.score == min(1.0, len(report.eligible_sites) / 3)
+
+
+def _plan_or_infeasible(ast, schema, op, seed, db, **kwargs):
+    try:
+        return plan_mutation(ast, schema, op, seed, db, **kwargs)
+    except InfeasibleOperatorError:
+        return "infeasible"
+
+
+def test_precomputed_analysis_changes_no_score_site_or_plan(schemas, connections):
+    for schema_id, pairs in fixtures.SEED_QUESTIONS.items():
+        schema, db = schemas[schema_id], connections[schema_id]
+        for _, sql in pairs:
+            ast = parse_sql(sql)
+            analysis = analyze(ast, schema)
+            for op in OperatorId:
+                assert check_applicability(ast, schema, op, analysis=analysis) == \
+                    check_applicability(ast, schema, op)
+                for seed in range(4):
+                    assert _plan_or_infeasible(ast, schema, op, seed, db,
+                                               analysis=analysis) == \
+                        _plan_or_infeasible(ast, schema, op, seed, db)
+
+
+def test_analysis_of_another_tree_is_refused(olympics_schema):
+    analysis = analyze(parse_sql(STAGE_SQL_0), olympics_schema)
+    with pytest.raises(StructuralError):
+        check_applicability(parse_sql(STAGE_SQL_1), olympics_schema, OperatorId.FUNC,
+                            analysis=analysis)
+    # an equal tree from another parse is the same parent
+    again = parse_sql(STAGE_SQL_0)
+    assert check_applicability(again, olympics_schema, OperatorId.FUNC,
+                               analysis=analysis).score > 0
+
+
+def test_unresolvable_parent_has_no_site(olympics_schema):
+    ast = parse_sql("SELECT id FROM person JOIN games_competitor "
+                    "ON person.id = games_competitor.person_id")
+    with pytest.raises(AmbiguousColumnError):
+        resolve_references(ast, olympics_schema)
+    analysis = analyze(ast, olympics_schema)
+    for op in OperatorId:
+        assert check_applicability(ast, olympics_schema, op, analysis=analysis).score == 0
+        with pytest.raises(InfeasibleOperatorError):
+            plan_mutation(ast, olympics_schema, op, 0, analysis=analysis)
+
+
+def test_analysis_lets_errors_outside_the_package_through(olympics_schema, monkeypatch):
+    def broken(ast, schema):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(operators, "resolve_references", broken)
+    ast = parse_sql(STAGE_SQL_0)
+    with pytest.raises(KeyError):
+        check_applicability(ast, olympics_schema, OperatorId.FUNC)
+    with pytest.raises(KeyError):
+        plan_mutation(ast, olympics_schema, OperatorId.FUNC, 0)
 
 
 # -- planning ----------------------------------------------------------------
@@ -155,6 +215,21 @@ def test_set_renders_as_two_selects(olympics_schema, connections):
     assert sql.count("SELECT") >= 2
     parsed = parse_sql(sql)
     assert parsed.kind == t.SETOP
+
+
+def test_set_copy_compares_with_a_value_of_the_bound_column(olympics_schema, connections):
+    ast = parse_sql("SELECT full_name FROM person WHERE weight > 60")
+    db = connections["olympics"]
+    weights = {row[0] for row in db.execute("SELECT weight FROM person")}
+    perturbed = 0
+    for seed in range(8):
+        plan = plan_mutation(ast, olympics_schema, OperatorId.SET, seed, db)
+        if plan.payload["symbol"] == "intersect":
+            continue
+        (literal,) = [n for _, n in t.walk(plan.payload["second"]) if n.kind == t.LITERAL]
+        assert float(literal.value[0]) in weights - {60}
+        perturbed += 1
+    assert perturbed
 
 
 def test_set_wraps_trailing_clauses_in_derived_table(olympics_schema, connections):

@@ -118,7 +118,7 @@ def test_run_oge_budget_and_lineage(repo, mini_seed_file):
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     gateway = LlmGateway()
     state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
-    next_set, evolved, state = run_oge(seeds, cfg, repo, gateway, state, 1)
+    evolved, state = run_oge(seeds, cfg, repo, gateway, state, 1)
     assert len(evolved) <= cfg.budget_k * len(seeds)
     assert state.n_total == len(evolved)
     parents = {s.id for s in seeds}
@@ -234,16 +234,17 @@ class FlakyGateway(LlmGateway):
         if self.calls.count(seed) <= self.fail_times:
             raise TransportError("synthetic outage")
 
-    def generate_expansion(self, question, evidence, sql, schema, db=None, seed=0):
+    def generate_expansion(self, question, evidence, sql, schema, db=None, seed=0,
+                           analysis=None):
         self._outage(seed)
         return super().generate_expansion(question, evidence, sql, schema,
-                                          db=db, seed=seed)
+                                          db=db, seed=seed, analysis=analysis)
 
     def generate_evolution(self, question, evidence, sql, schema, op,
-                           db=None, seed=0):
+                           db=None, seed=0, analysis=None):
         self._outage(seed)
         return super().generate_evolution(question, evidence, sql, schema, op,
-                                          db=db, seed=seed)
+                                          db=db, seed=seed, analysis=analysis)
 
 
 def test_transport_failure_retried_then_recovers(repo, mini_seed_file):
@@ -287,10 +288,10 @@ def test_oge_transport_failure_retried_then_recovers(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
-    _, steady, _ = run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
+    steady, _ = run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
     rejections = []
-    _, flaky, _ = run_oge(seeds, cfg, repo, FlakyGateway(fail_times=1),
-                          state, 1, rejections)
+    flaky, _ = run_oge(seeds, cfg, repo, FlakyGateway(fail_times=1),
+                       state, 1, rejections)
     assert [c.to_dict() for c in flaky] == [c.to_dict() for c in steady]
     assert not any(r["reason"].startswith("transport") for r in rejections)
 
@@ -301,7 +302,7 @@ def test_oge_persistent_transport_failure_rejects_each_operator(repo, mini_seed_
     state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
     gateway = FlakyGateway(fail_times=99)
     rejections = []
-    _, evolved, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
+    evolved, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
     assert evolved == [] and after == state
     assert len(rejections) == cfg.budget_k * len(seeds)
     assert all(r["stage"] == "OGE-1" and r["reason"].startswith("transport: ")
@@ -363,7 +364,7 @@ def test_run_oge_gates_llm_scores_with_rules(repo, mini_seed_file):
         if check_applicability(P(s.sql), repo.schema(s.schema_id), OID.NEST).score == 0
     ]
     assert nest_infeasible, "fixture should include a NEST-infeasible seed"
-    _, evolved, _ = run_oge(nest_infeasible, cfg, repo, gateway, state, 1)
+    evolved, _ = run_oge(nest_infeasible, cfg, repo, gateway, state, 1)
     assert all(c.operator_applied is not OID.NEST for c in evolved)
 
 
