@@ -57,7 +57,7 @@ def synthesize_cot(
     are normalized only when the raw rows differ.
     """
     gold_result = collect_result(conn, instance.sql, limits)
-    if gold_result is None or not gold_result.row_count:
+    if gold_result is None or not gold_result.rows:
         return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
 
     try:

@@ -82,39 +82,30 @@ def word_trigrams(text: str) -> list[str]:
     return grams
 
 
-def _bucket(gram: str, dim: int) -> int:
+def _bucket(gram: str) -> int:
     digest = hashlib.md5(gram.encode("utf-8")).hexdigest()
-    return int(digest[:8], 16) % dim
+    return int(digest[:8], 16) % FALLBACK_DIM
 
 
-def _bucket_counts(text: str, dim: int = FALLBACK_DIM) -> Counter:
+def _bucket_counts(text: str) -> Counter:
     """Hashed trigram counts of one text, keyed by bucket."""
-    counts = Counter(_bucket(gram, dim) for gram in word_trigrams(text))
+    counts = Counter(_bucket(gram) for gram in word_trigrams(text))
     if not counts:
         counts[_EMPTY_AXIS] = 1  # reserved axis for zero-content questions
     return counts
-
-
-def lexical_vector(text: str, dim: int = FALLBACK_DIM) -> np.ndarray:
-    """Dense unit trigram vector of one text, over all ``dim`` buckets."""
-    vec = np.zeros(dim, dtype=np.float64)
-    for bucket, count in _bucket_counts(text, dim).items():
-        vec[bucket] = count
-    return vec / np.linalg.norm(vec)
 
 
 def embed_questions(
     questions: list[str],
     embedder: HttpEmbeddingBackend | None = None,
     instance_ids: list[str] | None = None,
-    dim: int = FALLBACK_DIM,
 ) -> list[QuestionVector]:
     """One unit vector per question; lexical trigram fallback without a backend.
 
-    The lexical vectors of one call are the rows of one count matrix over
-    only the buckets its questions use, so they share a basis: they are
-    comparable with each other, not with vectors from another call or with
-    ``lexical_vector``.
+    The lexical fallback hashes trigrams into ``FALLBACK_DIM`` buckets. The
+    lexical vectors of one call are the rows of one count matrix over only
+    the buckets its questions use, so they share a basis: they are
+    comparable with each other, not with vectors from another call.
     """
     ids = instance_ids or [str(i) for i in range(len(questions))]
     if len(ids) != len(questions):
@@ -132,7 +123,7 @@ def embed_questions(
                 vec = vec / norm
             out.append(QuestionVector(qid, vec, "external-embedder"))
         return out
-    counts = [_bucket_counts(q, dim) for q in questions]
+    counts = [_bucket_counts(q) for q in questions]
     column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
     matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
     for row, text_counts in zip(matrix, counts):

@@ -27,7 +27,9 @@ from .harness import ExecutionFeedback, render_feedback
 from .operators import (
     OperatorId,
     ParentAnalysis,
+    analyze,
     apply_mutation,
+    literal_comparisons,
     operator_instruction,
     plan_mutation,
 )
@@ -155,11 +157,9 @@ class LlmGateway:
     def _mock_expansion(self, question, evidence, sql, schema, db, seed, analysis):
         ast = parse_cached(sql)
         try:
-            plan = plan_mutation(ast, schema, OperatorId.LOGIC, seed, db,
-                                 analysis=analysis)
-            mutated = apply_mutation(ast, plan)
-            new_sql = render_sql(mutated)
-            suffix = f" ({plan.payload['summary']})"
+            new_sql, summary = _mock_mutation(sql, schema, OperatorId.LOGIC, seed,
+                                              db, analysis)
+            suffix = f" ({summary})"
         except (InfeasibleOperatorError, SqlgrowError):
             new_sql = render_sql(ast)
             suffix = ""
@@ -189,13 +189,11 @@ class LlmGateway:
         """
         backend = self._backend("evolve")
         if backend is None:
-            ast = parse_cached(sql)
-            plan = plan_mutation(ast, schema, op, seed, db, analysis=analysis)
-            mutated = apply_mutation(ast, plan)
+            new_sql, summary = _mock_mutation(sql, schema, op, seed, db, analysis)
             return ExpansionResult(
-                question=f"{question} ({plan.payload['summary']})",
+                question=f"{question} ({summary})",
                 evidence=evidence,
-                sql=render_sql(mutated),
+                sql=new_sql,
             )
         prompt = render_template("evolve", {
             "DATABASE_SCHEMA": render_schema_prompt(schema),
@@ -317,6 +315,18 @@ def _request_expansion(backend, prompt: str) -> ExpansionResult:
 # Mock backends
 # ---------------------------------------------------------------------------
 
+def _mock_mutation(sql, schema, op, seed, db, analysis):
+    """Plan, apply and render one operator on ``sql``: (new SQL, summary).
+
+    ``analysis`` is the ``operators.analyze`` result of the parsed ``sql``,
+    or None to analyse it here.
+    """
+    if analysis is None:
+        analysis = analyze(parse_cached(sql), schema)
+    plan = plan_mutation(analysis, op, seed, db)
+    return render_sql(apply_mutation(analysis.ast, plan)), plan.payload["summary"]
+
+
 def _mock_refine(question, draft, schema, feedback, db):
     """Rule repairs: identifier fix, predicate drop, equality-to-LIKE."""
     message = feedback.error if not feedback.ok else ""
@@ -385,14 +395,10 @@ def _drop_dead_predicate(ast, schema, db):
     except SqlgrowError:
         return None
     relation_at = {b.path: b.relation for b in report.resolved}
-    for path, node in t.walk(ast):
-        if node.kind != t.OPERATOR or node.value[0] != "=":
-            continue
-        if len(node.children) != 2:
+    for path, node in literal_comparisons(ast):
+        if node.value[0] != "=":
             continue
         col, lit = node.children
-        if col.kind != t.COLUMN or lit.kind != t.LITERAL:
-            continue
         relation = relation_at.get((*path, 0))
         if not relation or relation == "<select-alias>" or schema.table(relation) is None:
             continue
@@ -443,15 +449,9 @@ def _remove_predicate(ast, pred_path):
 
 def _relax_text_equality(ast):
     """Turn the first text equality into a LIKE substring match."""
-    for path, node in t.walk(ast):
-        if node.kind != t.OPERATOR or node.value[0] != "=":
-            continue
-        if len(node.children) != 2:
-            continue
+    for path, node in literal_comparisons(ast):
         col, lit = node.children
-        if col.kind != t.COLUMN or lit.kind != t.LITERAL:
-            continue
-        if not lit.value[0].startswith("'"):
+        if node.value[0] != "=" or not lit.value[0].startswith("'"):
             continue
         inner = lit.value[0][1:-1]
         relaxed = t.operator("like", [col, t.literal(f"'%{inner}%'")])

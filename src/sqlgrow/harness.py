@@ -3,6 +3,12 @@
 All execution failures are data, not exceptions: the feedback object
 carries either the engine's error message or the shape of the result.
 Acceptance means the query ran and returned at least one row.
+
+A ``ResultMultiset`` holds the rows SQLite returned and the query's SQL.
+``results_equivalent`` settles most comparisons on those rows as they are;
+it normalizes cells only when the rows differ, and it parses the SQL to
+ask whether order matters only when both hold the same multiset in a
+different order.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import sqlite3
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SqlgrowError
@@ -43,49 +49,12 @@ class ExecutionFeedback:
     truncated: bool = False
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ResultMultiset:
-    """Result rows of one query, normalized for comparison.
-
-    A result from ``collect_result`` keeps the rows SQLite returned in
-    ``raw`` and normalizes them into ``rows`` the first time something asks
-    for them. ``ordered`` is either given or read from the query's SQL text
-    on first read. So a comparison that the raw rows settle neither
-    normalizes a cell nor parses the query. Equality, hashing and repr cover
-    ``rows`` and ``ordered``.
-    """
+    """The rows SQLite returned for one query, and that query's SQL text."""
 
     rows: tuple[tuple, ...]
-    ordered: bool
-    sql: str = field(default="", compare=False, repr=False)
-    raw: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
-
-    def __init__(self, rows: tuple[tuple, ...] | None = None,
-                 ordered: bool | None = None, sql: str = "",
-                 raw: tuple[tuple, ...] | None = None):
-        if rows is None and raw is None:
-            raise TypeError("ResultMultiset needs rows or raw rows")
-        object.__setattr__(self, "sql", sql)
-        object.__setattr__(self, "raw", raw)
-        if rows is not None:
-            object.__setattr__(self, "rows", rows)
-        if ordered is not None:
-            object.__setattr__(self, "ordered", ordered)
-
-    def __getattr__(self, name):
-        # Python calls this only for attributes not yet set.
-        if name == "rows":
-            value = tuple(tuple(normalize_cell(c) for c in row) for row in self.raw)
-        elif name == "ordered":
-            value = _is_ordered(self.sql)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows if self.raw is None else self.raw)
+    sql: str
 
 
 @dataclass(frozen=True)
@@ -233,12 +202,12 @@ def collect_result(
     sql: str,
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> ResultMultiset | None:
-    """The result rows, normalized when first read, or None when execution fails."""
+    """The result rows as SQLite returned them, or None when execution fails."""
     try:
-        _, raw = _run_query(conn, sql, limits)
+        _, rows = _run_query(conn, sql, limits)
     except sqlite3.Error:
         return None
-    return ResultMultiset(sql=sql, raw=tuple(raw[: limits.max_rows]))
+    return ResultMultiset(tuple(rows[: limits.max_rows]), sql)
 
 
 def _is_ordered(sql: str) -> bool:
@@ -252,22 +221,27 @@ def _is_ordered(sql: str) -> bool:
     return found is not None
 
 
-def results_equivalent(a: ResultMultiset, b: ResultMultiset) -> bool:
-    """Sequence comparison when either side is ordered, else multisets.
+def _normalized(rows: tuple[tuple, ...]) -> list[tuple]:
+    return [tuple(normalize_cell(c) for c in row) for row in rows]
 
-    The rows decide first. Equal raw rows are equivalent, since equal cells
-    normalize to equal cells, so rows are normalized only when the raw rows
-    differ. Then identical sequences are equivalent and different multisets
-    are not. Only two results that hold the same multiset in a different
-    order consult the ``ordered`` flags, which may parse the SQL.
+
+def results_equivalent(a: ResultMultiset, b: ResultMultiset) -> bool:
+    """Sequence comparison when either query is ordered, else multisets.
+
+    The rows decide first. Equal rows are equivalent, since equal cells
+    normalize to equal cells, so rows are normalized only when they differ.
+    Then identical normalized sequences are equivalent and different
+    multisets are not. Only two results that hold the same multiset in a
+    different order parse their SQL to ask whether either is ordered.
     """
-    if a.raw is not None and a.raw == b.raw:
-        return True
     if a.rows == b.rows:
         return True
-    if len(a.rows) != len(b.rows) or Counter(a.rows) != Counter(b.rows):
+    a_rows, b_rows = _normalized(a.rows), _normalized(b.rows)
+    if a_rows == b_rows:
+        return True
+    if len(a_rows) != len(b_rows) or Counter(a_rows) != Counter(b_rows):
         return False
-    return not (a.ordered or b.ordered)
+    return not (_is_ordered(a.sql) or _is_ordered(b.sql))
 
 
 # ---------------------------------------------------------------------------

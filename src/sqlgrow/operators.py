@@ -11,10 +11,13 @@ Each operator is a deterministic, schema-aware tree rewrite:
   NEST   replace a compared literal with a scalar aggregate subquery
   SET    combine the query with a perturbed copy under a set operator
 
-Planning is seeded and grounded: literals come from the live database
-when a connection is available, join conditions come from the FK graph,
-and every plan records enough of the original tree that applying it to a
-different tree fails loudly.
+``analyze`` resolves and annotates a tree once against its schema, and
+``check_applicability`` and ``plan_mutation`` read only that analysis, so
+each parent is analysed once for all six operators. Planning is seeded and
+grounded: literals come from the live database when a connection is
+available, join conditions come from the FK graph, and every plan records
+enough of the original tree that applying it to a different tree fails
+loudly.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from dataclasses import dataclass
 
 from . import tree as t
 from .errors import InfeasibleOperatorError, SqlgrowError, StructuralError
+from .render import render_expr
 from .resolve import resolve_references
 from .schema import DatabaseSchema, fk_join_graph
 
-DEFAULT_SITE_SATURATION = 3
+FULL_SCORE_SITES = 3  # an operator with this many sites scores 1.0
 
 
 class OperatorId(enum.Enum):
@@ -105,14 +109,14 @@ class MutationPlan:
 # ---------------------------------------------------------------------------
 
 _NUMERIC_AFFINITIES = ("integer", "real", "numeric")
+_POOL_SIZE = 20
 
 
 class ValueSampler:
     """Deterministic literal pools drawn from a live database."""
 
-    def __init__(self, conn: sqlite3.Connection | None, pool_size: int = 20):
+    def __init__(self, conn: sqlite3.Connection | None):
         self.conn = conn
-        self.pool_size = pool_size
         self._cache: dict[tuple[str, str], list] = {}
 
     def pool(self, table: str, column_name: str) -> list:
@@ -125,7 +129,7 @@ class ValueSampler:
                 cur = self.conn.execute(
                     f'SELECT DISTINCT "{table}"."{column_name}" FROM "{table}" '
                     f'WHERE "{table}"."{column_name}" IS NOT NULL '
-                    f'ORDER BY 1 LIMIT {self.pool_size}'
+                    f'ORDER BY 1 LIMIT {_POOL_SIZE}'
                 )
                 values = [row[0] for row in cur.fetchall()]
             except sqlite3.Error:
@@ -269,16 +273,16 @@ _JUSTIFICATIONS = {
 
 @dataclass(frozen=True)
 class ParentAnalysis:
-    """What the operators read of one tree: column bindings and site contexts.
+    """One tree and its schema, with the column bindings and site contexts.
 
-    ``analyze`` builds it once per parent, and passing it as ``analysis=``
-    spares each ``check_applicability`` and ``plan_mutation`` call from
-    resolving and annotating the tree again. ``relation_at`` and
+    ``analyze`` builds it once per parent; every ``check_applicability`` and
+    ``plan_mutation`` call on that parent reads it. ``relation_at`` and
     ``annotator`` are None when the tree does not resolve; then no operator
     has a site.
     """
 
     ast: t.Node
+    schema: DatabaseSchema
     relation_at: dict[t.Path, str] | None
     annotator: _Annotator | None
 
@@ -288,37 +292,39 @@ def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError:
-        return ParentAnalysis(ast, None, None)
+        return ParentAnalysis(ast, schema, None, None)
     relation_at = {b.path: b.relation for b in report.resolved}
-    return ParentAnalysis(ast, relation_at, _Annotator().run(ast))
+    return ParentAnalysis(ast, schema, relation_at, _Annotator().run(ast))
 
 
-def _analysis_of(ast, schema, analysis: ParentAnalysis | None) -> ParentAnalysis:
-    if analysis is None:
-        return analyze(ast, schema)
-    if analysis.ast is not ast and analysis.ast != ast:
-        raise StructuralError("analysis belongs to a different tree")
-    return analysis
-
-
-def check_applicability(
-    ast: t.Node,
-    schema: DatabaseSchema,
-    op: OperatorId,
-    saturation: int = DEFAULT_SITE_SATURATION,
-    *,
-    analysis: ParentAnalysis | None = None,
-) -> FeasibilityReport:
+def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:
     """Rule-based feasibility: enumerate rewrite sites and score them."""
-    analysis = _analysis_of(ast, schema, analysis)
-    sites = [site for site, _ in _enumerate_sites(ast, schema, op, analysis)]
-    score = min(1.0, len(sites) / saturation) if sites else 0.0
+    sites = [site for site, _ in _enumerate_sites(analysis, op)]
+    score = min(1.0, len(sites) / FULL_SCORE_SITES) if sites else 0.0
     note = _JUSTIFICATIONS[op] if sites else "no eligible rewrite site"
     return FeasibilityReport(op, score, tuple(sites), note)
 
 
-def _enumerate_sites(ast, schema, op, analysis):
+def literal_comparisons(ast: t.Node):
+    """Yields (path, node) for each column-versus-literal comparison.
+
+    A comparison is one of ``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=`` whose
+    left operand is a column and whose right operand is a literal. Paths
+    come in pre-order, which is ascending path order.
+    """
+    for path, node in t.walk(ast):
+        if node.kind != t.OPERATOR or node.value[0] not in _COMPARISONS:
+            continue
+        if len(node.children) != 2:
+            continue
+        left, right = node.children
+        if left.kind == t.COLUMN and right.kind == t.LITERAL:
+            yield path, node
+
+
+def _enumerate_sites(analysis, op):
     """Yields (target_path, site_info) pairs in deterministic order."""
+    ast, schema = analysis.ast, analysis.schema
     relation_at, ann = analysis.relation_at, analysis.annotator
     if relation_at is None:
         return []
@@ -386,7 +392,7 @@ def _func_candidates(schema, relation, name, ctx) -> tuple[str, ...]:
 
 def _func_sites(ast, schema, ann, relation_at):
     sites = []
-    for path, node in t.walk(ast):
+    for path, node in t.walk(ast):  # pre-order: ascending paths
         if node.kind != t.COLUMN:
             continue
         ctx = ann.ctx.get(path)
@@ -406,7 +412,6 @@ def _func_sites(ast, schema, ann, relation_at):
         names = _func_candidates(schema, relation, node.value[1], ctx)
         if names:
             sites.append((path, {"node": node, "candidates": names}))
-    sites.sort(key=lambda s: s[0])
     return sites
 
 
@@ -432,17 +437,11 @@ def _literal_class(node: t.Node) -> str | None:
 
 def _op_sites(ast, schema, ann, relation_at):
     sites = []
-    for path, node in t.walk(ast):
-        if node.kind != t.OPERATOR or node.value[0] not in _COMPARISONS:
-            continue
+    for path, node in literal_comparisons(ast):
         ctx = ann.ctx.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
             continue
-        if len(node.children) != 2:
-            continue
         left, right = node.children
-        if left.kind != t.COLUMN or right.kind != t.LITERAL:
-            continue
         lit_class = _literal_class(right)
         if lit_class is None:
             continue
@@ -464,7 +463,6 @@ def _op_sites(ast, schema, ann, relation_at):
                     "literal_class": lit_class, "candidates": candidates,
                 })
             )
-    sites.sort(key=lambda s: s[0])
     return sites
 
 
@@ -530,16 +528,16 @@ def _sort_candidates(core, columns, schema):
     used = set()
     if found:
         for key in found[1].children:
-            used.add(render_sql_fragment_text(key.children[0]))
+            used.add(render_expr(key.children[0]))
     grouped = t.get_clause(core, "group_by") is not None
     group_keys = set()
     if grouped:
         for key in t.get_clause(core, "group_by")[1].children:
-            group_keys.add(render_sql_fragment_text(key))
+            group_keys.add(render_expr(key))
     out = []
     for label, table_name, col, affinity in columns:
         node = t.column(label, col)
-        text = render_sql_fragment_text(node)
+        text = render_expr(node)
         if text in used:
             continue
         # in a grouped query only group keys are safe bare sort columns
@@ -550,12 +548,6 @@ def _sort_candidates(core, columns, schema):
         # aggregates are always available sort keys in a grouped query
         out.append(("", "", "*count*", "integer"))
     return out
-
-
-def render_sql_fragment_text(node: t.Node) -> str:
-    from .render import _expr
-
-    return _expr(node, 0)
 
 
 def _join_sites(ast, schema, ann):
@@ -605,20 +597,15 @@ def _join_sites(ast, schema, ann):
 
 def _nest_sites(ast, schema, ann, relation_at):
     sites = []
-    for path, node in t.walk(ast):
-        if node.kind != t.OPERATOR or node.value[0] not in _COMPARISONS:
-            continue
+    for path, node in literal_comparisons(ast):
         ctx = ann.ctx.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
             continue
         if ctx.depth != ann.max_depth:
             continue  # keep the rewrite on the deepest core so depth grows
-        if len(node.children) != 2:
-            continue
         left, right = node.children
-        if left.kind != t.COLUMN or right.kind != t.LITERAL:
-            continue
-        if _literal_class(right) is None:
+        lit_class = _literal_class(right)
+        if lit_class is None:
             continue
         relation = relation_at.get((*path, 0))
         if relation in (None, "<select-alias>"):
@@ -626,7 +613,6 @@ def _nest_sites(ast, schema, ann, relation_at):
         affinity = _column_affinity(schema, relation, left.value[1])
         if affinity is None:
             continue
-        lit_class = _literal_class(right)
         if lit_class == "number" and affinity not in _NUMERIC_AFFINITIES:
             continue
         if lit_class == "text" and affinity != "text":
@@ -635,7 +621,6 @@ def _nest_sites(ast, schema, ann, relation_at):
             "comparison": node.value[0], "column": left,
             "relation": relation, "literal": right, "affinity": affinity,
         }))
-    sites.sort(key=lambda s: s[0])
     return sites
 
 
@@ -668,22 +653,19 @@ def _nest_source_candidates(schema, relation, column_name, affinity):
 # ---------------------------------------------------------------------------
 
 def plan_mutation(
-    ast: t.Node,
-    schema: DatabaseSchema,
+    analysis: ParentAnalysis,
     op: OperatorId,
     seed: int,
     db: sqlite3.Connection | None = None,
-    *,
-    analysis: ParentAnalysis | None = None,
 ) -> MutationPlan:
     """Pick a rewrite site uniformly (seeded) and fill a grounded payload."""
-    analysis = _analysis_of(ast, schema, analysis)
-    sites = list(_enumerate_sites(ast, schema, op, analysis))
+    sites = list(_enumerate_sites(analysis, op))
     if not sites:
         raise InfeasibleOperatorError(f"{op.name} has no eligible site")
     rng = random.Random(seed)
     path, info = sites[rng.randrange(len(sites))]
     sampler = ValueSampler(db)
+    ast, schema = analysis.ast, analysis.schema
 
     if op is OperatorId.FUNC:
         return _plan_func(path, info, rng)
@@ -695,7 +677,7 @@ def plan_mutation(
         return _plan_join(path, info, rng)
     if op is OperatorId.NEST:
         return _plan_nest(schema, path, info, rng)
-    return _plan_set(ast, schema, rng, sampler, analysis)
+    return _plan_set(analysis, rng, sampler)
 
 
 def _plan_func(path, info, rng):
@@ -817,7 +799,7 @@ def _sampled_predicate(columns, rng, sampler):
     else:
         symbol = "="
     pred = t.operator(symbol, [col, _value_literal(value)])
-    return pred, f"filter where {render_sql_fragment_text(pred)}"
+    return pred, f"filter where {render_expr(pred)}"
 
 
 def _sort_expr(core, columns, schema, rng):
@@ -830,7 +812,7 @@ def _sort_expr(core, columns, schema, rng):
         text = "COUNT(*)"
     else:
         expr = t.column(label, col_name)
-        text = render_sql_fragment_text(expr)
+        text = render_expr(expr)
     direction = ("asc", "desc")[rng.randrange(2)]
     return t.sort_key(expr, direction), f"sort also by {text} {direction.upper()}"
 
@@ -850,7 +832,7 @@ def _plan_join(path, info, rng):
         "alias": alias,
         "kind": kind,
         "condition": condition,
-        "summary": f"bring in {edge.table_b} via {render_sql_fragment_text(condition)}",
+        "summary": f"bring in {edge.table_b} via {render_expr(condition)}",
     })
 
 
@@ -895,10 +877,9 @@ def _plan_nest(schema, path, info, rng):
     })
 
 
-def _plan_set(ast, schema, rng, sampler, analysis):
+def _plan_set(analysis, rng, sampler):
     symbol = ("union", "intersect", "except")[rng.randrange(3)]
-    second, perturb_note = _perturbed_copy(ast, schema, symbol, rng, sampler,
-                                           analysis)
+    second, perturb_note = _perturbed_copy(analysis, symbol, rng, sampler)
     return MutationPlan(OperatorId.SET, (), {
         "symbol": symbol,
         "second": second,
@@ -906,26 +887,12 @@ def _plan_set(ast, schema, rng, sampler, analysis):
     })
 
 
-def _literal_comparison_paths(ast):
-    out = []
-    for path, node in t.walk(ast):
-        if (
-            node.kind == t.OPERATOR
-            and node.value[0] in _COMPARISONS
-            and len(node.children) == 2
-            and node.children[0].kind == t.COLUMN
-            and node.children[1].kind == t.LITERAL
-            and _literal_class(node.children[1]) is not None
-        ):
-            out.append(path)
-    out.sort()
-    return out
-
-
-def _perturbed_copy(ast, schema, symbol, rng, sampler, analysis):
+def _perturbed_copy(analysis, symbol, rng, sampler):
     """Second operand for SET, shaped so the composition stays non-empty."""
+    ast, schema = analysis.ast, analysis.schema
     relation_at, cores = analysis.relation_at, analysis.annotator.cores
-    comparisons = _literal_comparison_paths(ast)
+    comparisons = [path for path, node in literal_comparisons(ast)
+                   if _literal_class(node.children[1]) is not None]
 
     if symbol == "intersect":
         # relax the copy: drop one predicate so q ∩ copy == q
@@ -962,7 +929,7 @@ def _perturbed_copy(ast, schema, symbol, rng, sampler, analysis):
             replacement_value = sampler.absent_value(relation or "", col.value[1], affinity)
         new_cmp = t.operator(node.value[0], [col, _value_literal(replacement_value)])
         changed = t.replace_at(ast, path, new_cmp)
-        note = f"uses {render_sql_fragment_text(_value_literal(replacement_value))} instead"
+        note = f"uses {render_expr(_value_literal(replacement_value))} instead"
         return changed, note
 
     # no predicate to perturb: narrow the copy so EXCEPT keeps everything

@@ -350,7 +350,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
 
         analysis = analyze(ast, schema)
         rule_scores = {
-            op: check_applicability(ast, schema, op, analysis=analysis).score
+            op: check_applicability(analysis, op).score
             for op in OperatorId
         }
         feas = dict(rule_scores)

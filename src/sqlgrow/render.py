@@ -36,6 +36,11 @@ def render_sql(ast: t.Node) -> str:
     return _render_query(ast)
 
 
+def render_expr(node: t.Node) -> str:
+    """Render one expression, unparenthesized at the top level."""
+    return _expr(node, 0)
+
+
 def _render_query(node: t.Node) -> str:
     if node.kind == t.SELECT:
         return _render_select(node)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import tree as t
 from .errors import AmbiguousColumnError, StructuralError
+from .render import render_expr
 from .schema import DatabaseSchema
 
 
@@ -28,16 +29,6 @@ class BindingReport:
     resolved: list[Binding] = field(default_factory=list)
     unresolved: list[Binding] = field(default_factory=list)
     alias_map: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.unresolved
-
-    def relation_of(self, path: t.Path) -> str | None:
-        for b in self.resolved:
-            if b.path == path:
-                return b.relation
-        return None
 
 
 @dataclass(frozen=True)
@@ -223,7 +214,7 @@ def _output_columns(query, schema, cte_env) -> list[str]:
         elif item.kind == t.STAR:
             names.extend(_star_columns(core, item.value[0], schema, cte_env))
         else:
-            names.append(render_sql_fragment(item))
+            names.append(render_expr(item))
     return names
 
 
@@ -262,10 +253,3 @@ def _select_aliases(select_node) -> tuple[str, ...]:
     return tuple(
         item.value[0].lower() for item in found[1].children if item.kind == t.ALIAS
     )
-
-
-def render_sql_fragment(node) -> str:
-    """Expression-level rendering used for synthetic output column names."""
-    from .render import _expr  # local import; render has no resolver dependency
-
-    return _expr(node, 0)

@@ -201,15 +201,6 @@ def set_clause(select_node: Node, new_clause: Node) -> Node:
     return select_core(kept + [new_clause])
 
 
-def query_cores(root: Node) -> list[Node]:
-    """Select cores that make up a query's top level (through set ops)."""
-    if root.kind == SELECT:
-        return [root]
-    if root.kind == SETOP:
-        return query_cores(root.children[0]) + query_cores(root.children[1])
-    raise StructuralError(f"not a query node: {root.kind}")
-
-
 def has_trailing_clauses(query: Node) -> bool:
     """True when a query carries a top-level ORDER BY or LIMIT."""
     if query.kind == SELECT:

@@ -21,6 +21,7 @@ from sqlgrow.harness import collect_result, execute_sql, is_acceptable, results_
 from sqlgrow.instances import QueryInstance, read_jsonl
 from sqlgrow.operators import (
     OperatorId,
+    analyze,
     apply_mutation,
     check_applicability,
     plan_mutation,
@@ -114,11 +115,12 @@ def mutation_outputs(full_run):
         schema = repo.schema(schema_id)
         conn = repo.connection(schema_id)
         ast = parse_sql(sql)
+        analysis = analyze(ast, schema)
         for op in OperatorId:
-            if check_applicability(ast, schema, op).score == 0:
+            if check_applicability(analysis, op).score == 0:
                 continue
             for seed in range(5):
-                plan = plan_mutation(ast, schema, op, seed, conn)
+                plan = plan_mutation(analysis, op, seed, conn)
                 mutated = apply_mutation(ast, plan)
                 outputs.append((schema_id, sql, op, ast, mutated))
     elapsed = time.monotonic() - started

@@ -3,13 +3,16 @@
 ``perfbench/spans.py`` times each layer by rebinding the functions listed in
 its ``LAYERS`` table. A renamed function would only fail the separate
 benchmark suite, so this reads the table (without importing the benchmark)
-and resolves every entry against the package. The counts the benchmark
-takes from those spans are real work only if the callers look the names up
-in their module when they call them, which the other tests check by
-patching those names.
+and resolves every entry against the package. It also reads the hooks of
+``_ON_RESULT``, which count from the value a wrapped function returns, and
+checks that every ``result.<attr>`` they read is a field or property of
+that value's type. The counts the benchmark takes from those spans are real
+work only if the callers look the names up in their module when they call
+them, which the other tests check by patching those names.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -17,23 +20,86 @@ from pathlib import Path
 import pytest
 
 import fixtures
-from sqlgrow import cot, operators, pipeline, scheduler
+from sqlgrow import cot, harness, operators, pipeline, scheduler
 from sqlgrow.gateway import CotCandidate, LlmGateway
 from sqlgrow.instances import QueryInstance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _layers() -> dict:
-    tree = ast.parse(SPANS.read_text())
-    for node in tree.body:
+SPANS_TREE = ast.parse(SPANS.read_text())
+
+
+def _assigned(name: str) -> ast.expr:
+    for node in SPANS_TREE.body:
         if isinstance(node, ast.Assign) and \
-                any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYERS table in {SPANS}")
+                any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"no {name} table in {SPANS}")
+
+
+def _layers() -> dict:
+    return ast.literal_eval(_assigned("LAYERS"))
 
 
 WRAPPED = [pair for pairs in _layers().values() for pair in pairs]
+
+# What each function with an ``_ON_RESULT`` hook that reads ``result.<attr>``
+# returns, apart from None.
+RETURNS = {
+    "execute_sql": (harness.ExecutionFeedback,),
+    "collect_result": (harness.ResultMultiset,),
+    "refine_until_valid": (harness.RefinementOutcome,),
+    "synthesize_cot": (cot.CotRecord, cot.CotDiscard, cot.CotDeferral),
+}
+
+
+def _reads_of_result(node, only=None):
+    """Yields (attr, type names or None) for each ``result.<attr>`` under node.
+
+    A read under ``if kind == "<Type>"`` is a read from that type only.
+    """
+    test = node.test if isinstance(node, ast.If) else None
+    if isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Eq) \
+            and isinstance(test.comparators[0], ast.Constant) \
+            and isinstance(test.comparators[0].value, str):
+        for child in node.body:
+            yield from _reads_of_result(child, (test.comparators[0].value,))
+        for child in node.orelse:
+            yield from _reads_of_result(child, only)
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "result":
+        yield node.attr, only
+    for child in ast.iter_child_nodes(node):
+        yield from _reads_of_result(child, only)
+
+
+def _result_reads():
+    """(wrapped name, attr, type names or None) for each read of each hook."""
+    table = _assigned("_ON_RESULT")
+    functions = {n.name: n for n in SPANS_TREE.body if isinstance(n, ast.FunctionDef)}
+    return [(key.value, attr, only)
+            for key, hook in zip(table.keys, table.values)
+            for attr, only in _reads_of_result(functions[hook.id])]
+
+
+RESULT_READS = _result_reads()
+
+
+def _members(cls) -> set:
+    props = {n for n, v in vars(cls).items() if isinstance(v, property)}
+    return {f.name for f in dataclasses.fields(cls)} | props
+
+
+@pytest.mark.parametrize("wrapped,attr,only", RESULT_READS,
+                         ids=[f"{w}.{a}" for w, a, _ in RESULT_READS])
+def test_result_hooks_read_fields_of_the_returned_type(wrapped, attr, only):
+    assert wrapped in RETURNS, f"{wrapped}: return type unknown to this test"
+    types = [c for c in RETURNS[wrapped] if only is None or c.__name__ in only]
+    assert types, f"{wrapped}: no returned type is named {only}"
+    for cls in types:
+        assert attr in _members(cls), f"{cls.__name__} has no field {attr!r}"
 
 
 @pytest.mark.parametrize("owner,attr", WRAPPED, ids=[f"{o}.{a}" for o, a in WRAPPED])

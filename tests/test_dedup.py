@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 from collections import Counter
@@ -7,12 +8,12 @@ import pytest
 
 import fixtures
 from sqlgrow.dedup import (
+    FALLBACK_DIM,
     QuestionVector,
     _greedy_scan,
     cosine,
     dedup_schema_group,
     embed_questions,
-    lexical_vector,
     word_trigrams,
 )
 from sqlgrow.errors import SqlgrowError, StructuralError
@@ -31,6 +32,16 @@ def qv(iid, vector):
     return QuestionVector(iid, v / np.linalg.norm(v), "lexical-fallback")
 
 
+def dense_vector(text):
+    """Unit trigram vector over all FALLBACK_DIM md5 buckets; axis 0 when empty."""
+    vec = np.zeros(FALLBACK_DIM, dtype=np.float64)
+    for gram in word_trigrams(text):
+        vec[int(hashlib.md5(gram.encode("utf-8")).hexdigest()[:8], 16) % FALLBACK_DIM] += 1
+    if not vec.any():
+        vec[0] = 1.0
+    return vec / np.linalg.norm(vec)
+
+
 def test_identical_strings_cosine_one():
     vectors = embed_questions(["list all athletes", "list all athletes"])
     assert cosine(vectors[0].vector, vectors[1].vector) == pytest.approx(1.0, abs=1e-9)
@@ -43,15 +54,19 @@ def test_fallback_cosine_matches_trigram_oracle():
     dot = sum(ca[g] * cb[g] for g in ca)
     expected = dot / math.sqrt(sum(v * v for v in ca.values())
                                * sum(v * v for v in cb.values()))
-    got = cosine(lexical_vector(a), lexical_vector(b))
+    va, vb = embed_questions([a, b])
+    got = cosine(va.vector, vb.vector)
     assert got == pytest.approx(expected, abs=1e-9)
     assert got == pytest.approx(0.7379, abs=1e-4)  # 7 shared of 9 x 10 grams
 
 
 def test_empty_string_reserved_axis():
-    vec = lexical_vector("")
-    assert vec[0] == 1.0
-    assert np.linalg.norm(vec) == pytest.approx(1.0)
+    (alone,) = embed_questions([""])
+    assert alone.vector.tolist() == [1.0]
+    # beside other questions the reserved axis is still one unit column
+    empty, other = embed_questions(["", "list all athletes"])
+    assert np.count_nonzero(empty.vector) == 1 and empty.vector.max() == 1.0
+    assert np.dot(empty.vector, other.vector) == 0
 
 
 def test_vectors_unit_normalized():
@@ -170,7 +185,7 @@ def test_lexical_vectors_share_one_compact_basis():
     questions = ["list all athletes", "count the games", ""]
     used = set()
     for q in questions:
-        used.update(np.flatnonzero(lexical_vector(q)).tolist())
+        used.update(np.flatnonzero(dense_vector(q)).tolist())
     vectors = embed_questions(questions)
     assert {len(v.vector) for v in vectors} == {len(used)}
 
@@ -205,7 +220,7 @@ def _mock_questions(schemas, connections):
 
 def _dense_oracle(group, tau):
     """The scan over dense 4,096-dim vectors and per-pair cosines."""
-    dense = {i.id: lexical_vector(i.question) for i in group}
+    dense = {i.id: dense_vector(i.question) for i in group}
     order = sorted(group, key=lambda i: (stage_rank(i.stage), i.id))
     kept = []
     for item in order:

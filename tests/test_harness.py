@@ -97,8 +97,9 @@ def test_readonly_harness_refuses_writes(db_dir, tmp_path, sql):
 # -- result comparison --------------------------------------------------------
 
 def rs(rows, ordered=False):
-    return ResultMultiset(tuple(tuple(normalize_cell(c) for c in r) for r in rows),
-                          ordered)
+    """A result of ``rows`` whose SQL is ordered or not, as asked."""
+    sql = "SELECT 1 ORDER BY 1" if ordered else "SELECT 1"
+    return ResultMultiset(tuple(tuple(r) for r in rows), sql)
 
 
 def test_multiset_ignores_order():
@@ -120,6 +121,9 @@ def test_float_tolerance_and_numeric_text():
     assert normalize_cell("1.50") == normalize_cell("1.5")
     assert normalize_cell(None) == normalize_cell(None)
     assert normalize_cell("1.5") != normalize_cell(1.5)  # text stays text
+    # rows that differ only where cells normalize alike are equivalent
+    assert results_equivalent(rs([(0.30000000001, "1.50")]), rs([(0.3, "1.5")]))
+    assert not results_equivalent(rs([("1.5",)]), rs([(1.5,)]))
 
 
 def test_redundant_join_same_multiset(connections):
@@ -139,11 +143,11 @@ def test_results_equivalent_reflexive_symmetric(rows):
     assert results_equivalent(a, b) == results_equivalent(b, a)
 
 
-def _sequence_or_multiset(a, b):
+def _sequence_or_multiset(a_rows, b_rows, a_ordered, b_ordered):
     """The comparison rule before ordering was read on demand."""
-    if a.ordered or b.ordered:
-        return a.rows == b.rows
-    return len(a.rows) == len(b.rows) and Counter(a.rows) == Counter(b.rows)
+    if a_ordered or b_ordered:
+        return a_rows == b_rows
+    return len(a_rows) == len(b_rows) and Counter(a_rows) == Counter(b_rows)
 
 
 _row_lists = st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(["x", "y", None])),
@@ -153,8 +157,9 @@ _row_lists = st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(["x", "y", N
 @given(_row_lists, st.data(), st.booleans(), st.booleans())
 def test_rows_first_comparison_matches_the_flag_first_rule(rows, data, a_ord, b_ord):
     other = data.draw(st.one_of(st.just(rows), st.permutations(rows), _row_lists))
-    a, b = rs(rows, a_ord), rs(other, b_ord)
-    assert results_equivalent(a, b) == _sequence_or_multiset(a, b)
+    # these cells normalize one-to-one, so the rule may read them as they are
+    assert results_equivalent(rs(rows, a_ord), rs(other, b_ord)) == \
+        _sequence_or_multiset(list(rows), list(other), a_ord, b_ord)
 
 
 def _normalise_first(a_raw, b_raw, a_ordered, b_ordered):
@@ -198,9 +203,8 @@ def test_raw_first_comparison_matches_normalising_first(rows, data, a_ord, b_ord
     twins = [tuple(_twin(c) for c in row) for row in rows]
     other = data.draw(st.one_of(st.just(rows), st.just(twins),
                                 st.permutations(twins), _raw_rows))
-    a = ResultMultiset(raw=tuple(rows), ordered=a_ord)
-    b = ResultMultiset(raw=tuple(other), ordered=b_ord)
-    assert results_equivalent(a, b) == _normalise_first(rows, other, a_ord, b_ord)
+    assert results_equivalent(rs(rows, a_ord), rs(other, b_ord)) == \
+        _normalise_first(rows, other, a_ord, b_ord)
 
 
 def test_equal_raw_rows_compare_without_normalizing(connections, monkeypatch):
@@ -209,7 +213,7 @@ def test_equal_raw_rows_compare_without_normalizing(connections, monkeypatch):
     conn = connections["olympics"]
     a = collect_result(conn, "SELECT full_name, weight FROM person ORDER BY id")
     b = collect_result(conn, "SELECT p.full_name, p.weight FROM person AS p ORDER BY p.id")
-    assert a.row_count > 1
+    assert len(a.rows) > 1
     assert results_equivalent(a, b) and results_equivalent(a, a)
     assert calls == []
     fewer = collect_result(conn, "SELECT full_name, weight FROM person ORDER BY id LIMIT 1")
@@ -217,14 +221,17 @@ def test_equal_raw_rows_compare_without_normalizing(connections, monkeypatch):
     assert calls
 
 
-def test_lazily_normalized_result_equals_the_eager_one():
-    lazy = ResultMultiset(raw=((1.0, "1.50"), (None, 2)), ordered=False)
-    eager = rs([(1, "1.5"), (None, 2.0)])
-    assert lazy.row_count == 2
-    assert lazy == eager and hash(lazy) == hash(eager)
-    assert repr(lazy) == repr(eager)
-    with pytest.raises(TypeError):
-        ResultMultiset()
+def test_collected_rows_are_sqlite_rows_without_normalizing(connections, monkeypatch):
+    def no_normalize(cell):
+        raise AssertionError(f"normalized {cell!r}")
+
+    monkeypatch.setattr(harness, "normalize_cell", no_normalize)
+    conn = connections["olympics"]
+    sql = "SELECT full_name, weight FROM person ORDER BY id"
+    expected = tuple(conn.execute(sql).fetchall())
+    result = collect_result(conn, sql)
+    assert result.rows == expected and result.sql == sql
+    assert len(result.rows) == len(expected) > 1
 
 
 def test_identical_rows_compare_without_parsing(connections, monkeypatch):
@@ -246,28 +253,25 @@ def test_ordered_results_in_another_order_differ(connections):
     down = collect_result(conn, "SELECT full_name FROM person ORDER BY full_name DESC")
     unordered = collect_result(conn, "SELECT full_name FROM person")
     assert sorted(up.rows) == sorted(down.rows) and up.rows != down.rows
-    assert up.ordered and down.ordered and not unordered.ordered
+    assert harness._is_ordered(up.sql) and harness._is_ordered(down.sql)
+    assert not harness._is_ordered(unordered.sql)
     assert not results_equivalent(up, down)
     assert not results_equivalent(down, up)
 
 
-def test_given_ordered_flag_is_kept():
-    assert rs([(1,)], ordered=True).ordered
-    assert not ResultMultiset(((1,),), False, sql="SELECT 1 ORDER BY 1").ordered
-
-
 def test_result_multiset_is_a_frozen_value():
-    lazy = ResultMultiset(((1,), (2,)), sql="SELECT x FROM t ORDER BY x")
-    given_flag = ResultMultiset(((1,), (2,)), True)
-    assert lazy == given_flag and hash(lazy) == hash(given_flag)
-    assert lazy != ResultMultiset(((1,), (2,)), False)
-    assert lazy != ResultMultiset(((2,), (1,)), True)
-    assert repr(lazy) == "ResultMultiset(rows=((1,), (2,)), ordered=True)"
+    sql = "SELECT x FROM t ORDER BY x"
+    result = ResultMultiset(((1,), (2,)), sql)
+    same = ResultMultiset(((1,), (2,)), sql)
+    assert result == same and hash(result) == hash(same)
+    assert result != ResultMultiset(((2,), (1,)), sql)
+    assert result != ResultMultiset(((1,), (2,)), "SELECT x FROM t")
+    assert repr(result) == f"ResultMultiset(rows=((1,), (2,)), sql={sql!r})"
     with pytest.raises(AttributeError):
-        lazy.rows = ()
+        result.rows = ()
     with pytest.raises(AttributeError):
-        lazy.ordered = False
-    assert lazy.rows == ((1,), (2,)) and lazy.ordered
+        result.sql = ""
+    assert result.rows == ((1,), (2,)) and result.sql == sql
 
 
 # -- refinement loop ----------------------------------------------------------

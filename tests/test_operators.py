@@ -1,11 +1,11 @@
 import pytest
 
-import fixtures
 from fixtures import STAGE_SQL_1, STAGE_SQL_2, STAGE_SQL_0
 from sqlgrow import operators
 from sqlgrow import tree as t
 from sqlgrow.errors import AmbiguousColumnError, InfeasibleOperatorError, StructuralError
 from sqlgrow.features import extract_features
+from sqlgrow.gateway import LlmGateway
 from sqlgrow.operators import (
     MutationPlan,
     OperatorId,
@@ -54,14 +54,14 @@ def test_instruction_catalog_complete():
 
 def test_nest_infeasible_without_compared_literal(olympics_schema):
     ast = parse_sql("SELECT full_name FROM person")
-    report = check_applicability(ast, olympics_schema, OperatorId.NEST)
+    report = check_applicability(analyze(ast, olympics_schema), OperatorId.NEST)
     assert report.score == 0.0
     assert report.eligible_sites == ()
 
 
 def test_join_feasible_on_stage1(olympics_schema):
     ast = parse_sql(STAGE_SQL_1)
-    report = check_applicability(ast, olympics_schema, OperatorId.JOIN)
+    report = check_applicability(analyze(ast, olympics_schema), OperatorId.JOIN)
     assert report.score > 0
     clause = t.node_at(ast, report.eligible_sites[0])
     assert clause.kind == t.CLAUSE and clause.value[0] == "from"
@@ -69,48 +69,15 @@ def test_join_feasible_on_stage1(olympics_schema):
 
 def test_set_always_feasible(olympics_schema):
     for sql in ("SELECT 1", STAGE_SQL_1, "SELECT full_name FROM person"):
-        report = check_applicability(parse_sql(sql), olympics_schema, OperatorId.SET)
+        report = check_applicability(analyze(parse_sql(sql), olympics_schema), OperatorId.SET)
         assert report.score > 0
         assert () in report.eligible_sites
 
 
 def test_score_saturation(olympics_schema):
     ast = parse_sql("SELECT full_name, weight FROM person WHERE weight > 60")
-    report = check_applicability(ast, olympics_schema, OperatorId.FUNC)
+    report = check_applicability(analyze(ast, olympics_schema), OperatorId.FUNC)
     assert report.score == min(1.0, len(report.eligible_sites) / 3)
-
-
-def _plan_or_infeasible(ast, schema, op, seed, db, **kwargs):
-    try:
-        return plan_mutation(ast, schema, op, seed, db, **kwargs)
-    except InfeasibleOperatorError:
-        return "infeasible"
-
-
-def test_precomputed_analysis_changes_no_score_site_or_plan(schemas, connections):
-    for schema_id, pairs in fixtures.SEED_QUESTIONS.items():
-        schema, db = schemas[schema_id], connections[schema_id]
-        for _, sql in pairs:
-            ast = parse_sql(sql)
-            analysis = analyze(ast, schema)
-            for op in OperatorId:
-                assert check_applicability(ast, schema, op, analysis=analysis) == \
-                    check_applicability(ast, schema, op)
-                for seed in range(4):
-                    assert _plan_or_infeasible(ast, schema, op, seed, db,
-                                               analysis=analysis) == \
-                        _plan_or_infeasible(ast, schema, op, seed, db)
-
-
-def test_analysis_of_another_tree_is_refused(olympics_schema):
-    analysis = analyze(parse_sql(STAGE_SQL_0), olympics_schema)
-    with pytest.raises(StructuralError):
-        check_applicability(parse_sql(STAGE_SQL_1), olympics_schema, OperatorId.FUNC,
-                            analysis=analysis)
-    # an equal tree from another parse is the same parent
-    again = parse_sql(STAGE_SQL_0)
-    assert check_applicability(again, olympics_schema, OperatorId.FUNC,
-                               analysis=analysis).score > 0
 
 
 def test_unresolvable_parent_has_no_site(olympics_schema):
@@ -120,9 +87,9 @@ def test_unresolvable_parent_has_no_site(olympics_schema):
         resolve_references(ast, olympics_schema)
     analysis = analyze(ast, olympics_schema)
     for op in OperatorId:
-        assert check_applicability(ast, olympics_schema, op, analysis=analysis).score == 0
+        assert check_applicability(analysis, op).score == 0
         with pytest.raises(InfeasibleOperatorError):
-            plan_mutation(ast, olympics_schema, op, 0, analysis=analysis)
+            plan_mutation(analysis, op, 0)
 
 
 def test_analysis_lets_errors_outside_the_package_through(olympics_schema, monkeypatch):
@@ -130,11 +97,12 @@ def test_analysis_lets_errors_outside_the_package_through(olympics_schema, monke
         raise KeyError("bug")
 
     monkeypatch.setattr(operators, "resolve_references", broken)
-    ast = parse_sql(STAGE_SQL_0)
     with pytest.raises(KeyError):
-        check_applicability(ast, olympics_schema, OperatorId.FUNC)
+        analyze(parse_sql(STAGE_SQL_0), olympics_schema)
+    # the mock evolution analyses on demand when it is given no analysis
     with pytest.raises(KeyError):
-        plan_mutation(ast, olympics_schema, OperatorId.FUNC, 0)
+        LlmGateway().generate_evolution("q", "", STAGE_SQL_0, olympics_schema,
+                                        OperatorId.FUNC)
 
 
 # -- planning ----------------------------------------------------------------
@@ -143,17 +111,20 @@ def test_plan_deterministic_per_seed(olympics_schema, connections):
     ast = parse_sql(STAGE_SQL_1)
     db = connections["olympics"]
     for op in OperatorId:
-        if check_applicability(ast, olympics_schema, op).score == 0:
+        if check_applicability(analyze(ast, olympics_schema), op).score == 0:
             continue
-        first = apply_mutation(ast, plan_mutation(ast, olympics_schema, op, 7, db))
-        second = apply_mutation(ast, plan_mutation(ast, olympics_schema, op, 7, db))
+        # each plan from its own analysis of the tree
+        first = apply_mutation(
+            ast, plan_mutation(analyze(ast, olympics_schema), op, 7, db))
+        second = apply_mutation(
+            ast, plan_mutation(analyze(ast, olympics_schema), op, 7, db))
         assert render_sql(first) == render_sql(second)
 
 
 def test_plan_infeasible_raises(olympics_schema):
     ast = parse_sql("SELECT full_name FROM person")
     with pytest.raises(InfeasibleOperatorError):
-        plan_mutation(ast, olympics_schema, OperatorId.NEST, 0)
+        plan_mutation(analyze(ast, olympics_schema), OperatorId.NEST, 0)
 
 
 def test_join_plan_edge_belongs_to_fk_graph(olympics_schema, connections):
@@ -166,7 +137,7 @@ def test_join_plan_edge_belongs_to_fk_graph(olympics_schema, connections):
             legal.add((e.table_b, e.table_a))
     present = {"person", "games_competitor", "competitor_event"}
     for seed in range(12):
-        plan = plan_mutation(ast, olympics_schema, OperatorId.JOIN, seed,
+        plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.JOIN, seed,
                              connections["olympics"])
         new_table = plan.payload["table"]
         assert new_table not in present
@@ -182,7 +153,7 @@ def test_logic_plan_literal_comes_from_database(olympics_schema, connections):
     for col in ("id", "full_name", "weight"):
         live |= {row[0] for row in db.execute(f"SELECT DISTINCT {col} FROM person")}
     for seed in range(10):
-        plan = plan_mutation(ast, olympics_schema, OperatorId.LOGIC, seed, db)
+        plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.LOGIC, seed, db)
         if plan.payload["clause"] != "where":
             continue
         expr = plan.payload["expr"]
@@ -197,7 +168,7 @@ def test_logic_plan_literal_comes_from_database(olympics_schema, connections):
 
 def test_func_wraps_leaf_in_place(olympics_schema):
     ast = parse_sql("SELECT weight FROM person")
-    sites = check_applicability(ast, olympics_schema, OperatorId.FUNC).eligible_sites
+    sites = check_applicability(analyze(ast, olympics_schema), OperatorId.FUNC).eligible_sites
     plan = MutationPlan(OperatorId.FUNC, sites[0],
                         {"function": "avg", "original": t.node_at(ast, sites[0]),
                          "summary": ""})
@@ -207,7 +178,7 @@ def test_func_wraps_leaf_in_place(olympics_schema):
 
 def test_set_renders_as_two_selects(olympics_schema, connections):
     ast = parse_sql("SELECT full_name FROM person WHERE weight > 60")
-    plan = plan_mutation(ast, olympics_schema, OperatorId.SET, 0,
+    plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.SET, 0,
                          connections["olympics"])
     out = apply_mutation(ast, plan)
     assert out.kind == t.SETOP
@@ -223,7 +194,7 @@ def test_set_copy_compares_with_a_value_of_the_bound_column(olympics_schema, con
     weights = {row[0] for row in db.execute("SELECT weight FROM person")}
     perturbed = 0
     for seed in range(8):
-        plan = plan_mutation(ast, olympics_schema, OperatorId.SET, seed, db)
+        plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.SET, seed, db)
         if plan.payload["symbol"] == "intersect":
             continue
         (literal,) = [n for _, n in t.walk(plan.payload["second"]) if n.kind == t.LITERAL]
@@ -235,7 +206,7 @@ def test_set_copy_compares_with_a_value_of_the_bound_column(olympics_schema, con
 def test_set_wraps_trailing_clauses_in_derived_table(olympics_schema, connections):
     ast = parse_sql(STAGE_SQL_1)  # carries ORDER BY and LIMIT
     db = connections["olympics"]
-    plan = plan_mutation(ast, olympics_schema, OperatorId.SET, 1, db)
+    plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.SET, 1, db)
     out = apply_mutation(ast, plan)
     sql = render_sql(out)
     # the engine accepts the wrapped form and the operand keeps its LIMIT
@@ -248,7 +219,7 @@ def test_set_wraps_trailing_clauses_in_derived_table(olympics_schema, connection
 
 def test_apply_rejects_mismatched_tree(olympics_schema):
     ast = parse_sql("SELECT weight FROM person")
-    sites = check_applicability(ast, olympics_schema, OperatorId.FUNC).eligible_sites
+    sites = check_applicability(analyze(ast, olympics_schema), OperatorId.FUNC).eligible_sites
     plan = MutationPlan(OperatorId.FUNC, sites[0],
                         {"function": "avg", "original": t.node_at(ast, sites[0]),
                          "summary": ""})
@@ -261,9 +232,9 @@ def test_purity_input_unchanged(olympics_schema, connections):
     ast = parse_sql(STAGE_SQL_1)
     before = render_sql(ast)
     for op in OperatorId:
-        if check_applicability(ast, olympics_schema, op).score == 0:
+        if check_applicability(analyze(ast, olympics_schema), op).score == 0:
             continue
-        plan = plan_mutation(ast, olympics_schema, op, 3, connections["olympics"])
+        plan = plan_mutation(analyze(ast, olympics_schema), op, 3, connections["olympics"])
         apply_mutation(ast, plan)
         assert render_sql(ast) == before
 
@@ -388,7 +359,7 @@ def test_composite_fk_join_condition(composite_db):
 
     db = open_readonly(composite_db)
     ast = parse_sql("SELECT name FROM city")
-    plan = plan_mutation(ast, schema, OperatorId.JOIN, 0, db)
+    plan = plan_mutation(analyze(ast, schema), OperatorId.JOIN, 0, db)
     cond = plan.payload["condition"]
     assert cond.kind == t.LOGICAL and cond.value[0] == "and"
     assert len(cond.children) == 2
@@ -412,12 +383,12 @@ def test_chained_mutations_stay_sound(olympics_schema, connections):
         for op in OperatorId:  # deterministic: first feasible operator not yet used
             if op in applied:
                 continue
-            if check_applicability(ast, olympics_schema, op).score > 0:
+            if check_applicability(analyze(ast, olympics_schema), op).score > 0:
                 chosen = op
                 break
         if chosen is None:
             break
-        plan = plan_mutation(ast, olympics_schema, chosen, 100 + step, db)
+        plan = plan_mutation(analyze(ast, olympics_schema), chosen, 100 + step, db)
         ast = apply_mutation(ast, plan)
         applied.append(chosen)
         rendered = render_sql(ast)
@@ -456,7 +427,7 @@ def test_logic_plan_can_extend_where_with_and(olympics_schema, connections):
     scope_labels = {"p", "gc", "ce", "e", "s", "g"}
     found = False
     for seed in range(30):
-        plan = plan_mutation(ast, olympics_schema, OperatorId.LOGIC, seed, db)
+        plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.LOGIC, seed, db)
         payload = plan.payload
         if payload["clause"] == "where" and payload["mode"] == "extend" \
                 and payload["connector"] == "and":

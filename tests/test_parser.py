@@ -10,7 +10,7 @@ from sqlgrow.errors import (
     UnsupportedSqlError,
 )
 from sqlgrow.features import tokenize_sql
-from sqlgrow.operators import OperatorId, apply_mutation, plan_mutation
+from sqlgrow.operators import OperatorId, analyze, apply_mutation, plan_mutation
 from sqlgrow.parser import PARSE_MEMO_SIZE, parse_cached, parse_sql
 from sqlgrow.render import render_sql
 
@@ -155,7 +155,7 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
     mutated = 0
     for op in OperatorId:
         try:
-            plan = plan_mutation(ast, olympics_schema, op, 0)
+            plan = plan_mutation(analyze(ast, olympics_schema), op, 0)
         except InfeasibleOperatorError:
             continue
         assert render_sql(apply_mutation(ast, plan)) != before

@@ -356,12 +356,13 @@ def test_run_oge_gates_llm_scores_with_rules(repo, mini_seed_file):
     })})
     cfg = RunConfig(global_seed=1, budget_k=2)
     state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
-    from sqlgrow.operators import OperatorId as OID, check_applicability
+    from sqlgrow.operators import OperatorId as OID, analyze, check_applicability
     from sqlgrow.parser import parse_sql as P
 
     nest_infeasible = [
         s for s in simple
-        if check_applicability(P(s.sql), repo.schema(s.schema_id), OID.NEST).score == 0
+        if check_applicability(analyze(P(s.sql), repo.schema(s.schema_id)),
+                               OID.NEST).score == 0
     ]
     assert nest_infeasible, "fixture should include a NEST-infeasible seed"
     evolved, _ = run_oge(nest_infeasible, cfg, repo, gateway, state, 1)
