@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, TransportError
+from .errors import StructuralError
+from .gateway import HttpEmbeddingBackend
 from .instances import QueryInstance, stage_rank
 
 FALLBACK_DIM = 4096
@@ -40,33 +41,6 @@ class RemovalRecord:
     removed_id: str
     kept_id: str
     similarity: float
-
-
-@dataclass
-class HttpEmbeddingBackend:
-    endpoint: str
-    model: str
-    api_key: str = ""
-    timeout_s: float = 60.0
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        import requests  # only HTTP backends need it; keeps `import sqlgrow` light
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            response = requests.post(
-                self.endpoint,
-                json={"model": self.model, "input": texts},
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-            response.raise_for_status()
-            data = response.json()
-            return [item["embedding"] for item in data["data"]]
-        except (requests.RequestException, KeyError, ValueError) as exc:
-            raise TransportError(f"embedding backend failed: {exc}")
 
 
 def word_trigrams(text: str) -> list[str]:

@@ -6,6 +6,10 @@ back to the mock implementation, which produces schema-grounded output by
 running the mutation planner directly, so the full pipeline is
 reproducible without any model. No other module builds prompts or parses
 model output.
+
+Every live call, the embedder's included, makes at most ``MAX_TRIES``
+posts through one ``_post_json``, so only this module knows the wire
+protocol and the retry policy.
 """
 
 from __future__ import annotations
@@ -75,19 +79,59 @@ class CotCandidate:
     predicted_sql: str
 
 
+MAX_TRIES = 3  # posts per model call, transport and format failures together
+_TIMEOUT_S = 60.0
+
+
+def _with_retries(call):
+    """``call()``, made at most MAX_TRIES times; the last failure propagates.
+
+    A TransportError waits ``0.5 * 2**attempt`` seconds before the next try;
+    a ResponseFormatError resamples at once. Every live model call, and only
+    a live one, goes through here.
+    """
+    for attempt in range(MAX_TRIES):
+        try:
+            return call()
+        except (TransportError, ResponseFormatError) as exc:
+            if attempt == MAX_TRIES - 1:
+                raise
+            if isinstance(exc, TransportError):
+                time.sleep(0.5 * 2**attempt)
+
+
+def _post_json(endpoint: str, api_key: str, payload: dict, read):
+    """``read`` of the JSON reply to one POST; any failure is a TransportError."""
+    import requests  # only HTTP backends need it; keeps `import sqlgrow` light
+
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    try:
+        response = requests.post(endpoint, json=payload, headers=headers,
+                                 timeout=_TIMEOUT_S)
+        response.raise_for_status()
+        return read(response.json())
+    except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
+        raise TransportError(f"model endpoint {endpoint} failed: {exc}")
+
+
+def _chat_texts(reply: dict) -> list[str]:
+    texts = [c["message"]["content"] for c in reply["choices"]]
+    if not texts:
+        raise ValueError("reply has no choices")
+    return texts
+
+
 @dataclass
 class HttpChatBackend:
-    """Chat-completion endpoint client with bounded retry."""
+    """Chat-completion endpoint client; one POST per call."""
 
     endpoint: str
     model: str
     api_key: str = ""
-    timeout_s: float = 60.0
-    retries: int = 2
 
     def complete(self, messages: list[dict], decoding: DecodingParams) -> list[str]:
-        import requests  # only HTTP backends need it; keeps `import sqlgrow` light
-
         payload = {
             "model": self.model,
             "messages": messages,
@@ -95,32 +139,29 @@ class HttpChatBackend:
             "max_tokens": decoding.max_tokens,
             "n": decoding.n,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error = None
-        for attempt in range(self.retries + 1):
-            try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers,
-                    timeout=self.timeout_s,
-                )
-                response.raise_for_status()
-                data = response.json()
-                return [c["message"]["content"] for c in data["choices"]]
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-                if attempt < self.retries:
-                    time.sleep(0.5 * 2**attempt)
-        raise TransportError(f"chat backend failed after retries: {last_error}")
+        return _post_json(self.endpoint, self.api_key, payload, _chat_texts)
+
+
+@dataclass
+class HttpEmbeddingBackend:
+    """Embedding endpoint client; one request per call, within the retry bound."""
+
+    endpoint: str
+    model: str
+    api_key: str = ""
+
+    def embed(self, texts: list[str]) -> list[list[float]]:
+        payload = {"model": self.model, "input": texts}
+        return _with_retries(lambda: _post_json(
+            self.endpoint, self.api_key, payload,
+            lambda reply: [item["embedding"] for item in reply["data"]]))
 
 
 class LlmGateway:
     """Routes each role either to its HTTP backend or to the mock."""
 
-    def __init__(self, backends: dict | None = None, global_seed: int = 0):
+    def __init__(self, backends: dict | None = None):
         self.backends = backends or {}
-        self.global_seed = global_seed
 
     def _backend(self, role: str) -> HttpChatBackend | None:
         return self.backends.get(role)
@@ -152,7 +193,8 @@ class LlmGateway:
             "QUESTION": seed_question,
             "GOLD_SQL": seed_sql,
         })
-        return _request_expansion(backend, prompt)
+        return _ask(backend, prompt, DecodingParams(temperature=0.8),
+                    lambda texts: _parse_expansion(texts[0]))
 
     def _mock_expansion(self, question, evidence, sql, schema, db, seed, analysis):
         ast = parse_cached(sql)
@@ -202,7 +244,8 @@ class LlmGateway:
             "GOLD_SQL": sql,
             "OPERATION": operator_instruction(op),
         })
-        return _request_expansion(backend, prompt)
+        return _ask(backend, prompt, DecodingParams(temperature=0.8),
+                    lambda texts: _parse_expansion(texts[0]))
 
     # -- refinement ----------------------------------------------------------
 
@@ -223,13 +266,8 @@ class LlmGateway:
             "DRAFT_SQL": draft,
             "FEEDBACK": render_feedback(feedback),
         })
-        text = backend.complete(
-            [{"role": "user", "content": prompt}], DecodingParams(temperature=0.0)
-        )[0]
-        sql = _last_code_block(text) or text.strip()
-        if not sql:
-            raise ResponseFormatError("refiner returned no SQL")
-        return sql
+        return _ask(backend, prompt, DecodingParams(temperature=0.0),
+                    lambda texts: _parse_refined(texts[0]))
 
     # -- strategy scoring -----------------------------------------------------
 
@@ -245,22 +283,8 @@ class LlmGateway:
             "QUESTION": question,
             "GOLD_SQL": sql,
         })
-        text = backend.complete(
-            [{"role": "user", "content": prompt}], DecodingParams(temperature=0.0)
-        )[0]
-        entries = _first_json(text, list)
-        scores: dict[OperatorId, tuple[float, str]] = {}
-        for entry in entries:
-            if not isinstance(entry, dict):
-                continue
-            op = _STRATEGY_NAMES.get(str(entry.get("operator", "")).strip().lower())
-            score = entry.get("score")
-            if op is None or not isinstance(score, (int, float)):
-                continue
-            if not 0.0 <= float(score) <= 1.0:
-                continue  # out-of-range entries fall back to rule-based
-            scores[op] = (float(score), str(entry.get("justification", "")))
-        return scores
+        return _ask(backend, prompt, DecodingParams(temperature=0.0),
+                    lambda texts: _parse_scores(texts[0]))
 
     # -- chain of thought -------------------------------------------------------
 
@@ -283,32 +307,18 @@ class LlmGateway:
             "EVIDENCE": evidence or "None.",
             "QUESTION": question,
         })
-        texts = backend.complete(
-            [{"role": "user", "content": prompt}],
-            DecodingParams(temperature=0.8, n=n),
-        )
-        candidates = []
-        for text in texts:
-            sql = _last_code_block(text)
-            if sql:  # responses with no extractable SQL are dropped
-                candidates.append(CotCandidate(reasoning=text, predicted_sql=sql))
-        return candidates
+        return _ask(backend, prompt, DecodingParams(temperature=0.8, n=n),
+                    _parse_cot)
 
 
-_PARSE_RETRIES = 2  # malformed responses are common and cheap to resample
+def _ask(backend, prompt: str, decoding: DecodingParams, parse):
+    """``parse`` of the backend's replies to ``prompt``, within the retry bound.
 
-
-def _request_expansion(backend, prompt: str) -> ExpansionResult:
-    last: ResponseFormatError | None = None
-    for _ in range(_PARSE_RETRIES + 1):
-        text = backend.complete(
-            [{"role": "user", "content": prompt}], DecodingParams(temperature=0.8)
-        )[0]
-        try:
-            return _parse_expansion(text)
-        except ResponseFormatError as exc:
-            last = exc
-    raise last
+    Parsing happens inside the retried call, so a malformed reply is
+    resampled under the same MAX_TRIES as a transport failure.
+    """
+    messages = [{"role": "user", "content": prompt}]
+    return _with_retries(lambda: parse(backend.complete(messages, decoding)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +520,37 @@ def _first_json(text: str, kind: type):
             return value
         start = text.find(opener, start + 1)
     raise ResponseFormatError(f"no JSON {name} found in model response")
+
+
+def _parse_refined(text: str) -> str:
+    sql = _last_code_block(text) or text.strip()
+    if not sql:
+        raise ResponseFormatError("refiner returned no SQL")
+    return sql
+
+
+def _parse_scores(text: str) -> dict[OperatorId, tuple[float, str]]:
+    scores: dict[OperatorId, tuple[float, str]] = {}
+    for entry in _first_json(text, list):
+        if not isinstance(entry, dict):
+            continue
+        op = _STRATEGY_NAMES.get(str(entry.get("operator", "")).strip().lower())
+        score = entry.get("score")
+        if op is None or not isinstance(score, (int, float)):
+            continue
+        if not 0.0 <= float(score) <= 1.0:
+            continue  # out-of-range entries fall back to rule-based
+        scores[op] = (float(score), str(entry.get("justification", "")))
+    return scores
+
+
+def _parse_cot(texts: list[str]) -> list[CotCandidate]:
+    candidates = []
+    for text in texts:
+        sql = _last_code_block(text)
+        if sql:  # responses with no extractable SQL are dropped
+            candidates.append(CotCandidate(reasoning=text, predicted_sql=sql))
+    return candidates
 
 
 def _parse_expansion(text: str) -> ExpansionResult:

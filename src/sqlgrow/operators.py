@@ -918,15 +918,11 @@ def _perturbed_copy(analysis, symbol, rng, sampler):
         node = t.node_at(ast, path)
         col, lit = node.children
         relation = relation_at.get((*path, 0), "")
-        replacement_value = None
-        for value in sampler.pool(relation, col.value[1]) if relation else []:
-            if _value_literal(value) != lit:
-                replacement_value = value
-                break
+        replacement_value = (_other_value(sampler, relation, col.value[1], lit)
+                             if relation else None)
         if replacement_value is None:
-            tab = schema.table(relation) if relation else None
-            affinity = tab.column(col.value[1]).affinity if tab and tab.column(col.value[1]) else "text"
-            replacement_value = sampler.absent_value(relation or "", col.value[1], affinity)
+            affinity = _column_affinity(schema, relation, col.value[1]) or "text"
+            replacement_value = sampler.absent_value(relation, col.value[1], affinity)
         new_cmp = t.operator(node.value[0], [col, _value_literal(replacement_value)])
         changed = t.replace_at(ast, path, new_cmp)
         note = f"uses {render_expr(_value_literal(replacement_value))} instead"

@@ -70,6 +70,10 @@ class _Parser:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
+    def position(self) -> int:
+        """Where the next token starts; at end of input, where the last one does."""
+        return (self.peek() or self.tokens[-1]).pos
+
     def at_kw(self, *words: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.type == "kw" and tok.text in words
@@ -84,8 +88,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok.type != "kw" or tok.text != word:
             got = "end of input" if tok is None else repr(tok.text)
-            pos = tok.pos if tok else (self.tokens[-1].pos if self.tokens else 0)
-            raise SqlSyntaxError(f"expected {word}, got {got}", pos)
+            raise SqlSyntaxError(f"expected {word}, got {got}", self.position())
         self.i += 1
         return tok
 
@@ -103,8 +106,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok.type != "punct" or tok.text != ch:
             got = "end of input" if tok is None else repr(tok.text)
-            pos = tok.pos if tok else (self.tokens[-1].pos if self.tokens else 0)
-            raise SqlSyntaxError(f"expected {ch!r}, got {got}", pos)
+            raise SqlSyntaxError(f"expected {ch!r}, got {got}", self.position())
         self.i += 1
 
     def at_op(self, *symbols: str) -> bool:
@@ -122,8 +124,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok.type != "ident":
             got = "end of input" if tok is None else repr(tok.text)
-            pos = tok.pos if tok else 0
-            raise SqlSyntaxError(f"expected {what}, got {got}", pos)
+            raise SqlSyntaxError(f"expected {what}, got {got}", self.position())
         self.i += 1
         return tok.text
 
@@ -397,7 +398,7 @@ class _Parser:
                 node = self.parse_in_rhs(node, negated)
                 continue
             if negated:
-                raise SqlSyntaxError("dangling NOT", self.peek().pos if self.peek() else 0)
+                raise SqlSyntaxError("dangling NOT", self.position())
             return node
 
     def parse_in_rhs(self, lhs: t.Node, negated: bool) -> t.Node:
@@ -461,7 +462,7 @@ class _Parser:
     def parse_primary(self) -> t.Node:
         tok = self.peek()
         if tok is None:
-            raise SqlSyntaxError("unexpected end of input", self.tokens[-1].pos)
+            raise SqlSyntaxError("unexpected end of input", self.position())
 
         if tok.type in ("number", "string"):
             self.i += 1
@@ -556,7 +557,7 @@ class _Parser:
         self.expect_kw("END")
         if len([k for k in kids if k.kind == t.OPERATOR and k.value[0] == "when"]) == 0:
             raise SqlSyntaxError("CASE requires at least one WHEN branch",
-                                 self.peek().pos if self.peek() else 0)
+                                 self.position())
         value = ("case", "simple") if simple else ("case",)
         return t.Node(t.OPERATOR, value, tuple(kids))
 
@@ -567,7 +568,7 @@ class _Parser:
         self.expect_kw("AS")
         tok = self.peek()
         if tok is None or tok.type not in ("ident", "kw"):
-            raise SqlSyntaxError("expected type name in CAST", tok.pos if tok else 0)
+            raise SqlSyntaxError("expected type name in CAST", self.position())
         self.i += 1
         type_name = tok.text.lower()
         self.expect_punct(")")

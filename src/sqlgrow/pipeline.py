@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import scheduler
 from .cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
-from .dedup import HttpEmbeddingBackend, dedup_schema_group, embed_questions
+from .dedup import dedup_schema_group, embed_questions
 from .errors import ConfigError, SqlgrowError, TransportError
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
-from .gateway import HttpChatBackend, LlmGateway
+from .gateway import HttpChatBackend, HttpEmbeddingBackend, LlmGateway
 from .harness import (
     ExecutionLimits,
     _grounding_problem,
@@ -159,7 +159,7 @@ def _backend_args(spec: dict) -> dict:
 def build_gateway(cfg: RunConfig) -> LlmGateway:
     backends = {role: HttpChatBackend(**_backend_args(spec))
                 for role, spec in (cfg.backends or {}).items()}
-    return LlmGateway(backends=backends, global_seed=cfg.global_seed)
+    return LlmGateway(backends=backends)
 
 
 def build_embedder(cfg: RunConfig) -> HttpEmbeddingBackend | None:
@@ -238,38 +238,22 @@ def save_ingest(out_dir: Path, seeds, quarantined) -> None:
 # Stages that grow candidates: exploratory expansion and evolution rounds
 # ---------------------------------------------------------------------------
 
-_TRANSPORT_TRIES = 2  # transport failures retry the instance once
-
-
-def _with_transport_retry(action):
-    last = None
-    for _ in range(_TRANSPORT_TRIES):
-        try:
-            return action()
-        except TransportError as exc:
-            last = exc
-    raise last
-
-
 def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
           rejections):
     """The grounded child that ``generate()`` proposes, or None once rejected.
 
-    A failed refinement, a transport failure that outlasts the retry or any
-    other package error becomes one rejection record; it carries
-    ``operator`` only when ``op`` is given (evolution rounds).
+    A failed refinement, a transport failure (the gateway has already spent
+    its retries on it) or any other package error becomes one rejection
+    record; it carries ``operator`` only when ``op`` is given (evolution
+    rounds).
     """
-    def generate_and_refine():
+    try:
         result = generate()
         outcome = refine_until_valid(
             result.question, result.sql, schema, conn,
             refiner=lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn),
             max_attempts=cfg.max_attempts, limits=cfg.limits,
         )
-        return result, outcome
-
-    try:
-        result, outcome = _with_transport_retry(generate_and_refine)
         reason = None if outcome.accepted else outcome.reason
     except TransportError as exc:
         reason = f"transport: {exc}"
@@ -323,7 +307,7 @@ def initial_state(cfg: RunConfig) -> scheduler.EvolutionState:
     """The scheduler state before round 1, with the configured target shares."""
     p_target = ({OperatorId[name]: weight for name, weight in cfg.p_target.items()}
                 if cfg.p_target else None)
-    return scheduler.fresh_state(cfg.epsilon, cfg.budget_k, p_target)
+    return scheduler.fresh_state(cfg.epsilon, p_target)
 
 
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,

@@ -15,7 +15,6 @@ from .errors import DomainError
 from .operators import OperatorId
 
 DEFAULT_EPSILON = 0.01
-DEFAULT_BUDGET_K = 2
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,10 @@ class EvolutionState:
     n_total: int
     p_target: dict
     epsilon: float
-    round_no: int = 0
-    budget_k: int = DEFAULT_BUDGET_K
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
-        if self.budget_k < 1:
-            raise DomainError("budget K must be at least 1")
         if any(c < 0 for c in self.counts.values()):
             raise DomainError("acceptance counts cannot be negative")
         if self.n_total != sum(self.counts.values()):
@@ -42,7 +37,6 @@ class EvolutionState:
 
 def fresh_state(
     epsilon: float = DEFAULT_EPSILON,
-    budget_k: int = DEFAULT_BUDGET_K,
     p_target: dict | None = None,
 ) -> EvolutionState:
     if p_target is None:
@@ -52,7 +46,6 @@ def fresh_state(
         n_total=0,
         p_target=dict(p_target),
         epsilon=epsilon,
-        budget_k=budget_k,
     )
 
 
@@ -91,8 +84,6 @@ def state_to_json(state: EvolutionState) -> str:
             "n_total": state.n_total,
             "p_target": {op.name: p for op, p in state.p_target.items()},
             "epsilon": state.epsilon,
-            "round_no": state.round_no,
-            "budget_k": state.budget_k,
         },
         sort_keys=True,
         indent=2,
@@ -100,12 +91,11 @@ def state_to_json(state: EvolutionState) -> str:
 
 
 def state_from_json(text: str) -> EvolutionState:
+    """The state ``state_to_json`` wrote; keys it does not write are ignored."""
     data = json.loads(text)
     return EvolutionState(
         counts={OperatorId[name]: c for name, c in data["counts"].items()},
         n_total=data["n_total"],
         p_target={OperatorId[name]: p for name, p in data["p_target"].items()},
         epsilon=data["epsilon"],
-        round_no=data.get("round_no", 0),
-        budget_k=data.get("budget_k", DEFAULT_BUDGET_K),
     )

@@ -181,7 +181,7 @@ def test_criterion_2_trajectory(schemas):
 
 def test_criterion_3_scheduler_balance():
     started = time.monotonic()
-    state = fresh_state(epsilon=0.01, budget_k=1)
+    state = fresh_state(epsilon=0.01)
     for _ in range(600):
         utilities = {op: utility(1.0, scarcity_weight(state, op))
                      for op in OperatorId}
@@ -193,7 +193,7 @@ def test_criterion_3_scheduler_balance():
         assert 0.1497 <= share <= 0.1836, f"{op.name} share {share:.4f}"
     assert elapsed < 1.0
     # deterministic: a rerun reproduces the same counts
-    state2 = fresh_state(epsilon=0.01, budget_k=1)
+    state2 = fresh_state(epsilon=0.01)
     for _ in range(600):
         utilities = {op: utility(1.0, scarcity_weight(state2, op))
                      for op in OperatorId}

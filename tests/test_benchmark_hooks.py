@@ -182,7 +182,7 @@ def test_run_oge_resolves_each_parent_once_for_its_operators(
         seeds, _ = pipeline.ingest_seeds(seed_file, repo, cfg)
         called = _count_calls(monkeypatch, operators, "resolve_references")
         evolved, _ = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
-                                      scheduler.fresh_state(cfg.epsilon, cfg.budget_k), 1)
+                                      scheduler.fresh_state(cfg.epsilon), 1)
     finally:
         repo.close()
     assert evolved

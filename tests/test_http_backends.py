@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,10 +8,24 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 
-from sqlgrow.dedup import HttpEmbeddingBackend, embed_questions
-from sqlgrow.errors import TransportError
-from sqlgrow.gateway import DecodingParams, HttpChatBackend
+import fixtures
+from sqlgrow import gateway
+from sqlgrow.dedup import embed_questions
+from sqlgrow.errors import ResponseFormatError, TransportError
+from sqlgrow.gateway import (
+    MAX_TRIES,
+    DecodingParams,
+    HttpChatBackend,
+    HttpEmbeddingBackend,
+    LlmGateway,
+)
+from sqlgrow.harness import ExecutionFeedback
+from sqlgrow.operators import OperatorId
+from sqlgrow.pipeline import RunConfig, SchemaRepo, ingest_seeds, run_eqe
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -48,6 +63,14 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
+def sleeps(monkeypatch):
+    """The backoff waits the gateway asks for, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(gateway.time, "sleep", waits.append)
+    return waits
+
+
+@pytest.fixture()
 def stub_server():
     _Handler.fail_first = 0
     _Handler.seen = []
@@ -69,21 +92,26 @@ def test_chat_backend_round_trip(stub_server):
     assert auth == "Bearer sekrit"
 
 
-def test_chat_backend_retries_then_succeeds(stub_server):
+def test_chat_backend_retries_then_succeeds(stub_server, sleeps, olympics_schema):
     _Handler.fail_first = 1
     backend = HttpChatBackend(endpoint=f"{stub_server}/v1/chat/completions",
-                              model="m1", retries=2)
-    texts = backend.complete([{"role": "user", "content": "hi"}], DecodingParams())
-    assert texts == ["reply 0 to m1"]
+                              model="m1")
+    gw = LlmGateway(backends={"refine": backend})
+    fb = ExecutionFeedback(ok=False, error="boom")
+    assert gw.refine_sql("q", "SELECT 1", olympics_schema, fb) == "reply 0 to m1"
     assert len(_Handler.seen) == 2  # one failure plus the success
+    assert sleeps == [0.5]
 
 
-def test_chat_backend_exhausts_retries(stub_server):
+def test_chat_backend_exhausts_retries(stub_server, sleeps, olympics_schema):
     _Handler.fail_first = 5
     backend = HttpChatBackend(endpoint=f"{stub_server}/v1/chat/completions",
-                              model="m1", retries=1)
+                              model="m1")
+    gw = LlmGateway(backends={"refine": backend})
+    fb = ExecutionFeedback(ok=False, error="boom")
     with pytest.raises(TransportError):
-        backend.complete([{"role": "user", "content": "hi"}], DecodingParams())
+        gw.refine_sql("q", "SELECT 1", olympics_schema, fb)
+    assert len(_Handler.seen) == MAX_TRIES
 
 
 def test_embedding_backend_normalizes(stub_server):
@@ -99,19 +127,171 @@ def test_embedding_backend_normalizes(stub_server):
     assert vectors[0].vector[0] == pytest.approx(1 / 3)
 
 
-def test_embedding_backend_failure_is_transport_error(stub_server):
+def test_embedding_backend_failure_is_transport_error(stub_server, sleeps):
     _Handler.fail_first = 10
     backend = HttpEmbeddingBackend(endpoint=f"{stub_server}/v1/embeddings",
                                    model="emb")
     with pytest.raises(TransportError):
         backend.embed(["q"])
+    assert len(_Handler.seen) == MAX_TRIES
+
+
+# -- the retry bound, with requests.post patched ----------------------------
+
+DOWN = requests.ConnectionError("synthetic outage")
+
+
+class _Reply:
+    def __init__(self, body):
+        self.body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.body
+
+
+def chat(*texts):
+    return {"choices": [{"message": {"content": text}} for text in texts]}
+
+
+EXPANSION = '{"question": "Q", "evidence": "", "gold_sql": "SELECT 1"}'
+
+
+class _Posts(list):
+    """Stands in for ``requests.post``: records each payload, answers from a script.
+
+    A scripted exception is raised; anything else is the decoded JSON reply.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.outcomes = []
+
+    def script(self, outcomes):
+        self.outcomes.extend(outcomes)
+
+    def __call__(self, endpoint, json=None, headers=None, timeout=None):
+        self.append(json)
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return _Reply(outcome)
+
+
+@pytest.fixture()
+def posts(monkeypatch, sleeps):
+    made = _Posts()
+    monkeypatch.setattr(requests, "post", made)
+    return made
+
+
+def live(*roles):
+    backend = HttpChatBackend(endpoint="http://model.invalid/v1", model="m")
+    return LlmGateway(backends={role: backend for role in roles})
+
+
+def test_transport_failures_stop_after_max_tries(posts, sleeps, olympics_schema):
+    posts.script([DOWN] * 10)
+    with pytest.raises(TransportError):
+        live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema)
+    assert len(posts) == MAX_TRIES == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_format_failures_stop_after_max_tries(posts, sleeps, olympics_schema):
+    posts.script([chat("no json here")] * 10)
+    with pytest.raises(ResponseFormatError):
+        live("evolve").generate_evolution("q", "", "SELECT 1", olympics_schema,
+                                          OperatorId.SET)
+    assert len(posts) == 3
+    assert sleeps == []  # a malformed reply is resampled at once
+
+
+def test_mixed_failures_share_one_bound(posts, sleeps, olympics_schema):
+    posts.script([DOWN, chat("no json here"), chat(EXPANSION), chat(EXPANSION)])
+    result = live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema)
+    assert result.sql == "SELECT 1"
+    assert len(posts) == 3
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("reply", [{}, {"choices": []}, {"choices": [{}]}, []])
+def test_reply_without_choices_is_a_transport_failure(posts, olympics_schema, reply):
+    posts.script([reply] * 3)
+    with pytest.raises(TransportError):
+        live("teach").generate_cot_candidates("q", "", olympics_schema, 2)
+    assert len(posts) == 3
+
+
+def test_strategy_scoring_is_bounded(posts, olympics_schema):
+    posts.script([chat("no array")] * 10)
+    with pytest.raises(ResponseFormatError):
+        live("strategize").score_feasibility_llm("q", "SELECT 1", olympics_schema)
+    assert len(posts) == 3
+
+
+def test_candidate_posts_at_most_three_per_attempt(posts, db_dir, tmp_path):
+    # the expansion and each of the (max_attempts - 1) refinements succeed
+    # only on their last try, and every draft misses the schema
+    seeds = tmp_path / "seeds.json"
+    question, sql = fixtures.SEED_QUESTIONS["olympics"][0]
+    seeds.write_text(json.dumps(
+        [{"question": question, "SQL": sql, "db_id": "olympics"}]))
+    broken = '{"question": "Q", "evidence": "", "gold_sql": "SELECT nosuch FROM games"}'
+    cfg = RunConfig(global_seed=3, max_attempts=3)
+    posts.script([DOWN, DOWN, chat(broken)]
+                 + [DOWN, DOWN, chat("```sql\nSELECT nosuch FROM games\n```")]
+                 * (cfg.max_attempts - 1))
+    repo = SchemaRepo(db_dir)
+    try:
+        parents, _ = ingest_seeds(seeds, repo, cfg)
+        rejections = []
+        assert run_eqe(parents, cfg, repo, live("expand", "refine"), rejections) == []
+    finally:
+        repo.close()
+    assert len(posts) == MAX_TRIES * cfg.max_attempts == 9
+    assert [r["stage"] for r in rejections] == ["EQE"]
+
+
+def test_embedder_retries_a_transport_failure(posts, sleeps):
+    posts.script([DOWN, {"data": [{"embedding": [3.0, 4.0]}]}])
+    backend = HttpEmbeddingBackend(endpoint="http://model.invalid/v1", model="e")
+    vectors = embed_questions(["q"], backend)
+    assert vectors[0].vector.tolist() == pytest.approx([0.6, 0.8])
+    assert len(posts) == 2 and sleeps == [0.5]
+    assert posts[0] == {"model": "e", "input": ["q"]}
+
+
+def test_only_gateway_imports_requests_and_only_in_functions():
+    # one module speaks the wire protocol, and importing it stays light
+    importers = {}
+    for path in sorted((SRC / "sqlgrow").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_function = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "requests" for name in names):
+                importers.setdefault(path.name, []).append(id(node) in in_function)
+    assert list(importers) == ["gateway.py"]
+    assert all(importers["gateway.py"])
 
 
 def test_import_does_not_load_requests():
     # only the HTTP backends need requests, and they import it on first use
-    src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     subprocess.run(
         [sys.executable, "-c",
          "import sqlgrow, sys; assert 'requests' not in sys.modules"],

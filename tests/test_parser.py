@@ -27,6 +27,20 @@ def test_empty_select_list_is_syntax_error():
         parse_sql("SELECT")
 
 
+@pytest.mark.parametrize("text, last_token", [
+    ("SELECT a FROM", "FROM"),                       # expect_ident
+    ("SELECT a FROM t AS", "AS"),                    # expect_ident, alias
+    ("SELECT CAST(a AS", "AS"),                      # CAST type name
+    ("SELECT a FROM t WHERE a BETWEEN 1", "1"),      # expect_kw
+    ("SELECT (a", "a"),                              # expect_punct
+    ("SELECT CASE a END", "END"),                    # CASE without WHEN
+])
+def test_error_at_end_of_input_points_at_the_last_token(text, last_token):
+    with pytest.raises(SqlSyntaxError) as info:
+        parse_sql(text)
+    assert info.value.position == text.rindex(last_token)
+
+
 def test_empty_text_is_syntax_error():
     with pytest.raises(SqlSyntaxError):
         parse_sql("   ")

@@ -117,7 +117,7 @@ def test_run_oge_budget_and_lineage(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3, budget_k=2)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     gateway = LlmGateway()
-    state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+    state = scheduler.fresh_state(cfg.epsilon)
     evolved, state = run_oge(seeds, cfg, repo, gateway, state, 1)
     assert len(evolved) <= cfg.budget_k * len(seeds)
     assert state.n_total == len(evolved)
@@ -247,11 +247,16 @@ class FlakyGateway(LlmGateway):
                                           db=db, seed=seed, analysis=analysis)
 
 
-def test_transport_failure_retried_then_recovers(repo, mini_seed_file):
+def test_transport_failure_is_one_rejection_after_one_call(repo, mini_seed_file):
+    # the gateway has spent its retries before a TransportError gets here,
+    # so the pipeline makes no second call, even one that would succeed
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
-    accepted = run_eqe(seeds, cfg, repo, FlakyGateway(fail_times=1))
-    assert len(accepted) == len(seeds)  # one retry absorbs the outage
+    gateway = FlakyGateway(fail_times=1)
+    rejections = []
+    assert run_eqe(seeds, cfg, repo, gateway, rejections) == []
+    assert len(gateway.calls) == len(rejections) == len(seeds)
+    assert all(r["reason"] == "transport: synthetic outage" for r in rejections)
 
 
 def test_persistent_transport_failure_recorded_not_fatal(repo, mini_seed_file):
@@ -284,22 +289,24 @@ def test_eqe_format_error_recorded_not_fatal(repo, mini_seed_file):
     ]
 
 
-def test_oge_transport_failure_retried_then_recovers(repo, mini_seed_file):
+def test_oge_transport_failure_is_one_rejection_after_one_call(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
-    state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+    state = scheduler.fresh_state(cfg.epsilon)
     steady, _ = run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
+    assert steady
+    gateway = FlakyGateway(fail_times=1)
     rejections = []
-    flaky, _ = run_oge(seeds, cfg, repo, FlakyGateway(fail_times=1),
-                       state, 1, rejections)
-    assert [c.to_dict() for c in flaky] == [c.to_dict() for c in steady]
-    assert not any(r["reason"].startswith("transport") for r in rejections)
+    flaky, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
+    assert flaky == [] and after == state
+    assert len(gateway.calls) == len(rejections) == cfg.budget_k * len(seeds)
+    assert all(r["reason"] == "transport: synthetic outage" for r in rejections)
 
 
 def test_oge_persistent_transport_failure_rejects_each_operator(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
-    state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+    state = scheduler.fresh_state(cfg.epsilon)
     gateway = FlakyGateway(fail_times=99)
     rejections = []
     evolved, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
@@ -307,10 +314,10 @@ def test_oge_persistent_transport_failure_rejects_each_operator(repo, mini_seed_
     assert len(rejections) == cfg.budget_k * len(seeds)
     assert all(r["stage"] == "OGE-1" and r["reason"].startswith("transport: ")
                for r in rejections)
-    # each chosen operator was tried twice and rejected once, under its name
+    # each chosen operator was tried once and rejected once, under its name
     rejected = [derive_seed(cfg.global_seed, r["parent"], 1, r["operator"])
                 for r in rejections]
-    assert sorted(gateway.calls) == sorted(rejected * 2)
+    assert sorted(gateway.calls) == sorted(rejected)
 
 
 def test_schema_repo_nested_layout(tmp_path):
@@ -355,7 +362,7 @@ def test_run_oge_gates_llm_scores_with_rules(repo, mini_seed_file):
         "Set Composition": 0.1,
     })})
     cfg = RunConfig(global_seed=1, budget_k=2)
-    state = scheduler.fresh_state(cfg.epsilon, cfg.budget_k)
+    state = scheduler.fresh_state(cfg.epsilon)
     from sqlgrow.operators import OperatorId as OID, analyze, check_applicability
     from sqlgrow.parser import parse_sql as P
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,10 +95,26 @@ def test_state_validation():
 
 
 def test_state_json_round_trip():
-    state = fresh_state(epsilon=0.02, budget_k=3)
+    state = fresh_state(epsilon=0.02)
     state = record_acceptance(state, OperatorId.JOIN)
     again = state_from_json(state_to_json(state))
     assert again == state
+
+
+def test_state_written_with_round_and_budget_keys_still_loads():
+    # state-N.json files from before these two fields were dropped carry them
+    old = json.dumps({
+        "budget_k": 2,
+        "counts": {"FUNC": 0, "JOIN": 1, "LOGIC": 0, "NEST": 0, "OP": 0, "SET": 0},
+        "epsilon": 0.01,
+        "n_total": 1,
+        "p_target": {op.name: 1 / 6 for op in OperatorId},
+        "round_no": 0,
+    }, sort_keys=True, indent=2)
+    state = state_from_json(old)
+    assert state == record_acceptance(fresh_state(epsilon=0.01), OperatorId.JOIN)
+    assert set(json.loads(state_to_json(state))) == {
+        "counts", "epsilon", "n_total", "p_target"}
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -111,7 +129,7 @@ def test_weight_strictly_decreases_in_count(extra):
 
 
 def simulate(steps, feasibility, epsilon=0.01):
-    state = fresh_state(epsilon=epsilon, budget_k=1)
+    state = fresh_state(epsilon=epsilon)
     for _ in range(steps):
         utilities = {
             op: utility(feasibility[op], scarcity_weight(state, op))
