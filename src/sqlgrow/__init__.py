@@ -24,7 +24,6 @@ from .features import FeatureVector, aggregate_features, extract_features, token
 from .gateway import CotCandidate, ExpansionResult, LlmGateway
 from .harness import (
     ExecutionFeedback,
-    ExecutionLimits,
     ResultMultiset,
     execute_sql,
     is_acceptable,

@@ -135,7 +135,7 @@ def _dispatch(args) -> int:
     gateway = build_gateway(cfg)
     try:
         if args.command == "ingest":
-            seeds, quarantined = ingest_seeds(cfg.seeds, repo, cfg)
+            seeds, quarantined = ingest_seeds(cfg.seeds, repo)
             save_ingest(out_dir, seeds, quarantined)
             print(f"{len(seeds)} seeds accepted, {len(quarantined)} quarantined")
             return 0

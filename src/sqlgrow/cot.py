@@ -12,7 +12,7 @@ import sqlite3
 from dataclasses import dataclass
 
 from .errors import TransportError
-from .harness import ExecutionLimits, collect_result, results_equivalent
+from .harness import collect_result, results_equivalent
 from .instances import QueryInstance
 
 
@@ -44,7 +44,6 @@ def synthesize_cot(
     schema,
     n: int = 4,
     teacher_tag: str = "mock",
-    limits: ExecutionLimits = ExecutionLimits(),
     seed: int = 0,
 ) -> CotRecord | CotDiscard | CotDeferral:
     """Rejection-sample a verified trace for one instance.
@@ -56,7 +55,7 @@ def synthesize_cot(
     Every other candidate runs and is compared with the gold result; rows
     are normalized only when the raw rows differ.
     """
-    gold_result = collect_result(conn, instance.sql, limits)
+    gold_result = collect_result(conn, instance.sql)
     if gold_result is None or not gold_result.rows:
         return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
 
@@ -79,7 +78,7 @@ def synthesize_cot(
         if candidate.predicted_sql == instance.sql:
             result = gold_result
         else:
-            result = collect_result(conn, candidate.predicted_sql, limits)
+            result = collect_result(conn, candidate.predicted_sql)
         if result is None:
             failures.append(f"candidate {index}: execution error")
             continue

@@ -43,8 +43,6 @@ from .render import render_sql
 from .resolve import resolve_references
 from .schema import DatabaseSchema, render_schema_prompt
 
-ROLES = ("expand", "evolve", "refine", "strategize", "teach")
-
 _STRATEGY_NAMES = {
     "functional wrapping": OperatorId.FUNC,
     "operator mutation": OperatorId.OP,

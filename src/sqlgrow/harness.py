@@ -4,6 +4,12 @@ All execution failures are data, not exceptions: the feedback object
 carries either the engine's error message or the shape of the result.
 Acceptance means the query ran and returned at least one row.
 
+A query may take at most ``MAX_VM_STEPS`` SQLite virtual-machine steps,
+counted by the progress handler, so whether it is accepted depends only on
+the query and the database, not on the speed of the host. ``WALL_CAP_S`` is
+a safety net for queries that are slow per step (huge strings): past it the
+run ends with ``TimeoutError`` instead of rejecting the candidate.
+
 A ``ResultMultiset`` holds the rows SQLite returned and the query's SQL.
 ``results_equivalent`` settles most comparisons on those rows as they are;
 it normalizes cells only when the rows differ, and it parses the SQL to
@@ -24,18 +30,14 @@ from .parser import parse_cached
 from .resolve import resolve_references
 from . import tree as t
 
-DEFAULT_TIMEOUT_MS = 5000
-DEFAULT_MAX_ROWS = 1000
-DEFAULT_SAMPLE_ROWS = 5
+MAX_VM_STEPS = 200_000_000
+MAX_ROWS = 1000
+SAMPLE_ROWS = 5
+WALL_CAP_S = 120.0
 
+# The progress handler runs about every this many VM steps; the step count
+# is kept in these units.
 _PROGRESS_OPCODES = 2000
-
-
-@dataclass(frozen=True)
-class ExecutionLimits:
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
-    max_rows: int = DEFAULT_MAX_ROWS
-    sample_rows: int = DEFAULT_SAMPLE_ROWS
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class ExecutionFeedback:
     columns: tuple[str, ...] = ()
     row_count: int = 0
     sample_rows: tuple[tuple[str, ...], ...] = ()
-    elapsed_ms: float = 0.0
     truncated: bool = False
 
 
@@ -66,7 +67,7 @@ class RefinementOutcome:
     reason: str = ""
 
 
-# Statements may only read. Recursive CTEs read too; the execute deadline
+# Statements may only read. Recursive CTEs read too; the VM step budget
 # bounds them. Everything else, ATTACH and PRAGMA included, is denied when
 # the statement is prepared, so nothing reaches a file.
 _ALLOWED_ACTIONS = frozenset({
@@ -85,63 +86,67 @@ def open_readonly(db_file) -> sqlite3.Connection:
     path = Path(db_file)
     if not path.is_file():
         raise IOError(f"database file not found: {path}")
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    # No statement cache: a cached statement carries its VM step count over
+    # from earlier runs, which would shift where the progress handler fires.
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
     conn.set_authorizer(_authorize)
     return conn
 
 
-def execute_sql(
-    conn: sqlite3.Connection,
-    sql: str,
-    limits: ExecutionLimits = ExecutionLimits(),
-) -> ExecutionFeedback:
+def execute_sql(conn: sqlite3.Connection, sql: str) -> ExecutionFeedback:
     """Run a query read-only; every failure comes back as feedback."""
-    start = time.monotonic()
     try:
-        columns, rows = _run_query(conn, sql, limits)
+        columns, rows = _run_query(conn, sql)
     except sqlite3.Error as exc:
-        message = str(exc)
-        if isinstance(exc, sqlite3.OperationalError) and "interrupted" in message:
-            message = "timeout"
-        return ExecutionFeedback(ok=False, error=message,
-                                 elapsed_ms=_ms_since(start))
+        return ExecutionFeedback(ok=False, error=str(exc))
 
-    truncated = len(rows) > limits.max_rows
+    truncated = len(rows) > MAX_ROWS
     if truncated:
-        rows = rows[: limits.max_rows]
+        rows = rows[:MAX_ROWS]
     sample = tuple(
         tuple("NULL" if cell is None else str(cell) for cell in row)
-        for row in rows[: limits.sample_rows]
+        for row in rows[:SAMPLE_ROWS]
     )
     return ExecutionFeedback(
         ok=True,
         columns=columns,
         row_count=len(rows),
         sample_rows=sample,
-        elapsed_ms=_ms_since(start),
         truncated=truncated,
     )
 
 
-def _run_query(conn: sqlite3.Connection, sql: str, limits: ExecutionLimits):
-    """Column names and up to ``max_rows + 1`` rows; SQLite errors propagate.
+def _run_query(conn: sqlite3.Connection, sql: str):
+    """Column names and up to ``MAX_ROWS + 1`` rows; SQLite errors propagate.
 
-    A query still running at the deadline is interrupted and raises an
-    OperationalError that says "interrupted".
+    A query past ``MAX_VM_STEPS`` is interrupted and raises an
+    OperationalError that names the step budget. A query still running
+    ``WALL_CAP_S`` after it started raises ``TimeoutError``.
     """
-    deadline = time.monotonic() + limits.timeout_ms / 1000.0
-    conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0,
-                              _PROGRESS_OPCODES)
+    deadline = time.monotonic() + WALL_CAP_S
+    steps = 0
+    past_deadline = False
+
+    def progress() -> bool:
+        nonlocal steps, past_deadline
+        steps += _PROGRESS_OPCODES
+        past_deadline = time.monotonic() > deadline
+        return steps > MAX_VM_STEPS or past_deadline
+
+    conn.set_progress_handler(progress, _PROGRESS_OPCODES)
     try:
         cur = conn.execute(sql)
-        rows = cur.fetchmany(limits.max_rows + 1)
+        rows = cur.fetchmany(MAX_ROWS + 1)
         return tuple(d[0] for d in cur.description or ()), rows
+    except sqlite3.OperationalError:
+        if past_deadline:
+            raise TimeoutError(f"query ran past the {WALL_CAP_S:g} s wall cap") from None
+        if steps > MAX_VM_STEPS:
+            raise sqlite3.OperationalError(
+                f"over the step budget of {MAX_VM_STEPS} VM steps") from None
+        raise
     finally:
         conn.set_progress_handler(None, 0)
-
-
-def _ms_since(start: float) -> float:
-    return (time.monotonic() - start) * 1000.0
 
 
 def is_acceptable(feedback: ExecutionFeedback) -> bool:
@@ -197,17 +202,13 @@ def _looks_numeric(text: str) -> bool:
     )
 
 
-def collect_result(
-    conn: sqlite3.Connection,
-    sql: str,
-    limits: ExecutionLimits = ExecutionLimits(),
-) -> ResultMultiset | None:
+def collect_result(conn: sqlite3.Connection, sql: str) -> ResultMultiset | None:
     """The result rows as SQLite returned them, or None when execution fails."""
     try:
-        _, rows = _run_query(conn, sql, limits)
+        _, rows = _run_query(conn, sql)
     except sqlite3.Error:
         return None
-    return ResultMultiset(tuple(rows[: limits.max_rows]), sql)
+    return ResultMultiset(tuple(rows[:MAX_ROWS]), sql)
 
 
 def _is_ordered(sql: str) -> bool:
@@ -255,7 +256,6 @@ def refine_until_valid(
     conn: sqlite3.Connection,
     refiner,
     max_attempts: int = 3,
-    limits: ExecutionLimits = ExecutionLimits(),
 ) -> RefinementOutcome:
     """Execute, and on failure ask the refiner for a revision, up to a bound.
 
@@ -268,7 +268,7 @@ def refine_until_valid(
     feedback = ExecutionFeedback(ok=False, error="not executed")
     reason = ""
     for attempt in range(1, max_attempts + 1):
-        feedback = execute_sql(conn, sql, limits)
+        feedback = execute_sql(conn, sql)
         reason = ""
         if is_acceptable(feedback):
             reason = _grounding_problem(sql, schema)

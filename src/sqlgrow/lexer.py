@@ -20,9 +20,6 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Single keywords that act as literals.
-LITERAL_KEYWORDS = frozenset({"null", "true", "false"})
-
 TWO_CHAR_OPS = ("!=", "<>", "<=", ">=", "||", "==")
 ONE_CHAR_OPS = "=<>+-*/%"
 PUNCT = "(),."

@@ -435,8 +435,12 @@ def _literal_class(node: t.Node) -> str | None:
     return None
 
 
-def _op_sites(ast, schema, ann, relation_at):
-    sites = []
+def _typed_comparisons(ast, schema, ann, relation_at):
+    """Literal comparisons in WHERE or HAVING that OP and NEST may rewrite.
+
+    Yields (path, node, ctx, relation, literal class, affinity) when the
+    literal is a number or text and the column is a column of a real table.
+    """
     for path, node in literal_comparisons(ast):
         ctx = ann.ctx.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
@@ -451,6 +455,13 @@ def _op_sites(ast, schema, ann, relation_at):
         affinity = _column_affinity(schema, relation, left.value[1])
         if affinity is None:
             continue
+        yield path, node, ctx, relation, lit_class, affinity
+
+
+def _op_sites(ast, schema, ann, relation_at):
+    sites = []
+    for path, node, _, relation, lit_class, affinity in _typed_comparisons(
+            ast, schema, ann, relation_at):
         sym = node.value[0]
         sym_class = "=" if sym == "=" else "!=" if sym == "!=" else "<"
         candidates = _OMEGA_BY_SHAPE.get((sym_class, lit_class), ())
@@ -597,29 +608,17 @@ def _join_sites(ast, schema, ann):
 
 def _nest_sites(ast, schema, ann, relation_at):
     sites = []
-    for path, node in literal_comparisons(ast):
-        ctx = ann.ctx.get(path)
-        if ctx is None or ctx.clause not in ("where", "having"):
-            continue
+    for path, node, ctx, relation, lit_class, affinity in _typed_comparisons(
+            ast, schema, ann, relation_at):
         if ctx.depth != ann.max_depth:
             continue  # keep the rewrite on the deepest core so depth grows
-        left, right = node.children
-        lit_class = _literal_class(right)
-        if lit_class is None:
-            continue
-        relation = relation_at.get((*path, 0))
-        if relation in (None, "<select-alias>"):
-            continue
-        affinity = _column_affinity(schema, relation, left.value[1])
-        if affinity is None:
-            continue
         if lit_class == "number" and affinity not in _NUMERIC_AFFINITIES:
             continue
         if lit_class == "text" and affinity != "text":
             continue
         sites.append(((*path, 1), {
-            "comparison": node.value[0], "column": left,
-            "relation": relation, "literal": right, "affinity": affinity,
+            "comparison": node.value[0], "column": node.children[0],
+            "relation": relation, "literal": node.children[1], "affinity": affinity,
         }))
     return sites
 

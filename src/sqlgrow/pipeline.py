@@ -22,7 +22,6 @@ from .errors import ConfigError, SqlgrowError, TransportError
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
 from .gateway import HttpChatBackend, HttpEmbeddingBackend, LlmGateway
 from .harness import (
-    ExecutionLimits,
     _grounding_problem,
     execute_sql,
     is_acceptable,
@@ -54,8 +53,6 @@ class RunConfig:
     tau: float = 0.9
     cot_n: int = 4
     expansions_per_seed: int = 1
-    timeout_ms: int = 5000
-    max_rows: int = 1000
     max_attempts: int = 3
     global_seed: int = 0
     dedup_before_cot: bool = False
@@ -77,10 +74,6 @@ class RunConfig:
             raise ConfigError("expansions_per_seed must be >= 1")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
-
-    @property
-    def limits(self) -> ExecutionLimits:
-        return ExecutionLimits(timeout_ms=self.timeout_ms, max_rows=self.max_rows)
 
     def echo(self) -> dict:
         data = asdict(self)
@@ -173,9 +166,8 @@ def build_embedder(cfg: RunConfig) -> HttpEmbeddingBackend | None:
 _SQL_KEYS = ("SQL", "sql", "query", "gold_sql")
 
 
-def ingest_seeds(path, repo: SchemaRepo, cfg: RunConfig | None = None):
+def ingest_seeds(path, repo: SchemaRepo):
     """Parse, resolve, and execute every seed; failures are quarantined."""
-    cfg = cfg or RunConfig()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             records = json.load(handle)
@@ -198,7 +190,7 @@ def ingest_seeds(path, repo: SchemaRepo, cfg: RunConfig | None = None):
         else:
             schema = repo.schema(schema_id)
             conn = repo.connection(schema_id)
-            reason = _seed_problem(sql, schema, conn, cfg.limits)
+            reason = _seed_problem(sql, schema, conn)
         if reason:
             quarantined.append({"index": i, "question": question,
                                 "schema_id": schema_id, "reason": reason})
@@ -216,12 +208,12 @@ def ingest_seeds(path, repo: SchemaRepo, cfg: RunConfig | None = None):
     return seeds, quarantined
 
 
-def _seed_problem(sql, schema, conn, limits) -> str:
+def _seed_problem(sql, schema, conn) -> str:
     """Why a seed is quarantined, or "" when it grounds and returns rows."""
     reason = _grounding_problem(sql, schema)
     if reason:
         return reason
-    feedback = execute_sql(conn, sql, limits)
+    feedback = execute_sql(conn, sql)
     if not feedback.ok:
         return feedback.error
     return "" if feedback.row_count else "empty result"
@@ -252,7 +244,7 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
         outcome = refine_until_valid(
             result.question, result.sql, schema, conn,
             refiner=lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn),
-            max_attempts=cfg.max_attempts, limits=cfg.limits,
+            max_attempts=cfg.max_attempts,
         )
         reason = None if outcome.accepted else outcome.reason
     except TransportError as exc:
@@ -385,7 +377,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
     out_dir = Path(cfg.out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    done = _load_done(ckpt_dir) if resume else {}
+    done = _start_done(ckpt_dir, cfg, resume)
 
     repo = SchemaRepo(cfg.db_dir)
     gateway = build_gateway(cfg)
@@ -397,9 +389,9 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
             seeds = read_jsonl(ckpt_dir / "seeds.jsonl")
             quarantined = json.loads((ckpt_dir / "quarantine.json").read_text())
         else:
-            seeds, quarantined = ingest_seeds(cfg.seeds, repo, cfg)
+            seeds, quarantined = ingest_seeds(cfg.seeds, repo)
             save_ingest(ckpt_dir, seeds, quarantined)
-            _mark_done(ckpt_dir, "ingest")
+            _mark_done(ckpt_dir, done, "ingest")
 
         # exploratory expansion
         if "eqe" in done:
@@ -407,7 +399,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
         else:
             eqe = run_eqe(seeds, cfg, repo, gateway, rejections)
             write_jsonl(eqe, ckpt_dir / "eqe.jsonl")
-            _mark_done(ckpt_dir, "eqe")
+            _mark_done(ckpt_dir, done, "eqe")
 
         # evolution rounds
         state = initial_state(cfg)
@@ -422,7 +414,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
                 current, state = run_oge(
                     current, cfg, repo, gateway, state, round_no, rejections)
                 save_round(ckpt_dir, round_no, current, state)
-                _mark_done(ckpt_dir, stage_name)
+                _mark_done(ckpt_dir, done, stage_name)
             evolved.extend(current)
 
         pool = seeds + eqe + evolved
@@ -455,7 +447,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
         report_text, report_csv = stats_report(out_dir / "dataset.jsonl")
         (out_dir / "feature_report.txt").write_text(report_text)
         (out_dir / "feature_report.csv").write_text(report_csv)
-        _mark_done(ckpt_dir, "final")
+        _mark_done(ckpt_dir, done, "final")
         return manifest
     finally:
         repo.close()
@@ -493,7 +485,7 @@ def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
         schema = repo.schema(inst.schema_id)
         outcome = synthesize_cot(
             inst, conn, gateway, schema, n=cfg.cot_n, teacher_tag=teacher_tag,
-            limits=cfg.limits, seed=derive_seed(cfg.global_seed, inst.id, "cot"),
+            seed=derive_seed(cfg.global_seed, inst.id, "cot"),
         )
         if isinstance(outcome, CotRecord):
             inst = inst.with_status("cot-kept")
@@ -565,18 +557,35 @@ def _write_side_files(out_dir: Path, removals, rejections, quarantined) -> None:
             handle.write(json.dumps(item, sort_keys=True) + "\n")
 
 
-def _mark_done(ckpt_dir: Path, stage: str) -> None:
+def _config_sha256(cfg: RunConfig) -> str:
+    """The hash of the config echo, input locations left out."""
+    echo = cfg.echo()
+    del echo["seeds"], echo["db_dir"]
+    return hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool) -> dict:
+    """The finished stages to reuse, keyed by name, and the config's hash.
+
+    A fresh run starts ``done.json`` afresh. A resumed run reuses it only
+    when it was written under the same config.
+    """
     path = ckpt_dir / "done.json"
-    done = _load_done(ckpt_dir)
+    config_sha256 = _config_sha256(cfg)
+    if not resume:
+        done = {"config_sha256": config_sha256}
+        path.write_text(json.dumps(done, sort_keys=True, indent=2))
+        return done
+    done = json.loads(path.read_text()) if path.is_file() else {}
+    if done.get("config_sha256") != config_sha256:
+        raise ConfigError(f"cannot resume: the checkpoints in {ckpt_dir} were "
+                          "not written under this config")
+    return done
+
+
+def _mark_done(ckpt_dir: Path, done: dict, stage: str) -> None:
     done[stage] = True
-    path.write_text(json.dumps(done, sort_keys=True, indent=2))
-
-
-def _load_done(ckpt_dir: Path) -> dict:
-    path = ckpt_dir / "done.json"
-    if path.is_file():
-        return json.loads(path.read_text())
-    return {}
+    (ckpt_dir / "done.json").write_text(json.dumps(done, sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +646,13 @@ def stats_report(dataset_path) -> tuple[str, str]:
     return text, "\n".join(csv_lines) + "\n"
 
 
-def verify_dataset(dataset_path, repo: SchemaRepo,
-                   limits: ExecutionLimits = ExecutionLimits()) -> dict:
+def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
     """Re-execute every row; the final dataset must be 100% non-empty."""
     instances = read_jsonl(dataset_path)
     failures = []
     for inst in instances:
         conn = repo.connection(inst.schema_id)
-        feedback = execute_sql(conn, inst.sql, limits)
+        feedback = execute_sql(conn, inst.sql)
         if not is_acceptable(feedback):
             failures.append({"id": inst.id, "reason": feedback.error or "empty result"})
     return {"total": len(instances), "failures": failures}

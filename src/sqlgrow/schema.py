@@ -56,7 +56,6 @@ class TableDef:
 class DatabaseSchema:
     schema_id: str
     tables: tuple[TableDef, ...]
-    evidence_notes: str = ""
     date_like_patterns: tuple[str, ...] = DATE_LIKE_PATTERNS
 
     def table(self, name: str) -> TableDef | None:
@@ -87,13 +86,6 @@ class JoinEdge:
     table_b: str
     columns_b: tuple[str, ...]
 
-    def condition_text(self) -> str:
-        pairs = [
-            f"{self.table_a}.{ca} = {self.table_b}.{cb}"
-            for ca, cb in zip(self.columns_a, self.columns_b)
-        ]
-        return " AND ".join(pairs)
-
 
 def _affinity_of(declared: str) -> str:
     """SQLite type affinity rules, reduced to the five storage classes."""
@@ -109,7 +101,7 @@ def _affinity_of(declared: str) -> str:
     return "numeric"
 
 
-def load_schema(db_file, evidence_notes: str = "") -> DatabaseSchema:
+def load_schema(db_file) -> DatabaseSchema:
     """Introspect a SQLite database file into a validated schema."""
     path = Path(db_file)
     if not path.is_file():
@@ -119,14 +111,14 @@ def load_schema(db_file, evidence_notes: str = "") -> DatabaseSchema:
     except sqlite3.Error as exc:
         raise IOError(f"cannot open database {path}: {exc}")
     try:
-        return _introspect(conn, path.stem, evidence_notes)
+        return _introspect(conn, path.stem)
     except sqlite3.DatabaseError as exc:
         raise IOError(f"not a readable SQLite database: {path}: {exc}")
     finally:
         conn.close()
 
 
-def _introspect(conn: sqlite3.Connection, schema_id: str, evidence_notes: str) -> DatabaseSchema:
+def _introspect(conn: sqlite3.Connection, schema_id: str) -> DatabaseSchema:
     cur = conn.cursor()
     names = [
         r[0]
@@ -163,7 +155,7 @@ def _introspect(conn: sqlite3.Connection, schema_id: str, evidence_notes: str) -
                 foreign_keys=tuple(fk_list),
             )
         )
-    schema = DatabaseSchema(schema_id, tuple(tables), evidence_notes)
+    schema = DatabaseSchema(schema_id, tuple(tables))
     validate_schema(schema)
     return schema
 

@@ -179,7 +179,7 @@ def test_run_oge_resolves_each_parent_once_for_its_operators(
             {"question": q, "SQL": sql, "db_id": "olympics"}
             for q, sql in fixtures.SEED_QUESTIONS["olympics"][:6]
         ]))
-        seeds, _ = pipeline.ingest_seeds(seed_file, repo, cfg)
+        seeds, _ = pipeline.ingest_seeds(seed_file, repo)
         called = _count_calls(monkeypatch, operators, "resolve_references")
         evolved, _ = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
                                       scheduler.fresh_state(cfg.epsilon), 1)

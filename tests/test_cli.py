@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 import fixtures
+from sqlgrow import harness, pipeline
 from sqlgrow.cli import main
 from sqlgrow.instances import read_jsonl
 
@@ -103,6 +105,39 @@ def test_stage_failure_exit_code(tmp_path):
         "out_dir": str(tmp_path / "out"),
     }))
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_wall_cap_ends_the_run_without_a_rejection(workspace, monkeypatch, capsys):
+    tmp_path, cfg = workspace
+    real_run_eqe = pipeline.run_eqe
+    seen = []
+
+    def run_eqe_past_the_cap(seeds, cfg, repo, gateway, rejections):
+        # from here on every progress-handler call reads a clock past the cap
+        ticks = itertools.count(step=harness.WALL_CAP_S + 1)
+        monkeypatch.setattr(harness.time, "monotonic", lambda: next(ticks))
+        monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
+        try:
+            return real_run_eqe(seeds, cfg, repo, gateway, rejections)
+        finally:
+            seen.append(list(rejections))
+
+    monkeypatch.setattr(pipeline, "run_eqe", run_eqe_past_the_cap)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "wall cap" in capsys.readouterr().err
+    assert seen == [[]]
+    out = tmp_path / "out"
+    assert not (out / "rejections.jsonl").exists()
+    done = json.loads((out / "checkpoints" / "done.json").read_text())
+    assert "ingest" in done and "eqe" not in done
+
+
+def test_resume_under_another_config_is_refused(workspace, capsys):
+    _, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--resume", "--tau", "0.8"]) == 1
+    assert "cannot resume" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
 
 
 def test_staged_cot_then_dedup(workspace):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,7 +9,6 @@ from fixtures import STAGE_SQL_2
 from sqlgrow import harness
 from sqlgrow.harness import (
     ExecutionFeedback,
-    ExecutionLimits,
     ResultMultiset,
     collect_result,
     execute_sql,
@@ -36,21 +36,85 @@ def test_stage2_returns_rows(connections):
     assert fb.ok and fb.row_count >= 1
 
 
-def test_timeout_kills_runaway_query(connections):
+def test_step_budget_stops_runaway_query(connections, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_VM_STEPS", 1_000_000)
     runaway = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
                "SELECT COUNT(*) FROM c")
-    fb = execute_sql(connections["olympics"], runaway,
-                     ExecutionLimits(timeout_ms=100))
+    fb = execute_sql(connections["olympics"], runaway)
     assert not fb.ok
-    assert fb.error == "timeout"
+    assert fb.error == "over the step budget of 1000000 VM steps"
+    assert collect_result(connections["olympics"], runaway) is None
+    assert execute_sql(connections["olympics"], "SELECT 1").ok
 
 
-def test_truncation_flag(connections):
+def test_truncation_flag(connections, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_ROWS", 3)
     fb = execute_sql(connections["olympics"],
-                     "SELECT gc.id FROM games_competitor gc, games_competitor g2",
-                     ExecutionLimits(max_rows=3))
+                     "SELECT gc.id FROM games_competitor gc, games_competitor g2")
     assert fb.ok and fb.truncated and fb.row_count == 3
     assert len(fb.sample_rows) <= 3
+
+
+# A query of some tens of thousands of VM steps.
+_LOOP_SQL = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+             "WHERE x < 5000) SELECT COUNT(*) FROM c")
+
+
+def _counted_steps(conn, sql):
+    """The query's VM steps as the harness counts them."""
+    calls = []
+    conn.set_progress_handler(lambda: calls.append(1), harness._PROGRESS_OPCODES)
+    try:
+        conn.execute(sql).fetchall()
+    finally:
+        conn.set_progress_handler(None, 0)
+    return len(calls) * harness._PROGRESS_OPCODES
+
+
+def _clock(monkeypatch, step):
+    """Patch the harness clock to advance by ``step`` seconds per reading."""
+    ticks = itertools.count()
+    monkeypatch.setattr(harness.time, "monotonic", lambda: next(ticks) * step)
+
+
+def test_acceptance_depends_only_on_the_step_budget(db_dir, monkeypatch):
+    conn = open_readonly(db_dir / "olympics.db")
+    try:
+        steps = _counted_steps(conn, _LOOP_SQL)
+        assert _counted_steps(conn, _LOOP_SQL) == steps  # no carry-over
+        readings = steps // harness._PROGRESS_OPCODES + 1
+        assert readings >= 10
+        fast = harness.WALL_CAP_S / (2 * readings)  # stays below the cap
+
+        monkeypatch.setattr(harness, "MAX_VM_STEPS", steps // 2)
+        _clock(monkeypatch, 0.0)
+        frozen = execute_sql(conn, _LOOP_SQL)
+        _clock(monkeypatch, fast)
+        racing = execute_sql(conn, _LOOP_SQL)
+        assert frozen == racing
+        assert frozen == ExecutionFeedback(
+            ok=False, error=f"over the step budget of {steps // 2} VM steps")
+
+        monkeypatch.setattr(harness, "MAX_VM_STEPS", steps - 1)
+        assert not execute_sql(conn, _LOOP_SQL).ok
+        monkeypatch.setattr(harness, "MAX_VM_STEPS", steps)
+        accepted = execute_sql(conn, _LOOP_SQL)
+        _clock(monkeypatch, 0.0)
+        assert execute_sql(conn, _LOOP_SQL) == accepted
+        assert accepted.ok and accepted.sample_rows == (("5000",),)
+    finally:
+        conn.close()
+
+
+def test_wall_cap_raises_timeout_error(connections, monkeypatch):
+    _clock(monkeypatch, harness.WALL_CAP_S + 1)  # every reading past the last cap
+    conn = connections["olympics"]
+    with pytest.raises(TimeoutError, match="wall cap"):
+        execute_sql(conn, _LOOP_SQL)
+    with pytest.raises(TimeoutError, match="wall cap"):
+        collect_result(conn, _LOOP_SQL)
+    # a query too short to reach the progress handler never reads the clock twice
+    assert execute_sql(conn, "SELECT 1").ok
 
 
 def test_is_acceptable_rules():

@@ -246,7 +246,7 @@ def test_candidate_posts_at_most_three_per_attempt(posts, db_dir, tmp_path):
                  * (cfg.max_attempts - 1))
     repo = SchemaRepo(db_dir)
     try:
-        parents, _ = ingest_seeds(seeds, repo, cfg)
+        parents, _ = ingest_seeds(seeds, repo)
         rejections = []
         assert run_eqe(parents, cfg, repo, live("expand", "refine"), rejections) == []
     finally:

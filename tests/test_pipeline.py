@@ -1,4 +1,8 @@
 import json
+import re
+import shutil
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,23 @@ def test_config_file_round_trip(tmp_path, db_dir):
     bad.write_text(json.dumps({"not_a_field": 1}))
     with pytest.raises(ConfigError):
         RunConfig.from_file(bad)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"Example `run.json`:\s*```json\n(.*?)```", readme, re.DOTALL)
+    path = tmp_path / "run.json"
+    path.write_text(example.group(1))
+    cfg = RunConfig.from_file(path)
+    assert cfg.rounds == 2 and set(cfg.backends) == {"evolve"}
+
+
+@pytest.mark.parametrize("field", ["timeout_ms", "max_rows"])
+def test_removed_execution_limit_fields_are_unknown(tmp_path, field):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"rounds": 1, field: 1000}))
+    with pytest.raises(ConfigError, match=f"unknown config fields: \\['{field}'\\]"):
+        RunConfig.from_file(path)
 
 
 def test_derive_seed_stable():
@@ -195,6 +216,37 @@ def test_run_full_resume_reuses_checkpoints(tmp_path, db_dir, mini_seed_file):
     cfg, manifest = run_mini_full(tmp_path, db_dir, mini_seed_file, "runR")
     again = run_full(cfg, resume=True)
     assert again == manifest
+
+
+def test_resume_under_changed_tau_is_refused(tmp_path, db_dir, mini_seed_file):
+    cfg, manifest = run_mini_full(tmp_path, db_dir, mini_seed_file, "runC")
+    with pytest.raises(ConfigError, match="cannot resume"):
+        run_full(replace(cfg, tau=0.8), resume=True)
+    # input locations are not part of the hash
+    moved_seeds = tmp_path / "moved" / "seeds.json"
+    moved_seeds.parent.mkdir()
+    moved_seeds.write_text(mini_seed_file.read_text())
+    moved_dbs = shutil.copytree(db_dir, tmp_path / "moved" / "dbs")
+    moved = run_full(replace(cfg, seeds=str(moved_seeds), db_dir=str(moved_dbs)),
+                     resume=True)
+    assert moved["counts"] == manifest["counts"]
+    # checkpoints that record no config are not resumed either
+    done_path = tmp_path / "runC" / "checkpoints" / "done.json"
+    done = json.loads(done_path.read_text())
+    del done["config_sha256"]
+    done_path.write_text(json.dumps(done))
+    with pytest.raises(ConfigError, match="cannot resume"):
+        run_full(cfg, resume=True)
+
+
+def test_fresh_run_over_a_finished_directory_starts_done_afresh(
+        tmp_path, db_dir, mini_seed_file):
+    cfg, _ = run_mini_full(tmp_path, db_dir, mini_seed_file, "runF", rounds=2)
+    done_path = tmp_path / "runF" / "checkpoints" / "done.json"
+    assert "oge-2" in json.loads(done_path.read_text())
+    run_full(replace(cfg, rounds=1))
+    done = json.loads(done_path.read_text())
+    assert set(done) == {"config_sha256", "ingest", "eqe", "oge-1", "final"}
 
 
 def test_stats_report_columns(tmp_path, db_dir, mini_seed_file):

@@ -53,7 +53,8 @@ def test_join_graph_mini(mini_olympics_db):
     edges = graph["person"]
     assert len(edges) == 1
     assert edges[0].table_b == "games_competitor"
-    assert edges[0].condition_text() == "person.id = games_competitor.person_id"
+    assert edges[0].table_a == "person" and edges[0].columns_a == ("id",)
+    assert edges[0].columns_b == ("person_id",)
     # symmetric
     back = graph["games_competitor"]
     assert any(e.table_b == "person" for e in back)
