@@ -26,7 +26,6 @@ from .harness import (
     ExecutionFeedback,
     ResultMultiset,
     execute_sql,
-    is_acceptable,
     open_readonly,
     refine_until_valid,
     results_equivalent,

@@ -22,7 +22,6 @@ class CotRecord:
     trace: str
     verified_sql: str
     attempts_used: int
-    teacher_tag: str
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ def synthesize_cot(
     teacher,
     schema,
     n: int = 4,
-    teacher_tag: str = "mock",
     seed: int = 0,
 ) -> CotRecord | CotDiscard | CotDeferral:
     """Rejection-sample a verified trace for one instance.
@@ -88,7 +86,6 @@ def synthesize_cot(
                 trace=candidate.reasoning,
                 verified_sql=candidate.predicted_sql,
                 attempts_used=index,
-                teacher_tag=teacher_tag,
             )
         failures.append(f"candidate {index}: result mismatch")
     return CotDiscard(instance.id, tuple(failures))

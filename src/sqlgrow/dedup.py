@@ -1,9 +1,11 @@
 """Schema-aware near-duplicate removal over question embeddings.
 
-Each schema group is scanned greedily in lineage order: an instance stays
-iff its maximum cosine against everything already kept is at or below the
-threshold. Groups are independent, so identical questions under two
-schemas both survive.
+Dedup is the last stage of a run. ``embed_questions`` turns the questions
+of one schema group into one matrix with a unit row per question, and
+``dedup_schema_group`` scans that group greedily in lineage order: an
+instance stays iff its maximum cosine against everything already kept is
+at or below the threshold. Groups are independent, so identical questions
+under two schemas both survive.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ from .instances import QueryInstance, stage_rank
 
 FALLBACK_DIM = 4096
 _EMPTY_AXIS = 0
-
-
-@dataclass(frozen=True)
-class QuestionVector:
-    instance_id: str
-    vector: np.ndarray
-    source: str  # external-embedder | lexical-fallback
 
 
 @dataclass(frozen=True)
@@ -72,40 +67,37 @@ def _bucket_counts(text: str) -> Counter:
 def embed_questions(
     questions: list[str],
     embedder: HttpEmbeddingBackend | None = None,
-    instance_ids: list[str] | None = None,
-) -> list[QuestionVector]:
-    """One unit vector per question; lexical trigram fallback without a backend.
+) -> np.ndarray:
+    """An ``n x d`` matrix with one unit row per question, in question order.
 
-    The lexical fallback hashes trigrams into ``FALLBACK_DIM`` buckets. The
-    lexical vectors of one call are the rows of one count matrix over only
-    the buckets its questions use, so they share a basis: they are
-    comparable with each other, not with vectors from another call.
+    With a backend the rows are its embeddings; a reply must hold one row per
+    question, all of one width. Without one, the lexical fallback hashes
+    trigrams into ``FALLBACK_DIM`` buckets and keeps only the buckets the
+    questions use, so the rows of one call share a basis: they are
+    comparable with each other, not with rows from another call. A row with
+    no content is the unit vector on the reserved axis.
     """
-    ids = instance_ids or [str(i) for i in range(len(questions))]
-    if len(ids) != len(questions):
-        raise StructuralError("instance ids and questions are misaligned")
     if embedder is not None:
         raw = embedder.embed(questions)
-        out = []
-        for qid, emb in zip(ids, raw):
-            vec = np.asarray(emb, dtype=np.float64)
-            norm = np.linalg.norm(vec)
-            if norm == 0:
-                vec = np.zeros(len(vec))
-                vec[_EMPTY_AXIS] = 1.0
-            else:
-                vec = vec / norm
-            out.append(QuestionVector(qid, vec, "external-embedder"))
-        return out
-    counts = [_bucket_counts(q) for q in questions]
-    column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
-    matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
-    for row, text_counts in zip(matrix, counts):
-        for bucket, count in text_counts.items():
-            row[column[bucket]] = count
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    return [QuestionVector(qid, row, "lexical-fallback")
-            for qid, row in zip(ids, matrix)]
+        widths = {len(row) for row in raw}
+        if len(raw) != len(questions) or len(widths) > 1 or 0 in widths:
+            raise StructuralError(
+                f"embedder returned {len(raw)} rows of widths {sorted(widths)} "
+                f"for {len(questions)} questions")
+        matrix = np.array(raw, dtype=np.float64).reshape(len(raw), max(widths, default=0))
+    else:
+        counts = [_bucket_counts(q) for q in questions]
+        column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
+        matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
+        for row, text_counts in zip(matrix, counts):
+            for bucket, count in text_counts.items():
+                row[column[bucket]] = count
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    empty = norms[:, 0] == 0
+    matrix[empty, _EMPTY_AXIS] = 1.0
+    norms[empty] = 1.0
+    matrix /= norms
+    return matrix
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -114,33 +106,28 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def dedup_schema_group(
     instances: list[QueryInstance],
-    vectors: list[QuestionVector],
+    vectors: np.ndarray,
     tau: float,
 ) -> tuple[list[QueryInstance], list[RemovalRecord]]:
     """Greedy first-kept-wins scan over one schema group.
 
-    All pairwise similarities come from one matrix product of the group's
-    vectors, which must therefore share a basis.
+    ``vectors`` is the ``embed_questions`` matrix of the group's questions:
+    row ``i`` belongs to ``instances[i]``. All pairwise similarities come
+    from one product of that matrix with itself.
     """
     if len(instances) != len(vectors):
         raise StructuralError("instances and vectors are misaligned")
     schema_ids = {inst.schema_id for inst in instances}
     if len(schema_ids) > 1:
         raise StructuralError(f"group spans multiple schemas: {sorted(schema_ids)}")
-    for inst, vec in zip(instances, vectors):
-        if inst.id != vec.instance_id:
-            raise StructuralError("instances and vectors are misaligned")
-    if len({len(v.vector) for v in vectors}) > 1:
-        raise StructuralError("vectors of one group differ in dimension")
     if not instances:
         return [], []
 
     order = sorted(range(len(instances)),
                    key=lambda i: (stage_rank(instances[i].stage), instances[i].id))
-    matrix = np.vstack([v.vector for v in vectors])
-    sims = matrix @ matrix.T
+    sims = vectors @ vectors.T
 
-    kept_idx = _greedy_scan(order, lambda i, j: sims[i, j], tau)
+    kept_idx = _greedy_scan(order, sims, tau)
     kept_set = set(kept_idx)
     removals = []
     for i in order:
@@ -156,10 +143,10 @@ def dedup_schema_group(
     return kept, removals
 
 
-def _greedy_scan(order, similarity, tau) -> list[int]:
+def _greedy_scan(order, sims: np.ndarray, tau) -> list[int]:
     """Keep an item iff its max similarity to the kept set is <= tau."""
     kept: list[int] = []
     for i in order:
-        if all(similarity(i, j) <= tau for j in kept):
+        if all(sims[i, j] <= tau for j in kept):
             kept.append(i)
     return kept

@@ -271,7 +271,7 @@ class LlmGateway:
 
     def score_feasibility_llm(
         self, question: str, sql: str, schema: DatabaseSchema
-    ) -> dict[OperatorId, tuple[float, str]]:
+    ) -> dict[OperatorId, float]:
         """Model-scored feasibility; only available with a live backend."""
         backend = self._backend("strategize")
         if backend is None:
@@ -343,10 +343,7 @@ def _mock_refine(question, draft, schema, feedback, db):
     if fixed is not None:
         return fixed
 
-    empty_result = (feedback.ok and feedback.row_count == 0) or (
-        not feedback.ok and feedback.error == "empty result"
-    )
-    if not empty_result:
+    if not (feedback.ok and feedback.row_count == 0):
         return draft
 
     try:
@@ -527,8 +524,8 @@ def _parse_refined(text: str) -> str:
     return sql
 
 
-def _parse_scores(text: str) -> dict[OperatorId, tuple[float, str]]:
-    scores: dict[OperatorId, tuple[float, str]] = {}
+def _parse_scores(text: str) -> dict[OperatorId, float]:
+    scores: dict[OperatorId, float] = {}
     for entry in _first_json(text, list):
         if not isinstance(entry, dict):
             continue
@@ -538,7 +535,7 @@ def _parse_scores(text: str) -> dict[OperatorId, tuple[float, str]]:
             continue
         if not 0.0 <= float(score) <= 1.0:
             continue  # out-of-range entries fall back to rule-based
-        scores[op] = (float(score), str(entry.get("justification", "")))
+        scores[op] = float(score)
     return scores
 
 

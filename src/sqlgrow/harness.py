@@ -149,8 +149,14 @@ def _run_query(conn: sqlite3.Connection, sql: str):
         conn.set_progress_handler(None, 0)
 
 
-def is_acceptable(feedback: ExecutionFeedback) -> bool:
-    return feedback.ok and feedback.row_count >= 1
+def execution_problem(feedback: ExecutionFeedback) -> str:
+    """Why an execution is not accepted: the engine's error or "empty result".
+
+    "" means the query ran and returned rows. A failure never maps to "".
+    """
+    if not feedback.ok:
+        return feedback.error or "execution error"
+    return "" if feedback.row_count else "empty result"
 
 
 def render_feedback(feedback: ExecutionFeedback) -> str:
@@ -269,16 +275,12 @@ def refine_until_valid(
     reason = ""
     for attempt in range(1, max_attempts + 1):
         feedback = execute_sql(conn, sql)
-        reason = ""
-        if is_acceptable(feedback):
+        reason = execution_problem(feedback)
+        if not reason:
             reason = _grounding_problem(sql, schema)
             if not reason:
                 return RefinementOutcome(True, sql, attempt, feedback)
             feedback = ExecutionFeedback(ok=False, error=reason)
-        elif feedback.ok:
-            reason = "empty result"
-        else:
-            reason = feedback.error
         if attempt == max_attempts:
             break
         sql = refiner(question, sql, schema, feedback)

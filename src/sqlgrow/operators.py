@@ -94,7 +94,6 @@ class FeasibilityReport:
     operator: OperatorId
     score: float
     eligible_sites: tuple[t.Path, ...]
-    justification: str
 
 
 @dataclass(frozen=True)
@@ -261,15 +260,6 @@ class _Annotator:
 
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
-_JUSTIFICATIONS = {
-    OperatorId.FUNC: "column leaves available for function wrapping",
-    OperatorId.OP: "column-vs-literal comparisons available for operator rewriting",
-    OperatorId.LOGIC: "clauses available for predicate or sort-key expansion",
-    OperatorId.JOIN: "FK-reachable tables not yet joined",
-    OperatorId.NEST: "compared literals replaceable by scalar subqueries",
-    OperatorId.SET: "root query always composable with a set operator",
-}
-
 
 @dataclass(frozen=True)
 class ParentAnalysis:
@@ -301,8 +291,7 @@ def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> Feasibility
     """Rule-based feasibility: enumerate rewrite sites and score them."""
     sites = [site for site, _ in _enumerate_sites(analysis, op)]
     score = min(1.0, len(sites) / FULL_SCORE_SITES) if sites else 0.0
-    note = _JUSTIFICATIONS[op] if sites else "no eligible rewrite site"
-    return FeasibilityReport(op, score, tuple(sites), note)
+    return FeasibilityReport(op, score, tuple(sites))
 
 
 def literal_comparisons(ast: t.Node):

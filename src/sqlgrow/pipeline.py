@@ -24,7 +24,7 @@ from .gateway import HttpChatBackend, HttpEmbeddingBackend, LlmGateway
 from .harness import (
     _grounding_problem,
     execute_sql,
-    is_acceptable,
+    execution_problem,
     open_readonly,
     refine_until_valid,
 )
@@ -55,7 +55,6 @@ class RunConfig:
     expansions_per_seed: int = 1
     max_attempts: int = 3
     global_seed: int = 0
-    dedup_before_cot: bool = False
     backends: dict = field(default_factory=dict)
     embedder: dict | None = None
 
@@ -213,10 +212,7 @@ def _seed_problem(sql, schema, conn) -> str:
     reason = _grounding_problem(sql, schema)
     if reason:
         return reason
-    feedback = execute_sql(conn, sql)
-    if not feedback.ok:
-        return feedback.error
-    return "" if feedback.row_count else "empty result"
+    return execution_problem(execute_sql(conn, sql))
 
 
 def save_ingest(out_dir: Path, seeds, quarantined) -> None:
@@ -338,7 +334,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             for op in OperatorId:
                 if op in llm_scores:
                     gate = 1.0 if rule_scores[op] > 0 else 0.0
-                    feas[op] = gate * llm_scores[op][0]
+                    feas[op] = gate * llm_scores[op]
 
         utilities = {
             op: scheduler.utility(feas[op], scheduler.scarcity_weight(state, op))
@@ -417,21 +413,13 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
                 _mark_done(ckpt_dir, done, stage_name)
             evolved.extend(current)
 
-        pool = seeds + eqe + evolved
-
-        # optional early dedup to save teacher calls
-        removals = []
-        if cfg.dedup_before_cot:
-            pool, removals = dedup_pool(pool, cfg)
-
         # chain-of-thought verification
-        dataset, discards, deferrals = run_cot(pool, cfg, repo, gateway)
+        dataset, discards, deferrals = run_cot(seeds + eqe + evolved, cfg, repo, gateway)
         cot_counts = {"kept": len(dataset), "discarded": len(discards),
                       "deferred": len(deferrals)}
 
-        # final dedup
-        if not cfg.dedup_before_cot:
-            dataset, removals = dedup_pool(dataset, cfg)
+        # dedup, the last filter
+        dataset, removals = dedup_pool(dataset, cfg)
 
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
@@ -463,8 +451,7 @@ def dedup_pool(pool, cfg: RunConfig):
     for schema_id in sorted(by_schema):
         group = sorted(by_schema[schema_id],
                        key=lambda i: (stage_rank(i.stage), i.id))
-        vectors = embed_questions(
-            [i.question for i in group], embedder, [i.id for i in group])
+        vectors = embed_questions([i.question for i in group], embedder)
         kept, removed = dedup_schema_group(group, vectors, cfg.tau)
         kept_all.extend(kept)
         removals.extend(removed)
@@ -479,12 +466,11 @@ def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
     kept: list[QueryInstance] = []
     discards: list[CotDiscard] = []
     deferrals: list[CotDeferral] = []
-    teacher_tag = "live" if "teach" in gateway.backends else "mock"
     for inst in pool:
         conn = repo.connection(inst.schema_id)
         schema = repo.schema(inst.schema_id)
         outcome = synthesize_cot(
-            inst, conn, gateway, schema, n=cfg.cot_n, teacher_tag=teacher_tag,
+            inst, conn, gateway, schema, n=cfg.cot_n,
             seed=derive_seed(cfg.global_seed, inst.id, "cot"),
         )
         if isinstance(outcome, CotRecord):
@@ -652,7 +638,7 @@ def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
     failures = []
     for inst in instances:
         conn = repo.connection(inst.schema_id)
-        feedback = execute_sql(conn, inst.sql)
-        if not is_acceptable(feedback):
-            failures.append({"id": inst.id, "reason": feedback.error or "empty result"})
+        reason = execution_problem(execute_sql(conn, inst.sql))
+        if reason:
+            failures.append({"id": inst.id, "reason": reason})
     return {"total": len(instances), "failures": failures}

@@ -28,7 +28,6 @@ class Binding:
 class BindingReport:
     resolved: list[Binding] = field(default_factory=list)
     unresolved: list[Binding] = field(default_factory=list)
-    alias_map: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def _resolve_query(node, path, outer_scopes, cte_env, schema, report):
             _resolve_query(node.children[i], (*path, i), outer_scopes, env, schema, report)
         # trailing ORDER BY resolves against the left-most core's scope
         for i, extra in enumerate(node.children[2:], start=2):
-            scope = _from_scope(lead, schema, env, report, record_aliases=False)
+            scope = _from_scope(lead, schema, env)
             for j, child in enumerate(extra.children):
                 _resolve_expr(child, (*path, i, j), [scope] + outer_scopes,
                               env, schema, report, alias_env=_select_aliases(lead))
@@ -80,7 +79,7 @@ def _resolve_select(node, path, outer_scopes, cte_env, schema, report):
             _resolve_query(body, (*path, idx, i, 0, 0), [], env, schema, report)
             env[cte_node.value[0]] = tuple(_output_columns(body, schema, env))
 
-    scope = _from_scope(node, schema, env, report, record_aliases=True)
+    scope = _from_scope(node, schema, env)
     scopes = [scope] + outer_scopes if scope else outer_scopes
     alias_env = _select_aliases(node)
 
@@ -154,7 +153,7 @@ def _bind_column(node, path, scopes, report, alias_env):
     report.unresolved.append(Binding(path, qualifier, name, ""))
 
 
-def _from_scope(select_node, schema, cte_env, report, record_aliases):
+def _from_scope(select_node, schema, cte_env):
     found = t.get_clause(select_node, "from")
     if not found:
         return []
@@ -162,11 +161,11 @@ def _from_scope(select_node, schema, cte_env, report, record_aliases):
     relations: list[_Relation] = []
     for child in from_clause.children:
         source = child.children[0] if child.kind == t.JOIN else child
-        relations.append(_relation_for(source, schema, cte_env, report, record_aliases))
+        relations.append(_relation_for(source, schema, cte_env))
     return relations
 
 
-def _relation_for(source, schema, cte_env, report, record_aliases):
+def _relation_for(source, schema, cte_env):
     if source.kind == t.TABLE:
         name, alias = source.value
         label = alias or name
@@ -177,12 +176,8 @@ def _relation_for(source, schema, cte_env, report, record_aliases):
                 cte_cols = cols
                 break
         if cte_cols is not None or low in (k.lower() for k in cte_env):
-            if record_aliases:
-                report.alias_map[label] = name
             return _Relation(label, name, cte_cols)
         tab = schema.table(name)
-        if record_aliases:
-            report.alias_map[label] = name
         if tab is None:
             # unknown relation: nothing can bind to it
             return _Relation(label, name, ())
@@ -191,8 +186,6 @@ def _relation_for(source, schema, cte_env, report, record_aliases):
         alias = source.value[0]
         cols = tuple(_output_columns(source.children[0], schema, cte_env))
         label = alias or "(subquery)"
-        if record_aliases and alias:
-            report.alias_map[alias] = "(derived)"
         return _Relation(label, label, cols)
     raise StructuralError(f"invalid FROM source {source.kind}")
 

@@ -56,7 +56,6 @@ class TableDef:
 class DatabaseSchema:
     schema_id: str
     tables: tuple[TableDef, ...]
-    date_like_patterns: tuple[str, ...] = DATE_LIKE_PATTERNS
 
     def table(self, name: str) -> TableDef | None:
         low = name.lower()
@@ -74,7 +73,7 @@ class DatabaseSchema:
         if col is None:
             return False
         low = column_name.lower()
-        return any(pat in low for pat in self.date_like_patterns)
+        return any(pat in low for pat in DATE_LIKE_PATTERNS)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import math
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import fixtures
@@ -17,7 +18,7 @@ from sqlgrow import tree as t
 from sqlgrow.dedup import _greedy_scan, dedup_schema_group, embed_questions
 from sqlgrow.features import extract_features
 from sqlgrow.gateway import LlmGateway
-from sqlgrow.harness import collect_result, execute_sql, is_acceptable, results_equivalent
+from sqlgrow.harness import collect_result, results_equivalent
 from sqlgrow.instances import QueryInstance, read_jsonl
 from sqlgrow.operators import (
     OperatorId,
@@ -337,17 +338,18 @@ def test_criterion_7_cot_rejection_sampling(full_run, schemas):
 
 def test_criterion_8_dedup():
     # worked triplet with the prescribed pairwise similarities
-    sims = {("a", "b"): 0.95, ("a", "c"): 0.5, ("b", "c"): 0.95}
-    kept = _greedy_scan(["a", "b", "c"],
-                        lambda i, j: sims[tuple(sorted((i, j)))], tau=0.9)
-    assert kept == ["a", "c"]
+    sims = np.array([[1.0, 0.95, 0.5],
+                     [0.95, 1.0, 0.95],
+                     [0.5, 0.95, 1.0]])
+    kept = _greedy_scan([0, 1, 2], sims, tau=0.9)
+    assert kept == [0, 2]
 
     # identical questions under two schemas both survive
     for schema_id in ("s1", "s2"):
         inst = QueryInstance(id=f"{schema_id}-q", schema_id=schema_id,
                              question="identical question", evidence="",
                              sql="SELECT 1", stage="seed")
-        vecs = embed_questions([inst.question], instance_ids=[inst.id])
+        vecs = embed_questions([inst.question])
         kept_insts, removed = dedup_schema_group([inst], vecs, tau=0.9)
         assert [k.id for k in kept_insts] == [inst.id]
         assert removed == []
@@ -358,11 +360,10 @@ def test_criterion_8_dedup():
     instances = [QueryInstance(id=f"i{k}", schema_id="s", question=q,
                                evidence="", sql="SELECT 1", stage="seed")
                  for k, q in enumerate(questions)]
-    vectors = embed_questions([i.question for i in instances],
-                              instance_ids=[i.id for i in instances])
+    vectors = embed_questions([i.question for i in instances])
     kept1, _ = dedup_schema_group(instances, vectors, tau=0.9)
-    by_id = {v.instance_id: v for v in vectors}
-    kept2, removed2 = dedup_schema_group(kept1, [by_id[i.id] for i in kept1], 0.9)
+    kept_rows = [instances.index(i) for i in kept1]
+    kept2, removed2 = dedup_schema_group(kept1, vectors[kept_rows], 0.9)
     assert kept2 == kept1 and removed2 == []
     announce(8, "greedy scan keeps {A, C}; schema independence and idempotence hold")
 

@@ -9,7 +9,6 @@ import pytest
 import fixtures
 from sqlgrow.dedup import (
     FALLBACK_DIM,
-    QuestionVector,
     _greedy_scan,
     cosine,
     dedup_schema_group,
@@ -27,9 +26,9 @@ def inst(iid, question="q", schema="olympics", stage="seed"):
                          evidence="", sql="SELECT 1", stage=stage)
 
 
-def qv(iid, vector):
-    v = np.asarray(vector, dtype=np.float64)
-    return QuestionVector(iid, v / np.linalg.norm(v), "lexical-fallback")
+def unit_rows(*rows):
+    m = np.asarray(rows, dtype=np.float64)
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
 def dense_vector(text):
@@ -44,7 +43,7 @@ def dense_vector(text):
 
 def test_identical_strings_cosine_one():
     vectors = embed_questions(["list all athletes", "list all athletes"])
-    assert cosine(vectors[0].vector, vectors[1].vector) == pytest.approx(1.0, abs=1e-9)
+    assert cosine(vectors[0], vectors[1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fallback_cosine_matches_trigram_oracle():
@@ -55,29 +54,28 @@ def test_fallback_cosine_matches_trigram_oracle():
     expected = dot / math.sqrt(sum(v * v for v in ca.values())
                                * sum(v * v for v in cb.values()))
     va, vb = embed_questions([a, b])
-    got = cosine(va.vector, vb.vector)
+    got = cosine(va, vb)
     assert got == pytest.approx(expected, abs=1e-9)
     assert got == pytest.approx(0.7379, abs=1e-4)  # 7 shared of 9 x 10 grams
 
 
 def test_empty_string_reserved_axis():
     (alone,) = embed_questions([""])
-    assert alone.vector.tolist() == [1.0]
+    assert alone.tolist() == [1.0]
     # beside other questions the reserved axis is still one unit column
     empty, other = embed_questions(["", "list all athletes"])
-    assert np.count_nonzero(empty.vector) == 1 and empty.vector.max() == 1.0
-    assert np.dot(empty.vector, other.vector) == 0
+    assert np.count_nonzero(empty) == 1 and empty.max() == 1.0
+    assert np.dot(empty, other) == 0
 
 
 def test_vectors_unit_normalized():
     for v in embed_questions(["one", "two tokens here", "a much longer question"]):
-        assert np.linalg.norm(v.vector) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_identical_questions_second_removed():
     instances = [inst("a", "same question"), inst("b", "same question")]
-    vectors = embed_questions([i.question for i in instances],
-                              instance_ids=[i.id for i in instances])
+    vectors = embed_questions([i.question for i in instances])
     kept, removed = dedup_schema_group(instances, vectors, tau=0.9)
     assert [k.id for k in kept] == ["a"]
     assert removed[0].removed_id == "b"
@@ -88,8 +86,7 @@ def test_groups_processed_independently():
     group1 = [inst("a", "identical", schema="s1")]
     group2 = [inst("b", "identical", schema="s2")]
     for group in (group1, group2):
-        vectors = embed_questions([i.question for i in group],
-                                  instance_ids=[i.id for i in group])
+        vectors = embed_questions([i.question for i in group])
         kept, _ = dedup_schema_group(group, vectors, tau=0.9)
         assert len(kept) == 1
 
@@ -97,24 +94,21 @@ def test_groups_processed_independently():
 def test_greedy_triplet_keeps_a_and_c():
     # pairwise similarities (A,B)=0.95, (A,C)=0.5, (B,C)=0.95: B is removed
     # against A, then C is compared only against the kept {A}
-    sims = {("a", "b"): 0.95, ("a", "c"): 0.5, ("b", "c"): 0.95}
-
-    def sim(i, j):
-        key = tuple(sorted((i, j)))
-        return sims[key]
-
-    kept = _greedy_scan(["a", "b", "c"], sim, tau=0.9)
-    assert kept == ["a", "c"]
+    sims = np.array([[1.0, 0.95, 0.5],
+                     [0.95, 1.0, 0.95],
+                     [0.5, 0.95, 1.0]])
+    kept = _greedy_scan([0, 1, 2], sims, tau=0.9)
+    assert kept == [0, 2]
 
 
 def test_greedy_triplet_with_real_vectors():
     # realizable vectors with (A,B)=0.95 and (A,C)=0.5; (B,C) is never
     # consulted by the greedy scan once B is removed
-    a = qv("a", [1.0, 0.0, 0.0])
-    b = qv("b", [0.95, math.sqrt(1 - 0.95**2), 0.0])
-    c = qv("c", [0.5, 0.0, math.sqrt(1 - 0.25)])
+    vectors = unit_rows([1.0, 0.0, 0.0],
+                        [0.95, math.sqrt(1 - 0.95**2), 0.0],
+                        [0.5, 0.0, math.sqrt(1 - 0.25)])
     instances = [inst("a"), inst("b"), inst("c")]
-    kept, removed = dedup_schema_group(instances, [a, b, c], tau=0.9)
+    kept, removed = dedup_schema_group(instances, vectors, tau=0.9)
     assert [k.id for k in kept] == ["a", "c"]
     assert [r.removed_id for r in removed] == ["b"]
 
@@ -124,8 +118,7 @@ def test_seeds_sort_before_children():
         inst("z-child", "the exact same words", stage="EQE"),
         inst("a-seed", "the exact same words", stage="seed"),
     ]
-    vectors = embed_questions([i.question for i in instances],
-                              instance_ids=[i.id for i in instances])
+    vectors = embed_questions([i.question for i in instances])
     kept, removed = dedup_schema_group(instances, vectors, tau=0.9)
     assert [k.id for k in kept] == ["a-seed"]
     assert removed[0].removed_id == "z-child"
@@ -135,35 +128,52 @@ def test_idempotence():
     questions = ["alpha beta gamma", "alpha beta gamma delta",
                  "completely unrelated text", "alpha beta"]
     instances = [inst(f"i{k}", q) for k, q in enumerate(questions)]
-    vectors = embed_questions([i.question for i in instances],
-                              instance_ids=[i.id for i in instances])
+    vectors = embed_questions([i.question for i in instances])
     kept, _ = dedup_schema_group(instances, vectors, tau=0.9)
-    vec_by_id = {v.instance_id: v for v in vectors}
-    kept2, removed2 = dedup_schema_group(kept, [vec_by_id[i.id] for i in kept], 0.9)
+    kept_rows = [instances.index(i) for i in kept]
+    kept2, removed2 = dedup_schema_group(kept, vectors[kept_rows], 0.9)
     assert kept2 == kept
     assert removed2 == []
 
 
 def test_misaligned_inputs_rejected():
     instances = [inst("a"), inst("b")]
-    vectors = embed_questions(["only one"], instance_ids=["a"])
-    with pytest.raises(StructuralError):
-        dedup_schema_group(instances, vectors, tau=0.9)
-
-
-def test_vectors_from_separate_calls_rejected():
-    instances = [inst("a", "list all athletes"), inst("b", "count the games")]
-    vectors = (embed_questions(["list all athletes"], instance_ids=["a"])
-               + embed_questions(["count the games"], instance_ids=["b"]))
+    vectors = embed_questions(["only one"])
     with pytest.raises(StructuralError):
         dedup_schema_group(instances, vectors, tau=0.9)
 
 
 def test_mixed_schema_group_rejected():
     instances = [inst("a", schema="s1"), inst("b", schema="s2")]
-    vectors = embed_questions(["x", "y"], instance_ids=["a", "b"])
+    vectors = embed_questions(["x", "y"])
     with pytest.raises(StructuralError):
         dedup_schema_group(instances, vectors, tau=0.9)
+
+
+class StubEmbedder:
+    """An embedding backend that replies with fixed rows."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def embed(self, texts):
+        return self.reply
+
+
+@pytest.mark.parametrize("reply", [
+    [[1.0, 2.0, 2.0]],                     # one row short
+    [[1.0, 2.0, 2.0], [1.0, 0.0]],         # ragged
+    [[], []],                              # no width
+])
+def test_malformed_embedder_reply_rejected(reply):
+    with pytest.raises(StructuralError, match="embedder returned"):
+        embed_questions(["a", "b"], StubEmbedder(reply))
+
+
+def test_zero_embedding_lands_on_reserved_axis():
+    reply = [[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]]
+    vectors = embed_questions(["a", "b"], StubEmbedder(reply))
+    assert vectors.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]
 
 
 def test_kept_id_is_nearest_kept_even_when_later():
@@ -171,11 +181,11 @@ def test_kept_id_is_nearest_kept_even_when_later():
     # kept after it: kept_id names c, the most similar kept item
     theta = math.acos(0.92)
     delta = math.acos(0.99)
-    a = qv("a", [1.0, 0.0])
-    b = qv("b", [math.cos(theta), math.sin(theta)])
-    c = qv("c", [math.cos(theta + delta), math.sin(theta + delta)])
+    vectors = unit_rows([1.0, 0.0],
+                        [math.cos(theta), math.sin(theta)],
+                        [math.cos(theta + delta), math.sin(theta + delta)])
     instances = [inst("a"), inst("b"), inst("c")]
-    kept, removed = dedup_schema_group(instances, [a, b, c], tau=0.9)
+    kept, removed = dedup_schema_group(instances, vectors, tau=0.9)
     assert [k.id for k in kept] == ["a", "c"]
     assert [(r.removed_id, r.kept_id) for r in removed] == [("b", "c")]
     assert removed[0].similarity == pytest.approx(0.99, abs=1e-6)
@@ -187,7 +197,7 @@ def test_lexical_vectors_share_one_compact_basis():
     for q in questions:
         used.update(np.flatnonzero(dense_vector(q)).tolist())
     vectors = embed_questions(questions)
-    assert {len(v.vector) for v in vectors} == {len(used)}
+    assert vectors.shape == (len(questions), len(used))
 
 
 def _mock_questions(schemas, connections):
@@ -241,8 +251,7 @@ def test_matrix_scan_matches_dense_oracle(schemas, connections, tau):
     total_removed = 0
     for group in _mock_questions(schemas, connections).values():
         assert len(group) > 100
-        vectors = embed_questions([i.question for i in group],
-                                  instance_ids=[i.id for i in group])
+        vectors = embed_questions([i.question for i in group])
         kept, removed = dedup_schema_group(group, vectors, tau)
         dense, oracle_kept, oracle_removed = _dense_oracle(group, tau)
         assert sorted(k.id for k in kept) == oracle_kept
@@ -250,9 +259,8 @@ def test_matrix_scan_matches_dense_oracle(schemas, connections, tau):
             (rid, kid) for rid, kid, _ in oracle_removed]
         for r, (_, _, sim) in zip(removed, oracle_removed):
             assert r.similarity == pytest.approx(sim, abs=1e-9)
-        compact = np.vstack([v.vector for v in vectors])
         exact = np.array([[cosine(dense[a.id], dense[b.id]) for b in group]
                           for a in group])
-        assert np.abs(compact @ compact.T - exact).max() < 1e-9
+        assert np.abs(vectors @ vectors.T - exact).max() < 1e-9
         total_removed += len(removed)
     assert total_removed > 0

@@ -208,7 +208,7 @@ def test_strategize_parses_f4_array(olympics_schema):
     gw = LlmGateway(backends={"strategize": backend})
     scores = gw.score_feasibility_llm("q", STAGE_SQL_0, olympics_schema)
     assert len(scores) == 6
-    assert scores[OperatorId.FUNC][0] == 0.9
+    assert scores[OperatorId.FUNC] == 0.9
     assert "Database Schema" in backend.prompts[0]
     assert not RESIDUAL.findall(backend.prompts[0])
 

@@ -12,7 +12,7 @@ from sqlgrow.harness import (
     ResultMultiset,
     collect_result,
     execute_sql,
-    is_acceptable,
+    execution_problem,
     normalize_cell,
     open_readonly,
     refine_until_valid,
@@ -117,10 +117,11 @@ def test_wall_cap_raises_timeout_error(connections, monkeypatch):
     assert execute_sql(conn, "SELECT 1").ok
 
 
-def test_is_acceptable_rules():
-    assert not is_acceptable(ExecutionFeedback(ok=True, row_count=0))
-    assert not is_acceptable(ExecutionFeedback(ok=False, error="boom"))
-    assert is_acceptable(ExecutionFeedback(ok=True, row_count=7))
+def test_execution_problem_rules():
+    assert execution_problem(ExecutionFeedback(ok=True, row_count=0)) == "empty result"
+    assert execution_problem(ExecutionFeedback(ok=False, error="boom")) == "boom"
+    assert execution_problem(ExecutionFeedback(ok=False)) == "execution error"
+    assert execution_problem(ExecutionFeedback(ok=True, row_count=7)) == ""
 
 
 def test_execute_never_writes(db_dir, connections):

@@ -117,14 +117,13 @@ def test_chat_backend_exhausts_retries(stub_server, sleeps, olympics_schema):
 def test_embedding_backend_normalizes(stub_server):
     backend = HttpEmbeddingBackend(endpoint=f"{stub_server}/v1/embeddings",
                                    model="emb")
-    vectors = embed_questions(["a", "b"], backend, instance_ids=["x", "y"])
-    assert all(v.source == "external-embedder" for v in vectors)
+    vectors = embed_questions(["a", "b"], backend)
     import numpy as np
 
-    for v in vectors:
-        assert np.linalg.norm(v.vector) == pytest.approx(1.0, abs=1e-9)
+    assert vectors.shape == (2, 3)
+    assert np.linalg.norm(vectors, axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
     # [1, 2, 2] normalizes to [1/3, 2/3, 2/3]
-    assert vectors[0].vector[0] == pytest.approx(1 / 3)
+    assert vectors[0] == pytest.approx([1 / 3, 2 / 3, 2 / 3])
 
 
 def test_embedding_backend_failure_is_transport_error(stub_server, sleeps):
@@ -259,7 +258,7 @@ def test_embedder_retries_a_transport_failure(posts, sleeps):
     posts.script([DOWN, {"data": [{"embedding": [3.0, 4.0]}]}])
     backend = HttpEmbeddingBackend(endpoint="http://model.invalid/v1", model="e")
     vectors = embed_questions(["q"], backend)
-    assert vectors[0].vector.tolist() == pytest.approx([0.6, 0.8])
+    assert vectors.tolist() == [pytest.approx([0.6, 0.8])]
     assert len(posts) == 2 and sleeps == [0.5]
     assert posts[0] == {"model": "e", "input": ["q"]}
 

@@ -78,7 +78,7 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg.rounds == 2 and set(cfg.backends) == {"evolve"}
 
 
-@pytest.mark.parametrize("field", ["timeout_ms", "max_rows"])
+@pytest.mark.parametrize("field", ["timeout_ms", "max_rows", "dedup_before_cot"])
 def test_removed_execution_limit_fields_are_unknown(tmp_path, field):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"rounds": 1, field: 1000}))
@@ -434,28 +434,6 @@ def test_cot_yield_bound_in_manifest(tmp_path, db_dir, mini_seed_file):
                  + manifest["counts"]["evolved"])
     cot = manifest["cot"]
     assert cot["kept"] + cot["discarded"] + cot["deferred"] == submitted
-
-
-def test_dedup_before_cot_mode(tmp_path, db_dir, mini_seed_file):
-    cfg = RunConfig(
-        seeds=str(mini_seed_file), db_dir=str(db_dir),
-        out_dir=str(tmp_path / "runPre"), rounds=1, global_seed=11,
-        dedup_before_cot=True,
-    )
-    manifest = run_full(cfg)
-    dataset = read_jsonl(tmp_path / "runPre" / "dataset.jsonl")
-    assert manifest["counts"]["final"] == len(dataset)
-    assert all(inst.cot for inst in dataset)
-    # pre-cot dedup means the teacher saw only the kept pool
-    submitted = (manifest["counts"]["seeds"] + manifest["counts"]["eqe"]
-                 + manifest["counts"]["evolved"]) - manifest["dedup"]["removed"]
-    cot = manifest["cot"]
-    assert cot["kept"] + cot["discarded"] + cot["deferred"] == submitted
-    repo2 = SchemaRepo(db_dir)
-    try:
-        assert verify_dataset(tmp_path / "runPre" / "dataset.jsonl", repo2)["failures"] == []
-    finally:
-        repo2.close()
 
 
 class SelectiveTeacherGateway(LlmGateway):

@@ -9,8 +9,11 @@ from sqlgrow.resolve import resolve_references
 def test_stage2_fully_resolves(olympics_schema):
     report = resolve_references(parse_sql(STAGE_SQL_2), olympics_schema)
     assert report.unresolved == []
-    assert report.alias_map["p"] == "person"
-    assert report.alias_map["gc"] == "games_competitor"
+    relations = {}
+    for binding in report.resolved:
+        relations.setdefault(binding.qualifier, set()).add(binding.relation)
+    assert relations["p"] == {"person"}
+    assert relations["gc"] == {"games_competitor"}
 
 
 def test_unknown_column_reported(olympics_schema):
