@@ -37,7 +37,7 @@ from .operators import (
     operator_instruction,
     plan_mutation,
 )
-from .parser import parse_cached
+from .parser import parse_sql
 from .prompts import render_template
 from .render import render_sql
 from .resolve import resolve_references
@@ -195,7 +195,7 @@ class LlmGateway:
                     lambda texts: _parse_expansion(texts[0]))
 
     def _mock_expansion(self, question, evidence, sql, schema, db, seed, analysis):
-        ast = parse_cached(sql)
+        ast = analysis.ast if analysis is not None else parse_sql(sql)
         try:
             new_sql, summary = _mock_mutation(sql, schema, OperatorId.LOGIC, seed,
                                               db, analysis)
@@ -330,7 +330,7 @@ def _mock_mutation(sql, schema, op, seed, db, analysis):
     or None to analyse it here.
     """
     if analysis is None:
-        analysis = analyze(parse_cached(sql), schema)
+        analysis = analyze(parse_sql(sql), schema)
     plan = plan_mutation(analysis, op, seed, db)
     return render_sql(apply_mutation(analysis.ast, plan)), plan.payload["summary"]
 
@@ -347,7 +347,7 @@ def _mock_refine(question, draft, schema, feedback, db):
         return draft
 
     try:
-        ast = parse_cached(draft)
+        ast = parse_sql(draft)
     except SqlgrowError:
         return draft
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SqlgrowError
-from .parser import parse_cached
+from .parser import parse_sql
 from .resolve import resolve_references
 from . import tree as t
 
@@ -60,11 +60,14 @@ class ResultMultiset:
 
 @dataclass(frozen=True)
 class RefinementOutcome:
+    """An accepted outcome carries the tree grounding checked; a failed one None."""
+
     accepted: bool
     sql: str
     attempts: int
     feedback: ExecutionFeedback
     reason: str = ""
+    tree: t.Node | None = None
 
 
 # Statements may only read. Recursive CTEs read too; the VM step budget
@@ -219,7 +222,7 @@ def collect_result(conn: sqlite3.Connection, sql: str) -> ResultMultiset | None:
 
 def _is_ordered(sql: str) -> bool:
     try:
-        ast = parse_cached(sql)
+        ast = parse_sql(sql)
     except SqlgrowError:
         return False
     if ast.kind == t.SETOP:
@@ -266,7 +269,8 @@ def refine_until_valid(
     """Execute, and on failure ask the refiner for a revision, up to a bound.
 
     Acceptance requires a non-empty result plus a clean parse and
-    reference resolution, so everything downstream can rely on the tree.
+    reference resolution, so everything downstream can rely on the tree
+    that an accepted outcome carries.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -277,9 +281,9 @@ def refine_until_valid(
         feedback = execute_sql(conn, sql)
         reason = execution_problem(feedback)
         if not reason:
-            reason = _grounding_problem(sql, schema)
+            reason, tree = _grounding_problem(sql, schema)
             if not reason:
-                return RefinementOutcome(True, sql, attempt, feedback)
+                return RefinementOutcome(True, sql, attempt, feedback, tree=tree)
             feedback = ExecutionFeedback(ok=False, error=reason)
         if attempt == max_attempts:
             break
@@ -287,16 +291,20 @@ def refine_until_valid(
     return RefinementOutcome(False, sql, max_attempts, feedback, reason)
 
 
-def _grounding_problem(sql: str, schema) -> str:
+def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None]:
+    """Why ``sql`` does not ground ("" when it does), and the tree it parsed to.
+
+    The tree is None when the text does not parse.
+    """
     try:
-        ast = parse_cached(sql)
+        ast = parse_sql(sql)
     except SqlgrowError as exc:
-        return f"parse failure: {exc}"
+        return f"parse failure: {exc}", None
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError as exc:
-        return f"resolution failure: {exc}"
+        return f"resolution failure: {exc}", ast
     if report.unresolved:
         names = sorted({b.name for b in report.unresolved})
-        return "unresolved columns: " + ", ".join(names)
-    return ""
+        return "unresolved columns: " + ", ".join(names), ast
+    return "", ast

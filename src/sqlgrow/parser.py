@@ -14,8 +14,6 @@ frames) is rejected with an UnsupportedSqlError.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import tree as t
 from .errors import SqlSyntaxError, UnsupportedSqlError
 from .lexer import Token, tokenize
@@ -24,11 +22,6 @@ _UNSUPPORTED_LEADS = {
     "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER", "PRAGMA",
     "REPLACE", "VACUUM", "ATTACH", "EXPLAIN",
 }
-
-# The pipeline parses a text again within a few calls of the first parse
-# (grounding then features, a parent then its evolutions), so a small memo
-# catches nearly every repeat without holding every tree of a run.
-PARSE_MEMO_SIZE = 16
 
 
 def parse_sql(text: str) -> t.Node:
@@ -44,16 +37,6 @@ def parse_sql(text: str) -> t.Node:
         tok = parser.peek()
         raise SqlSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
     return node
-
-
-@lru_cache(maxsize=PARSE_MEMO_SIZE)
-def parse_cached(text: str) -> t.Node:
-    """``parse_sql`` through a small memo keyed by text.
-
-    Trees are immutable, so callers may share them. Errors are not cached:
-    a text that fails to parse is parsed, and raises, again on every call.
-    """
-    return parse_sql(text)
 
 
 class _Parser:

@@ -38,7 +38,7 @@ from .instances import (
     write_jsonl,
 )
 from .operators import OperatorId, analyze, check_applicability
-from .parser import parse_cached
+from .parser import parse_sql
 from .schema import DatabaseSchema, load_schema
 
 @dataclass
@@ -123,9 +123,6 @@ class SchemaRepo:
     def has(self, schema_id: str) -> bool:
         return schema_id in self._paths
 
-    def path(self, schema_id: str) -> Path:
-        return self._paths[schema_id]
-
     def schema(self, schema_id: str) -> DatabaseSchema:
         if schema_id not in self._schemas:
             self._schemas[schema_id] = load_schema(self._paths[schema_id])
@@ -189,12 +186,11 @@ def ingest_seeds(path, repo: SchemaRepo):
         else:
             schema = repo.schema(schema_id)
             conn = repo.connection(schema_id)
-            reason = _seed_problem(sql, schema, conn)
+            reason, ast = _seed_problem(sql, schema, conn)
         if reason:
             quarantined.append({"index": i, "question": question,
                                 "schema_id": schema_id, "reason": reason})
             continue
-        ast = parse_cached(sql)
         seeds.append(QueryInstance(
             id=f"seed-{i:04d}",
             schema_id=schema_id,
@@ -207,12 +203,12 @@ def ingest_seeds(path, repo: SchemaRepo):
     return seeds, quarantined
 
 
-def _seed_problem(sql, schema, conn) -> str:
-    """Why a seed is quarantined, or "" when it grounds and returns rows."""
-    reason = _grounding_problem(sql, schema)
-    if reason:
-        return reason
-    return execution_problem(execute_sql(conn, sql))
+def _seed_problem(sql, schema, conn):
+    """Why a seed is quarantined ("" when it grounds and returns rows), and its tree."""
+    reason, ast = _grounding_problem(sql, schema)
+    if not reason:
+        reason = execution_problem(execute_sql(conn, sql))
+    return reason, ast
 
 
 def save_ingest(out_dir: Path, seeds, quarantined) -> None:
@@ -262,7 +258,7 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
         stage=stage,
         parent_id=parent.id,
         operator_applied=op,
-        features=extract_features(parse_cached(outcome.sql)),
+        features=extract_features(outcome.tree),
     )
 
 
@@ -274,7 +270,7 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
         schema = repo.schema(seed_inst.schema_id)
         conn = repo.connection(seed_inst.schema_id)
         try:
-            analysis = analyze(parse_cached(seed_inst.sql), schema)
+            analysis = analyze(parse_sql(seed_inst.sql), schema)
         except SqlgrowError:
             analysis = None  # the expansion meets the same error and handles it
         for j in range(cfg.expansions_per_seed):
@@ -314,7 +310,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
         schema = repo.schema(inst.schema_id)
         conn = repo.connection(inst.schema_id)
         try:
-            ast = parse_cached(inst.sql)
+            ast = parse_sql(inst.sql)
         except SqlgrowError as exc:
             rejections.append({"stage": stage, "parent": inst.id,
                                "reason": f"unparseable input: {exc}"})
@@ -427,7 +423,7 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
 
         manifest = _build_manifest(
             cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
-            removals, cot_counts, state,
+            removals, cot_counts,
         )
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -485,7 +481,7 @@ def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
 
 
 def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
-                    removals, cot_counts, state) -> dict:
+                    removals, cot_counts) -> dict:
     stage_counts: dict[str, int] = {}
     for inst in dataset:
         stage_counts[inst.stage] = stage_counts.get(inst.stage, 0) + 1
@@ -515,7 +511,6 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
         },
         "stages": stage_counts,
         "operator_histogram": histogram,
-        "operator_acceptances": {op.name: state.counts[op] for op in OperatorId},
         "rejections": rejection_counts,
         "quarantined_seeds": len(quarantined),
         "cot": cot_counts,
@@ -589,7 +584,7 @@ def stats_report(dataset_path) -> tuple[str, str]:
     histogram: dict[str, int] = {}
     status_counts: dict[str, int] = {}
     for inst in instances:
-        features = inst.features or extract_features(parse_cached(inst.sql))
+        features = inst.features or extract_features(parse_sql(inst.sql))
         by_stage.setdefault(inst.stage, []).append(features)
         if inst.operator_applied:
             histogram[inst.operator_applied.name] = (

@@ -18,6 +18,7 @@ from sqlgrow.harness import (
     refine_until_valid,
     results_equivalent,
 )
+from sqlgrow.parser import parse_sql
 
 
 def test_constant_query(connections):
@@ -303,7 +304,7 @@ def test_identical_rows_compare_without_parsing(connections, monkeypatch):
     def no_parse(text):
         raise AssertionError(f"parsed {text!r}")
 
-    monkeypatch.setattr(harness, "parse_cached", no_parse)
+    monkeypatch.setattr(harness, "parse_sql", no_parse)
     conn = connections["olympics"]
     a = collect_result(conn, "SELECT full_name FROM person ORDER BY id")
     b = collect_result(conn, "SELECT p.full_name FROM person AS p ORDER BY p.id")
@@ -365,6 +366,7 @@ def test_misspelled_column_fixed_on_second_attempt(connections, olympics_schema)
         "who", "SELECT full_nam FROM person", olympics_schema,
         connections["olympics"], refiner)
     assert outcome.accepted and outcome.attempts == 2
+    assert outcome.tree == parse_sql(outcome.sql)
 
 
 def test_rejection_after_max_attempts(connections, olympics_schema):
@@ -377,6 +379,7 @@ def test_rejection_after_max_attempts(connections, olympics_schema):
     assert not outcome.accepted
     assert outcome.attempts == 3
     assert outcome.reason == "empty result"
+    assert outcome.tree is None
 
 
 def test_accepted_sql_must_resolve(connections, olympics_schema):
@@ -390,6 +393,7 @@ def test_accepted_sql_must_resolve(connections, olympics_schema):
         olympics_schema, connections["olympics"], refiner)
     assert outcome.accepted
     assert outcome.sql == "SELECT full_name FROM person"
+    assert outcome.tree == parse_sql(outcome.sql)
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3)), min_size=0, max_size=5))

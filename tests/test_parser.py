@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import GOLDEN_CORPUS, STAGE_SQL_0, STAGE_SQL_3
-from sqlgrow import parser, tree as t
+from sqlgrow import tree as t
 from sqlgrow.errors import (
     InfeasibleOperatorError,
     SqlSyntaxError,
@@ -10,8 +10,9 @@ from sqlgrow.errors import (
     UnsupportedSqlError,
 )
 from sqlgrow.features import tokenize_sql
+from sqlgrow.lexer import tokenize
 from sqlgrow.operators import OperatorId, analyze, apply_mutation, plan_mutation
-from sqlgrow.parser import PARSE_MEMO_SIZE, parse_cached, parse_sql
+from sqlgrow.parser import parse_sql
 from sqlgrow.render import render_sql
 
 
@@ -134,6 +135,58 @@ def test_tokenize_counts_qualified_names_as_three():
     ]
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("'it''s'", [("string", "'it''s'", 0)]),
+    ("SELECT 1 --", [("kw", "SELECT", 0), ("number", "1", 7)]),
+    ("x -- c\nFROM", [("ident", "x", 0), ("kw", "FROM", 7)]),
+    ("a /* c */ <= b", [("ident", "a", 0), ("op", "<=", 10), ("ident", "b", 13)]),
+    ("SELECT 1;", [("kw", "SELECT", 0), ("number", "1", 7)]),
+    ("a == 1 <> b", [("ident", "a", 0), ("op", "=", 2), ("number", "1", 5),
+                     ("op", "!=", 7), ("ident", "b", 10)]),
+    ("x||y >= 2 % 3", [("ident", "x", 0), ("op", "||", 1), ("ident", "y", 3),
+                       ("op", ">=", 5), ("number", "2", 8), ("op", "%", 10),
+                       ("number", "3", 12)]),
+    (".5", [("number", ".5", 0)]),
+    ("1.", [("number", "1.", 0)]),
+    ("1e", [("number", "1e", 0)]),
+    ("1.5e+3", [("number", "1.5e+3", 0)]),
+    ("1.2.3", [("number", "1.2", 0), ("number", ".3", 3)]),
+    ("1e5.3", [("number", "1e5", 0), ("number", ".3", 3)]),
+    ("t.1", [("ident", "t", 0), ("number", ".1", 1)]),
+    ("(a, b.c)", [("punct", "(", 0), ("ident", "a", 1), ("punct", ",", 2),
+                  ("ident", "b", 4), ("punct", ".", 5), ("ident", "c", 6),
+                  ("punct", ")", 7)]),
+    ("SeLeCt Full_Name FROM Person", [("kw", "SELECT", 0), ("ident", "full_name", 7),
+                                      ("kw", "FROM", 17), ("ident", "person", 22)]),
+    ('"Weird Col" [Mixed Case] `Back Tick`', [("ident", "Weird Col", 0),
+                                              ("ident", "Mixed Case", 12),
+                                              ("ident", "Back Tick", 25)]),
+    # SQLite reads every non-ASCII character as an identifier character
+    ("²", [("ident", "²", 0)]),
+    ("½", [("ident", "½", 0)]),
+])
+def test_token_stream(text, expected):
+    assert [(tok.type, tok.text, tok.pos) for tok in tokenize(text)] == expected
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("'''x", "unterminated string literal", 0),
+    ("'a''", "unterminated string literal", 0),
+    ("SELECT /* x", "unterminated comment", 7),
+    ('SELECT "a', "unterminated quoted identifier", 7),
+    ("SELECT `a", "unterminated quoted identifier", 7),
+    ("SELECT [a", "unterminated quoted identifier", 7),
+    ("SELECT ?", "unexpected character '?'", 7),
+    ("SELECT @x", "unexpected character '@'", 7),
+    ("a ! b", "unexpected character '!'", 2),
+])
+def test_lexer_error(text, message, position):
+    with pytest.raises(SqlSyntaxError) as info:
+        tokenize(text)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60))
 def test_lexer_is_total_or_raises_cleanly(text):
     # arbitrary printable input either tokenizes or raises a syntax error
@@ -145,26 +198,10 @@ def test_lexer_is_total_or_raises_cleanly(text):
     assert first == second
 
 
-# -- memo ------------------------------------------------------------------
-
-def test_memo_returns_the_identical_tree():
-    assert parse_cached(STAGE_SQL_3) is parse_cached(STAGE_SQL_3)
-
-
-def test_memo_raises_a_parse_error_again():
-    text = "SELECT name FROM person WHERE"
-    raised = []
-    for _ in range(2):
-        with pytest.raises(SqlSyntaxError) as info:
-            parse_cached(text)
-        raised.append(info.value)
-    assert type(raised[0]) is type(raised[1])
-    assert str(raised[0]) == str(raised[1])
-    assert raised[0].position == raised[1].position
-
-
 def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
-    ast = parse_cached(STAGE_SQL_0)
+    # callers share trees (grounding hands its tree on), so apply_mutation
+    # must build a new tree and never change the one it was given
+    ast = parse_sql(STAGE_SQL_0)
     before = render_sql(ast)
     mutated = 0
     for op in OperatorId:
@@ -175,24 +212,5 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
         assert render_sql(apply_mutation(ast, plan)) != before
         mutated += 1
     assert mutated
-    assert render_sql(parse_cached(STAGE_SQL_0)) == before
-
-
-def test_memo_is_bounded():
-    assert parse_cached.cache_info().maxsize == PARSE_MEMO_SIZE
-    assert PARSE_MEMO_SIZE is not None and PARSE_MEMO_SIZE > 0
-
-
-def test_memo_parses_only_on_a_miss(monkeypatch):
-    calls = []
-
-    def counting(text):
-        calls.append(text)
-        return parse_sql(text)
-
-    monkeypatch.setattr(parser, "parse_sql", counting)
-    parse_cached.cache_clear()
-    text = "SELECT 1 AS memo_probe"
-    assert parse_cached(text) is parse_cached(text)
-    assert calls == [text]
-    assert parse_sql(text) is not parse_cached(text)
+    assert render_sql(ast) == before
+    assert ast == parse_sql(STAGE_SQL_0)

@@ -12,6 +12,7 @@ from sqlgrow.features import aggregate_features
 from sqlgrow.gateway import LlmGateway
 from sqlgrow.instances import QueryInstance, read_jsonl
 from sqlgrow.operators import OperatorId
+from sqlgrow.parser import parse_sql
 from sqlgrow.pipeline import (
     RunConfig,
     SchemaRepo,
@@ -24,7 +25,7 @@ from sqlgrow.pipeline import (
     stats_report,
     verify_dataset,
 )
-from sqlgrow import scheduler
+from sqlgrow import harness, pipeline, scheduler
 
 
 @pytest.fixture()
@@ -97,6 +98,35 @@ def test_ingest_happy_path(repo, mini_seed_file):
     assert quarantined == []
     assert all(s.stage == "seed" for s in seeds)
     assert all(s.features is not None for s in seeds)
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """Every text that grounding or the pipeline parses, in call order."""
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return parse_sql(text)
+
+    for module in (harness, pipeline):
+        monkeypatch.setattr(module, "parse_sql", counting)
+    return texts
+
+
+def test_ingest_parses_each_accepted_seed_once(repo, mini_seed_file, parsed):
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    assert len(seeds) == 4
+    assert parsed == [s.sql for s in seeds]
+
+
+def test_run_eqe_parses_each_accepted_candidate_once(repo, mini_seed_file, parsed):
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    parsed.clear()
+    accepted = run_eqe(seeds, RunConfig(global_seed=3), repo, LlmGateway())
+    assert accepted
+    for child in accepted:
+        assert parsed.count(child.sql) == 1
 
 
 def test_ingest_quarantines_bad_records(repo, tmp_path):
