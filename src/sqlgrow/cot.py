@@ -46,17 +46,15 @@ def synthesize_cot(
 ) -> CotRecord | CotDiscard | CotDeferral:
     """Rejection-sample a verified trace for one instance.
 
-    The gold query runs once. A candidate whose SQL text is exactly the
-    gold's reuses that result instead of running again, so a query whose
-    result varies between runs (``random()``, ``randomblob()``,
-    ``date('now')``, ``CURRENT_TIMESTAMP``) always verifies against itself.
-    Every other candidate runs and is compared with the gold result; rows
-    are normalized only when the raw rows differ.
+    A candidate whose SQL text is exactly the gold's is accepted without
+    running anything: grounding refused SQL whose result varies between
+    runs, and a resumed run refuses changed inputs, so the same text on the
+    same database gives the gold's result. The gold query runs at most
+    once, for the first candidate whose text differs; a gold that fails
+    that run discards the instance. Every such candidate runs and is
+    compared with the gold result; rows are normalized only when the raw
+    rows differ.
     """
-    gold_result = collect_result(conn, instance.sql)
-    if gold_result is None or not gold_result.rows:
-        return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
-
     try:
         candidates = teacher.generate_cot_candidates(
             instance.question,
@@ -71,21 +69,27 @@ def synthesize_cot(
     if not candidates:
         return CotDeferral(instance.id, "teacher produced no candidates")
 
+    gold_result = None
     failures = []
     for index, candidate in enumerate(candidates, start=1):
-        if candidate.predicted_sql == instance.sql:
-            result = gold_result
-        else:
+        if candidate.predicted_sql != instance.sql:
+            if gold_result is None:
+                gold_result = collect_result(conn, instance.sql)
+                if gold_result is None:
+                    return CotDiscard(instance.id, ("gold SQL: execution error",))
+                if not gold_result.rows:
+                    return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
             result = collect_result(conn, candidate.predicted_sql)
-        if result is None:
-            failures.append(f"candidate {index}: execution error")
-            continue
-        if results_equivalent(result, gold_result):
-            return CotRecord(
-                instance_id=instance.id,
-                trace=candidate.reasoning,
-                verified_sql=candidate.predicted_sql,
-                attempts_used=index,
-            )
-        failures.append(f"candidate {index}: result mismatch")
+            if result is None:
+                failures.append(f"candidate {index}: execution error")
+                continue
+            if not results_equivalent(result, gold_result):
+                failures.append(f"candidate {index}: result mismatch")
+                continue
+        return CotRecord(
+            instance_id=instance.id,
+            trace=candidate.reasoning,
+            verified_sql=candidate.predicted_sql,
+            attempts_used=index,
+        )
     return CotDiscard(instance.id, tuple(failures))

@@ -2,7 +2,17 @@
 
 All execution failures are data, not exceptions: the feedback object
 carries either the engine's error message or the shape of the result.
-Acceptance means the query ran and returned at least one row.
+Acceptance means the query ran and returned at least one row. Grounding
+reads at most ``SAMPLE_ROWS + 1`` rows of a result: enough for the sample
+the refiner sees and to tell "more rows than the sample" apart, so the row
+count it reports is exact only up to ``SAMPLE_ROWS``. ``collect_result``
+reads up to ``MAX_ROWS`` rows, for comparison.
+
+Queries whose result depends on the clock or on chance are refused:
+the authorizer denies ``random``, ``randomblob`` and the ``CURRENT_*``
+keywords when the statement is prepared, and grounding rejects a ``'now'``
+argument to the date and time functions. So the same text on the same
+database gives the same result.
 
 A query may take at most ``MAX_VM_STEPS`` SQLite virtual-machine steps,
 counted by the progress handler, so whether it is accepted depends only on
@@ -42,12 +52,13 @@ _PROGRESS_OPCODES = 2000
 
 @dataclass(frozen=True)
 class ExecutionFeedback:
+    """One grounding run; ``row_count`` is at most ``SAMPLE_ROWS + 1``."""
+
     ok: bool
     error: str = ""
     columns: tuple[str, ...] = ()
     row_count: int = 0
     sample_rows: tuple[tuple[str, ...], ...] = ()
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -81,8 +92,23 @@ _ALLOWED_ACTIONS = frozenset({
 })
 
 
-def _authorize(action, *_args) -> int:
-    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+# Functions whose result varies between runs; SQLite reports the CURRENT_*
+# keywords as functions of the same name.
+_NONDETERMINISTIC_FUNCTIONS = frozenset({
+    "random", "randomblob", "current_date", "current_time", "current_timestamp",
+})
+# The date and time functions, which read the clock when given 'now'.
+_CLOCK_FUNCTIONS = frozenset({
+    "date", "time", "datetime", "julianday", "strftime", "unixepoch",
+})
+
+
+def _authorize(action, _arg1, name, *_rest) -> int:
+    if action not in _ALLOWED_ACTIONS or (
+            action == sqlite3.SQLITE_FUNCTION
+            and name.lower() in _NONDETERMINISTIC_FUNCTIONS):
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK
 
 
 def open_readonly(db_file) -> sqlite3.Connection:
@@ -97,15 +123,15 @@ def open_readonly(db_file) -> sqlite3.Connection:
 
 
 def execute_sql(conn: sqlite3.Connection, sql: str) -> ExecutionFeedback:
-    """Run a query read-only; every failure comes back as feedback."""
+    """Run a query read-only, as far as ``SAMPLE_ROWS + 1`` rows.
+
+    Every failure comes back as feedback.
+    """
     try:
-        columns, rows = _run_query(conn, sql)
+        columns, rows = _run_query(conn, sql, SAMPLE_ROWS + 1)
     except sqlite3.Error as exc:
         return ExecutionFeedback(ok=False, error=str(exc))
 
-    truncated = len(rows) > MAX_ROWS
-    if truncated:
-        rows = rows[:MAX_ROWS]
     sample = tuple(
         tuple("NULL" if cell is None else str(cell) for cell in row)
         for row in rows[:SAMPLE_ROWS]
@@ -115,12 +141,11 @@ def execute_sql(conn: sqlite3.Connection, sql: str) -> ExecutionFeedback:
         columns=columns,
         row_count=len(rows),
         sample_rows=sample,
-        truncated=truncated,
     )
 
 
-def _run_query(conn: sqlite3.Connection, sql: str):
-    """Column names and up to ``MAX_ROWS + 1`` rows; SQLite errors propagate.
+def _run_query(conn: sqlite3.Connection, sql: str, limit: int):
+    """Column names and up to ``limit`` rows; SQLite errors propagate.
 
     A query past ``MAX_VM_STEPS`` is interrupted and raises an
     OperationalError that names the step budget. A query still running
@@ -139,7 +164,7 @@ def _run_query(conn: sqlite3.Connection, sql: str):
     conn.set_progress_handler(progress, _PROGRESS_OPCODES)
     try:
         cur = conn.execute(sql)
-        rows = cur.fetchmany(MAX_ROWS + 1)
+        rows = cur.fetchmany(limit)
         return tuple(d[0] for d in cur.description or ()), rows
     except sqlite3.OperationalError:
         if past_deadline:
@@ -166,9 +191,9 @@ def render_feedback(feedback: ExecutionFeedback) -> str:
     """Compact text form for prompt injection."""
     if not feedback.ok:
         return f"Execution error: {feedback.error}"
+    at_least = "at least " if feedback.row_count > SAMPLE_ROWS else ""
     lines = [
-        f"Execution succeeded: {feedback.row_count} row(s)"
-        + (" (truncated)" if feedback.truncated else ""),
+        f"Execution succeeded: {at_least}{feedback.row_count} row(s)",
         "Columns: " + ", ".join(feedback.columns),
     ]
     for row in feedback.sample_rows:
@@ -214,7 +239,7 @@ def _looks_numeric(text: str) -> bool:
 def collect_result(conn: sqlite3.Connection, sql: str) -> ResultMultiset | None:
     """The result rows as SQLite returned them, or None when execution fails."""
     try:
-        _, rows = _run_query(conn, sql)
+        _, rows = _run_query(conn, sql, MAX_ROWS + 1)
     except sqlite3.Error:
         return None
     return ResultMultiset(tuple(rows[:MAX_ROWS]), sql)
@@ -300,6 +325,9 @@ def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None]:
         ast = parse_sql(sql)
     except SqlgrowError as exc:
         return f"parse failure: {exc}", None
+    clock = _reads_the_clock(sql, ast)
+    if clock:
+        return f"nondeterministic: {clock}('now')", ast
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError as exc:
@@ -308,3 +336,15 @@ def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None]:
         names = sorted({b.name for b in report.unresolved})
         return "unresolved columns: " + ", ".join(names), ast
     return "", ast
+
+
+def _reads_the_clock(sql: str, ast: t.Node) -> str:
+    """The date or time function given a 'now' literal in ``ast``, or ""."""
+    if "'now'" not in sql.lower():
+        return ""
+    for _, node in t.walk(ast):
+        if node.kind == t.FUNCTION and node.value[0] in _CLOCK_FUNCTIONS and any(
+                arg.kind == t.LITERAL and arg.value[0].lower() == "'now'"
+                for arg in node.children):
+            return node.value[0]
+    return ""

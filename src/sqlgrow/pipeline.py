@@ -120,6 +120,9 @@ class SchemaRepo:
     def ids(self) -> list[str]:
         return sorted(self._paths)
 
+    def path(self, schema_id: str) -> Path:
+        return self._paths[schema_id]
+
     def has(self, schema_id: str) -> bool:
         return schema_id in self._paths
 
@@ -369,13 +372,13 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
     out_dir = Path(cfg.out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    done = _start_done(ckpt_dir, cfg, resume)
-
     repo = SchemaRepo(cfg.db_dir)
     gateway = build_gateway(cfg)
     rejections: list[dict] = []
 
     try:
+        done = _start_done(ckpt_dir, cfg, resume, _inputs_sha256(cfg.seeds, repo))
+
         # ingest
         if "ingest" in done:
             seeds = read_jsonl(ckpt_dir / "seeds.jsonl")
@@ -545,22 +548,50 @@ def _config_sha256(cfg: RunConfig) -> str:
     return hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool) -> dict:
-    """The finished stages to reuse, keyed by name, and the config's hash.
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        # 64 KiB stays below glibc's mmap threshold; freeing a 1 MiB block
+        # raises that threshold and the run's peak RSS with it
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _inputs_sha256(seeds, repo: SchemaRepo) -> str:
+    """One hash over the contents of the seed file and of every database file.
+
+    The databases come in schema-name order, each under its name, so moving
+    the inputs keeps the hash and renaming or editing one changes it.
+    """
+    try:
+        lines = [f"seeds {_file_sha256(seeds)}"]
+    except OSError as exc:
+        raise IOError(f"cannot read seed file {seeds}: {exc}")
+    lines += [f"{schema_id} {_file_sha256(repo.path(schema_id))}"
+              for schema_id in repo.ids()]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
+                inputs_sha256: str) -> dict:
+    """The finished stages to reuse, keyed by name, and the run's two hashes.
 
     A fresh run starts ``done.json`` afresh. A resumed run reuses it only
-    when it was written under the same config.
+    when it was written under the same config and from the same inputs.
     """
     path = ckpt_dir / "done.json"
-    config_sha256 = _config_sha256(cfg)
+    hashes = {"config_sha256": _config_sha256(cfg), "inputs_sha256": inputs_sha256}
     if not resume:
-        done = {"config_sha256": config_sha256}
-        path.write_text(json.dumps(done, sort_keys=True, indent=2))
-        return done
+        path.write_text(json.dumps(hashes, sort_keys=True, indent=2))
+        return hashes
     done = json.loads(path.read_text()) if path.is_file() else {}
-    if done.get("config_sha256") != config_sha256:
+    if done.get("config_sha256") != hashes["config_sha256"]:
         raise ConfigError(f"cannot resume: the checkpoints in {ckpt_dir} were "
                           "not written under this config")
+    if done.get("inputs_sha256") != inputs_sha256:
+        raise ConfigError(f"cannot resume: the checkpoints in {ckpt_dir} were "
+                          "written from another seed file or other databases")
     return done
 
 

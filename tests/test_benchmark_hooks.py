@@ -154,7 +154,7 @@ class _ScriptedTeacher:
 
 
 @pytest.mark.parametrize("candidate_sql,runs", [
-    ("SELECT full_name FROM person WHERE weight > 90", 1),
+    ("SELECT full_name FROM person WHERE weight > 90", 0),
     ("SELECT p.full_name FROM person AS p WHERE p.weight > 90", 2),
 ])
 def test_cot_runs_the_gold_once_through_collect_result(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sqlite3
 
 import pytest
 
@@ -138,6 +139,40 @@ def test_resume_under_another_config_is_refused(workspace, capsys):
     assert main(["run", "--config", str(cfg), "--resume", "--tau", "0.8"]) == 1
     assert "cannot resume" in capsys.readouterr().err
     assert main(["run", "--config", str(cfg), "--resume"]) == 0
+
+
+@pytest.mark.parametrize("edited", ["dbs/olympics.db", "dbs/shop.db", "seeds.json"])
+def test_resume_over_edited_inputs_is_refused(workspace, capsys, edited):
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    path = tmp_path / edited
+    if path.suffix == ".db":
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE person SET weight = weight + 1" if "olympics" in edited
+                     else "DELETE FROM product WHERE id = (SELECT MAX(id) FROM product)")
+        conn.commit()
+        conn.close()
+    else:
+        path.write_text(path.read_text() + "\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 1
+    assert "cannot resume" in capsys.readouterr().err
+
+
+def test_resume_over_unchanged_inputs_reuses_checkpoints(workspace, monkeypatch):
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    fresh = {name: (out / name).read_bytes()
+             for name in ("dataset.jsonl", "manifest.json", "checkpoints/done.json")}
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("a finished stage ran again")
+
+    for stage in ("ingest_seeds", "run_eqe", "run_oge"):
+        monkeypatch.setattr(pipeline, stage, no_rerun)
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+    assert {name: (out / name).read_bytes() for name in fresh} == fresh
 
 
 def test_staged_cot_then_dedup(workspace):

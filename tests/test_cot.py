@@ -1,6 +1,7 @@
 import pytest
 
 from fixtures import STAGE_SQL_0
+from sqlgrow import cot, harness
 from sqlgrow.cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
 from sqlgrow.errors import TransportError
 from sqlgrow.gateway import CotCandidate, LlmGateway
@@ -84,3 +85,35 @@ def test_kept_record_reverifies(connections, olympics_schema):
     conn = connections["olympics"]
     assert results_equivalent(collect_result(conn, outcome.verified_sql),
                               collect_result(conn, inst.sql))
+
+
+def test_gold_runs_once_for_all_differing_candidates(
+        connections, olympics_schema, monkeypatch):
+    gold = "SELECT full_name FROM person WHERE weight > 90"
+    runs = []
+    monkeypatch.setattr(cot, "collect_result",
+                        lambda conn, sql: runs.append(sql) or collect_result(conn, sql))
+    teacher = ScriptedTeacher([
+        CotCandidate("wrong rows", "SELECT full_name FROM person WHERE weight < 60"),
+        CotCandidate("engine error", "SELECT broken FROM person"),
+        CotCandidate("right", "SELECT full_name FROM person WHERE weight >= 91"),
+    ])
+    outcome = synthesize_cot(make_instance(gold), connections["olympics"],
+                             teacher, olympics_schema, n=4)
+    assert isinstance(outcome, CotRecord) and outcome.attempts_used == 3
+    assert runs == [gold] + [c.predicted_sql for c in teacher.candidates]
+
+
+def test_gold_that_fails_its_full_read_is_discarded(
+        connections, olympics_schema, monkeypatch):
+    # grounding reads a handful of rows within the step budget; CoT's full
+    # read of the same gold runs past it
+    monkeypatch.setattr(harness, "MAX_VM_STEPS", harness._PROGRESS_OPCODES)
+    gold = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+            "WHERE x < 5000) SELECT x FROM c")
+    assert harness.execute_sql(connections["olympics"], gold).ok
+    teacher = ScriptedTeacher([CotCandidate("other", "SELECT 1"),
+                               CotCandidate("gold", gold)])
+    outcome = synthesize_cot(make_instance(gold), connections["olympics"],
+                             teacher, olympics_schema, n=4)
+    assert outcome == CotDiscard("q1", ("gold SQL: execution error",))

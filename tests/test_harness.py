@@ -16,6 +16,7 @@ from sqlgrow.harness import (
     normalize_cell,
     open_readonly,
     refine_until_valid,
+    render_feedback,
     results_equivalent,
 )
 from sqlgrow.parser import parse_sql
@@ -48,12 +49,18 @@ def test_step_budget_stops_runaway_query(connections, monkeypatch):
     assert execute_sql(connections["olympics"], "SELECT 1").ok
 
 
-def test_truncation_flag(connections, monkeypatch):
-    monkeypatch.setattr(harness, "MAX_ROWS", 3)
-    fb = execute_sql(connections["olympics"],
-                     "SELECT gc.id FROM games_competitor gc, games_competitor g2")
-    assert fb.ok and fb.truncated and fb.row_count == 3
-    assert len(fb.sample_rows) <= 3
+def test_grounding_reads_one_row_past_the_sample(connections):
+    conn = connections["olympics"]
+    cross = "SELECT gc.id FROM games_competitor gc, games_competitor g2"
+    fb = execute_sql(conn, cross)
+    assert fb.ok and fb.row_count == harness.SAMPLE_ROWS + 1
+    assert len(fb.sample_rows) == harness.SAMPLE_ROWS
+    assert len(collect_result(conn, cross).rows) > harness.SAMPLE_ROWS + 1
+    assert (f"Execution succeeded: at least {harness.SAMPLE_ROWS + 1} row(s)"
+            in render_feedback(fb))
+    exact = execute_sql(conn, f"SELECT id FROM person LIMIT {harness.SAMPLE_ROWS}")
+    assert (f"Execution succeeded: {harness.SAMPLE_ROWS} row(s)"
+            in render_feedback(exact))
 
 
 # A query of some tens of thousands of VM steps.
@@ -394,6 +401,17 @@ def test_accepted_sql_must_resolve(connections, olympics_schema):
     assert outcome.accepted
     assert outcome.sql == "SELECT full_name FROM person"
     assert outcome.tree == parse_sql(outcome.sql)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT full_name FROM person WHERE date('2020-01-01') > '2019'",
+    "SELECT strftime('%Y', '2020-01-01'), full_name FROM person",
+    "SELECT full_name FROM person WHERE full_name <> 'now'",
+])
+def test_fixed_dates_and_other_now_literals_ground(connections, olympics_schema, sql):
+    outcome = refine_until_valid("who", sql, olympics_schema, connections["olympics"],
+                                 lambda q, s, sc, fb: s, max_attempts=1)
+    assert outcome.accepted, outcome.reason
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3)), min_size=0, max_size=5))

@@ -9,7 +9,7 @@ import pytest
 import fixtures
 from sqlgrow.errors import ConfigError, ResponseFormatError, TransportError
 from sqlgrow.features import aggregate_features
-from sqlgrow.gateway import LlmGateway
+from sqlgrow.gateway import ExpansionResult, LlmGateway
 from sqlgrow.instances import QueryInstance, read_jsonl
 from sqlgrow.operators import OperatorId
 from sqlgrow.parser import parse_sql
@@ -276,7 +276,8 @@ def test_fresh_run_over_a_finished_directory_starts_done_afresh(
     assert "oge-2" in json.loads(done_path.read_text())
     run_full(replace(cfg, rounds=1))
     done = json.loads(done_path.read_text())
-    assert set(done) == {"config_sha256", "ingest", "eqe", "oge-1", "final"}
+    assert set(done) == {"config_sha256", "inputs_sha256", "ingest", "eqe", "oge-1",
+                         "final"}
 
 
 def test_stats_report_columns(tmp_path, db_dir, mini_seed_file):
@@ -369,6 +370,50 @@ def test_eqe_format_error_recorded_not_fatal(repo, mini_seed_file):
          "reason": "no JSON object found in model response"}
         for s in seeds for _ in range(2)
     ]
+
+
+class FixedExpansionGateway(LlmGateway):
+    """Proposes one fixed SQL text for every expansion and never repairs it."""
+
+    def __init__(self, sql):
+        super().__init__()
+        self.sql = sql
+
+    def generate_expansion(self, question, *args, **kwargs):
+        return ExpansionResult(question, "", self.sql)
+
+    def refine_sql(self, question, draft, *args, **kwargs):
+        return draft
+
+
+@pytest.mark.parametrize("sql,reason", [
+    ("SELECT random() FROM person", "not authorized to use function: random"),
+    ("SELECT RANDOM() FROM person", "not authorized to use function: RANDOM"),
+    ("SELECT randomblob(4) FROM person",
+     "not authorized to use function: randomblob"),
+    ("SELECT CURRENT_DATE FROM person",
+     "not authorized to use function: CURRENT_DATE"),
+    ("SELECT full_name FROM person WHERE current_time > '00:00'",
+     "not authorized to use function: current_time"),
+    ("SELECT Current_Timestamp FROM person",
+     "not authorized to use function: Current_Timestamp"),
+    ("SELECT full_name FROM person WHERE date('now') > '2000-01-01'",
+     "nondeterministic: date('now')"),
+    ("SELECT time('now') FROM person", "nondeterministic: time('now')"),
+    ("SELECT full_name FROM person WHERE full_name > datetime('NOW', '-1 day')",
+     "nondeterministic: datetime('now')"),
+    ("SELECT julianday('now') - weight FROM person",
+     "nondeterministic: julianday('now')"),
+    ("SELECT strftime('%Y', 'now') FROM person", "nondeterministic: strftime('now')"),
+    ("SELECT full_name FROM person WHERE id IN (SELECT id FROM person "
+     "WHERE unixepoch('now') > 0)", "nondeterministic: unixepoch('now')"),
+])
+def test_nondeterministic_sql_is_a_rejection(repo, mini_seed_file, sql, reason):
+    cfg = RunConfig(global_seed=3)
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    rejections = []
+    assert run_eqe(seeds[:1], cfg, repo, FixedExpansionGateway(sql), rejections) == []
+    assert rejections == [{"stage": "EQE", "parent": seeds[0].id, "reason": reason}]
 
 
 def test_oge_transport_failure_is_one_rejection_after_one_call(repo, mini_seed_file):
