@@ -27,6 +27,7 @@ from .pipeline import (
     run_full,
     run_oge,
     save_ingest,
+    save_removals,
     save_round,
     stats_report,
     verify_dataset,
@@ -168,6 +169,7 @@ def _dispatch(args) -> int:
         if args.command == "dedup":
             kept, removals = dedup_pool(instances, cfg)
             write_jsonl(kept, out_dir / "dedup.jsonl")
+            save_removals(out_dir, removals)
             print(f"kept {len(kept)}, removed {len(removals)}")
             return 0
     finally:

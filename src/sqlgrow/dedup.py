@@ -6,11 +6,15 @@ of one schema group into one matrix with a unit row per question, and
 instance stays iff its maximum cosine against everything already kept is
 at or below the threshold. Groups are independent, so identical questions
 under two schemas both survive.
+
+The lexical fallback hashes each distinct trigram once per
+``embed_questions`` call, however often the questions repeat it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +26,8 @@ from .instances import QueryInstance, stage_rank
 
 FALLBACK_DIM = 4096
 _EMPTY_AXIS = 0
+# exactly the characters for which str.isalnum() is true
+_WORD = re.compile(r"[^\W_]+")
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,7 @@ class RemovalRecord:
 def word_trigrams(text: str) -> list[str]:
     """Character trigrams taken within each lowercased word."""
     grams: list[str] = []
-    for word in "".join(
-        c if c.isalnum() else " " for c in text.lower()
-    ).split():
+    for word in _WORD.findall(text.lower()):
         if len(word) < 3:
             grams.append(word)
         else:
@@ -56,14 +60,6 @@ def _bucket(gram: str) -> int:
     return int(digest[:8], 16) % FALLBACK_DIM
 
 
-def _bucket_counts(text: str) -> Counter:
-    """Hashed trigram counts of one text, keyed by bucket."""
-    counts = Counter(_bucket(gram) for gram in word_trigrams(text))
-    if not counts:
-        counts[_EMPTY_AXIS] = 1  # reserved axis for zero-content questions
-    return counts
-
-
 def embed_questions(
     questions: list[str],
     embedder: HttpEmbeddingBackend | None = None,
@@ -74,8 +70,9 @@ def embed_questions(
     question, all of one width. Without one, the lexical fallback hashes
     trigrams into ``FALLBACK_DIM`` buckets and keeps only the buckets the
     questions use, so the rows of one call share a basis: they are
-    comparable with each other, not with rows from another call. A row with
-    no content is the unit vector on the reserved axis.
+    comparable with each other, not with rows from another call. Each
+    distinct trigram is hashed once per call. A row with no content is the
+    unit vector on the reserved axis.
     """
     if embedder is not None:
         raw = embedder.embed(questions)
@@ -86,7 +83,16 @@ def embed_questions(
                 f"for {len(questions)} questions")
         matrix = np.array(raw, dtype=np.float64).reshape(len(raw), max(widths, default=0))
     else:
-        counts = [_bucket_counts(q) for q in questions]
+        buckets: dict[str, int] = {}  # gram -> bucket, for this call only
+        counts = []
+        for question in questions:
+            grams = word_trigrams(question)
+            for gram in set(grams).difference(buckets):
+                buckets[gram] = _bucket(gram)
+            text_counts = Counter(map(buckets.__getitem__, grams))
+            if not text_counts:
+                text_counts[_EMPTY_AXIS] = 1  # reserved axis for zero-content questions
+            counts.append(text_counts)
         column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
         matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
         for row, text_counts in zip(matrix, counts):
@@ -129,24 +135,30 @@ def dedup_schema_group(
 
     kept_idx = _greedy_scan(order, sims, tau)
     kept_set = set(kept_idx)
-    removals = []
-    for i in order:
-        if i in kept_set:
-            continue
-        # argmax takes the first maximum: a tie goes to the earliest kept item
-        nearest = kept_idx[int(np.argmax(sims[i, kept_idx]))]
-        removals.append(
-            RemovalRecord(instances[i].id, instances[nearest].id,
-                          round(float(sims[i, nearest]), 6))
-        )
+    removed_idx = [i for i in order if i not in kept_set]
+    # argmax takes the first maximum: a tie goes to the earliest kept item
+    nearest = sims[np.ix_(removed_idx, kept_idx)].argmax(axis=1).tolist()
+    removals = [
+        RemovalRecord(instances[i].id, instances[kept_idx[k]].id,
+                      round(float(sims[i, kept_idx[k]]), 6))
+        for i, k in zip(removed_idx, nearest)
+    ]
     kept = [instances[i] for i in sorted(kept_set)]
     return kept, removals
 
 
 def _greedy_scan(order, sims: np.ndarray, tau) -> list[int]:
-    """Keep an item iff its max similarity to the kept set is <= tau."""
+    """Keep an item iff its max similarity to the kept set is <= tau.
+
+    ``blocked[x]`` turns true once some kept ``k`` fails ``sims[x, k] <= tau``
+    (a NaN fails it), so each item is judged on the same comparisons as
+    against every kept item in turn.
+    """
+    allowed = sims <= tau
+    blocked = np.zeros(len(allowed), dtype=bool)
     kept: list[int] = []
     for i in order:
-        if all(sims[i, j] <= tau for j in kept):
+        if not blocked[i]:
             kept.append(i)
+            blocked |= ~allowed[:, i]
     return kept

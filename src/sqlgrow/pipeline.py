@@ -422,7 +422,8 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
 
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
-        _write_side_files(out_dir, removals, rejections, quarantined)
+        save_removals(out_dir, removals)
+        _write_rejections(out_dir, rejections, quarantined)
 
         manifest = _build_manifest(
             cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
@@ -526,7 +527,8 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
     }
 
 
-def _write_side_files(out_dir: Path, removals, rejections, quarantined) -> None:
+def save_removals(out_dir: Path, removals) -> None:
+    """Write one line per dedup removal record to ``dedup_removals.jsonl``."""
     with open(out_dir / "dedup_removals.jsonl", "w", encoding="utf-8") as handle:
         for record in removals:
             handle.write(json.dumps({
@@ -534,6 +536,9 @@ def _write_side_files(out_dir: Path, removals, rejections, quarantined) -> None:
                 "kept_id": record.kept_id,
                 "similarity": record.similarity,
             }, sort_keys=True) + "\n")
+
+
+def _write_rejections(out_dir: Path, rejections, quarantined) -> None:
     with open(out_dir / "rejections.jsonl", "w", encoding="utf-8") as handle:
         for item in quarantined:
             handle.write(json.dumps({"stage": "ingest", **item}, sort_keys=True) + "\n")

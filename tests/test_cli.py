@@ -184,10 +184,19 @@ def test_staged_cot_then_dedup(workspace):
                  "--in", str(tmp_path / "out" / "eqe.jsonl")]) == 0
     kept = read_jsonl(tmp_path / "out" / "cot.jsonl")
     assert kept and all(i.cot for i in kept)
-    assert main(["dedup", "--config", str(cfg),
+    # the rephrasings share a prefix: cosines of 0.22-0.28, so tau 0.2 removes some
+    assert main(["dedup", "--config", str(cfg), "--tau", "0.2",
                  "--in", str(tmp_path / "out" / "cot.jsonl")]) == 0
     deduped = read_jsonl(tmp_path / "out" / "dedup.jsonl")
     assert 0 < len(deduped) <= len(kept)
+    # the removals, one line each, in the format run writes them
+    _, removals = pipeline.dedup_pool(
+        kept, pipeline.RunConfig.from_file(str(cfg), {"tau": 0.2}))
+    lines = (tmp_path / "out" / "dedup_removals.jsonl").read_text().splitlines()
+    assert removals and len(deduped) + len(removals) == len(kept)
+    assert lines == [json.dumps({"removed_id": r.removed_id, "kept_id": r.kept_id,
+                                 "similarity": r.similarity}, sort_keys=True)
+                     for r in removals]
 
 
 def test_staged_commands_write_the_checkpoints_of_run(workspace):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 from collections import Counter
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 import fixtures
+from sqlgrow import dedup
 from sqlgrow.dedup import (
+    _WORD,
     FALLBACK_DIM,
+    _bucket,
     _greedy_scan,
     cosine,
     dedup_schema_group,
@@ -264,3 +268,118 @@ def test_matrix_scan_matches_dense_oracle(schemas, connections, tau):
         assert np.abs(vectors @ vectors.T - exact).max() < 1e-9
         total_removed += len(removed)
     assert total_removed > 0
+
+
+# ---------------------------------------------------------------------------
+# The lexical fallback and the scan against their per-item definitions
+# ---------------------------------------------------------------------------
+
+def _per_char_trigrams(text):
+    """Word trigrams with words split character by character on isalnum."""
+    grams = []
+    for word in "".join(
+        c if c.isalnum() else " " for c in text.lower()
+    ).split():
+        if len(word) < 3:
+            grams.append(word)
+        else:
+            grams.extend(word[i : i + 3] for i in range(len(word) - 2))
+    return grams
+
+
+def _per_occurrence_matrix(questions):
+    """One _bucket call per trigram occurrence, then a Counter per question."""
+    counts = []
+    for question in questions:
+        text_counts = Counter(_bucket(gram) for gram in _per_char_trigrams(question))
+        counts.append(text_counts or Counter({0: 1}))
+    column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
+    matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
+    for row, text_counts in zip(matrix, counts):
+        for bucket, count in text_counts.items():
+            row[column[bucket]] = count
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    empty = norms[:, 0] == 0
+    matrix[empty, 0] = 1.0
+    norms[empty] = 1.0
+    return matrix / norms
+
+
+def _pairwise_scan(order, sims, tau):
+    """Keep an item iff every kept item's similarity to it is <= tau."""
+    kept = []
+    for i in order:
+        if all(sims[i, j] <= tau for j in kept):
+            kept.append(i)
+    return kept
+
+
+EDGE_QUESTIONS = ["", "__", "!!", "ab", "1²3 ᛮ"]
+
+
+def _seed_questions():
+    return [q for pairs in fixtures.SEED_QUESTIONS.values() for q, _ in pairs]
+
+
+def test_word_pattern_matches_isalnum_on_every_code_point():
+    mismatched = [code for code in range(0x110000)
+                  if (_WORD.fullmatch(chr(code)) is not None) != chr(code).isalnum()]
+    assert mismatched == []
+
+
+def test_word_trigrams_match_per_character_split():
+    rng = random.Random(13)
+    alphabet = "aZ9 _-.²½İßς"
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(25)))
+        assert Counter(word_trigrams(text)) == Counter(_per_char_trigrams(text)), text
+
+
+def test_embedding_bytes_match_per_occurrence_hashing():
+    questions = _seed_questions() + EDGE_QUESTIONS
+    got = embed_questions(questions)
+    want = _per_occurrence_matrix(questions)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_each_distinct_trigram_hashed_once_per_call(monkeypatch):
+    hashed = []
+
+    def counting(gram):
+        hashed.append(gram)
+        return _bucket(gram)
+
+    monkeypatch.setattr(dedup, "_bucket", counting)
+    questions = _seed_questions() * 2 + EDGE_QUESTIONS
+    embed_questions(questions)
+    occurrences = [g for q in questions for g in word_trigrams(q)]
+    assert len(occurrences) > 2 * len(set(occurrences))
+    assert sorted(hashed) == sorted(set(occurrences))
+    # a second call starts a fresh memo
+    embed_questions(questions[:1])
+    assert len(hashed) == len(set(occurrences)) + len(set(word_trigrams(questions[0])))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_array_scan_matches_pairwise_scan(seed):
+    rng = np.random.default_rng(seed)
+    n, tau = int(rng.integers(1, 40)), 0.5
+    # values on a 0.1 grid, so many entries equal tau exactly
+    sims = rng.integers(0, 11, size=(n, n)) / 10
+    sims = np.triu(sims) + np.triu(sims, 1).T
+    if seed % 4 == 0:
+        sims[rng.integers(0, n, 3), rng.integers(0, n, 3)] = np.nan
+    assert (sims == tau).any() or n < 4
+    order = rng.permutation(n).tolist()
+    assert _greedy_scan(order, sims, tau) == _pairwise_scan(order, sims, tau)
+
+
+def test_array_scan_keeps_the_first_item_against_the_empty_kept_set():
+    # every similarity is above tau: only the first item in order is kept
+    sims = np.full((4, 4), 0.95)
+    assert _greedy_scan([2, 0, 3, 1], sims, 0.9) == [2]
+    assert _greedy_scan([], sims, 0.9) == []
+    # NaN never compares <= tau, so a NaN against a kept item blocks
+    sims = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    assert _greedy_scan([0, 1], sims, 1.0) == [0] == _pairwise_scan([0, 1], sims, 1.0)
