@@ -1,7 +1,10 @@
 """Batch command line for the synthesis pipeline.
 
-Subcommands mirror the pipeline stages; ``run`` executes everything. All
-stages read a JSON config file whose fields can be overridden by flags.
+``run`` executes everything. ``ingest`` starts the same run and stops after
+ingest; ``eqe`` and ``oge`` resume it and stop after their stage, and
+``run --resume`` finishes it. ``cot`` and ``dedup`` are standalone tools
+over one JSONL file. All commands read a JSON config file whose fields can
+be overridden by flags.
 Exit codes: 0 success, 1 configuration error, 2 stage failure.
 """
 
@@ -12,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import scheduler
 from .errors import ConfigError, SqlgrowError
 from .instances import read_jsonl, write_jsonl
 from .pipeline import (
@@ -20,15 +22,9 @@ from .pipeline import (
     SchemaRepo,
     build_gateway,
     dedup_pool,
-    ingest_seeds,
-    initial_state,
     run_cot,
-    run_eqe,
     run_full,
-    run_oge,
-    save_ingest,
     save_removals,
-    save_round,
     stats_report,
     verify_dataset,
 )
@@ -69,22 +65,19 @@ def main(argv=None) -> int:
 
     for name, help_text in (
         ("run", "full pipeline: ingest, expand, evolve, verify, dedup"),
-        ("ingest", "validate seeds and write seeds.jsonl"),
-        ("eqe", "exploratory expansion over ingested seeds"),
-        ("oge", "one evolution round, operators scheduled per instance"),
-        ("cot", "attach execution-verified reasoning traces"),
-        ("dedup", "schema-aware near-duplicate removal"),
+        ("ingest", "start a run afresh and stop after ingest"),
+        ("eqe", "resume the run and stop after exploratory expansion"),
+        ("oge", "resume the run and stop after every evolution round"),
+        ("cot", "attach execution-verified reasoning traces to a JSONL file"),
+        ("dedup", "schema-aware near-duplicate removal over a JSONL file"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
         if name == "run":
             p.add_argument("--resume", action="store_true",
                            help="reuse finished stage checkpoints in the output directory")
-        if name in ("eqe", "oge", "cot", "dedup"):
+        if name in ("cot", "dedup"):
             p.add_argument("--in", dest="input", required=True, help="input JSONL")
-        if name == "oge":
-            p.add_argument("--round", type=int, default=1, help="round number")
-            p.add_argument("--state", help="scheduler state JSON to resume from")
 
     stats = sub.add_parser("stats", help="feature report for a dataset")
     stats.add_argument("--dataset", required=True, help="dataset JSONL path")
@@ -125,56 +118,34 @@ def _dispatch(args) -> int:
 
     cfg = _load_config(args)
 
-    if args.command == "run":
-        manifest = run_full(cfg, resume=getattr(args, "resume", False))
+    if args.command in ("run", "ingest", "eqe", "oge"):
+        stop_after = None if args.command == "run" else args.command
+        resume = args.command in ("eqe", "oge") or getattr(args, "resume", False)
+        manifest = run_full(cfg, resume=resume, stop_after=stop_after)
+        if manifest is None:
+            print(f"{args.command} checkpointed in {Path(cfg.out_dir) / 'checkpoints'}")
+            return 0
         print(json.dumps(manifest["counts"], indent=2, sort_keys=True))
         print(f"dataset: {Path(cfg.out_dir) / 'dataset.jsonl'}")
         return 0
 
     out_dir = Path(cfg.out_dir)
+    instances = read_jsonl(args.input)
+    if args.command == "dedup":
+        kept, removals = dedup_pool(instances, cfg)
+        write_jsonl(kept, out_dir / "dedup.jsonl")
+        save_removals(out_dir, removals)
+        print(f"kept {len(kept)}, removed {len(removals)}")
+        return 0
+
     repo = SchemaRepo(cfg.db_dir)
-    gateway = build_gateway(cfg)
     try:
-        if args.command == "ingest":
-            seeds, quarantined = ingest_seeds(cfg.seeds, repo)
-            save_ingest(out_dir, seeds, quarantined)
-            print(f"{len(seeds)} seeds accepted, {len(quarantined)} quarantined")
-            return 0
-
-        instances = read_jsonl(args.input)
-        if args.command == "eqe":
-            accepted = run_eqe(instances, cfg, repo, gateway)
-            write_jsonl(accepted, out_dir / "eqe.jsonl")
-            print(f"{len(accepted)} expansion instances accepted")
-            return 0
-
-        if args.command == "oge":
-            if args.state:
-                state = scheduler.state_from_json(Path(args.state).read_text())
-            else:
-                state = initial_state(cfg)
-            evolved, state = run_oge(
-                instances, cfg, repo, gateway, state, args.round)
-            save_round(out_dir, args.round, evolved, state)
-            print(f"{len(evolved)} evolved instances accepted in round {args.round}")
-            return 0
-
-        if args.command == "cot":
-            kept, discards, deferrals = run_cot(instances, cfg, repo, gateway)
-            write_jsonl(kept, out_dir / "cot.jsonl")
-            print(f"kept {len(kept)}, discarded {len(discards)}, "
-                  f"deferred {len(deferrals)}")
-            return 0
-
-        if args.command == "dedup":
-            kept, removals = dedup_pool(instances, cfg)
-            write_jsonl(kept, out_dir / "dedup.jsonl")
-            save_removals(out_dir, removals)
-            print(f"kept {len(kept)}, removed {len(removals)}")
-            return 0
+        kept, discards, deferrals = run_cot(instances, cfg, repo, build_gateway(cfg))
     finally:
         repo.close()
-    return 1
+    write_jsonl(kept, out_dir / "cot.jsonl")
+    print(f"kept {len(kept)}, discarded {len(discards)}, deferred {len(deferrals)}")
+    return 0
 
 
 if __name__ == "__main__":

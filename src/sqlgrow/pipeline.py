@@ -73,6 +73,15 @@ class RunConfig:
             raise ConfigError("expansions_per_seed must be >= 1")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
+        if self.p_target is not None:
+            if not isinstance(self.p_target, dict) or \
+                    not set(self.p_target) <= OperatorId.__members__.keys():
+                raise ConfigError("p_target keys must be operator names: "
+                                  + ", ".join(OperatorId.__members__))
+            weights = list(self.p_target.values())
+            if not all(type(w) in (int, float) and w >= 0 for w in weights) \
+                    or abs(sum(weights) - 1.0) > 1e-9:
+                raise ConfigError("p_target weights must be >= 0 and sum to 1")
 
     def echo(self) -> dict:
         data = asdict(self)
@@ -88,6 +97,8 @@ class RunConfig:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -178,11 +189,16 @@ def ingest_seeds(path, repo: SchemaRepo):
     seeds: list[QueryInstance] = []
     quarantined: list[dict] = []
     for i, record in enumerate(records):
-        reason = None
-        sql = next((record[k] for k in _SQL_KEYS if record.get(k)), "")
-        question = record.get("question", "")
-        schema_id = record.get("db_id") or record.get("schema_id") or ""
-        if not question or not sql:
+        fields = record if isinstance(record, dict) else {}
+        sql = next((fields[k] for k in _SQL_KEYS if fields.get(k)), "")
+        question = fields.get("question") or ""
+        schema_id = fields.get("db_id") or fields.get("schema_id") or ""
+        evidence = fields.get("evidence") or ""
+        if not isinstance(record, dict):
+            reason = "record is not a JSON object"
+        elif not all(isinstance(v, str) for v in (question, sql, schema_id, evidence)):
+            reason = "question, SQL, db_id and evidence must be strings"
+        elif not question or not sql:
             reason = "missing question or SQL"
         elif not repo.has(schema_id):
             reason = "schema not found"
@@ -198,7 +214,7 @@ def ingest_seeds(path, repo: SchemaRepo):
             id=f"seed-{i:04d}",
             schema_id=schema_id,
             question=question,
-            evidence=record.get("evidence", "") or "",
+            evidence=evidence,
             sql=sql,
             stage=STAGE_SEED,
             features=extract_features(ast),
@@ -212,13 +228,6 @@ def _seed_problem(sql, schema, conn):
     if not reason:
         reason = execution_problem(execute_sql(conn, sql))
     return reason, ast
-
-
-def save_ingest(out_dir: Path, seeds, quarantined) -> None:
-    """Write the accepted and quarantined seeds, as run_full checkpoints them."""
-    write_jsonl(seeds, out_dir / "seeds.jsonl")
-    (out_dir / "quarantine.json").write_text(
-        json.dumps(quarantined, sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +299,6 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
     return accepted
 
 
-def initial_state(cfg: RunConfig) -> scheduler.EvolutionState:
-    """The scheduler state before round 1, with the configured target shares."""
-    p_target = ({OperatorId[name]: weight for name, weight in cfg.p_target.items()}
-                if cfg.p_target else None)
-    return scheduler.fresh_state(cfg.epsilon, p_target)
-
-
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             state: scheduler.EvolutionState, round_no: int,
             rejections: list | None = None):
@@ -356,22 +358,23 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
     return evolved, state
 
 
-def save_round(out_dir: Path, round_no: int, instances, state) -> None:
-    """Write a round's instances and scheduler state, as run_full checkpoints them."""
-    write_jsonl(instances, out_dir / f"oge-{round_no}.jsonl")
-    (out_dir / f"state-{round_no}.json").write_text(scheduler.state_to_json(state))
-
-
 # ---------------------------------------------------------------------------
 # Full run
 # ---------------------------------------------------------------------------
 
-def run_full(cfg: RunConfig, resume: bool = False) -> dict:
-    """Execute the whole pipeline and write dataset, manifest, and reports."""
+def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None):
+    """Execute the whole pipeline and write dataset, manifest, and reports.
+
+    Each stage is checkpointed under ``out_dir/checkpoints`` and marked in
+    ``done.json``; a resumed run reuses the stages marked there. With
+    ``stop_after`` ("ingest", "eqe" or "oge", all rounds) the run ends once
+    that stage is checkpointed and returns None; a resume finishes it.
+    """
+    if stop_after not in (None, "ingest", "eqe", "oge"):
+        raise ValueError(f"unknown stage to stop after: {stop_after}")
     cfg.validate()
     out_dir = Path(cfg.out_dir)
     ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     repo = SchemaRepo(cfg.db_dir)
     gateway = build_gateway(cfg)
     rejections: list[dict] = []
@@ -385,8 +388,12 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
             quarantined = json.loads((ckpt_dir / "quarantine.json").read_text())
         else:
             seeds, quarantined = ingest_seeds(cfg.seeds, repo)
-            save_ingest(ckpt_dir, seeds, quarantined)
+            write_jsonl(seeds, ckpt_dir / "seeds.jsonl")
+            (ckpt_dir / "quarantine.json").write_text(
+                json.dumps(quarantined, sort_keys=True, indent=2))
             _mark_done(ckpt_dir, done, "ingest")
+        if stop_after == "ingest":
+            return None
 
         # exploratory expansion
         if "eqe" in done:
@@ -395,22 +402,29 @@ def run_full(cfg: RunConfig, resume: bool = False) -> dict:
             eqe = run_eqe(seeds, cfg, repo, gateway, rejections)
             write_jsonl(eqe, ckpt_dir / "eqe.jsonl")
             _mark_done(ckpt_dir, done, "eqe")
+        if stop_after == "eqe":
+            return None
 
         # evolution rounds
-        state = initial_state(cfg)
+        p_target = ({op: cfg.p_target.get(op.name, 0.0) for op in OperatorId}
+                    if cfg.p_target else None)
+        state = scheduler.fresh_state(cfg.epsilon, p_target)
         current, evolved = eqe, []
         for round_no in range(1, cfg.rounds + 1):
             stage_name = f"oge-{round_no}"
+            state_path = ckpt_dir / f"state-{round_no}.json"
             if stage_name in done:
                 current = read_jsonl(ckpt_dir / f"{stage_name}.jsonl")
-                state = scheduler.state_from_json(
-                    (ckpt_dir / f"state-{round_no}.json").read_text())
+                state = scheduler.state_from_json(state_path.read_text())
             else:
                 current, state = run_oge(
                     current, cfg, repo, gateway, state, round_no, rejections)
-                save_round(ckpt_dir, round_no, current, state)
+                write_jsonl(current, ckpt_dir / f"{stage_name}.jsonl")
+                state_path.write_text(scheduler.state_to_json(state))
                 _mark_done(ckpt_dir, done, stage_name)
             evolved.extend(current)
+        if stop_after == "oge":
+            return None
 
         # chain-of-thought verification
         dataset, discards, deferrals = run_cot(seeds + eqe + evolved, cfg, repo, gateway)
@@ -588,9 +602,13 @@ def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
     path = ckpt_dir / "done.json"
     hashes = {"config_sha256": _config_sha256(cfg), "inputs_sha256": inputs_sha256}
     if not resume:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(hashes, sort_keys=True, indent=2))
         return hashes
-    done = json.loads(path.read_text()) if path.is_file() else {}
+    if not path.is_file():
+        raise ConfigError(f"cannot resume: there are no checkpoints to resume "
+                          f"in {ckpt_dir}")
+    done = json.loads(path.read_text())
     if done.get("config_sha256") != hashes["config_sha256"]:
         raise ConfigError(f"cannot resume: the checkpoints in {ckpt_dir} were "
                           "not written under this config")

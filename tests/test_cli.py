@@ -62,40 +62,66 @@ def test_verify_subcommand(workspace):
 def test_ingest_subcommand(workspace):
     tmp_path, cfg = workspace
     assert main(["ingest", "--config", str(cfg)]) == 0
-    seeds = read_jsonl(tmp_path / "out" / "seeds.jsonl")
+    seeds = read_jsonl(tmp_path / "out" / "checkpoints" / "seeds.jsonl")
     assert len(seeds) == 3
 
 
-def test_staged_eqe_then_oge(workspace):
-    tmp_path, cfg = workspace
-    main(["ingest", "--config", str(cfg)])
-    assert main(["eqe", "--config", str(cfg),
-                 "--in", str(tmp_path / "out" / "seeds.jsonl")]) == 0
-    assert main(["oge", "--config", str(cfg),
-                 "--in", str(tmp_path / "out" / "eqe.jsonl"), "--round", "1"]) == 0
-    evolved = read_jsonl(tmp_path / "out" / "oge-1.jsonl")
-    assert all(i.stage == "OGE-1" for i in evolved)
-    assert (tmp_path / "out" / "state-1.json").is_file()
-
-
-def test_staged_oge_uses_configured_p_target(workspace):
+def test_staged_commands_write_the_checkpoints_of_run(workspace):
     tmp_path, cfg = workspace
     p_target = {"FUNC": 0.5, "OP": 0.1, "LOGIC": 0.1, "JOIN": 0.1,
                 "NEST": 0.1, "SET": 0.1}
-    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "p_target": p_target}))
-    main(["ingest", "--config", str(cfg)])
-    main(["eqe", "--config", str(cfg),
-          "--in", str(tmp_path / "out" / "seeds.jsonl")])
-    assert main(["oge", "--config", str(cfg),
-                 "--in", str(tmp_path / "out" / "eqe.jsonl"), "--round", "1"]) == 0
-    state = json.loads((tmp_path / "out" / "state-1.json").read_text())
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "rounds": 2,
+                               "p_target": p_target}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    staged, full = tmp_path / "out", tmp_path / "full"
+    for command in ("ingest", "eqe", "oge"):
+        assert main([command, "--config", str(cfg)]) == 0
+        assert not (staged / "dataset.jsonl").exists()
+    done = json.loads((staged / "checkpoints" / "done.json").read_text())
+    assert {"ingest", "eqe", "oge-1", "oge-2"} <= set(done) and "final" not in done
+    evolved = read_jsonl(staged / "checkpoints" / "oge-1.jsonl")
+    assert evolved and all(i.stage == "OGE-1" for i in evolved)
+    state = json.loads((staged / "checkpoints" / "state-2.json").read_text())
     assert state["p_target"] == p_target
+    assert main(["run", "--config", str(cfg), "--resume"]) == 0
+
+    names = ["done.json", "seeds.jsonl", "quarantine.json", "eqe.jsonl",
+             "oge-1.jsonl", "oge-2.jsonl", "state-1.json", "state-2.json"]
+    assert sorted(p.name for p in (staged / "checkpoints").iterdir()) == sorted(names)
+    for name in [f"checkpoints/{n}" for n in names] + ["dataset.jsonl",
+                                                       "dedup_removals.jsonl"]:
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (staged, full)]
+    for manifest in manifests:
+        del manifest["rejections"]  # a resume drops the rejections of the stages it skips
+    assert manifests[0] == manifests[1]
+
+
+def test_staged_command_without_checkpoints_is_refused(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["eqe", "--config", str(cfg)]) == 1
+    assert "no checkpoints to resume" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rounds": -3}))
     assert main(["run", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("p_target,message", [
+    ({"FUNK": 1.0}, "operator names"),
+    ({"FUNC": 0.5, "JOIN": 0.4}, "sum to 1"),
+    ({"FUNC": 1.5, "JOIN": -0.5}, ">= 0"),
+])
+def test_bad_p_target_is_a_config_error_before_any_stage(
+        workspace, capsys, p_target, message):
+    tmp_path, cfg = workspace
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "p_target": p_target}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stage_failure_exit_code(tmp_path):
@@ -178,10 +204,9 @@ def test_resume_over_unchanged_inputs_reuses_checkpoints(workspace, monkeypatch)
 def test_staged_cot_then_dedup(workspace):
     tmp_path, cfg = workspace
     main(["ingest", "--config", str(cfg)])
-    main(["eqe", "--config", str(cfg),
-          "--in", str(tmp_path / "out" / "seeds.jsonl")])
+    main(["eqe", "--config", str(cfg)])
     assert main(["cot", "--config", str(cfg),
-                 "--in", str(tmp_path / "out" / "eqe.jsonl")]) == 0
+                 "--in", str(tmp_path / "out" / "checkpoints" / "eqe.jsonl")]) == 0
     kept = read_jsonl(tmp_path / "out" / "cot.jsonl")
     assert kept and all(i.cot for i in kept)
     # the rephrasings share a prefix: cosines of 0.22-0.28, so tau 0.2 removes some
@@ -199,20 +224,3 @@ def test_staged_cot_then_dedup(workspace):
                      for r in removals]
 
 
-def test_staged_commands_write_the_checkpoints_of_run(workspace):
-    tmp_path, cfg = workspace
-    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "rounds": 2}))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
-    staged = tmp_path / "out"
-    assert main(["ingest", "--config", str(cfg)]) == 0
-    assert main(["eqe", "--config", str(cfg), "--in", str(staged / "seeds.jsonl")]) == 0
-    assert main(["oge", "--config", str(cfg), "--in", str(staged / "eqe.jsonl"),
-                 "--round", "1"]) == 0
-    assert main(["oge", "--config", str(cfg), "--in", str(staged / "oge-1.jsonl"),
-                 "--round", "2", "--state", str(staged / "state-1.json")]) == 0
-    names = ["seeds.jsonl", "quarantine.json", "eqe.jsonl", "oge-1.jsonl",
-             "oge-2.jsonl", "state-1.json", "state-2.json"]
-    assert sorted(p.name for p in staged.iterdir()) == sorted(names)
-    for name in names:
-        assert (staged / name).read_bytes() == \
-            (tmp_path / "full" / "checkpoints" / name).read_bytes(), name

@@ -70,6 +70,21 @@ def test_config_file_round_trip(tmp_path, db_dir):
         RunConfig.from_file(bad)
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"rounds"', "null"])
+def test_config_file_must_hold_an_object(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="must hold a JSON object"):
+        RunConfig.from_file(path)
+
+
+def test_p_target_validation():
+    RunConfig(p_target={"FUNC": 0.75, "JOIN": 0.25}).validate()
+    for p_target in ({"FUNC": "1"}, {"FUNC": True}, ["FUNC"]):
+        with pytest.raises(ConfigError, match="p_target"):
+            RunConfig(p_target=p_target).validate()
+
+
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     example = re.search(r"Example `run.json`:\s*```json\n(.*?)```", readme, re.DOTALL)
@@ -144,6 +159,27 @@ def test_ingest_quarantines_bad_records(repo, tmp_path):
     assert "unresolved columns" in reasons["bad sql"]
     assert reasons["unknown db"] == "schema not found"
     assert reasons["empty result"] == "empty result"
+
+
+@pytest.mark.parametrize("record,reason", [
+    (["Who?", "SELECT full_name FROM person"], "record is not a JSON object"),
+    ("Who?", "record is not a JSON object"),
+    ({"question": "Who?", "SQL": 5, "db_id": "olympics"}, "must be strings"),
+    ({"question": "Who?", "SQL": "SELECT full_name FROM person",
+      "db_id": ["olympics"]}, "must be strings"),
+    ({"question": ["Who?"], "SQL": "SELECT full_name FROM person",
+      "db_id": "olympics"}, "must be strings"),
+    ({"question": "Who?", "SQL": "SELECT full_name FROM person",
+      "db_id": "olympics", "evidence": {"note": 1}}, "must be strings"),
+])
+def test_ingest_quarantines_malformed_records(repo, tmp_path, record, reason):
+    good = {"question": "ok", "SQL": "SELECT full_name FROM person", "db_id": "olympics"}
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps([record, good]))
+    seeds, quarantined = ingest_seeds(path, repo)
+    assert [s.question for s in seeds] == ["ok"]
+    assert len(quarantined) == 1 and quarantined[0]["index"] == 0
+    assert reason in quarantined[0]["reason"]
 
 
 def test_ingest_unreadable_file_is_io_error(repo, tmp_path):
@@ -240,6 +276,13 @@ def test_run_full_rounds_zero(tmp_path, db_dir, mini_seed_file):
     stages = set(manifest["stages"])
     assert stages <= {"seed", "EQE"}
     assert manifest["counts"]["evolved"] == 0
+
+
+def test_operators_left_out_of_p_target_are_never_chosen(tmp_path, db_dir, mini_seed_file):
+    manifest = run_full(RunConfig(seeds=str(mini_seed_file), db_dir=str(db_dir),
+                                  out_dir=str(tmp_path / "out"), p_target={"FUNC": 1.0}))
+    assert manifest["counts"]["evolved"] > 0
+    assert {k for k, v in manifest["operator_histogram"].items() if v} == {"FUNC"}
 
 
 def test_run_full_resume_reuses_checkpoints(tmp_path, db_dir, mini_seed_file):
