@@ -66,6 +66,28 @@ def test_ingest_subcommand(workspace):
     assert len(seeds) == 3
 
 
+def test_staged_eqe_then_oge(workspace):
+    tmp_path, cfg = workspace
+    main(["ingest", "--config", str(cfg)])
+    assert main(["eqe", "--config", str(cfg)]) == 0
+    assert main(["oge", "--config", str(cfg)]) == 0
+    evolved = read_jsonl(tmp_path / "out" / "checkpoints" / "oge-1.jsonl")
+    assert evolved and all(i.stage == "OGE-1" for i in evolved)
+    assert (tmp_path / "out" / "checkpoints" / "state-1.json").is_file()
+
+
+def test_staged_oge_uses_configured_p_target(workspace):
+    tmp_path, cfg = workspace
+    p_target = {"FUNC": 0.5, "OP": 0.1, "LOGIC": 0.1, "JOIN": 0.1,
+                "NEST": 0.1, "SET": 0.1}
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "p_target": p_target}))
+    main(["ingest", "--config", str(cfg)])
+    main(["eqe", "--config", str(cfg)])
+    assert main(["oge", "--config", str(cfg)]) == 0
+    state = json.loads((tmp_path / "out" / "checkpoints" / "state-1.json").read_text())
+    assert state["p_target"] == p_target
+
+
 def test_staged_commands_write_the_checkpoints_of_run(workspace):
     tmp_path, cfg = workspace
     p_target = {"FUNC": 0.5, "OP": 0.1, "LOGIC": 0.1, "JOIN": 0.1,
