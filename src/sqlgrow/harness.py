@@ -3,10 +3,9 @@
 All execution failures are data, not exceptions: the feedback object
 carries either the engine's error message or the shape of the result.
 Acceptance means the query ran and returned at least one row. Grounding
-reads at most ``SAMPLE_ROWS + 1`` rows of a result: enough for the sample
-the refiner sees and to tell "more rows than the sample" apart, so the row
-count it reports is exact only up to ``SAMPLE_ROWS``. ``collect_result``
-reads up to ``MAX_ROWS`` rows, for comparison.
+reads at most ``SAMPLE_ROWS + 1`` rows of a result, so the row count it
+reports is exact only up to ``SAMPLE_ROWS``. ``collect_result`` reads up to
+``MAX_ROWS`` rows, for comparison.
 
 Queries whose result depends on the clock or on chance are refused:
 the authorizer denies ``random``, ``randomblob`` and the ``CURRENT_*``
@@ -295,13 +294,13 @@ def refine_until_valid(
 
     Acceptance requires a non-empty result plus a clean parse and
     reference resolution, so everything downstream can rely on the tree
-    that an accepted outcome carries.
+    that an accepted outcome carries. A revision equal to the text it
+    revises ends refinement: the same text on the same database fails the
+    same way. ``attempts`` counts the texts actually tried.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     sql = draft_sql
-    feedback = ExecutionFeedback(ok=False, error="not executed")
-    reason = ""
     for attempt in range(1, max_attempts + 1):
         feedback = execute_sql(conn, sql)
         reason = execution_problem(feedback)
@@ -312,8 +311,11 @@ def refine_until_valid(
             feedback = ExecutionFeedback(ok=False, error=reason)
         if attempt == max_attempts:
             break
-        sql = refiner(question, sql, schema, feedback)
-    return RefinementOutcome(False, sql, max_attempts, feedback, reason)
+        revised = refiner(question, sql, schema, feedback)
+        if revised == sql:
+            break
+        sql = revised
+    return RefinementOutcome(False, sql, attempt, feedback, reason)
 
 
 def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None]:

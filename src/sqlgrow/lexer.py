@@ -4,14 +4,15 @@ Tokens are the unit the complexity profiler counts: identifiers, literals,
 keywords, and punctuation each count as one token, so a qualified name
 ``a.b`` is three tokens.
 
-``_TOKEN`` is the whole token table: one pattern whose alternatives are
-tried in order at each position. Whitespace, comments and ``;`` are
-skipped. A string keeps its quotes and ``''`` escapes; an identifier in
-double quotes, backticks or square brackets keeps its inner text verbatim.
-An opener that never closes, or a character no alternative takes, is a
-syntax error at its position. As in SQLite, a word starts with any word
-character except a decimal digit, so non-ASCII number characters such as
-``²`` and ``½`` are identifier characters.
+``_TOKEN`` is the whole token table: one pattern that reads whatever
+whitespace, comments and ``;`` come first, then one token, whose
+alternatives are tried in order. A match that reaches the end of the text
+instead of a token ends it. A string keeps its quotes and ``''`` escapes;
+an identifier in double quotes, backticks or square brackets keeps its
+inner text verbatim. An opener that never closes, or a character no
+alternative takes, is a syntax error at its position. As in SQLite, a word
+starts with any word character except a decimal digit, so non-ASCII number
+characters such as ``²`` and ``½`` are identifier characters.
 """
 
 from __future__ import annotations
@@ -30,16 +31,22 @@ KEYWORDS = frozenset(
     """.split()
 )
 
+# No two alternatives match at the same position except the number and
+# punct ``.``, string and unclosed ``'``, quoted and unclosed, and unclosed
+# and op ``/``; each of those pairs comes in the order that gives the longer
+# token. The skipped prefix always ends at a token or at ``end``, so it is
+# never backtracked into, and a run of whitespace is read once.
 _TOKEN = re.compile(r"""
-    (?P<skip> \s+ | --[^\n]* | /\*(?s:.*?)\*/ | ; )
-  | (?P<string> '[^']*(?:''[^']*)*'(?!') )
-  | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
-  | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
-  | (?P<word> [^\W\d]\w* )
-  | (?P<unclosed> /\* | ['"`\[] )
-  | (?P<op> != | <> | <= | >= | \|\| | == | [=<>+\-*/%] )
-  | (?P<punct> [(),.] )
-  | (?P<bad> (?s:.) )
+    (?: \s+ | --[^\n]* | /\*(?s:.*?)\*/ | ; )*
+    (?: (?P<word> [^\W\d]\w* )
+      | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
+      | (?P<punct> [(),.] )
+      | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+      | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
+      | (?P<unclosed> /\* | ['"`\[] )
+      | (?P<op> != | <> | <= | >= | \|\| | == | [=<>+\-*/%] )
+      | (?P<bad> (?s:.) )
+      | (?P<end> \Z ) )
 """, re.VERBOSE)
 
 _OP_ALIASES = {"==": "=", "<>": "!="}
@@ -55,25 +62,27 @@ class Token(NamedTuple):
 def tokenize(sql: str) -> list[Token]:
     """Split SQL text into tokens, skipping whitespace and comments."""
     tokens: list[Token] = []
+    append = tokens.append
     for match in _TOKEN.finditer(sql):
-        kind, text, pos = match.lastgroup, match.group(), match.start()
-        if kind == "skip":
-            continue
+        kind = match.lastgroup
+        text, pos = match.group(kind), match.start(kind)
         if kind == "word":
             low = text.lower()
             if low in KEYWORDS:
-                tokens.append(Token("kw", low.upper(), pos))
+                append(Token("kw", low.upper(), pos))
             else:
-                tokens.append(Token("ident", low, pos))
+                append(Token("ident", low, pos))
         elif kind == "quoted":
-            tokens.append(Token("ident", text[1:-1], pos))
+            append(Token("ident", text[1:-1], pos))
         elif kind == "op":
-            tokens.append(Token("op", _OP_ALIASES.get(text, text), pos))
+            append(Token("op", _OP_ALIASES.get(text, text), pos))
+        elif kind == "end":
+            break
         elif kind == "unclosed":
             raise SqlSyntaxError(
                 _UNCLOSED.get(text, "unterminated quoted identifier"), pos)
         elif kind == "bad":
             raise SqlSyntaxError(f"unexpected character {text!r}", pos)
         else:
-            tokens.append(Token(kind, text, pos))  # string, number, punct
+            append(Token(kind, text, pos))  # number, punct, string
     return tokens

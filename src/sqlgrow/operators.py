@@ -13,7 +13,8 @@ Each operator is a deterministic, schema-aware tree rewrite:
 
 ``analyze`` resolves and annotates a tree once against its schema, and
 ``check_applicability`` and ``plan_mutation`` read only that analysis, so
-each parent is analysed once for all six operators. Planning is seeded and
+each parent is analysed once for all six operators; each operator's sites
+are enumerated once per analysis and read by both. Planning is seeded and
 grounded: literals come from the live database when a connection is
 available, join conditions come from the FK graph, and every plan records
 enough of the original tree that applying it to a different tree fails
@@ -25,7 +26,7 @@ from __future__ import annotations
 import enum
 import random
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import tree as t
 from .errors import InfeasibleOperatorError, SqlgrowError, StructuralError
@@ -268,13 +269,14 @@ class ParentAnalysis:
     ``analyze`` builds it once per parent; every ``check_applicability`` and
     ``plan_mutation`` call on that parent reads it. ``relation_at`` and
     ``annotator`` are None when the tree does not resolve; then no operator
-    has a site.
+    has a site. ``sites`` holds each operator's sites once enumerated.
     """
 
     ast: t.Node
     schema: DatabaseSchema
     relation_at: dict[t.Path, str] | None
     annotator: _Annotator | None
+    sites: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
@@ -289,7 +291,7 @@ def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
 
 def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:
     """Rule-based feasibility: enumerate rewrite sites and score them."""
-    sites = [site for site, _ in _enumerate_sites(analysis, op)]
+    sites = [site for site, _ in _sites_of(analysis, op)]
     score = min(1.0, len(sites) / FULL_SCORE_SITES) if sites else 0.0
     return FeasibilityReport(op, score, tuple(sites))
 
@@ -309,6 +311,14 @@ def literal_comparisons(ast: t.Node):
         left, right = node.children
         if left.kind == t.COLUMN and right.kind == t.LITERAL:
             yield path, node
+
+
+def _sites_of(analysis: ParentAnalysis, op: OperatorId) -> list:
+    """The (target_path, site_info) pairs of ``op``, enumerated once per analysis."""
+    sites = analysis.sites.get(op)
+    if sites is None:
+        sites = analysis.sites[op] = list(_enumerate_sites(analysis, op))
+    return sites
 
 
 def _enumerate_sites(analysis, op):
@@ -647,7 +657,7 @@ def plan_mutation(
     db: sqlite3.Connection | None = None,
 ) -> MutationPlan:
     """Pick a rewrite site uniformly (seeded) and fill a grounded payload."""
-    sites = list(_enumerate_sites(analysis, op))
+    sites = _sites_of(analysis, op)
     if not sites:
         raise InfeasibleOperatorError(f"{op.name} has no eligible site")
     rng = random.Random(seed)

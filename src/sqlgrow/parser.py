@@ -34,96 +34,103 @@ def parse_sql(text: str) -> t.Node:
     parser = _Parser(tokens)
     node = parser.parse_query()
     if not parser.at_end():
-        tok = parser.peek()
-        raise SqlSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        raise SqlSyntaxError(
+            f"unexpected trailing input {parser.texts[parser.i]!r}", parser.position())
     return node
 
 
+# Left-associative binary operators above the predicate level, by binding
+# strength; a higher level binds tighter.
+_BINARY_LEVEL = {
+    "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3, "%": 3,
+    "||": 4,
+}
+
+
 class _Parser:
+    """Token types and texts sit in two lists that end in two sentinels of
+    type "", so a look at the current token or the one after it needs no
+    bounds check."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.types = [tok.type for tok in tokens] + ["", ""]
+        self.texts = [tok.text for tok in tokens] + ["", ""]
+        self.end = len(tokens)
         self.i = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
-        j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else None
-
     def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.i >= self.end
 
     def position(self) -> int:
         """Where the next token starts; at end of input, where the last one does."""
-        return (self.peek() or self.tokens[-1]).pos
+        return self.tokens[min(self.i, self.end - 1)].pos
+
+    def _got(self) -> str:
+        return "end of input" if self.i >= self.end else repr(self.texts[self.i])
 
     def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.type == "kw" and tok.text in words
+        return self.types[self.i] == "kw" and self.texts[self.i] in words
 
     def accept_kw(self, *words: str) -> bool:
-        if self.at_kw(*words):
+        if self.types[self.i] == "kw" and self.texts[self.i] in words:
             self.i += 1
             return True
         return False
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.type != "kw" or tok.text != word:
-            got = "end of input" if tok is None else repr(tok.text)
-            raise SqlSyntaxError(f"expected {word}, got {got}", self.position())
+    def expect_kw(self, word: str) -> None:
+        if self.types[self.i] != "kw" or self.texts[self.i] != word:
+            raise SqlSyntaxError(f"expected {word}, got {self._got()}", self.position())
         self.i += 1
-        return tok
 
     def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.type == "punct" and tok.text == ch
+        return self.types[self.i] == "punct" and self.texts[self.i] == ch
 
     def accept_punct(self, ch: str) -> bool:
-        if self.at_punct(ch):
+        if self.types[self.i] == "punct" and self.texts[self.i] == ch:
             self.i += 1
             return True
         return False
 
     def expect_punct(self, ch: str) -> None:
-        tok = self.peek()
-        if tok is None or tok.type != "punct" or tok.text != ch:
-            got = "end of input" if tok is None else repr(tok.text)
-            raise SqlSyntaxError(f"expected {ch!r}, got {got}", self.position())
+        if self.types[self.i] != "punct" or self.texts[self.i] != ch:
+            raise SqlSyntaxError(f"expected {ch!r}, got {self._got()}", self.position())
         self.i += 1
 
     def at_op(self, *symbols: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.type == "op" and tok.text in symbols
+        return self.types[self.i] == "op" and self.texts[self.i] in symbols
 
     def accept_op(self, *symbols: str) -> str | None:
-        tok = self.peek()
-        if tok is not None and tok.type == "op" and tok.text in symbols:
+        text = self.texts[self.i]
+        if self.types[self.i] == "op" and text in symbols:
             self.i += 1
-            return tok.text
+            return text
         return None
 
     def expect_ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok is None or tok.type != "ident":
-            got = "end of input" if tok is None else repr(tok.text)
-            raise SqlSyntaxError(f"expected {what}, got {got}", self.position())
+        if self.types[self.i] != "ident":
+            raise SqlSyntaxError(f"expected {what}, got {self._got()}", self.position())
         self.i += 1
-        return tok.text
+        return self.texts[self.i - 1]
 
     # -- query level -------------------------------------------------------
 
     def parse_query(self) -> t.Node:
-        tok = self.peek()
-        if tok and tok.type in ("kw", "ident") and tok.text.upper() in _UNSUPPORTED_LEADS:
-            raise UnsupportedSqlError(f"unsupported statement {tok.text.upper()}", tok.pos)
+        i = self.i
+        if self.types[i] in ("kw", "ident") and self.texts[i].upper() in _UNSUPPORTED_LEADS:
+            raise UnsupportedSqlError(
+                f"unsupported statement {self.texts[i].upper()}", self.position())
 
         with_ctes: list[t.Node] = []
         if self.accept_kw("WITH"):
-            lead = self.peek()
-            if lead is not None and lead.text.lower() == "recursive" \
-                    and self.peek(1) is not None and self.peek(1).type == "ident":
-                raise UnsupportedSqlError("recursive CTEs are not supported", lead.pos)
+            i = self.i
+            if self.texts[i].lower() == "recursive" and self.types[i + 1] == "ident":
+                raise UnsupportedSqlError("recursive CTEs are not supported",
+                                          self.position())
             with_ctes.append(self.parse_cte())
             while self.accept_punct(","):
                 with_ctes.append(self.parse_cte())
@@ -131,7 +138,7 @@ class _Parser:
         core = self.parse_select_core()
         compounds: list[tuple[str, t.Node]] = []
         while self.at_kw("UNION", "INTERSECT", "EXCEPT"):
-            word = self.peek().text
+            word = self.texts[self.i]
             self.i += 1
             symbol = word.lower()
             if word == "UNION" and self.accept_kw("ALL"):
@@ -238,7 +245,7 @@ class _Parser:
                 sources.append(t.join("cross", source))
                 continue
             if self.at_kw("USING"):
-                raise UnsupportedSqlError("USING joins are not supported", self.peek().pos)
+                raise UnsupportedSqlError("USING joins are not supported", self.position())
             self.expect_kw("ON")
             sources.append(t.join(kind, source, self.parse_expr()))
         return sources
@@ -261,7 +268,7 @@ class _Parser:
             return "cross"
         if self.at_kw("RIGHT", "FULL", "NATURAL"):
             raise UnsupportedSqlError(
-                f"{self.peek().text} joins are not supported", self.peek().pos
+                f"{self.texts[self.i]} joins are not supported", self.position()
             )
         return None
 
@@ -278,40 +285,28 @@ class _Parser:
     def parse_optional_alias(self) -> str:
         if self.accept_kw("AS"):
             return self.expect_ident("alias")
-        tok = self.peek()
-        if tok is not None and tok.type == "ident":
+        if self.types[self.i] == "ident":
             self.i += 1
-            return tok.text
+            return self.texts[self.i - 1]
         return ""
 
     # -- select items --------------------------------------------------------
 
     def parse_select_item(self) -> t.Node:
-        tok = self.peek()
-        if tok is not None and tok.type == "op" and tok.text == "*":
+        i, types, texts = self.i, self.types, self.texts
+        if types[i] == "op" and texts[i] == "*":
             self.i += 1
             return t.star()
-        nxt = self.peek(1)
-        nxt2 = self.peek(2)
-        if (
-            tok is not None
-            and tok.type == "ident"
-            and nxt is not None
-            and nxt.type == "punct"
-            and nxt.text == "."
-            and nxt2 is not None
-            and nxt2.type == "op"
-            and nxt2.text == "*"
-        ):
+        if types[i] == "ident" and types[i + 1] == "punct" and texts[i + 1] == "." \
+                and types[i + 2] == "op" and texts[i + 2] == "*":
             self.i += 3
-            return t.star(tok.text)
+            return t.star(texts[i])
         expr = self.parse_expr()
         if self.accept_kw("AS"):
             return t.aliased(expr, self.expect_ident("alias"))
-        tok = self.peek()
-        if tok is not None and tok.type == "ident":
+        if types[self.i] == "ident":
             self.i += 1
-            return t.aliased(expr, tok.text)
+            return t.aliased(expr, texts[self.i - 1])
         return expr
 
     # -- expressions ---------------------------------------------------------
@@ -339,7 +334,7 @@ class _Parser:
 
     def parse_not(self) -> t.Node:
         if self.at_kw("NOT"):
-            if self.peek(1) is not None and self.peek(1).type == "kw" and self.peek(1).text == "EXISTS":
+            if self.types[self.i + 1] == "kw" and self.texts[self.i + 1] == "EXISTS":
                 self.i += 2
                 return t.operator("not_exists", [self.parse_subquery_parens()])
             self.i += 1
@@ -347,11 +342,11 @@ class _Parser:
         return self.parse_predicate()
 
     def parse_predicate(self) -> t.Node:
-        node = self.parse_relational()
+        node = self.parse_binary()
         while True:
             sym = self.accept_op("=", "!=")
             if sym:
-                node = t.operator(sym, [node, self.parse_relational()])
+                node = t.operator(sym, [node, self.parse_binary()])
                 continue
             if self.at_kw("IS"):
                 self.i += 1
@@ -360,19 +355,19 @@ class _Parser:
                 node = t.operator("is_not_null" if negated else "is_null", [node])
                 continue
             negated = False
-            if self.at_kw("NOT") and self.peek(1) is not None and self.peek(1).type == "kw" \
-                    and self.peek(1).text in ("LIKE", "BETWEEN", "IN"):
+            if self.at_kw("NOT") and self.types[self.i + 1] == "kw" \
+                    and self.texts[self.i + 1] in ("LIKE", "BETWEEN", "IN"):
                 negated = True
                 self.i += 1
             if self.accept_kw("LIKE"):
                 node = t.operator(
-                    "not_like" if negated else "like", [node, self.parse_relational()]
+                    "not_like" if negated else "like", [node, self.parse_binary()]
                 )
                 continue
             if self.accept_kw("BETWEEN"):
-                low = self.parse_relational()
+                low = self.parse_binary()
                 self.expect_kw("AND")
-                high = self.parse_relational()
+                high = self.parse_binary()
                 node = t.operator(
                     "not_between" if negated else "between", [node, low, high]
                 )
@@ -397,37 +392,18 @@ class _Parser:
         self.expect_punct(")")
         return t.operator(symbol, [lhs, *items])
 
-    def parse_relational(self) -> t.Node:
-        node = self.parse_additive()
-        while True:
-            sym = self.accept_op("<", "<=", ">", ">=")
-            if not sym:
-                return node
-            node = t.operator(sym, [node, self.parse_additive()])
-
-    def parse_additive(self) -> t.Node:
-        node = self.parse_multiplicative()
-        while True:
-            sym = self.accept_op("+", "-")
-            if not sym:
-                return node
-            node = t.operator(sym, [node, self.parse_multiplicative()])
-
-    def parse_multiplicative(self) -> t.Node:
-        node = self.parse_concat()
-        while True:
-            sym = self.accept_op("*", "/", "%")
-            if not sym:
-                return node
-            node = t.operator(sym, [node, self.parse_concat()])
-
-    def parse_concat(self) -> t.Node:
+    def parse_binary(self, min_level: int = 1) -> t.Node:
+        """Binary operators of ``_BINARY_LEVEL`` from ``min_level`` up, by
+        precedence climbing: each level is left-associative."""
         node = self.parse_unary()
-        while True:
-            sym = self.accept_op("||")
-            if not sym:
-                return node
-            node = t.operator("||", [node, self.parse_unary()])
+        while self.types[self.i] == "op":
+            sym = self.texts[self.i]
+            level = _BINARY_LEVEL.get(sym, 0)
+            if level < min_level:
+                break
+            self.i += 1
+            node = t.operator(sym, [node, self.parse_binary(level + 1)])
+        return node
 
     def parse_unary(self) -> t.Node:
         if self.accept_op("-"):
@@ -443,48 +419,47 @@ class _Parser:
         return t.subquery(body)
 
     def parse_primary(self) -> t.Node:
-        tok = self.peek()
-        if tok is None:
+        i, types, texts = self.i, self.types, self.texts
+        kind, text = types[i], texts[i]
+        if not kind:
             raise SqlSyntaxError("unexpected end of input", self.position())
 
-        if tok.type in ("number", "string"):
+        if kind in ("number", "string"):
             self.i += 1
-            return t.literal(tok.text)
-        if tok.type == "kw" and tok.text in ("NULL", "TRUE", "FALSE"):
-            self.i += 1
-            return t.literal(tok.text)
-        if tok.type == "kw" and tok.text == "CASE":
-            return self.parse_case()
-        if tok.type == "kw" and tok.text == "CAST":
-            return self.parse_cast()
-        if tok.type == "kw" and tok.text == "EXISTS":
-            self.i += 1
-            return t.operator("exists", [self.parse_subquery_parens()])
+            return t.literal(text)
+        if kind == "kw":
+            if text in ("NULL", "TRUE", "FALSE"):
+                self.i += 1
+                return t.literal(text)
+            if text == "CASE":
+                return self.parse_case()
+            if text == "CAST":
+                return self.parse_cast()
+            if text == "EXISTS":
+                self.i += 1
+                return t.operator("exists", [self.parse_subquery_parens()])
 
-        if tok.type == "punct" and tok.text == "(":
-            if self.peek(1) is not None and self.peek(1).type == "kw" \
-                    and self.peek(1).text in ("SELECT", "WITH"):
+        if kind == "punct" and text == "(":
+            if types[i + 1] == "kw" and texts[i + 1] in ("SELECT", "WITH"):
                 return self.parse_subquery_parens()
             self.i += 1
             inner = self.parse_expr()
             self.expect_punct(")")
             return inner
 
-        if tok.type == "ident":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.type == "punct" and nxt.text == "(":
+        if kind == "ident":
+            if types[i + 1] == "punct" and texts[i + 1] == "(":
                 return self.parse_function_call()
-            if nxt is not None and nxt.type == "punct" and nxt.text == ".":
+            if types[i + 1] == "punct" and texts[i + 1] == ".":
                 self.i += 2
-                trailer = self.peek()
-                if trailer is not None and trailer.type == "op" and trailer.text == "*":
+                if types[i + 2] == "op" and texts[i + 2] == "*":
                     self.i += 1
-                    return t.star(tok.text)
-                return t.column(tok.text, self.expect_ident("column name"))
+                    return t.star(text)
+                return t.column(text, self.expect_ident("column name"))
             self.i += 1
-            return t.column("", tok.text)
+            return t.column("", text)
 
-        raise SqlSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        raise SqlSyntaxError(f"unexpected token {text!r}", self.position())
 
     def parse_function_call(self) -> t.Node:
         name = self.expect_ident("function name")
@@ -519,9 +494,8 @@ class _Parser:
             kids.append(t.clause("group_by", keys, "partition"))
         if self.at_kw("ORDER"):
             kids.append(self.parse_order_by())
-        tok = self.peek()
-        if tok is not None and tok.type == "ident" and tok.text in ("rows", "range", "groups"):
-            raise UnsupportedSqlError("window frames are not supported", tok.pos)
+        if self.types[self.i] == "ident" and self.texts[self.i] in ("rows", "range", "groups"):
+            raise UnsupportedSqlError("window frames are not supported", self.position())
         self.expect_punct(")")
         return t.Node(t.WINDOW, (), tuple(kids))
 
@@ -549,11 +523,10 @@ class _Parser:
         self.expect_punct("(")
         expr = self.parse_expr()
         self.expect_kw("AS")
-        tok = self.peek()
-        if tok is None or tok.type not in ("ident", "kw"):
+        if self.types[self.i] not in ("ident", "kw"):
             raise SqlSyntaxError("expected type name in CAST", self.position())
         self.i += 1
-        type_name = tok.text.lower()
+        type_name = self.texts[self.i - 1].lower()
         self.expect_punct(")")
         return t.operator("cast", [expr, t.literal(type_name)])
 

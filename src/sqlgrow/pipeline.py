@@ -41,6 +41,17 @@ from .operators import OperatorId, analyze, check_applicability
 from .parser import parse_sql
 from .schema import DatabaseSchema, load_schema
 
+# The JSON values each field annotation admits, and how to name them.
+# ``type(value) in`` these tuples keeps ``true``/``false`` out of integers.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "dict": ((dict,), "an object"),
+    "dict | None": ((dict, type(None)), "an object or null"),
+}
+
+
 @dataclass
 class RunConfig:
     seeds: str = ""
@@ -59,6 +70,12 @@ class RunConfig:
     embedder: dict | None = None
 
     def validate(self) -> None:
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            types, wanted = _JSON_TYPES[spec.type]
+            if type(value) not in types:
+                raise ConfigError(
+                    f"{name} must be {wanted}, not {json.dumps(value, default=repr)}")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
         if self.budget_k < 1:
@@ -74,8 +91,7 @@ class RunConfig:
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
         if self.p_target is not None:
-            if not isinstance(self.p_target, dict) or \
-                    not set(self.p_target) <= OperatorId.__members__.keys():
+            if not set(self.p_target) <= OperatorId.__members__.keys():
                 raise ConfigError("p_target keys must be operator names: "
                                   + ", ".join(OperatorId.__members__))
             weights = list(self.p_target.values())
@@ -176,8 +192,12 @@ def build_embedder(cfg: RunConfig) -> HttpEmbeddingBackend | None:
 _SQL_KEYS = ("SQL", "sql", "query", "gold_sql")
 
 
-def ingest_seeds(path, repo: SchemaRepo):
-    """Parse, resolve, and execute every seed; failures are quarantined."""
+def ingest_seeds(path, repo: SchemaRepo, trees: dict | None = None):
+    """Parse, resolve, and execute every seed; failures are quarantined.
+
+    When ``trees`` is given, each kept seed's parsed tree is stored in it
+    under the seed's id, for the expansion stage.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             records = json.load(handle)
@@ -219,6 +239,8 @@ def ingest_seeds(path, repo: SchemaRepo):
             stage=STAGE_SEED,
             features=extract_features(ast),
         ))
+        if trees is not None:
+            trees[seeds[-1].id] = ast
     return seeds, quarantined
 
 
@@ -234,14 +256,21 @@ def _seed_problem(sql, schema, conn):
 # Stages that grow candidates: exploratory expansion and evolution rounds
 # ---------------------------------------------------------------------------
 
+def _parent_tree(inst, trees: dict | None):
+    """The tree handed on for ``inst``, taken out of ``trees``, else a parse of its SQL."""
+    tree = trees.pop(inst.id, None) if trees else None
+    return tree if tree is not None else parse_sql(inst.sql)
+
+
 def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
-          rejections):
+          rejections, child_trees):
     """The grounded child that ``generate()`` proposes, or None once rejected.
 
     A failed refinement, a transport failure (the gateway has already spent
     its retries on it) or any other package error becomes one rejection
     record; it carries ``operator`` only when ``op`` is given (evolution
-    rounds).
+    rounds). An accepted child's grounded tree goes into ``child_trees``
+    when that is given.
     """
     try:
         result = generate()
@@ -261,6 +290,8 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
             record["operator"] = op.name
         rejections.append(record)
         return None
+    if child_trees is not None:
+        child_trees[child_id] = outcome.tree
     return QueryInstance(
         id=child_id,
         schema_id=parent.schema_id,
@@ -275,14 +306,19 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
 
 
 def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
-            rejections: list | None = None):
+            rejections: list | None = None, trees: dict | None = None,
+            child_trees: dict | None = None):
+    """Exploratory expansion of each seed; returns the accepted expansions.
+
+    ``trees`` and ``child_trees`` work as in ``run_oge``.
+    """
     accepted: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     for seed_inst in seeds:
         schema = repo.schema(seed_inst.schema_id)
         conn = repo.connection(seed_inst.schema_id)
         try:
-            analysis = analyze(parse_sql(seed_inst.sql), schema)
+            analysis = analyze(_parent_tree(seed_inst, trees), schema)
         except SqlgrowError:
             analysis = None  # the expansion meets the same error and handles it
         for j in range(cfg.expansions_per_seed):
@@ -292,7 +328,7 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 lambda: gateway.generate_expansion(
                     seed_inst.question, seed_inst.evidence, seed_inst.sql,
                     schema, db=conn, seed=call_seed, analysis=analysis),
-                cfg, schema, conn, gateway, rejections,
+                cfg, schema, conn, gateway, rejections, child_trees,
             )
             if child is not None:
                 accepted.append(child)
@@ -301,11 +337,15 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
 
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             state: scheduler.EvolutionState, round_no: int,
-            rejections: list | None = None):
+            rejections: list | None = None, trees: dict | None = None,
+            child_trees: dict | None = None):
     """One evolution round; returns (newly evolved instances, state).
 
     Each parent is resolved and annotated once: the six applicability checks
     and the mock evolution's plan share one ``operators.analyze`` result.
+    ``trees`` maps parent ids to the trees grounding parsed them to; each is
+    taken out when its parent is evolved, and a parent without one is
+    parsed. Accepted children's trees go into ``child_trees`` when given.
     """
     evolved: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
@@ -315,7 +355,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
         schema = repo.schema(inst.schema_id)
         conn = repo.connection(inst.schema_id)
         try:
-            ast = parse_sql(inst.sql)
+            ast = _parent_tree(inst, trees)
         except SqlgrowError as exc:
             rejections.append({"stage": stage, "parent": inst.id,
                                "reason": f"unparseable input: {exc}"})
@@ -350,7 +390,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 lambda: gateway.generate_evolution(
                     inst.question, inst.evidence, inst.sql, schema, op,
                     db=conn, seed=call_seed, analysis=analysis),
-                cfg, schema, conn, gateway, rejections,
+                cfg, schema, conn, gateway, rejections, child_trees,
             )
             if child is not None:
                 evolved.append(child)
@@ -369,6 +409,10 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
     ``done.json``; a resumed run reuses the stages marked there. With
     ``stop_after`` ("ingest", "eqe" or "oge", all rounds) the run ends once
     that stage is checkpointed and returns None; a resume finishes it.
+
+    A stage run here hands the trees grounding parsed its instances to the
+    stage that evolves them, and no further: the last round keeps none, so
+    no tree is held by the time CoT runs.
     """
     if stop_after not in (None, "ingest", "eqe", "oge"):
         raise ValueError(f"unknown stage to stop after: {stop_after}")
@@ -382,12 +426,14 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
     try:
         done = _start_done(ckpt_dir, cfg, resume, _inputs_sha256(cfg.seeds, repo))
 
-        # ingest
+        # ingest; ``trees`` holds the next stage's parents' trees, if any
+        trees = None
         if "ingest" in done:
             seeds = read_jsonl(ckpt_dir / "seeds.jsonl")
             quarantined = json.loads((ckpt_dir / "quarantine.json").read_text())
         else:
-            seeds, quarantined = ingest_seeds(cfg.seeds, repo)
+            trees = {}
+            seeds, quarantined = ingest_seeds(cfg.seeds, repo, trees)
             write_jsonl(seeds, ckpt_dir / "seeds.jsonl")
             (ckpt_dir / "quarantine.json").write_text(
                 json.dumps(quarantined, sort_keys=True, indent=2))
@@ -399,7 +445,9 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         if "eqe" in done:
             eqe = read_jsonl(ckpt_dir / "eqe.jsonl")
         else:
-            eqe = run_eqe(seeds, cfg, repo, gateway, rejections)
+            child_trees = {} if cfg.rounds else None
+            eqe = run_eqe(seeds, cfg, repo, gateway, rejections, trees, child_trees)
+            trees = child_trees
             write_jsonl(eqe, ckpt_dir / "eqe.jsonl")
             _mark_done(ckpt_dir, done, "eqe")
         if stop_after == "eqe":
@@ -417,8 +465,10 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
                 current = read_jsonl(ckpt_dir / f"{stage_name}.jsonl")
                 state = scheduler.state_from_json(state_path.read_text())
             else:
-                current, state = run_oge(
-                    current, cfg, repo, gateway, state, round_no, rejections)
+                child_trees = {} if round_no < cfg.rounds else None
+                current, state = run_oge(current, cfg, repo, gateway, state,
+                                         round_no, rejections, trees, child_trees)
+                trees = child_trees
                 write_jsonl(current, ckpt_dir / f"{stage_name}.jsonl")
                 state_path.write_text(scheduler.state_to_json(state))
                 _mark_done(ckpt_dir, done, stage_name)

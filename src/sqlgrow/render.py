@@ -12,7 +12,9 @@ from .errors import StructuralError
 from .lexer import KEYWORDS
 
 # Expression precedence, low to high. Parens are emitted when a child
-# binds more loosely than its parent.
+# binds more loosely than its parent, and around the right operand of a
+# binary operator when it binds no tighter: the parser reads every binary
+# level left to right.
 _PREC = {
     "or": 1,
     "and": 2,
@@ -26,7 +28,6 @@ _PREC = {
     "neg": 9,
 }
 _ATOM_PREC = 10
-_NONASSOC_RIGHT = {"-", "/", "%"}
 
 
 def render_sql(ast: t.Node) -> str:
@@ -183,14 +184,9 @@ def _prec(node: t.Node) -> int:
     return _ATOM_PREC
 
 
-def _expr(node: t.Node, parent_prec: int, right_of: str | None = None) -> str:
+def _expr(node: t.Node, parent_prec: int) -> str:
     text = _expr_bare(node)
-    prec = _prec(node)
-    if prec < parent_prec:
-        return f"({text})"
-    if prec == parent_prec and right_of in _NONASSOC_RIGHT:
-        return f"({text})"
-    return text
+    return f"({text})" if _prec(node) < parent_prec else text
 
 
 def _expr_bare(node: t.Node) -> str:
@@ -235,7 +231,7 @@ def _render_operator(node: t.Node) -> str:
     prec = _PREC.get(sym, _ATOM_PREC)
     if sym in ("=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "%", "||"):
         left = _expr(kids[0], prec)
-        right = _expr(kids[1], prec, right_of=sym)
+        right = _expr(kids[1], prec + 1)
         return f"{left} {sym} {right}"
     if sym in ("like", "not_like"):
         word = "LIKE" if sym == "like" else "NOT LIKE"
@@ -262,7 +258,8 @@ def _render_operator(node: t.Node) -> str:
     if sym == "not_exists":
         return f"NOT EXISTS {_render_subquery(kids[0], with_alias=False)}"
     if sym == "neg":
-        return "-" + _expr(kids[0], _PREC["neg"])
+        operand = _expr(kids[0], _PREC["neg"])
+        return ("- " if operand.startswith("-") else "-") + operand  # not a -- comment
     if sym == "cast":
         return f"CAST({_expr(kids[0], 0)} AS {kids[1].value[0].upper()})"
     if sym == "case":
@@ -290,5 +287,5 @@ def _ident(name: str) -> str:
         raise StructuralError("empty identifier")
     plain = (
         name[0].isalpha() or name[0] == "_"
-    ) and all(c in _PLAIN_IDENT for c in name) and name not in KEYWORDS
+    ) and _PLAIN_IDENT.issuperset(name) and name not in KEYWORDS
     return name if plain else f'"{name}"'

@@ -187,3 +187,62 @@ def test_run_oge_resolves_each_parent_once_for_its_operators(
         repo.close()
     assert evolved
     assert len(called) == len(seeds) == 6
+
+
+def _olympics_seed_file(tmp_path, n=6):
+    seed_file = tmp_path / "seeds.json"
+    seed_file.write_text(json.dumps([
+        {"question": q, "SQL": sql, "db_id": "olympics"}
+        for q, sql in fixtures.SEED_QUESTIONS["olympics"][:n]
+    ]))
+    return seed_file
+
+
+def test_run_oge_enumerates_each_operators_sites_once_per_parent(
+        monkeypatch, tmp_path, db_dir):
+    # the applicability checks and the mock evolution's plans share them
+    repo = pipeline.SchemaRepo(db_dir)
+    try:
+        cfg = pipeline.RunConfig(global_seed=3)
+        seeds, _ = pipeline.ingest_seeds(_olympics_seed_file(tmp_path), repo)
+        called = _count_calls(monkeypatch, operators, "_enumerate_sites")
+        evolved, _ = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
+                                      scheduler.fresh_state(cfg.epsilon), 1)
+    finally:
+        repo.close()
+    assert evolved
+    assert len(called) == 6 * len(seeds) == 36
+
+
+def _record_parses(monkeypatch):
+    parsed = []
+    original = pipeline.parse_sql
+
+    def recorded(sql):
+        parsed.append(sql)
+        return original(sql)
+
+    monkeypatch.setattr(pipeline, "parse_sql", recorded)
+    return parsed
+
+
+def test_fresh_run_parses_no_parent_again(monkeypatch, tmp_path, db_dir):
+    # each stage evolves the trees grounding parsed in the stage before
+    parsed = _record_parses(monkeypatch)
+    manifest = pipeline.run_full(pipeline.RunConfig(
+        seeds=str(_olympics_seed_file(tmp_path)), db_dir=str(db_dir),
+        out_dir=str(tmp_path / "out"), rounds=2))
+    assert manifest["counts"]["evolved"] > manifest["counts"]["eqe"] > 0
+    assert parsed == []
+
+
+def test_resumed_round_parses_each_parent_once(monkeypatch, tmp_path, db_dir):
+    cfg = pipeline.RunConfig(
+        seeds=str(_olympics_seed_file(tmp_path)), db_dir=str(db_dir),
+        out_dir=str(tmp_path / "out"), rounds=2)
+    pipeline.run_full(cfg, stop_after="eqe")
+    parsed = _record_parses(monkeypatch)
+    pipeline.run_full(cfg, resume=True)
+    eqe = pipeline.read_jsonl(tmp_path / "out" / "checkpoints" / "eqe.jsonl")
+    # round 1 parses the checkpointed parents; round 2 gets round 1's trees
+    assert eqe and parsed == [inst.sql for inst in eqe]

@@ -146,6 +146,20 @@ def test_bad_p_target_is_a_config_error_before_any_stage(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rounds", "2", 'rounds must be an integer, not "2"'),
+    ("tau", None, "tau must be a number, not null"),
+    ("rounds", True, "rounds must be an integer, not true"),
+])
+def test_config_value_of_the_wrong_type_is_a_config_error(
+        workspace, capsys, field, value, message):
+    tmp_path, cfg = workspace
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stage_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -161,13 +175,13 @@ def test_wall_cap_ends_the_run_without_a_rejection(workspace, monkeypatch, capsy
     real_run_eqe = pipeline.run_eqe
     seen = []
 
-    def run_eqe_past_the_cap(seeds, cfg, repo, gateway, rejections):
+    def run_eqe_past_the_cap(seeds, cfg, repo, gateway, rejections, *trees):
         # from here on every progress-handler call reads a clock past the cap
         ticks = itertools.count(step=harness.WALL_CAP_S + 1)
         monkeypatch.setattr(harness.time, "monotonic", lambda: next(ticks))
         monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
         try:
-            return real_run_eqe(seeds, cfg, repo, gateway, rejections)
+            return real_run_eqe(seeds, cfg, repo, gateway, rejections, *trees)
         finally:
             seen.append(list(rejections))
 

@@ -377,8 +377,11 @@ def test_misspelled_column_fixed_on_second_attempt(connections, olympics_schema)
 
 
 def test_rejection_after_max_attempts(connections, olympics_schema):
+    drafts = []
+
     def hopeless(q, s, sc, fb):
-        return s  # never fixes anything
+        drafts.append(s)
+        return s + " AND weight < 0"  # a new text each time, still empty
 
     outcome = refine_until_valid(
         "who", "SELECT full_name FROM person WHERE weight < 0",
@@ -387,6 +390,32 @@ def test_rejection_after_max_attempts(connections, olympics_schema):
     assert outcome.attempts == 3
     assert outcome.reason == "empty result"
     assert outcome.tree is None
+    assert len(drafts) == len(set(drafts)) == 2
+    assert outcome.sql == drafts[-1] + " AND weight < 0"
+
+
+def test_unchanged_revision_ends_refinement(connections, olympics_schema,
+                                            monkeypatch):
+    executed, refined = [], []
+    real_execute = harness.execute_sql
+
+    def counting_execute(conn, sql):
+        executed.append(sql)
+        return real_execute(conn, sql)
+
+    def echo(q, s, sc, fb):
+        refined.append(s)
+        return s
+
+    monkeypatch.setattr(harness, "execute_sql", counting_execute)
+    draft = "SELECT full_name FROM person WHERE weight < 0"
+    outcome = refine_until_valid(
+        "who", draft, olympics_schema, connections["olympics"], echo,
+        max_attempts=3)
+    assert refined == [draft] and executed == [draft]
+    assert not outcome.accepted and outcome.attempts == 1
+    assert outcome.reason == "empty result" and outcome.sql == draft
+    assert outcome.feedback.ok and outcome.feedback.row_count == 0
 
 
 def test_accepted_sql_must_resolve(connections, olympics_schema):

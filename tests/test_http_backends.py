@@ -233,16 +233,17 @@ def test_strategy_scoring_is_bounded(posts, olympics_schema):
 
 def test_candidate_posts_at_most_three_per_attempt(posts, db_dir, tmp_path):
     # the expansion and each of the (max_attempts - 1) refinements succeed
-    # only on their last try, and every draft misses the schema
+    # only on their last try, and every draft misses the schema in a new way,
+    # so no revision repeats the text it revises
     seeds = tmp_path / "seeds.json"
     question, sql = fixtures.SEED_QUESTIONS["olympics"][0]
     seeds.write_text(json.dumps(
         [{"question": question, "SQL": sql, "db_id": "olympics"}]))
-    broken = '{"question": "Q", "evidence": "", "gold_sql": "SELECT nosuch FROM games"}'
+    broken = '{"question": "Q", "evidence": "", "gold_sql": "SELECT nosuch0 FROM games"}'
     cfg = RunConfig(global_seed=3, max_attempts=3)
-    posts.script([DOWN, DOWN, chat(broken)]
-                 + [DOWN, DOWN, chat("```sql\nSELECT nosuch FROM games\n```")]
-                 * (cfg.max_attempts - 1))
+    posts.script([DOWN, DOWN, chat(broken)] + [
+        step for n in range(1, cfg.max_attempts)
+        for step in (DOWN, DOWN, chat(f"```sql\nSELECT nosuch{n} FROM games\n```"))])
     repo = SchemaRepo(db_dir)
     try:
         parents, _ = ingest_seeds(seeds, repo)

@@ -1,3 +1,7 @@
+import random
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +14,7 @@ from sqlgrow.errors import (
     UnsupportedSqlError,
 )
 from sqlgrow.features import tokenize_sql
-from sqlgrow.lexer import tokenize
+from sqlgrow.lexer import KEYWORDS, tokenize
 from sqlgrow.operators import OperatorId, analyze, apply_mutation, plan_mutation
 from sqlgrow.parser import parse_sql
 from sqlgrow.render import render_sql
@@ -214,3 +218,98 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
     assert mutated
     assert render_sql(ast) == before
     assert ast == parse_sql(STAGE_SQL_0)
+
+
+# -- equivalence pins for the parse stack ---------------------------------------
+
+# The token table as it stood before whitespace and comments were read as a
+# prefix of each token, with its alternatives in their first order. The
+# differential test below holds ``tokenize`` to its output.
+_REFERENCE_TOKEN = re.compile(r"""
+    (?P<skip> \s+ | --[^\n]* | /\*(?s:.*?)\*/ | ; )
+  | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+  | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
+  | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
+  | (?P<word> [^\W\d]\w* )
+  | (?P<unclosed> /\* | ['"`\[] )
+  | (?P<op> != | <> | <= | >= | \|\| | == | [=<>+\-*/%] )
+  | (?P<punct> [(),.] )
+  | (?P<bad> (?s:.) )
+""", re.VERBOSE)
+
+
+def _reference_tokenize(sql):
+    tokens = []
+    for match in _REFERENCE_TOKEN.finditer(sql):
+        kind, text, pos = match.lastgroup, match.group(), match.start()
+        if kind == "skip":
+            continue
+        if kind == "word":
+            low = text.lower()
+            tokens.append(("kw", low.upper(), pos) if low in KEYWORDS
+                          else ("ident", low, pos))
+        elif kind == "quoted":
+            tokens.append(("ident", text[1:-1], pos))
+        elif kind == "op":
+            tokens.append(("op", {"==": "=", "<>": "!="}.get(text, text), pos))
+        elif kind == "unclosed":
+            return ("error", {"/*": "unterminated comment",
+                              "'": "unterminated string literal"}.get(
+                                  text, "unterminated quoted identifier"), pos)
+        elif kind == "bad":
+            return ("error", f"unexpected character {text!r}", pos)
+        else:
+            tokens.append((kind, text, pos))
+    return tokens
+
+
+def _lexed(sql):
+    try:
+        return [tuple(tok) for tok in tokenize(sql)]
+    except SqlSyntaxError as exc:
+        return ("error", str(exc).rsplit(" (at position", 1)[0], exc.position)
+
+
+_LEX_ALPHABET = [*"ab_Z19.eE+-*/%|<>=!'\"`[](),; \n\t²½?", "--", "/*", "*/", "''",
+                 "SELECT", "from", "NOT", "in", "é"]
+
+
+def test_tokenize_matches_the_reference_table():
+    rng = random.Random(20260117)
+    for _ in range(20_000):
+        sql = "".join(rng.choice(_LEX_ALPHABET) for _ in range(rng.randrange(30)))
+        assert _lexed(sql) == _reference_tokenize(sql), sql
+
+
+def test_whitespace_and_comments_lex_in_linear_time():
+    # the skipped prefix repeats \s+; it must never be backtracked into
+    unit = " \t\n-- note\n/* block */;"
+    filler = unit * (100_000 // len(unit))
+    for text in (" " * 100_000, filler, "SELECT 1" + filler, filler + "x"):
+        start = time.perf_counter()
+        tokens = tokenize(text)
+        assert time.perf_counter() - start < 1.0
+        assert len(tokens) == len(_reference_tokenize(text))
+
+
+_COLUMNS = st.sampled_from([t.column("", "a"), t.column("", "b"), t.column("p", "c")])
+_LITERALS = st.sampled_from([t.literal("0"), t.literal("17"), t.literal("2.5"),
+                             t.literal("'x'"), t.literal("NULL")])
+_BINARY = ("<", "<=", ">", ">=", "+", "-", "*", "/", "%", "||")
+
+_EXPRESSIONS = st.recursive(
+    _COLUMNS | _LITERALS,
+    lambda inner: (
+        st.tuples(st.sampled_from(_BINARY), inner, inner).map(
+            lambda parts: t.operator(parts[0], [parts[1], parts[2]]))
+        | inner.map(lambda operand: t.operator("neg", [operand]))
+    ),
+    max_leaves=12,
+)
+
+
+@given(_EXPRESSIONS)
+def test_expression_trees_round_trip(expr):
+    query = t.select_core([t.clause("select", [expr]),
+                           t.clause("from", [t.table("p")])])
+    assert parse_sql(render_sql(query)) == query

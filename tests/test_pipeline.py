@@ -78,6 +78,23 @@ def test_config_file_must_hold_an_object(tmp_path, text):
         RunConfig.from_file(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rounds", "2"), ("tau", None), ("rounds", True), ("epsilon", False),
+    ("seeds", 3), ("backends", None),
+])
+def test_config_file_values_must_have_their_json_type(tmp_path, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        RunConfig.from_file(path)
+
+
+def test_config_numbers_may_be_written_as_integers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tau": 1, "epsilon": 2}))
+    assert RunConfig.from_file(path).tau == 1
+
+
 def test_p_target_validation():
     RunConfig(p_target={"FUNC": 0.75, "JOIN": 0.25}).validate()
     for p_target in ({"FUNC": "1"}, {"FUNC": True}, ["FUNC"]):
