@@ -7,15 +7,16 @@ instance stays iff its maximum cosine against everything already kept is
 at or below the threshold. Groups are independent, so identical questions
 under two schemas both survive.
 
-The lexical fallback hashes each distinct trigram once per
-``embed_questions`` call, however often the questions repeat it.
+The lexical fallback splits each distinct word into trigrams once per
+``embed_questions`` call, and hashes each distinct trigram once, however
+often the questions repeat them; one scatter then adds every trigram
+occurrence into the count matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,18 @@ class RemovalRecord:
     similarity: float
 
 
+def _split_word(word: str) -> list[str]:
+    """The character trigrams of one word; a shorter word is its own gram."""
+    if len(word) < 3:
+        return [word]
+    return [word[i : i + 3] for i in range(len(word) - 2)]
+
+
 def word_trigrams(text: str) -> list[str]:
     """Character trigrams taken within each lowercased word."""
     grams: list[str] = []
     for word in _WORD.findall(text.lower()):
-        if len(word) < 3:
-            grams.append(word)
-        else:
-            grams.extend(word[i : i + 3] for i in range(len(word) - 2))
+        grams.extend(_split_word(word))
     return grams
 
 
@@ -71,9 +76,12 @@ def embed_questions(
     trigrams into ``FALLBACK_DIM`` buckets and keeps only the buckets the
     questions use, so the rows of one call share a basis: they are
     comparable with each other, not with rows from another call. Each
-    distinct trigram is hashed once per call. A row with no content is the
-    unit vector on the reserved axis.
+    distinct word is split once and each distinct trigram hashed once per
+    call. A row with no content is the unit vector on the reserved axis.
+    No questions give a matrix with no rows, without asking the backend.
     """
+    if not questions:
+        return np.zeros((0, 0), dtype=np.float64)
     if embedder is not None:
         raw = embedder.embed(questions)
         widths = {len(row) for row in raw}
@@ -81,23 +89,34 @@ def embed_questions(
             raise StructuralError(
                 f"embedder returned {len(raw)} rows of widths {sorted(widths)} "
                 f"for {len(questions)} questions")
-        matrix = np.array(raw, dtype=np.float64).reshape(len(raw), max(widths, default=0))
+        matrix = np.array(raw, dtype=np.float64).reshape(len(raw), max(widths))
     else:
         buckets: dict[str, int] = {}  # gram -> bucket, for this call only
-        counts = []
+        word_buckets: dict[str, tuple[int, ...]] = {}  # word -> its grams' buckets
+        cols: list[int] = []  # every gram occurrence's bucket, question by question
+        lengths = []
         for question in questions:
-            grams = word_trigrams(question)
-            for gram in set(grams).difference(buckets):
-                buckets[gram] = _bucket(gram)
-            text_counts = Counter(map(buckets.__getitem__, grams))
-            if not text_counts:
-                text_counts[_EMPTY_AXIS] = 1  # reserved axis for zero-content questions
-            counts.append(text_counts)
-        column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
-        matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
-        for row, text_counts in zip(matrix, counts):
-            for bucket, count in text_counts.items():
-                row[column[bucket]] = count
+            start = len(cols)
+            for word in _WORD.findall(question.lower()):
+                ids = word_buckets.get(word)
+                if ids is None:
+                    grams = _split_word(word)
+                    for gram in grams:
+                        if gram not in buckets:
+                            buckets[gram] = _bucket(gram)
+                    ids = word_buckets[word] = tuple(map(buckets.__getitem__, grams))
+                cols.extend(ids)
+            if len(cols) == start:
+                cols.append(_EMPTY_AXIS)  # reserved axis for zero-content questions
+            lengths.append(len(cols) - start)
+        # columns are the used buckets in bucket order
+        used = np.zeros(FALLBACK_DIM, dtype=bool)
+        used[cols] = True
+        column = np.cumsum(used) - 1
+        matrix = np.zeros((len(questions), int(column[-1]) + 1), dtype=np.float64)
+        rows = np.repeat(np.arange(len(questions)), lengths)
+        # small integer counts: the float sums are exact in any order
+        np.add.at(matrix, (rows, column[cols]), 1.0)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     empty = norms[:, 0] == 0
     matrix[empty, _EMPTY_AXIS] = 1.0

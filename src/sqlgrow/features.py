@@ -9,7 +9,7 @@ toward both the CTE and subquery features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import tree as t
 from .errors import DomainError
@@ -27,6 +27,8 @@ FEATURE_COLUMNS = (
     ("ctes", "CTEs"),
     ("nesting", "Nest."),
 )
+# the field names of FeatureVector and FeatureMeans, in declaration order
+FEATURE_NAMES = tuple(name for name, _ in FEATURE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,16 @@ class FeatureVector:
     nesting: int
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise DomainError(f"feature {f.name} must be >= 0")
+        for name in FEATURE_NAMES:
+            if getattr(self, name) < 0:
+                raise DomainError(f"feature {name} must be >= 0")
         if self.nesting < 1:
             raise DomainError("nesting depth is at least 1")
         if self.aggregates > self.functions:
             raise DomainError("aggregates cannot exceed functions")
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class FeatureMeans:
     nesting: float
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
 def tokenize_sql(text: str) -> list[str]:
@@ -126,6 +128,6 @@ def aggregate_features(vectors: list[FeatureVector]) -> FeatureMeans:
         raise DomainError("cannot aggregate an empty feature list")
     n = len(vectors)
     means = {}
-    for f in fields(FeatureVector):
-        means[f.name] = round(sum(getattr(v, f.name) for v in vectors) / n, 2)
+    for name in FEATURE_NAMES:
+        means[name] = round(sum(getattr(v, name) for v in vectors) / n, 2)
     return FeatureMeans(**means)

@@ -57,7 +57,6 @@ class ExecutionFeedback:
     error: str = ""
     columns: tuple[str, ...] = ()
     row_count: int = 0
-    sample_rows: tuple[tuple[str, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -130,17 +129,7 @@ def execute_sql(conn: sqlite3.Connection, sql: str) -> ExecutionFeedback:
         columns, rows = _run_query(conn, sql, SAMPLE_ROWS + 1)
     except sqlite3.Error as exc:
         return ExecutionFeedback(ok=False, error=str(exc))
-
-    sample = tuple(
-        tuple("NULL" if cell is None else str(cell) for cell in row)
-        for row in rows[:SAMPLE_ROWS]
-    )
-    return ExecutionFeedback(
-        ok=True,
-        columns=columns,
-        row_count=len(rows),
-        sample_rows=sample,
-    )
+    return ExecutionFeedback(ok=True, columns=columns, row_count=len(rows))
 
 
 def _run_query(conn: sqlite3.Connection, sql: str, limit: int):
@@ -191,13 +180,8 @@ def render_feedback(feedback: ExecutionFeedback) -> str:
     if not feedback.ok:
         return f"Execution error: {feedback.error}"
     at_least = "at least " if feedback.row_count > SAMPLE_ROWS else ""
-    lines = [
-        f"Execution succeeded: {at_least}{feedback.row_count} row(s)",
-        "Columns: " + ", ".join(feedback.columns),
-    ]
-    for row in feedback.sample_rows:
-        lines.append("Row: " + " | ".join(row))
-    return "\n".join(lines)
+    return (f"Execution succeeded: {at_least}{feedback.row_count} row(s)\n"
+            "Columns: " + ", ".join(feedback.columns))
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-        report_text, report_csv = stats_report(out_dir / "dataset.jsonl")
+        report_text, report_csv = _report(dataset, manifest)
         (out_dir / "feature_report.txt").write_text(report_text)
         (out_dir / "feature_report.csv").write_text(report_csv)
         _mark_done(ckpt_dir, done, "final")
@@ -678,12 +678,23 @@ def _mark_done(ckpt_dir: Path, done: dict, stage: str) -> None:
 # ---------------------------------------------------------------------------
 
 def stats_report(dataset_path) -> tuple[str, str]:
-    """Per-stage feature means plus operator and status summaries."""
+    """The report of a dataset file and of the manifest beside it, if any."""
     try:
         instances = read_jsonl(dataset_path)
     except OSError as exc:
         raise IOError(f"cannot read dataset {dataset_path}: {exc}")
+    manifest_path = Path(dataset_path).parent / "manifest.json"
+    manifest = (json.loads(manifest_path.read_text())
+                if manifest_path.is_file() else None)
+    return _report(instances, manifest)
 
+
+def _report(instances, manifest: dict | None) -> tuple[str, str]:
+    """Per-stage feature means plus operator and status summaries.
+
+    The text and CSV forms; the dedup and rejection lines come from the
+    run's manifest and are left out without one.
+    """
     by_stage: dict[str, list[FeatureVector]] = {}
     histogram: dict[str, int] = {}
     status_counts: dict[str, int] = {}
@@ -712,9 +723,7 @@ def stats_report(dataset_path) -> tuple[str, str]:
         ", ".join(f"{k}={v}" for k, v in sorted(histogram.items())) or "none"))
     lines.append("Status counts: " + ", ".join(
         f"{k}={v}" for k, v in sorted(status_counts.items())))
-    manifest_path = Path(dataset_path).parent / "manifest.json"
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text())
+    if manifest is not None:
         dedup_info = manifest.get("dedup", {})
         lines.append(
             f"Dedup removed: {dedup_info.get('removed', 0)} "

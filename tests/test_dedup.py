@@ -21,8 +21,9 @@ from sqlgrow.dedup import (
 )
 from sqlgrow.errors import SqlgrowError, StructuralError
 from sqlgrow.gateway import LlmGateway
-from sqlgrow.instances import QueryInstance, stage_rank
+from sqlgrow.instances import QueryInstance, read_jsonl, stage_rank
 from sqlgrow.operators import OperatorId
+from sqlgrow.pipeline import RunConfig, run_full
 
 
 def inst(iid, question="q", schema="olympics", stage="seed"):
@@ -172,6 +173,18 @@ class StubEmbedder:
 def test_malformed_embedder_reply_rejected(reply):
     with pytest.raises(StructuralError, match="embedder returned"):
         embed_questions(["a", "b"], StubEmbedder(reply))
+
+
+class FailingEmbedder:
+    def embed(self, texts):
+        raise AssertionError("the backend was asked to embed")
+
+
+@pytest.mark.parametrize("embedder", [None, FailingEmbedder()])
+def test_no_questions_embed_to_no_rows(embedder):
+    vectors = embed_questions([], embedder)
+    assert vectors.shape[0] == 0 and vectors.dtype == np.float64
+    assert dedup_schema_group([], vectors, tau=0.9) == ([], [])
 
 
 def test_zero_embedding_lands_on_reserved_axis():
@@ -341,6 +354,47 @@ def test_embedding_bytes_match_per_occurrence_hashing():
     want = _per_occurrence_matrix(questions)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _pool_questions(tmp_path, db_dir):
+    """The questions of a rounds=1 run's pool, per schema, in pool order."""
+    out = tmp_path / "out"
+    run_full(RunConfig(seeds=str(fixtures.write_seed_file(tmp_path / "seeds.json")),
+                       db_dir=str(db_dir), out_dir=str(out), rounds=1,
+                       expansions_per_seed=2, global_seed=42))
+    groups = {}
+    for stage in ("seeds", "eqe", "oge-1"):
+        for item in read_jsonl(out / "checkpoints" / f"{stage}.jsonl"):
+            groups.setdefault(item.schema_id, []).append(item.question)
+    return groups
+
+
+def test_embedding_bytes_match_per_occurrence_hashing_on_a_run_pool(tmp_path, db_dir):
+    groups = _pool_questions(tmp_path, db_dir)
+    assert any(q.startswith("Rephrased: ") for g in groups.values() for q in g)
+    for questions in [*groups.values(), EDGE_QUESTIONS]:
+        assert embed_questions(questions).tobytes() == \
+            _per_occurrence_matrix(questions).tobytes()
+
+
+def test_each_distinct_word_split_once_per_call(monkeypatch):
+    split = []
+
+    def counting(word):
+        split.append(word)
+        return real_split(word)
+
+    real_split = dedup._split_word
+    monkeypatch.setattr(dedup, "_split_word", counting)
+    questions = _seed_questions() * 2 + EDGE_QUESTIONS
+    words = [w for q in questions for w in _WORD.findall(q.lower())]
+    assert len(words) > 2 * len(set(words))
+    embed_questions(questions)
+    assert sorted(split) == sorted(set(words))
+    # a second call starts a fresh memo
+    split.clear()
+    embed_questions(questions[:1])
+    assert sorted(split) == sorted(set(_WORD.findall(questions[0].lower())))
 
 
 def test_each_distinct_trigram_hashed_once_per_call(monkeypatch):

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
 from fixtures import GOLDEN_CORPUS, STAGE_SQL_0, STAGE_SQL_2
 from sqlgrow.errors import DomainError
 from sqlgrow.features import (
+    FEATURE_NAMES,
+    FeatureMeans,
     FeatureVector,
     aggregate_features,
     extract_features,
@@ -61,6 +65,17 @@ def test_feature_vector_rejects_invalid_values():
         fv(nesting=0)
     with pytest.raises(DomainError):
         fv(aggregates=1, functions=0)
+
+
+def test_feature_names_are_the_dataclass_fields():
+    for cls in (FeatureVector, FeatureMeans):
+        assert tuple(f.name for f in fields(cls)) == FEATURE_NAMES
+
+
+@pytest.mark.parametrize("name", FEATURE_NAMES)
+def test_negative_feature_is_named_in_the_error(name):
+    with pytest.raises(DomainError, match=f"^feature {name} must be >= 0$"):
+        fv(**{name: -1})
 
 
 def test_aggregate_features_mean():

@@ -359,6 +359,23 @@ def test_stats_report_histogram_matches_oge_count(tmp_path, db_dir, mini_seed_fi
     assert total == len(oge_rows)
 
 
+def _assert_report_is_stats(out):
+    text, csv_text = stats_report(out / "dataset.jsonl")
+    assert "Dedup removed: " in text and "Rejections per stage: " in text
+    assert (out / "feature_report.txt").read_text() == text
+    assert (out / "feature_report.csv").read_text() == csv_text
+
+
+def test_run_writes_the_report_stats_prints(tmp_path, db_dir, mini_seed_file):
+    cfg, _ = run_mini_full(tmp_path, db_dir, mini_seed_file, "runP")
+    out = tmp_path / "runP"
+    _assert_report_is_stats(out)
+    (out / "feature_report.txt").unlink()
+    (out / "feature_report.csv").unlink()
+    run_full(cfg, resume=True)
+    _assert_report_is_stats(out)
+
+
 def test_stats_report_missing_file():
     with pytest.raises(IOError):
         stats_report("/nonexistent/dataset.jsonl")
