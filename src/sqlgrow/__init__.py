@@ -12,6 +12,7 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleOperatorError,
+    InstanceFileError,
     ResponseFormatError,
     SchemaValidationError,
     SqlgrowError,

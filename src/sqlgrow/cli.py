@@ -2,9 +2,10 @@
 
 ``run`` executes everything. ``ingest`` starts the same run and stops after
 ingest; ``eqe`` and ``oge`` resume it and stop after their stage, and
-``run --resume`` finishes it. ``cot`` and ``dedup`` are standalone tools
-over one JSONL file. All commands read a JSON config file whose fields can
-be overridden by flags.
+``run --resume`` finishes it. Each of these is ``run_full`` with a resume
+flag and a stage to stop after, and reads a JSON config file whose fields
+can be overridden by flags. ``stats`` and ``verify`` read a finished
+dataset.
 Exit codes: 0 success, 1 configuration error, 2 stage failure.
 """
 
@@ -16,18 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, SqlgrowError
-from .instances import read_jsonl, write_jsonl
-from .pipeline import (
-    RunConfig,
-    SchemaRepo,
-    build_gateway,
-    dedup_pool,
-    run_cot,
-    run_full,
-    save_removals,
-    stats_report,
-    verify_dataset,
-)
+from .pipeline import RunConfig, SchemaRepo, run_full, stats_report, verify_dataset
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -68,16 +58,12 @@ def main(argv=None) -> int:
         ("ingest", "start a run afresh and stop after ingest"),
         ("eqe", "resume the run and stop after exploratory expansion"),
         ("oge", "resume the run and stop after every evolution round"),
-        ("cot", "attach execution-verified reasoning traces to a JSONL file"),
-        ("dedup", "schema-aware near-duplicate removal over a JSONL file"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
         if name == "run":
             p.add_argument("--resume", action="store_true",
                            help="reuse finished stage checkpoints in the output directory")
-        if name in ("cot", "dedup"):
-            p.add_argument("--in", dest="input", required=True, help="input JSONL")
 
     stats = sub.add_parser("stats", help="feature report for a dataset")
     stats.add_argument("--dataset", required=True, help="dataset JSONL path")
@@ -114,37 +100,21 @@ def _dispatch(args) -> int:
         finally:
             repo.close()
         print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if not summary["failures"] else 2
+        if summary["failures"]:
+            print(f"verify: {len(summary['failures'])} of {summary['total']} rows "
+                  "failed", file=sys.stderr)
+            return 2
+        return 0
 
     cfg = _load_config(args)
-
-    if args.command in ("run", "ingest", "eqe", "oge"):
-        stop_after = None if args.command == "run" else args.command
-        resume = args.command in ("eqe", "oge") or getattr(args, "resume", False)
-        manifest = run_full(cfg, resume=resume, stop_after=stop_after)
-        if manifest is None:
-            print(f"{args.command} checkpointed in {Path(cfg.out_dir) / 'checkpoints'}")
-            return 0
-        print(json.dumps(manifest["counts"], indent=2, sort_keys=True))
-        print(f"dataset: {Path(cfg.out_dir) / 'dataset.jsonl'}")
+    stop_after = None if args.command == "run" else args.command
+    resume = args.command in ("eqe", "oge") or getattr(args, "resume", False)
+    manifest = run_full(cfg, resume=resume, stop_after=stop_after)
+    if manifest is None:
+        print(f"{args.command} checkpointed in {Path(cfg.out_dir) / 'checkpoints'}")
         return 0
-
-    out_dir = Path(cfg.out_dir)
-    instances = read_jsonl(args.input)
-    if args.command == "dedup":
-        kept, removals = dedup_pool(instances, cfg)
-        write_jsonl(kept, out_dir / "dedup.jsonl")
-        save_removals(out_dir, removals)
-        print(f"kept {len(kept)}, removed {len(removals)}")
-        return 0
-
-    repo = SchemaRepo(cfg.db_dir)
-    try:
-        kept, discards, deferrals = run_cot(instances, cfg, repo, build_gateway(cfg))
-    finally:
-        repo.close()
-    write_jsonl(kept, out_dir / "cot.jsonl")
-    print(f"kept {len(kept)}, discarded {len(discards)}, deferred {len(deferrals)}")
+    print(json.dumps(manifest["counts"], indent=2, sort_keys=True))
+    print(f"dataset: {Path(cfg.out_dir) / 'dataset.jsonl'}")
     return 0
 
 

@@ -58,5 +58,9 @@ class ResponseFormatError(SqlgrowError):
     """A model response did not match the expected output contract."""
 
 
+class InstanceFileError(SqlgrowError):
+    """A line of a JSONL file of instances does not hold an instance."""
+
+
 class ConfigError(SqlgrowError):
     """A run configuration is invalid."""

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import StructuralError
+from .errors import InstanceFileError, SqlgrowError, StructuralError
 from .features import FeatureVector
 from .operators import OperatorId
 
@@ -110,10 +110,26 @@ def write_jsonl(instances, path) -> None:
 
 
 def read_jsonl(path) -> list[QueryInstance]:
+    """The instances of a JSONL file; a line that holds none raises InstanceFileError."""
     out = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                out.append(QueryInstance.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                out.append(QueryInstance.from_dict(record))
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON: {exc.msg}"
+            except KeyError as exc:
+                field = exc.args[0] in QueryInstance.__dataclass_fields__
+                problem = f"missing field {exc}" if field else f"unknown operator {exc}"
+            except (ValueError, TypeError, SqlgrowError) as exc:
+                problem = str(exc)
+            else:
+                continue
+            raise InstanceFileError(f"{path}, line {line_no}: {problem}")
     return out

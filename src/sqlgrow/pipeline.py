@@ -486,17 +486,18 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
 
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
-        save_removals(out_dir, removals)
+        _write_removals(out_dir, removals)
         _write_rejections(out_dir, rejections, quarantined)
 
+        means = _stage_means(dataset)
         manifest = _build_manifest(
             cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
-            removals, cot_counts,
+            removals, cot_counts, means,
         )
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-        report_text, report_csv = _report(dataset, manifest)
+        report_text, report_csv = _report(dataset, manifest, means)
         (out_dir / "feature_report.txt").write_text(report_text)
         (out_dir / "feature_report.csv").write_text(report_csv)
         _mark_done(ckpt_dir, done, "final")
@@ -549,7 +550,7 @@ def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
 
 
 def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
-                    removals, cot_counts) -> dict:
+                    removals, cot_counts, means) -> dict:
     stage_counts: dict[str, int] = {}
     for inst in dataset:
         stage_counts[inst.stage] = stage_counts.get(inst.stage, 0) + 1
@@ -559,14 +560,6 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
     rejection_counts: dict[str, int] = {}
     for item in rejections:
         rejection_counts[item["stage"]] = rejection_counts.get(item["stage"], 0) + 1
-
-    feature_report = {}
-    by_stage: dict[str, list[FeatureVector]] = {}
-    for inst in dataset:
-        if inst.features:
-            by_stage.setdefault(inst.stage, []).append(inst.features)
-    for stage in sorted(by_stage, key=stage_rank):
-        feature_report[stage] = aggregate_features(by_stage[stage]).as_dict()
 
     return {
         "config": cfg.echo(),
@@ -587,12 +580,11 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
             # tau calibrates differently on the lexical fallback
             "embedding_source": "external-embedder" if cfg.embedder else "lexical-fallback",
         },
-        "feature_report": feature_report,
+        "feature_report": {stage: m.as_dict() for stage, m in means.items()},
     }
 
 
-def save_removals(out_dir: Path, removals) -> None:
-    """Write one line per dedup removal record to ``dedup_removals.jsonl``."""
+def _write_removals(out_dir: Path, removals) -> None:
     with open(out_dir / "dedup_removals.jsonl", "w", encoding="utf-8") as handle:
         for record in removals:
             handle.write(json.dumps({
@@ -686,21 +678,28 @@ def stats_report(dataset_path) -> tuple[str, str]:
     manifest_path = Path(dataset_path).parent / "manifest.json"
     manifest = (json.loads(manifest_path.read_text())
                 if manifest_path.is_file() else None)
-    return _report(instances, manifest)
+    return _report(instances, manifest, _stage_means(instances))
 
 
-def _report(instances, manifest: dict | None) -> tuple[str, str]:
-    """Per-stage feature means plus operator and status summaries.
+def _stage_means(instances) -> dict:
+    """Each stage's feature means, in lineage order; missing features are measured."""
+    by_stage: dict[str, list[FeatureVector]] = {}
+    for inst in instances:
+        features = inst.features or extract_features(parse_sql(inst.sql))
+        by_stage.setdefault(inst.stage, []).append(features)
+    return {stage: aggregate_features(by_stage[stage])
+            for stage in sorted(by_stage, key=stage_rank)}
+
+
+def _report(instances, manifest: dict | None, means) -> tuple[str, str]:
+    """Per-stage feature ``means`` plus operator and status summaries.
 
     The text and CSV forms; the dedup and rejection lines come from the
     run's manifest and are left out without one.
     """
-    by_stage: dict[str, list[FeatureVector]] = {}
     histogram: dict[str, int] = {}
     status_counts: dict[str, int] = {}
     for inst in instances:
-        features = inst.features or extract_features(parse_sql(inst.sql))
-        by_stage.setdefault(inst.stage, []).append(features)
         if inst.operator_applied:
             histogram[inst.operator_applied.name] = (
                 histogram.get(inst.operator_applied.name, 0) + 1
@@ -708,10 +707,8 @@ def _report(instances, manifest: dict | None) -> tuple[str, str]:
         status_counts[inst.status] = status_counts.get(inst.status, 0) + 1
 
     headers = [label for _, label in FEATURE_COLUMNS]
-    rows = []
-    for stage in sorted(by_stage, key=stage_rank):
-        means = aggregate_features(by_stage[stage])
-        rows.append([stage] + [f"{getattr(means, name):.2f}" for name, _ in FEATURE_COLUMNS])
+    rows = [[stage] + [f"{getattr(m, name):.2f}" for name, _ in FEATURE_COLUMNS]
+            for stage, m in means.items()]
 
     widths = [max(len(r[i]) for r in rows + [["Stage"] + headers])
               for i in range(len(headers) + 1)]
@@ -745,8 +742,10 @@ def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
     instances = read_jsonl(dataset_path)
     failures = []
     for inst in instances:
-        conn = repo.connection(inst.schema_id)
-        reason = execution_problem(execute_sql(conn, inst.sql))
+        if repo.has(inst.schema_id):
+            reason = execution_problem(execute_sql(repo.connection(inst.schema_id), inst.sql))
+        else:
+            reason = "schema not found"
         if reason:
             failures.append({"id": inst.id, "reason": reason})
     return {"total": len(instances), "failures": failures}

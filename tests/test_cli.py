@@ -7,6 +7,7 @@ import pytest
 import fixtures
 from sqlgrow import harness, pipeline
 from sqlgrow.cli import main
+from sqlgrow.errors import InstanceFileError
 from sqlgrow.instances import read_jsonl
 
 
@@ -44,11 +45,16 @@ def test_run_subcommand(workspace, capsys):
 def test_stats_subcommand(workspace, capsys):
     tmp_path, cfg = workspace
     main(["run", "--config", str(cfg)])
-    code = main(["stats", "--dataset", str(tmp_path / "out" / "dataset.jsonl")])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["stats", "--dataset", str(out / "dataset.jsonl"),
+                 "--csv", str(tmp_path / "stats.csv")])
     assert code == 0
     text = capsys.readouterr().out
     assert "Tables" in text and "Nest." in text
     assert "Dedup removed" in text
+    assert text == (out / "feature_report.txt").read_text() + "\n"
+    assert (tmp_path / "stats.csv").read_bytes() == (out / "feature_report.csv").read_bytes()
 
 
 def test_verify_subcommand(workspace):
@@ -237,26 +243,134 @@ def test_resume_over_unchanged_inputs_reuses_checkpoints(workspace, monkeypatch)
     assert {name: (out / name).read_bytes() for name in fresh} == fresh
 
 
-def test_staged_cot_then_dedup(workspace):
+@pytest.mark.parametrize("argv", [
+    ["cot", "--in", "eqe.jsonl"],
+    ["dedup", "--in", "cot.jsonl"],
+    ["run", "--in", "eqe.jsonl"],
+])
+def test_file_in_file_out_commands_are_gone(workspace, argv):
+    _, cfg = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+def test_run_writes_one_line_per_dedup_removal(workspace):
     tmp_path, cfg = workspace
-    main(["ingest", "--config", str(cfg)])
-    main(["eqe", "--config", str(cfg)])
-    assert main(["cot", "--config", str(cfg),
-                 "--in", str(tmp_path / "out" / "checkpoints" / "eqe.jsonl")]) == 0
-    kept = read_jsonl(tmp_path / "out" / "cot.jsonl")
-    assert kept and all(i.cot for i in kept)
     # the rephrasings share a prefix: cosines of 0.22-0.28, so tau 0.2 removes some
-    assert main(["dedup", "--config", str(cfg), "--tau", "0.2",
-                 "--in", str(tmp_path / "out" / "cot.jsonl")]) == 0
-    deduped = read_jsonl(tmp_path / "out" / "dedup.jsonl")
-    assert 0 < len(deduped) <= len(kept)
-    # the removals, one line each, in the format run writes them
-    _, removals = pipeline.dedup_pool(
-        kept, pipeline.RunConfig.from_file(str(cfg), {"tau": 0.2}))
-    lines = (tmp_path / "out" / "dedup_removals.jsonl").read_text().splitlines()
-    assert removals and len(deduped) + len(removals) == len(kept)
-    assert lines == [json.dumps({"removed_id": r.removed_id, "kept_id": r.kept_id,
-                                 "similarity": r.similarity}, sort_keys=True)
-                     for r in removals]
+    assert main(["run", "--config", str(cfg), "--tau", "0.2"]) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    lines = (out / "dedup_removals.jsonl").read_text().splitlines()
+    assert lines and len(lines) == manifest["dedup"]["removed"]
+    for line in lines:
+        record = json.loads(line)
+        assert sorted(record) == ["kept_id", "removed_id", "similarity"]
+        assert line == json.dumps(record, sort_keys=True)
 
 
+def test_flags_alone_configure_a_run(workspace):
+    tmp_path, cfg = workspace
+    fields = json.loads(cfg.read_text())
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--seeds", fields["seeds"], "--db-dir", fields["db_dir"],
+                 "--out", str(tmp_path / "flags"), "--rounds", "1",
+                 "--global-seed", "5"]) == 0
+    for name in ("dataset.jsonl", "manifest.json", "rejections.jsonl"):
+        assert (tmp_path / "flags" / name).read_bytes() == \
+            (tmp_path / "out" / name).read_bytes(), name
+
+
+def test_flags_alone_are_validated(workspace, capsys):
+    tmp_path, cfg = workspace
+    fields = json.loads(cfg.read_text())
+    assert main(["run", "--seeds", fields["seeds"], "--db-dir", fields["db_dir"],
+                 "--out", str(tmp_path / "flags"), "--rounds", "-1"]) == 1
+    assert "rounds must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "flags").exists()
+
+
+def _edit_first_row(dataset, **fields):
+    lines = dataset.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields}, sort_keys=True)
+    dataset.write_text("\n".join(lines) + "\n")
+    return json.loads(lines[0])["id"]
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"sql": "SELECT 1 WHERE 0"}, "empty"),
+    ({"schema_id": "no_such_db"}, "schema not found"),
+])
+def test_verify_names_the_broken_row(workspace, capsys, fields, reason):
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    dataset = tmp_path / "out" / "dataset.jsonl"
+    broken = _edit_first_row(dataset, **fields)
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(dataset),
+                 "--db-dir", str(tmp_path / "dbs")]) == 2
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert [f["id"] for f in summary["failures"]] == [broken]
+    assert reason in summary["failures"][0]["reason"]
+    assert len(captured.err.splitlines()) == 1
+
+
+def _one_line_failure(capsys, *parts):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("stage failure: ")
+    assert all(part in err for part in parts), err
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+@pytest.mark.parametrize("corrupt, problem", [
+    ("line", "invalid JSON"),
+    ("question", "missing field 'question'"),
+])
+def test_bad_dataset_row_is_a_stage_failure(workspace, capsys, command, corrupt, problem):
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    dataset = tmp_path / "out" / "dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    if corrupt == "line":
+        lines[1] = lines[1][:-5]
+    else:
+        record = json.loads(lines[1])
+        del record["question"]
+        lines[1] = json.dumps(record)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = [command, "--dataset", str(dataset)]
+    if command == "verify":
+        argv += ["--db-dir", str(tmp_path / "dbs")]
+    assert main(argv) == 2
+    _one_line_failure(capsys, str(dataset), "line 2", problem)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('["not", "an", "object"]', "line 3: not a JSON object"),
+    ('{"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1", '
+     '"stage": "OGE-1", "operator_applied": "SWAP"}', "line 3: unknown operator 'SWAP'"),
+    ('{"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1", '
+     '"stage": "OGE-1"}', "line 3: evolution instances must record their operator"),
+])
+def test_read_jsonl_names_the_line_that_holds_no_instance(tmp_path, line, problem):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1", '
+                    '"stage": "seed"}\n\n' + line + "\n")
+    with pytest.raises(InstanceFileError) as exc:
+        read_jsonl(path)
+    assert str(exc.value) == f"{path}, {problem}"  # the blank line counts
+
+
+def test_corrupt_checkpoint_under_resume_is_a_stage_failure(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert main(["eqe", "--config", str(cfg)]) == 0
+    eqe = tmp_path / "out" / "checkpoints" / "eqe.jsonl"
+    eqe.write_text(eqe.read_text() + "{truncated\n")
+    line_no = len(eqe.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 2
+    _one_line_failure(capsys, str(eqe), f"line {line_no}", "invalid JSON")
+    assert not (tmp_path / "out" / "dataset.jsonl").exists()
