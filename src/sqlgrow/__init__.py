@@ -14,6 +14,7 @@ from .errors import (
     InfeasibleOperatorError,
     InstanceFileError,
     ResponseFormatError,
+    RunFileError,
     SchemaValidationError,
     SqlgrowError,
     SqlSyntaxError,

@@ -62,5 +62,9 @@ class InstanceFileError(SqlgrowError):
     """A line of a JSONL file of instances does not hold an instance."""
 
 
+class RunFileError(SqlgrowError):
+    """A JSON file a run wrote, a checkpoint or a manifest, cannot be read back."""
+
+
 class ConfigError(SqlgrowError):
     """A run configuration is invalid."""

@@ -27,7 +27,7 @@ from .errors import (
     SqlgrowError,
     TransportError,
 )
-from .harness import ExecutionFeedback, render_feedback
+from .harness import ExecutionFeedback, _run_query, render_feedback
 from .operators import (
     OperatorId,
     ParentAnalysis,
@@ -332,7 +332,7 @@ def _mock_mutation(sql, schema, op, seed, db, analysis):
     if analysis is None:
         analysis = analyze(parse_sql(sql), schema)
     plan = plan_mutation(analysis, op, seed, db)
-    return render_sql(apply_mutation(analysis.ast, plan)), plan.payload["summary"]
+    return render_sql(apply_mutation(analysis.ast, plan)), plan.summary
 
 
 def _mock_refine(question, draft, schema, feedback, db):
@@ -408,13 +408,12 @@ def _drop_dead_predicate(ast, schema, db):
         if not relation or relation == "<select-alias>" or schema.table(relation) is None:
             continue
         try:
-            row = db.execute(
-                f'SELECT 1 FROM "{relation}" WHERE "{col.value[1]}" = ? LIMIT 1',
-                (_python_value(lit),),
-            ).fetchone()
+            _, rows = _run_query(
+                db, f'SELECT 1 FROM "{relation}" WHERE "{col.value[1]}" = ? LIMIT 1',
+                1, (_python_value(lit),))
         except sqlite3.Error:
             continue
-        if row is None:
+        if not rows:
             pruned = _remove_predicate(ast, path)
             if pruned is not None:
                 return render_sql(pruned)

@@ -132,8 +132,11 @@ def execute_sql(conn: sqlite3.Connection, sql: str) -> ExecutionFeedback:
     return ExecutionFeedback(ok=True, columns=columns, row_count=len(rows))
 
 
-def _run_query(conn: sqlite3.Connection, sql: str, limit: int):
+def _run_query(conn: sqlite3.Connection, sql: str, limit: int, params=()):
     """Column names and up to ``limit`` rows; SQLite errors propagate.
+
+    Grounding, result collection, value sampling and the mock refiner's
+    lookups all run here, under one step budget and wall cap.
 
     A query past ``MAX_VM_STEPS`` is interrupted and raises an
     OperationalError that names the step budget. A query still running
@@ -151,7 +154,7 @@ def _run_query(conn: sqlite3.Connection, sql: str, limit: int):
 
     conn.set_progress_handler(progress, _PROGRESS_OPCODES)
     try:
-        cur = conn.execute(sql)
+        cur = conn.execute(sql, params)
         rows = cur.fetchmany(limit)
         return tuple(d[0] for d in cur.description or ()), rows
     except sqlite3.OperationalError:

@@ -13,12 +13,17 @@ Each operator is a deterministic, schema-aware tree rewrite:
 
 ``analyze`` resolves and annotates a tree once against its schema, and
 ``check_applicability`` and ``plan_mutation`` read only that analysis, so
-each parent is analysed once for all six operators; each operator's sites
-are enumerated once per analysis and read by both. Planning is seeded and
-grounded: literals come from the live database when a connection is
-available, join conditions come from the FK graph, and every plan records
-enough of the original tree that applying it to a different tree fails
-loudly.
+each parent is analysed once for all six operators. Each operator is one
+(sites, planner) pair in ``_OPERATORS``: its sites are enumerated once per
+analysis and read by both calls. Planning is seeded and grounded: literals
+come from the live database when a connection is available, and join
+conditions come from the FK graph.
+
+A plan is one checked replacement: the subtree at ``target_path`` as the
+planner saw it (``original``) and the subtree that takes its place
+(``replacement``). SET targets the root, so its ``original`` is the whole
+tree. ``apply_mutation`` refuses a tree whose node at that path differs
+from ``original``, so a plan applied to a different tree fails loudly.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 
 from . import tree as t
 from .errors import InfeasibleOperatorError, SqlgrowError, StructuralError
+from .harness import _run_query
 from .render import render_expr
 from .resolve import resolve_references
 from .schema import DatabaseSchema, fk_join_graph
@@ -99,9 +105,13 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class MutationPlan:
+    """Replace ``original``, the node at ``target_path``, with ``replacement``."""
+
     operator: OperatorId
     target_path: t.Path
-    payload: dict
+    original: t.Node
+    replacement: t.Node
+    summary: str
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +123,11 @@ _POOL_SIZE = 20
 
 
 class ValueSampler:
-    """Deterministic literal pools drawn from a live database."""
+    """Deterministic literal pools drawn from a live database.
+
+    Its lookups run under the harness's step budget and wall cap; a lookup
+    that fails or runs over the budget yields nothing.
+    """
 
     def __init__(self, conn: sqlite3.Connection | None):
         self.conn = conn
@@ -126,12 +140,14 @@ class ValueSampler:
         values: list = []
         if self.conn is not None:
             try:
-                cur = self.conn.execute(
+                _, rows = _run_query(
+                    self.conn,
                     f'SELECT DISTINCT "{table}"."{column_name}" FROM "{table}" '
                     f'WHERE "{table}"."{column_name}" IS NOT NULL '
-                    f'ORDER BY 1 LIMIT {_POOL_SIZE}'
+                    f'ORDER BY 1 LIMIT {_POOL_SIZE}',
+                    _POOL_SIZE,
                 )
-                values = [row[0] for row in cur.fetchall()]
+                values = [row[0] for row in rows]
             except sqlite3.Error:
                 values = []
         self._cache[key] = values
@@ -139,23 +155,17 @@ class ValueSampler:
 
     def absent_value(self, table: str, column_name: str, affinity: str):
         """A value not present in the column, best effort."""
+        numeric = affinity in _NUMERIC_AFFINITIES
         if self.conn is not None:
+            past_max = "+ 1" if numeric else "|| '~'"
             try:
-                if affinity in _NUMERIC_AFFINITIES:
-                    row = self.conn.execute(
-                        f'SELECT MAX("{column_name}") + 1 FROM "{table}"'
-                    ).fetchone()
-                    if row and row[0] is not None:
-                        return row[0]
-                else:
-                    row = self.conn.execute(
-                        f'SELECT MAX("{column_name}") || \'~\' FROM "{table}"'
-                    ).fetchone()
-                    if row and row[0] is not None:
-                        return row[0]
+                _, rows = _run_query(
+                    self.conn, f'SELECT MAX("{column_name}") {past_max} FROM "{table}"', 1)
             except sqlite3.Error:
-                pass
-        return -999999 if affinity in _NUMERIC_AFFINITIES else "__absent__"
+                rows = []
+            if rows and rows[0][0] is not None:
+                return rows[0][0]
+        return -999999 if numeric else "__absent__"
 
 
 def _value_literal(value) -> t.Node:
@@ -314,33 +324,16 @@ def literal_comparisons(ast: t.Node):
 
 
 def _sites_of(analysis: ParentAnalysis, op: OperatorId) -> list:
-    """The (target_path, site_info) pairs of ``op``, enumerated once per analysis."""
+    """The (target_path, site_info) pairs of ``op``, enumerated once per analysis.
+
+    Pairs come in deterministic order; a tree that does not resolve has none.
+    """
     sites = analysis.sites.get(op)
     if sites is None:
-        sites = analysis.sites[op] = list(_enumerate_sites(analysis, op))
+        enumerate_sites = _OPERATORS[op][0]
+        sites = analysis.sites[op] = (
+            [] if analysis.relation_at is None else enumerate_sites(analysis))
     return sites
-
-
-def _enumerate_sites(analysis, op):
-    """Yields (target_path, site_info) pairs in deterministic order."""
-    ast, schema = analysis.ast, analysis.schema
-    relation_at, ann = analysis.relation_at, analysis.annotator
-    if relation_at is None:
-        return []
-
-    if op is OperatorId.FUNC:
-        return _func_sites(ast, schema, ann, relation_at)
-    if op is OperatorId.OP:
-        return _op_sites(ast, schema, ann, relation_at)
-    if op is OperatorId.LOGIC:
-        return _logic_sites(ast, schema, ann, relation_at)
-    if op is OperatorId.JOIN:
-        return _join_sites(ast, schema, ann)
-    if op is OperatorId.NEST:
-        return _nest_sites(ast, schema, ann, relation_at)
-    if op is OperatorId.SET:
-        return [((), {"cores": ann.cores})]
-    raise StructuralError(f"unknown operator {op}")
 
 
 _FUNC_CONTEXTS = ("select", "where", "having", "group_by", "order_by")
@@ -389,9 +382,10 @@ def _func_candidates(schema, relation, name, ctx) -> tuple[str, ...]:
     return scalars
 
 
-def _func_sites(ast, schema, ann, relation_at):
+def _func_sites(analysis):
+    ann, relation_at = analysis.annotator, analysis.relation_at
     sites = []
-    for path, node in t.walk(ast):  # pre-order: ascending paths
+    for path, node in t.walk(analysis.ast):  # pre-order: ascending paths
         if node.kind != t.COLUMN:
             continue
         ctx = ann.ctx.get(path)
@@ -408,9 +402,9 @@ def _func_sites(ast, schema, ann, relation_at):
         relation = relation_at.get(path)
         if relation in (None, "<select-alias>"):
             continue
-        names = _func_candidates(schema, relation, node.value[1], ctx)
+        names = _func_candidates(analysis.schema, relation, node.value[1], ctx)
         if names:
-            sites.append((path, {"node": node, "candidates": names}))
+            sites.append((path, names))
     return sites
 
 
@@ -434,13 +428,14 @@ def _literal_class(node: t.Node) -> str | None:
     return None
 
 
-def _typed_comparisons(ast, schema, ann, relation_at):
+def _typed_comparisons(analysis):
     """Literal comparisons in WHERE or HAVING that OP and NEST may rewrite.
 
     Yields (path, node, ctx, relation, literal class, affinity) when the
     literal is a number or text and the column is a column of a real table.
     """
-    for path, node in literal_comparisons(ast):
+    ann, relation_at = analysis.annotator, analysis.relation_at
+    for path, node in literal_comparisons(analysis.ast):
         ctx = ann.ctx.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
             continue
@@ -451,28 +446,23 @@ def _typed_comparisons(ast, schema, ann, relation_at):
         relation = relation_at.get((*path, 0))
         if relation in (None, "<select-alias>"):
             continue
-        affinity = _column_affinity(schema, relation, left.value[1])
+        affinity = _column_affinity(analysis.schema, relation, left.value[1])
         if affinity is None:
             continue
         yield path, node, ctx, relation, lit_class, affinity
 
 
-def _op_sites(ast, schema, ann, relation_at):
+def _op_sites(analysis):
     sites = []
-    for path, node, _, relation, lit_class, affinity in _typed_comparisons(
-            ast, schema, ann, relation_at):
+    for path, node, _, relation, lit_class, affinity in _typed_comparisons(analysis):
         sym = node.value[0]
         sym_class = "=" if sym == "=" else "!=" if sym == "!=" else "<"
         candidates = _OMEGA_BY_SHAPE.get((sym_class, lit_class), ())
         if affinity == "text" and "between" in candidates:
             candidates = tuple(c for c in candidates if c != "between")
         if candidates:
-            sites.append(
-                (path, {
-                    "node": node, "relation": relation, "affinity": affinity,
-                    "literal_class": lit_class, "candidates": candidates,
-                })
-            )
+            sites.append((path, {"node": node, "relation": relation,
+                                 "affinity": affinity, "candidates": candidates}))
     return sites
 
 
@@ -497,9 +487,10 @@ def _scope_columns(ast, core_path, schema):
     return out
 
 
-def _logic_sites(ast, schema, ann, relation_at):
+def _logic_sites(analysis):
+    ast, schema = analysis.ast, analysis.schema
     sites = []
-    for core_path, in_compound in ann.cores:
+    for core_path, in_compound in analysis.annotator.cores:
         core = t.node_at(ast, core_path)
         columns = _scope_columns(ast, core_path, schema)
         where = t.get_clause(core, "where")
@@ -560,10 +551,11 @@ def _sort_candidates(core, columns, schema):
     return out
 
 
-def _join_sites(ast, schema, ann):
+def _join_sites(analysis):
+    ast, schema = analysis.ast, analysis.schema
     graph = fk_join_graph(schema)
     sites = []
-    for core_path, _ in ann.cores:
+    for core_path, _ in analysis.annotator.cores:
         core = t.node_at(ast, core_path)
         found = t.get_clause(core, "from")
         if not found:
@@ -600,16 +592,14 @@ def _join_sites(ast, schema, ann):
                 candidates.append((present[real_name], edge))
         if candidates:
             sites.append(((*core_path, from_idx),
-                          {"candidates": candidates, "labels": labels,
-                           "core": core_path}))
+                          {"candidates": candidates, "labels": labels}))
     return sites
 
 
-def _nest_sites(ast, schema, ann, relation_at):
+def _nest_sites(analysis):
     sites = []
-    for path, node, ctx, relation, lit_class, affinity in _typed_comparisons(
-            ast, schema, ann, relation_at):
-        if ctx.depth != ann.max_depth:
+    for path, node, ctx, relation, lit_class, affinity in _typed_comparisons(analysis):
+        if ctx.depth != analysis.annotator.max_depth:
             continue  # keep the rewrite on the deepest core so depth grows
         if lit_class == "number" and affinity not in _NUMERIC_AFFINITIES:
             continue
@@ -656,40 +646,25 @@ def plan_mutation(
     seed: int,
     db: sqlite3.Connection | None = None,
 ) -> MutationPlan:
-    """Pick a rewrite site uniformly (seeded) and fill a grounded payload."""
+    """Pick a rewrite site uniformly (seeded) and build its grounded replacement."""
     sites = _sites_of(analysis, op)
     if not sites:
         raise InfeasibleOperatorError(f"{op.name} has no eligible site")
     rng = random.Random(seed)
     path, info = sites[rng.randrange(len(sites))]
-    sampler = ValueSampler(db)
-    ast, schema = analysis.ast, analysis.schema
-
-    if op is OperatorId.FUNC:
-        return _plan_func(path, info, rng)
-    if op is OperatorId.OP:
-        return _plan_op(path, info, rng, sampler)
-    if op is OperatorId.LOGIC:
-        return _plan_logic(ast, schema, path, info, rng, sampler)
-    if op is OperatorId.JOIN:
-        return _plan_join(path, info, rng)
-    if op is OperatorId.NEST:
-        return _plan_nest(schema, path, info, rng)
-    return _plan_set(analysis, rng, sampler)
+    plan = _OPERATORS[op][1]
+    return plan(analysis, path, info, rng, ValueSampler(db))
 
 
-def _plan_func(path, info, rng):
-    name = info["candidates"][rng.randrange(len(info["candidates"]))]
-    col = info["node"]
+def _plan_func(analysis, path, names, rng, sampler):
+    name = names[rng.randrange(len(names))]
+    col = t.node_at(analysis.ast, path)
     label = f"{col.value[0]}.{col.value[1]}" if col.value[0] else col.value[1]
-    return MutationPlan(OperatorId.FUNC, path, {
-        "function": name,
-        "original": col,
-        "summary": f"apply {name.upper()} to {label}",
-    })
+    return MutationPlan(OperatorId.FUNC, path, col, t.func(name, [col]),
+                        f"apply {name.upper()} to {label}")
 
 
-def _plan_op(path, info, rng, sampler):
+def _plan_op(analysis, path, info, rng, sampler):
     node = info["node"]
     col, lit = node.children
     omega = info["candidates"][rng.randrange(len(info["candidates"]))]
@@ -722,16 +697,12 @@ def _plan_op(path, info, rng, sampler):
         lo, hi = _between_bounds(sampler, relation, col_name, lit)
         replacement = t.operator("between", [col, lo, hi])
     else:
-        raise StructuralError(f"unknown operator payload {omega!r}")
+        raise StructuralError(f"unknown OP rewrite {omega!r}")
 
     word = {"case": "CASE WHEN", "like": "LIKE", "in": "IN",
             "not_in": "NOT IN", "between": "BETWEEN"}[omega]
-    return MutationPlan(OperatorId.OP, path, {
-        "omega": omega,
-        "original": node,
-        "replacement": replacement,
-        "summary": f"use a {word} condition on {col_name}",
-    })
+    return MutationPlan(OperatorId.OP, path, node, replacement,
+                        f"use a {word} condition on {col_name}")
 
 
 def _other_value(sampler, relation, col_name, lit):
@@ -759,7 +730,9 @@ def _between_bounds(sampler, relation, col_name, lit):
     return lo, hi
 
 
-def _plan_logic(ast, schema, path, info, rng, sampler):
+def _plan_logic(analysis, path, info, rng, sampler):
+    """A new WHERE/HAVING/ORDER BY clause on a core, or one predicate or key more."""
+    ast, schema = analysis.ast, analysis.schema
     clause_kind, mode = info["clause"], info["mode"]
     core = t.node_at(ast, info["core"])
     columns = _scope_columns(ast, info["core"], schema)
@@ -775,13 +748,18 @@ def _plan_logic(ast, schema, path, info, rng, sampler):
         connector = ""
         expr, summary = _sort_expr(core, columns, schema, rng)
 
-    return MutationPlan(OperatorId.LOGIC, path, {
-        "clause": clause_kind,
-        "mode": mode,
-        "connector": connector,
-        "expr": expr,
-        "summary": summary,
-    })
+    target = t.node_at(ast, path)
+    if mode == "create":  # the target is the core
+        replacement = t.set_clause(target, t.clause(clause_kind, [expr]))
+    elif clause_kind == "order_by":
+        replacement = t.Node(target.kind, target.value, (*target.children, expr))
+    else:
+        old = target.children[0]
+        kept = (old.children if old.kind == t.LOGICAL and old.value[0] == connector
+                else (old,))
+        replacement = t.Node(target.kind, target.value,
+                             (t.logical(connector, (*kept, expr)),))
+    return MutationPlan(OperatorId.LOGIC, path, target, replacement, summary)
 
 
 def _sampled_predicate(columns, rng, sampler):
@@ -815,7 +793,7 @@ def _sort_expr(core, columns, schema, rng):
     return t.sort_key(expr, direction), f"sort also by {text} {direction.upper()}"
 
 
-def _plan_join(path, info, rng):
+def _plan_join(analysis, path, info, rng, sampler):
     candidates = info["candidates"]
     label, edge = candidates[rng.randrange(len(candidates))]
     kind = ("inner", "left")[rng.randrange(2)]
@@ -825,13 +803,13 @@ def _plan_join(path, info, rng):
         for ca, cb in zip(edge.columns_a, edge.columns_b)
     ]
     condition = parts[0] if len(parts) == 1 else t.logical("and", parts)
-    return MutationPlan(OperatorId.JOIN, path, {
-        "table": edge.table_b,
-        "alias": alias,
-        "kind": kind,
-        "condition": condition,
-        "summary": f"bring in {edge.table_b} via {render_expr(condition)}",
-    })
+    from_clause = t.node_at(analysis.ast, path)
+    joined = t.join(kind, t.table(edge.table_b, alias), condition)
+    return MutationPlan(
+        OperatorId.JOIN, path, from_clause,
+        t.Node(from_clause.kind, from_clause.value, (*from_clause.children, joined)),
+        f"bring in {edge.table_b} via {render_expr(condition)}",
+    )
 
 
 def _fresh_alias(table_name: str, taken: set[str]) -> str:
@@ -853,11 +831,11 @@ _AGG_FOR_COMPARISON = {
 }
 
 
-def _plan_nest(schema, path, info, rng):
+def _plan_nest(analysis, path, info, rng, sampler):
     agg = _AGG_FOR_COMPARISON[info["comparison"]]
     col = info["column"]
     candidates = _nest_source_candidates(
-        schema, info["relation"], col.value[1], info["affinity"])
+        analysis.schema, info["relation"], col.value[1], info["affinity"])
     # the same-column aggregate is the safe default; bias toward it
     weighted = [candidates[0], candidates[0], *candidates[1:]]
     table_name, column_name = weighted[rng.randrange(len(weighted))]
@@ -866,23 +844,19 @@ def _plan_nest(schema, path, info, rng):
         t.clause("from", [t.table(table_name)]),
         t.clause("limit", [t.literal("1")]),
     ])
-    return MutationPlan(OperatorId.NEST, path, {
-        "original": info["literal"],
-        "subquery": t.subquery(body),
-        "summary": (
-            f"compare {col.value[1]} against {agg.upper()}({table_name}.{column_name})"
-        ),
-    })
+    return MutationPlan(
+        OperatorId.NEST, path, info["literal"], t.subquery(body),
+        f"compare {col.value[1]} against {agg.upper()}({table_name}.{column_name})",
+    )
 
 
-def _plan_set(analysis, rng, sampler):
+def _plan_set(analysis, path, info, rng, sampler):
     symbol = ("union", "intersect", "except")[rng.randrange(3)]
     second, perturb_note = _perturbed_copy(analysis, symbol, rng, sampler)
-    return MutationPlan(OperatorId.SET, (), {
-        "symbol": symbol,
-        "second": second,
-        "summary": f"{symbol.upper().replace('_', ' ')} with a variant that {perturb_note}",
-    })
+    return MutationPlan(
+        OperatorId.SET, path, analysis.ast, compose_set(symbol, analysis.ast, second),
+        f"{symbol.upper().replace('_', ' ')} with a variant that {perturb_note}",
+    )
 
 
 def _perturbed_copy(analysis, symbol, rng, sampler):
@@ -940,83 +914,10 @@ def _perturbed_copy(analysis, symbol, rng, sampler):
     return ast, "repeats the query"
 
 
-# ---------------------------------------------------------------------------
-# Application
-# ---------------------------------------------------------------------------
-
-def apply_mutation(ast: t.Node, plan: MutationPlan) -> t.Node:
-    """Apply a plan, returning a new tree; the input is never modified."""
-    op = plan.operator
-    if op is OperatorId.FUNC:
-        node = t.node_at(ast, plan.target_path)
-        if node != plan.payload["original"]:
-            raise StructuralError("plan does not match tree at target path")
-        wrapped = t.func(plan.payload["function"], [node])
-        return t.replace_at(ast, plan.target_path, wrapped)
-
-    if op is OperatorId.OP:
-        node = t.node_at(ast, plan.target_path)
-        if node != plan.payload["original"]:
-            raise StructuralError("plan does not match tree at target path")
-        return t.replace_at(ast, plan.target_path, plan.payload["replacement"])
-
-    if op is OperatorId.LOGIC:
-        return _apply_logic(ast, plan)
-
-    if op is OperatorId.JOIN:
-        from_clause = t.node_at(ast, plan.target_path)
-        if from_clause.kind != t.CLAUSE or from_clause.value[0] != "from":
-            raise StructuralError("JOIN plan must target a FROM clause")
-        payload = plan.payload
-        join_node = t.join(
-            payload["kind"],
-            t.table(payload["table"], payload["alias"]),
-            payload["condition"],
-        )
-        new_clause = t.Node(from_clause.kind, from_clause.value,
-                            (*from_clause.children, join_node))
-        return t.replace_at(ast, plan.target_path, new_clause)
-
-    if op is OperatorId.NEST:
-        node = t.node_at(ast, plan.target_path)
-        if node != plan.payload["original"]:
-            raise StructuralError("plan does not match tree at target path")
-        return t.replace_at(ast, plan.target_path, plan.payload["subquery"])
-
-    if op is OperatorId.SET:
-        left = _compound_operand(ast, right_side=False)
-        right = _compound_operand(plan.payload["second"], right_side=True)
-        return t.setop(plan.payload["symbol"], left, right)
-
-    raise StructuralError(f"unknown operator {op}")
-
-
-def _apply_logic(ast: t.Node, plan: MutationPlan) -> t.Node:
-    payload = plan.payload
-    clause_kind, mode = payload["clause"], payload["mode"]
-    target = t.node_at(ast, plan.target_path)
-
-    if mode == "create":
-        if target.kind != t.SELECT:
-            raise StructuralError("clause creation must target a select core")
-        children = [payload["expr"]]
-        new_core = t.set_clause(target, t.clause(clause_kind, children))
-        return t.replace_at(ast, plan.target_path, new_core)
-
-    if target.kind != t.CLAUSE or target.value[0] != clause_kind:
-        raise StructuralError(f"LOGIC plan must target a {clause_kind} clause")
-    if clause_kind == "order_by":
-        new_clause = t.Node(target.kind, target.value,
-                            (*target.children, payload["expr"]))
-    else:
-        connector = payload["connector"]
-        old = target.children[0]
-        if old.kind == t.LOGICAL and old.value[0] == connector:
-            combined = t.logical(connector, (*old.children, payload["expr"]))
-        else:
-            combined = t.logical(connector, (old, payload["expr"]))
-        new_clause = t.Node(target.kind, target.value, (combined,))
-    return t.replace_at(ast, plan.target_path, new_clause)
+def compose_set(symbol: str, left: t.Node, right: t.Node) -> t.Node:
+    """``left`` and ``right`` combined under a set operator, as the engine accepts it."""
+    return t.setop(symbol, _compound_operand(left, right_side=False),
+                   _compound_operand(right, right_side=True))
 
 
 def _compound_operand(query: t.Node, right_side: bool) -> t.Node:
@@ -1045,3 +946,30 @@ def _has_with_prefix(query: t.Node) -> bool:
     while core.kind == t.SETOP:
         core = core.children[0]
     return t.get_clause(core, "with") is not None
+
+
+# Each operator's site enumerator, ``(analysis) -> [(target_path, info)]``,
+# and its planner, ``(analysis, target_path, info, rng, sampler) -> plan``.
+_OPERATORS = {
+    OperatorId.FUNC: (_func_sites, _plan_func),
+    OperatorId.OP: (_op_sites, _plan_op),
+    OperatorId.LOGIC: (_logic_sites, _plan_logic),
+    OperatorId.JOIN: (_join_sites, _plan_join),
+    OperatorId.NEST: (_nest_sites, _plan_nest),
+    OperatorId.SET: (lambda analysis: [((), None)], _plan_set),
+}
+
+
+# ---------------------------------------------------------------------------
+# Application
+# ---------------------------------------------------------------------------
+
+def apply_mutation(ast: t.Node, plan: MutationPlan) -> t.Node:
+    """Apply a plan, returning a new tree; the input is never modified.
+
+    Raises ``StructuralError`` unless the node at the plan's target path is
+    the one the plan was made from.
+    """
+    if t.node_at(ast, plan.target_path) != plan.original:
+        raise StructuralError("plan does not match tree at target path")
+    return t.replace_at(ast, plan.target_path, plan.replacement)

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import scheduler
 from .cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
 from .dedup import dedup_schema_group, embed_questions
-from .errors import ConfigError, SqlgrowError, TransportError
+from .errors import ConfigError, RunFileError, SqlgrowError, TransportError
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
 from .gateway import HttpChatBackend, HttpEmbeddingBackend, LlmGateway
 from .harness import (
@@ -430,7 +430,7 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         trees = None
         if "ingest" in done:
             seeds = read_jsonl(ckpt_dir / "seeds.jsonl")
-            quarantined = json.loads((ckpt_dir / "quarantine.json").read_text())
+            quarantined = _read_json(ckpt_dir / "quarantine.json", kind=list)
         else:
             trees = {}
             seeds, quarantined = ingest_seeds(cfg.seeds, repo, trees)
@@ -463,7 +463,7 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
             state_path = ckpt_dir / f"state-{round_no}.json"
             if stage_name in done:
                 current = read_jsonl(ckpt_dir / f"{stage_name}.jsonl")
-                state = scheduler.state_from_json(state_path.read_text())
+                state = _read_json(state_path, scheduler.state_from_json)
             else:
                 child_trees = {} if round_no < cfg.rounds else None
                 current, state = run_oge(current, cfg, repo, gateway, state,
@@ -650,7 +650,7 @@ def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
     if not path.is_file():
         raise ConfigError(f"cannot resume: there are no checkpoints to resume "
                           f"in {ckpt_dir}")
-    done = json.loads(path.read_text())
+    done = _read_json(path, kind=dict)
     if done.get("config_sha256") != hashes["config_sha256"]:
         raise ConfigError(f"cannot resume: the checkpoints in {ckpt_dir} were "
                           "not written under this config")
@@ -658,6 +658,23 @@ def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
         raise ConfigError(f"cannot resume: the checkpoints in {ckpt_dir} were "
                           "written from another seed file or other databases")
     return done
+
+
+def _read_json(path: Path, parse=json.loads, kind=object):
+    """``parse`` of the text of a JSON file a run wrote, which must be a ``kind``.
+
+    A file that cannot be read or parsed, or holds something else, raises
+    ``RunFileError`` naming it, so a corrupt checkpoint or manifest ends the
+    command with one line.
+    """
+    try:
+        data = parse(path.read_text())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise RunFileError(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, kind):
+        raise RunFileError(f"cannot read {path}: expected a {kind.__name__}, "
+                           f"found a {type(data).__name__}")
+    return data
 
 
 def _mark_done(ckpt_dir: Path, done: dict, stage: str) -> None:
@@ -676,8 +693,7 @@ def stats_report(dataset_path) -> tuple[str, str]:
     except OSError as exc:
         raise IOError(f"cannot read dataset {dataset_path}: {exc}")
     manifest_path = Path(dataset_path).parent / "manifest.json"
-    manifest = (json.loads(manifest_path.read_text())
-                if manifest_path.is_file() else None)
+    manifest = _read_json(manifest_path, kind=dict) if manifest_path.is_file() else None
     return _report(instances, manifest, _stage_means(instances))
 
 

@@ -149,8 +149,13 @@ def test_criterion_1_operator_soundness(mutation_outputs, schemas):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_trajectory(schemas):
-    from test_operators import stage1_to_stage2, predicate_count, sort_key_count
-    from sqlgrow.operators import MutationPlan
+    from test_operators import (
+        predicate_count,
+        scripted_clause,
+        scripted_sort_key,
+        sort_key_count,
+        stage1_to_stage2,
+    )
 
     stage2 = stage1_to_stage2(parse_sql(fixtures.STAGE_SQL_1))
     got = extract_features(stage2)
@@ -159,19 +164,11 @@ def test_criterion_2_trajectory(schemas):
 
     having_expr = t.operator(">=", [
         t.func("count", [t.column("ce", "medal_id")]), t.literal("3")])
-    with_having = apply_mutation(stage2, MutationPlan(OperatorId.LOGIC, (), {
-        "clause": "having", "mode": "create", "connector": "and",
-        "expr": having_expr, "summary": "",
-    }))
+    with_having = apply_mutation(stage2, scripted_clause(stage2, "having", having_expr))
     assert predicate_count(with_having, "having") == predicate_count(stage2, "having") + 1
 
-    order_idx = next(i for i, c in enumerate(with_having.children)
-                     if c.value[0] == "order_by")
-    final = apply_mutation(with_having, MutationPlan(OperatorId.LOGIC, (order_idx,), {
-        "clause": "order_by", "mode": "extend", "connector": "",
-        "expr": t.sort_key(t.func("avg", [t.column("gc", "age")]), "asc"),
-        "summary": "",
-    }))
+    final = apply_mutation(with_having, scripted_sort_key(
+        with_having, t.sort_key(t.func("avg", [t.column("gc", "age")]), "asc")))
     assert sort_key_count(final) == sort_key_count(stage2) + 1
     announce(2, "three joins + logic reproduce the staged features exactly")
 

@@ -205,7 +205,13 @@ def test_run_oge_enumerates_each_operators_sites_once_per_parent(
     try:
         cfg = pipeline.RunConfig(global_seed=3)
         seeds, _ = pipeline.ingest_seeds(_olympics_seed_file(tmp_path), repo)
-        called = _count_calls(monkeypatch, operators, "_enumerate_sites")
+        called = []
+        for op, (sites, plan) in list(operators._OPERATORS.items()):
+            def counted(analysis, op=op, sites=sites):
+                called.append(op)
+                return sites(analysis)
+
+            monkeypatch.setitem(operators._OPERATORS, op, (counted, plan))
         evolved, _ = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
                                       scheduler.fresh_state(cfg.epsilon), 1)
     finally:

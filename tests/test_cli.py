@@ -374,3 +374,46 @@ def test_corrupt_checkpoint_under_resume_is_a_stage_failure(workspace, capsys):
     assert main(["run", "--config", str(cfg), "--resume"]) == 2
     _one_line_failure(capsys, str(eqe), f"line {line_no}", "invalid JSON")
     assert not (tmp_path / "out" / "dataset.jsonl").exists()
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:-3])
+
+
+@pytest.mark.parametrize("name, stages", [
+    ("done.json", ["ingest"]),
+    ("quarantine.json", ["ingest"]),
+    ("state-1.json", ["ingest", "eqe", "oge"]),
+])
+def test_corrupt_json_checkpoint_under_resume_is_a_stage_failure(
+        workspace, capsys, name, stages):
+    tmp_path, cfg = workspace
+    for stage in stages:
+        assert main([stage, "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "checkpoints" / name
+    _truncate(path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 2
+    _one_line_failure(capsys, f"cannot read {path}")
+    assert not (tmp_path / "out" / "dataset.jsonl").exists()
+
+
+def test_json_checkpoint_of_the_wrong_shape_is_a_stage_failure(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "checkpoints" / "done.json"
+    path.write_text("[]")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--resume"]) == 2
+    _one_line_failure(capsys, f"cannot read {path}", "expected a dict, found a list")
+
+
+def test_corrupt_manifest_under_stats_is_a_stage_failure(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    _truncate(manifest)
+    capsys.readouterr()
+    assert main(["stats", "--dataset", str(tmp_path / "out" / "dataset.jsonl")]) == 2
+    _one_line_failure(capsys, f"cannot read {manifest}")
+

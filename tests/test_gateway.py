@@ -14,6 +14,7 @@ from sqlgrow.gateway import (
     _last_code_block,
     _parse_expansion,
 )
+from sqlgrow import harness
 from sqlgrow.harness import ExecutionFeedback, execute_sql
 from sqlgrow.operators import OperatorId
 from sqlgrow.parser import parse_sql
@@ -122,6 +123,20 @@ def test_mock_refine_drops_sampled_out_literal(gateway, olympics_schema, connect
     assert "weight > 50" in repaired
     fb2 = execute_sql(connections["olympics"], repaired)
     assert fb2.ok and fb2.row_count >= 1
+
+
+def test_mock_refine_lookup_over_the_step_budget_drops_nothing(
+        gateway, olympics_schema, connections, monkeypatch):
+    # the dead-literal lookup runs under the harness's step budget; over it,
+    # the lookup fails and the refiner falls back to relaxing the equality
+    monkeypatch.setattr(harness, "MAX_VM_STEPS", 0)
+    monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
+    fb = ExecutionFeedback(ok=True, row_count=0)
+    sql = ("SELECT full_name FROM person "
+           "WHERE weight > 50 AND full_name = 'Nobody Here'")
+    repaired = gateway.refine_sql("who", sql, olympics_schema, fb,
+                                  db=connections["olympics"])
+    assert "Nobody Here" in repaired and "LIKE" in repaired
 
 
 def test_mock_cot_first_candidate_is_gold(gateway, olympics_schema):

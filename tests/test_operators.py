@@ -1,7 +1,7 @@
 import pytest
 
 from fixtures import STAGE_SQL_1, STAGE_SQL_2, STAGE_SQL_0
-from sqlgrow import operators
+from sqlgrow import harness, operators
 from sqlgrow import tree as t
 from sqlgrow.errors import AmbiguousColumnError, InfeasibleOperatorError, StructuralError
 from sqlgrow.features import extract_features
@@ -139,7 +139,11 @@ def test_join_plan_edge_belongs_to_fk_graph(olympics_schema, connections):
     for seed in range(12):
         plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.JOIN, seed,
                              connections["olympics"])
-        new_table = plan.payload["table"]
+        # the plan appends one join to the FROM clause it targets
+        *kept, joined = plan.replacement.children
+        assert tuple(kept) == plan.original.children
+        assert joined.kind == t.JOIN and joined.value[0] in ("inner", "left")
+        new_table = joined.children[0].value[0]
         assert new_table not in present
         assert any((a, new_table) in legal for a in present)
 
@@ -154,9 +158,9 @@ def test_logic_plan_literal_comes_from_database(olympics_schema, connections):
         live |= {row[0] for row in db.execute(f"SELECT DISTINCT {col} FROM person")}
     for seed in range(10):
         plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.LOGIC, seed, db)
-        if plan.payload["clause"] != "where":
+        if plan.original.kind != t.CLAUSE or plan.original.value[0] != "where":
             continue
-        expr = plan.payload["expr"]
+        expr = plan.replacement.children[0].children[-1]  # the predicate it adds
         if expr.value[0] == "is_not_null":
             continue
         lexeme = expr.children[1].value[0]
@@ -164,16 +168,33 @@ def test_logic_plan_literal_comes_from_database(olympics_schema, connections):
         assert value in live
 
 
+def test_sampler_lookup_over_the_step_budget_yields_nothing(connections, monkeypatch):
+    db = connections["olympics"]
+    assert operators.ValueSampler(db).pool("person", "weight")
+    (heaviest,) = db.execute("SELECT MAX(weight) FROM person").fetchone()
+    assert operators.ValueSampler(db).absent_value("person", "weight", "integer") == heaviest + 1
+    monkeypatch.setattr(harness, "MAX_VM_STEPS", 0)
+    monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
+    sampler = operators.ValueSampler(db)
+    # the same results as a lookup that fails in SQLite
+    assert sampler.pool("person", "weight") == []
+    assert sampler.absent_value("person", "weight", "integer") == -999999
+    assert sampler.absent_value("person", "full_name", "text") == "__absent__"
+
+
 # -- application -------------------------------------------------------------
 
 def test_func_wraps_leaf_in_place(olympics_schema):
     ast = parse_sql("SELECT weight FROM person")
-    sites = check_applicability(analyze(ast, olympics_schema), OperatorId.FUNC).eligible_sites
-    plan = MutationPlan(OperatorId.FUNC, sites[0],
-                        {"function": "avg", "original": t.node_at(ast, sites[0]),
-                         "summary": ""})
-    out = apply_mutation(ast, plan)
-    assert render_sql(out) == "SELECT AVG(weight) FROM person"
+    analysis = analyze(ast, olympics_schema)
+    rendered = set()
+    for seed in range(20):
+        plan = plan_mutation(analysis, OperatorId.FUNC, seed)
+        assert plan.original == t.column("", "weight")
+        assert plan.replacement.kind == t.FUNCTION
+        assert plan.replacement.children == (plan.original,)
+        rendered.add(render_sql(apply_mutation(ast, plan)))
+    assert "SELECT AVG(weight) FROM person" in rendered
 
 
 def test_set_renders_as_two_selects(olympics_schema, connections):
@@ -195,9 +216,11 @@ def test_set_copy_compares_with_a_value_of_the_bound_column(olympics_schema, con
     perturbed = 0
     for seed in range(8):
         plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.SET, seed, db)
-        if plan.payload["symbol"] == "intersect":
+        assert plan.original == ast
+        symbol, second = plan.replacement.value[0], plan.replacement.children[1]
+        if symbol == "intersect":
             continue
-        (literal,) = [n for _, n in t.walk(plan.payload["second"]) if n.kind == t.LITERAL]
+        (literal,) = [n for _, n in t.walk(second) if n.kind == t.LITERAL]
         assert float(literal.value[0]) in weights - {60}
         perturbed += 1
     assert perturbed
@@ -217,15 +240,23 @@ def test_set_wraps_trailing_clauses_in_derived_table(olympics_schema, connection
     assert t.get_clause(left, "order_by") is None
 
 
-def test_apply_rejects_mismatched_tree(olympics_schema):
-    ast = parse_sql("SELECT weight FROM person")
-    sites = check_applicability(analyze(ast, olympics_schema), OperatorId.FUNC).eligible_sites
-    plan = MutationPlan(OperatorId.FUNC, sites[0],
-                        {"function": "avg", "original": t.node_at(ast, sites[0]),
-                         "summary": ""})
-    other = parse_sql("SELECT full_name FROM person")
-    with pytest.raises(StructuralError):
-        apply_mutation(other, plan)
+def test_apply_rejects_mismatched_tree(olympics_schema, connections):
+    # the same shape, so each plan's target path resolves in the other tree,
+    # and there holds a node of the same kind
+    ast = parse_sql("SELECT full_name, weight FROM person WHERE weight > 60 ORDER BY weight")
+    other = parse_sql("SELECT p.full_name, p.id FROM person p WHERE p.id > 1 ORDER BY p.id")
+    analysis = analyze(ast, olympics_schema)
+    accepted = []
+    for op in OperatorId:
+        for seed in range(4):
+            plan = plan_mutation(analysis, op, seed, connections["olympics"])
+            assert t.node_at(other, plan.target_path).kind == plan.original.kind
+            try:
+                apply_mutation(other, plan)
+            except StructuralError:
+                continue
+            accepted.append((op.name, seed))
+    assert accepted == []
 
 
 def test_purity_input_unchanged(olympics_schema, connections):
@@ -241,29 +272,47 @@ def test_purity_input_unchanged(olympics_schema, connections):
 
 # -- evolution trajectory on the olympics fixture ------------------------------
 
-def scripted_join(table, alias, left_label, left_col, right_col):
+FROM_PATH = (1,)  # select, from, group_by, order_by, limit
+STAGE2_JOINS = (
+    ("event", "e", "ce", "event_id", "id"),
+    ("sport", "s", "e", "sport_id", "id"),
+    ("games", "g", "gc", "games_id", "id"),
+)
+
+
+def scripted_join(ast, table, alias, left_label, left_col, right_col):
+    """A JOIN plan: the FROM clause of ``ast`` with an inner join appended."""
+    from_clause = t.node_at(ast, FROM_PATH)
     condition = t.operator("=", [t.column(left_label, left_col),
                                  t.column(alias, right_col)])
-    return {"table": table, "alias": alias, "kind": "inner",
-            "condition": condition, "summary": ""}
+    joined = t.join("inner", t.table(table, alias), condition)
+    return MutationPlan(OperatorId.JOIN, FROM_PATH, from_clause,
+                        t.Node(t.CLAUSE, from_clause.value,
+                               (*from_clause.children, joined)), "")
+
+
+def scripted_clause(core, clause_kind, expr):
+    """A LOGIC plan: the select core with a new ``clause_kind`` clause."""
+    return MutationPlan(OperatorId.LOGIC, (), core,
+                        t.set_clause(core, t.clause(clause_kind, [expr])), "")
+
+
+def scripted_sort_key(core, sort_key):
+    """A LOGIC plan: the ORDER BY clause of ``core`` with one key more."""
+    index, order_by = t.get_clause(core, "order_by")
+    return MutationPlan(OperatorId.LOGIC, (index,), order_by,
+                        t.Node(t.CLAUSE, order_by.value,
+                               (*order_by.children, sort_key)), "")
 
 
 def stage1_to_stage2(ast):
-    from_path = (1,)  # select, from, group_by, order_by, limit
-    for payload in (
-        scripted_join("event", "e", "ce", "event_id", "id"),
-        scripted_join("sport", "s", "e", "sport_id", "id"),
-        scripted_join("games", "g", "gc", "games_id", "id"),
-    ):
-        ast = apply_mutation(ast, MutationPlan(OperatorId.JOIN, from_path, payload))
+    for join in STAGE2_JOINS:
+        ast = apply_mutation(ast, scripted_join(ast, *join))
     where_expr = t.logical("and", [
         t.operator("=", [t.column("s", "sport_name"), t.literal("'Swimming'")]),
         t.operator("=", [t.column("g", "season"), t.literal("'Summer'")]),
     ])
-    return apply_mutation(ast, MutationPlan(OperatorId.LOGIC, (), {
-        "clause": "where", "mode": "create", "connector": "and",
-        "expr": where_expr, "summary": "",
-    }))
+    return apply_mutation(ast, scripted_clause(ast, "where", where_expr))
 
 
 def test_trajectory_stage1_to_stage2_matches_parse(olympics_schema):
@@ -279,12 +328,8 @@ def test_trajectory_stage1_to_stage2_matches_parse(olympics_schema):
 def test_trajectory_join_steps_increment_joins():
     ast = parse_sql(STAGE_SQL_1)
     joins_before = extract_features(ast).joins
-    for i, payload in enumerate((
-        scripted_join("event", "e", "ce", "event_id", "id"),
-        scripted_join("sport", "s", "e", "sport_id", "id"),
-        scripted_join("games", "g", "gc", "games_id", "id"),
-    ), start=1):
-        ast = apply_mutation(ast, MutationPlan(OperatorId.JOIN, (1,), payload))
+    for i, join in enumerate(STAGE2_JOINS, start=1):
+        ast = apply_mutation(ast, scripted_join(ast, *join))
         assert extract_features(ast).joins == joins_before + i
 
 
@@ -295,21 +340,11 @@ def test_trajectory_stage3_logic_steps():
 
     having_expr = t.operator(">=", [
         t.func("count", [t.column("ce", "medal_id")]), t.literal("3")])
-    with_having = apply_mutation(stage2, MutationPlan(OperatorId.LOGIC, (), {
-        "clause": "having", "mode": "create", "connector": "and",
-        "expr": having_expr, "summary": "",
-    }))
+    with_having = apply_mutation(stage2, scripted_clause(stage2, "having", having_expr))
     assert predicate_count(with_having, "having") == having_before + 1
 
-    order_path = None
-    for i, clause in enumerate(with_having.children):
-        if clause.value[0] == "order_by":
-            order_path = (i,)
     sort_expr = t.sort_key(t.func("avg", [t.column("gc", "age")]), "asc")
-    final = apply_mutation(with_having, MutationPlan(OperatorId.LOGIC, order_path, {
-        "clause": "order_by", "mode": "extend", "connector": "",
-        "expr": sort_expr, "summary": "",
-    }))
+    final = apply_mutation(with_having, scripted_sort_key(with_having, sort_expr))
     assert sort_key_count(final) == sorts_before + 1
     assert predicate_count(final, "having") == having_before + 1
 
@@ -360,7 +395,7 @@ def test_composite_fk_join_condition(composite_db):
     db = open_readonly(composite_db)
     ast = parse_sql("SELECT name FROM city")
     plan = plan_mutation(analyze(ast, schema), OperatorId.JOIN, 0, db)
-    cond = plan.payload["condition"]
+    cond = plan.replacement.children[-1].children[1]  # the appended join's ON
     assert cond.kind == t.LOGICAL and cond.value[0] == "and"
     assert len(cond.children) == 2
     sql = render_sql(apply_mutation(ast, plan))
@@ -403,15 +438,11 @@ def test_chained_mutations_stay_sound(olympics_schema, connections):
 def test_set_wrapping_preserves_operand_semantics(olympics_schema, connections):
     from collections import Counter
 
-    from sqlgrow.operators import MutationPlan
-
     db = connections["olympics"]
     left_sql = "SELECT full_name FROM person ORDER BY weight DESC LIMIT 2"
     right_sql = "SELECT full_name FROM person WHERE weight < 70"
-    plan = MutationPlan(OperatorId.SET, (), {
-        "symbol": "union", "second": parse_sql(right_sql), "summary": "",
-    })
-    combined = apply_mutation(parse_sql(left_sql), plan)
+    # the composition every SET plan's replacement is built with
+    combined = operators.compose_set("union", parse_sql(left_sql), parse_sql(right_sql))
     got = Counter(db.execute(render_sql(combined)).fetchall())
 
     # oracle: evaluate both operands independently and apply UNION in Python
@@ -428,10 +459,13 @@ def test_logic_plan_can_extend_where_with_and(olympics_schema, connections):
     found = False
     for seed in range(30):
         plan = plan_mutation(analyze(ast, olympics_schema), OperatorId.LOGIC, seed, db)
-        payload = plan.payload
-        if payload["clause"] == "where" and payload["mode"] == "extend" \
-                and payload["connector"] == "and":
-            pred = payload["expr"]
+        if plan.original.kind != t.CLAUSE or plan.original.value[0] != "where":
+            continue
+        (old,), (widened,) = plan.original.children, plan.replacement.children
+        if widened.value[0] == "and":
+            # STAGE_SQL_2's WHERE is an AND, so the new predicate joins its list
+            assert widened.children[:-1] == old.children
+            pred = widened.children[-1]
             if pred.value[0] != "is_not_null":
                 assert pred.children[0].kind == t.COLUMN
                 assert pred.children[0].value[0] in scope_labels
