@@ -20,7 +20,7 @@ from .cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
 from .dedup import dedup_schema_group, embed_questions
 from .errors import ConfigError, RunFileError, SqlgrowError, TransportError
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
-from .gateway import HttpChatBackend, HttpEmbeddingBackend, LlmGateway
+from .gateway import ROLES, HttpChatBackend, HttpEmbeddingBackend, LlmGateway
 from .harness import (
     _grounding_problem,
     execute_sql,
@@ -98,6 +98,19 @@ class RunConfig:
             if not all(type(w) in (int, float) and w >= 0 for w in weights) \
                     or abs(sum(weights) - 1.0) > 1e-9:
                 raise ConfigError("p_target weights must be >= 0 and sum to 1")
+        unknown = set(self.backends) - set(ROLES)
+        if unknown:
+            raise ConfigError(f"unknown backend roles {sorted(unknown)}; "
+                              f"the roles are: {', '.join(ROLES)}")
+        blocks = {f"backends.{role}": b for role, b in self.backends.items()}
+        if self.embedder is not None:
+            blocks["embedder"] = self.embedder
+        for name, block in blocks.items():
+            if not (isinstance(block, dict) and "endpoint" in block
+                    and set(block) <= {"endpoint", "model", "api_key_env"}
+                    and all(type(value) is str for value in block.values())):
+                raise ConfigError(f"{name} must be an object with a string endpoint "
+                                  "and no keys but a string model and api_key_env")
 
     def echo(self) -> dict:
         data = asdict(self)
@@ -367,15 +380,12 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             for op in OperatorId
         }
         feas = dict(rule_scores)
-        if "strategize" in gateway.backends:
-            try:
-                llm_scores = gateway.score_feasibility_llm(inst.question, inst.sql, schema)
-            except (TransportError, SqlgrowError):
-                llm_scores = {}
-            for op in OperatorId:
-                if op in llm_scores:
-                    gate = 1.0 if rule_scores[op] > 0 else 0.0
-                    feas[op] = gate * llm_scores[op]
+        try:
+            llm_scores = gateway.score_feasibility_llm(inst.question, inst.sql, schema)
+        except SqlgrowError:
+            llm_scores = {}
+        for op, score in llm_scores.items():
+            feas[op] = score if rule_scores[op] > 0 else 0.0
 
         utilities = {
             op: scheduler.utility(feas[op], scheduler.scarcity_weight(state, op))

@@ -171,7 +171,7 @@ TEMPLATES = {
     "evolve": EVOLVE_TEMPLATE,
     "strategize": STRATEGY_TEMPLATE,
     "refine": REFINE_TEMPLATE,
-    "cot": COT_TEMPLATE,
+    "teach": COT_TEMPLATE,
 }
 
 _PLACEHOLDER = re.compile(r"\{([A-Z][A-Z_]*)\}")

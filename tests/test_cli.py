@@ -166,6 +166,29 @@ def test_config_value_of_the_wrong_type_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"backends": {"evolve": {"model": "m"}}},
+     "backends.evolve must be an object with a string endpoint"),
+    ({"backends": {"evolve": "http://localhost:8000/v1"}},
+     "backends.evolve must be an object with a string endpoint"),
+    ({"backends": {"evolv": {"endpoint": "http://localhost:8000/v1"}}},
+     "unknown backend roles ['evolv']"),
+    ({"embedder": {"model": "e"}},
+     "embedder must be an object with a string endpoint"),
+    ({"backends": {"teach": {"endpoint": "http://localhost:8000/v1", "api_key_env": 1}}},
+     "backends.teach must be an object with a string endpoint"),
+    ({"backends": {"teach": {"endpoint": "http://localhost:8000/v1", "api_key": "k"}}},
+     "backends.teach must be an object with a string endpoint"),
+])
+def test_bad_backend_block_is_a_config_error(workspace, capsys, fields, message):
+    tmp_path, cfg = workspace
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **fields}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_stage_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

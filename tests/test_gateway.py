@@ -1,9 +1,13 @@
 import json
 import re
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fixtures
 from fixtures import STAGE_SQL_0, STAGE_SQL_1
+from sqlgrow import gateway as gateway_module
 from sqlgrow.errors import ResponseFormatError
 from sqlgrow.features import extract_features
 from sqlgrow.gateway import (
@@ -18,6 +22,7 @@ from sqlgrow import harness
 from sqlgrow.harness import ExecutionFeedback, execute_sql
 from sqlgrow.operators import OperatorId
 from sqlgrow.parser import parse_sql
+from sqlgrow.pipeline import RunConfig, run_full
 from sqlgrow.prompts import TEMPLATES, placeholders, render_template
 from sqlgrow.resolve import resolve_references
 from sqlgrow.schema import render_schema_prompt
@@ -156,6 +161,79 @@ def test_mock_cot_single_candidate(gateway, olympics_schema):
     assert candidates[0].predicted_sql == "SELECT 1"
 
 
+def test_mock_teacher_needs_the_gold_sql(gateway, olympics_schema):
+    with pytest.raises(ValueError, match="gold SQL"):
+        gateway.generate_cot_candidates("who", "", olympics_schema, 2)
+
+
+def test_mock_strategist_scores_nothing(gateway, olympics_schema):
+    assert gateway.score_feasibility_llm("who", STAGE_SQL_0, olympics_schema) == {}
+
+
+_ROLE_PARSERS = {
+    "generate_expansion": "_parse_expansion",
+    "generate_evolution": "_parse_expansion",
+    "refine_sql": "_parse_refined",
+    "score_feasibility_llm": "_parse_scores",
+    "generate_cot_candidates": "_parse_cot",
+}
+
+
+def test_every_mock_call_takes_the_one_path(monkeypatch, tmp_path, db_dir):
+    # each public role call makes one _with_retries call and one parse of
+    # the mock's reply texts: a mock never fails, so nothing is retried
+    calls, retried, parsed, active = Counter(), Counter(), Counter(), []
+    teacher = []
+
+    def counted_method(name, method):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            active.append(name)
+            try:
+                result = method(self, *args, **kwargs)
+            finally:
+                active.pop()
+            if name == "generate_cot_candidates":
+                teacher.append((args[3], kwargs["gold_sql"], result))
+            return result
+        return wrapper
+
+    def counted_parser(name, parse):
+        def wrapper(*args):
+            parsed[name] += 1
+            return parse(*args)
+        return wrapper
+
+    real_retries = gateway_module._with_retries
+
+    def counted_retries(call):
+        retried[active[-1]] += 1
+        return real_retries(call)
+
+    for method in _ROLE_PARSERS:
+        monkeypatch.setattr(LlmGateway, method,
+                            counted_method(method, getattr(LlmGateway, method)))
+    for parser in set(_ROLE_PARSERS.values()):
+        monkeypatch.setattr(gateway_module, parser,
+                            counted_parser(parser, getattr(gateway_module, parser)))
+    monkeypatch.setattr(gateway_module, "_with_retries", counted_retries)
+
+    cfg = RunConfig(seeds=str(fixtures.write_seed_file(tmp_path / "seeds.json")),
+                    db_dir=str(db_dir), out_dir=str(tmp_path / "out"), rounds=1,
+                    global_seed=42)
+    run_full(cfg)
+
+    assert retried == calls
+    for method, parser in _ROLE_PARSERS.items():
+        assert calls[method] > 0, method
+        sharing = [m for m, p in _ROLE_PARSERS.items() if p == parser]
+        assert parsed[parser] == sum(calls[m] for m in sharing), parser
+    assert len(teacher) == calls["generate_cot_candidates"]
+    for n, gold_sql, candidates in teacher:
+        assert n == cfg.cot_n and len(candidates) == n
+        assert candidates[0].predicted_sql == gold_sql
+
+
 # -- response parsing ---------------------------------------------------------
 
 def test_parse_expansion_happy_path():
@@ -167,6 +245,13 @@ def test_parse_expansion_happy_path():
 def test_parse_expansion_missing_gold_sql():
     with pytest.raises(ResponseFormatError):
         _parse_expansion('{"question": "Q"}')
+
+
+@pytest.mark.parametrize("text", ['{"question": "Q", "gold_sql": " "}',
+                                  '{"gold_sql": "SELECT 1"}'])
+def test_parse_expansion_blank_gold_sql_or_no_question(text):
+    with pytest.raises(ResponseFormatError):
+        _parse_expansion(text)
 
 
 def test_first_json_object_skips_prose_braces():
@@ -194,6 +279,20 @@ def test_first_json_error_names_the_kind():
 def test_last_code_block_extraction():
     text = "steps...\n```sql\nSELECT 1\n```\nmore\n```sql\nSELECT 2\n```"
     assert _last_code_block(text) == "SELECT 2"
+
+
+# the lazy form of the code-block pattern, kept as the reference
+_LAZY_CODE_BLOCK = re.compile(r"```(?:sql)?\s*(.*?)```", re.DOTALL | re.IGNORECASE)
+
+
+@settings(max_examples=1000)
+@example("```x````q```l```")  # a closing fence followed by more backticks
+@example("```ſql x```")  # IGNORECASE matches the long s to s
+@given(st.lists(st.sampled_from(["```", "`", "sql", "SQL", "ſ", "q", "l", " ", "\n", "x"]),
+                max_size=16).map("".join))
+def test_last_code_block_matches_the_regular_expression(text):
+    blocks = _LAZY_CODE_BLOCK.findall(text)
+    assert _last_code_block(text) == (blocks[-1].strip() if blocks else "")
 
 
 # -- live-backend paths via stubs ----------------------------------------------

@@ -16,6 +16,7 @@ from sqlgrow.dedup import embed_questions
 from sqlgrow.errors import ResponseFormatError, TransportError
 from sqlgrow.gateway import (
     MAX_TRIES,
+    ROLES,
     DecodingParams,
     HttpChatBackend,
     HttpEmbeddingBackend,
@@ -23,7 +24,14 @@ from sqlgrow.gateway import (
 )
 from sqlgrow.harness import ExecutionFeedback
 from sqlgrow.operators import OperatorId
-from sqlgrow.pipeline import RunConfig, SchemaRepo, ingest_seeds, run_eqe
+from sqlgrow.pipeline import (
+    RunConfig,
+    SchemaRepo,
+    build_embedder,
+    build_gateway,
+    ingest_seeds,
+    run_eqe,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -262,6 +270,32 @@ def test_embedder_retries_a_transport_failure(posts, sleeps):
     assert vectors.tolist() == [pytest.approx([0.6, 0.8])]
     assert len(posts) == 2 and sleeps == [0.5]
     assert posts[0] == {"model": "e", "input": ["q"]}
+
+
+def test_gateway_and_embedder_built_from_config(monkeypatch):
+    monkeypatch.setenv("SQLGROW_TEST_TOKEN", "sk-test-secret")
+    chat = "http://model.invalid/v1/chat/completions"
+    cfg = RunConfig(
+        backends={role: {"endpoint": chat, "model": f"m-{role}",
+                         "api_key_env": "SQLGROW_TEST_TOKEN"} for role in ROLES},
+        embedder={"endpoint": "http://model.invalid/v1/embeddings", "model": "e",
+                  "api_key_env": "SQLGROW_TEST_TOKEN"})
+    cfg.validate()
+    assert build_gateway(cfg).backends == {
+        role: HttpChatBackend(chat, f"m-{role}", "sk-test-secret") for role in ROLES}
+    assert build_embedder(cfg) == HttpEmbeddingBackend(
+        "http://model.invalid/v1/embeddings", "e", "sk-test-secret")
+    echo = cfg.echo()
+    assert echo["backends"] == {role: {"model": f"m-{role}"} for role in ROLES}
+    assert "sk-test-secret" not in json.dumps(echo)
+
+
+def test_backend_without_a_key_variable_sends_no_key():
+    cfg = RunConfig(backends={"teach": {"endpoint": "http://model.invalid/v1"}})
+    cfg.validate()
+    assert build_gateway(cfg).backends == {
+        "teach": HttpChatBackend("http://model.invalid/v1", "", "")}
+    assert build_embedder(cfg) is None
 
 
 def test_only_gateway_imports_requests_and_only_in_functions():
