@@ -453,9 +453,10 @@ def _mock_cot(question, schema, n, gold_sql):
     if not gold_sql:
         raise ValueError("the mock teacher requires the gold SQL")
     tables = ", ".join(schema.table_names())
+    goal = re.sub("`{3,}", "`", question)  # a fence here would pair with the SQL's
     texts = ["\n".join([
         f"1. Inspect the schema; the relevant tables are: {tables}.",
-        f"2. Restate the goal: {question}",
+        f"2. Restate the goal: {goal}",
         "3. Choose the columns, joins, and filters that satisfy the goal.",
         f"4. Final query:\n```sql\n{gold_sql}\n```",
     ])]

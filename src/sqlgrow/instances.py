@@ -56,6 +56,8 @@ class QueryInstance:
             raise StructuralError("evolution instances must record their operator")
         if not self.stage.startswith("OGE-") and self.operator_applied is not None:
             raise StructuralError("operator_applied is only valid for OGE stages")
+        if self.status not in _STATUS_ORDER:
+            raise StructuralError(f"unknown status {self.status!r}")
 
     def with_status(self, status: str) -> "QueryInstance":
         if _STATUS_ORDER.index(status) < _STATUS_ORDER.index(self.status):

@@ -11,13 +11,14 @@ Each operator is a deterministic, schema-aware tree rewrite:
   NEST   replace a compared literal with a scalar aggregate subquery
   SET    combine the query with a perturbed copy under a set operator
 
-``analyze`` resolves and annotates a tree once against its schema, and
-``check_applicability`` and ``plan_mutation`` read only that analysis, so
-each parent is analysed once for all six operators. Each operator is one
-(sites, planner) pair in ``_OPERATORS``: its sites are enumerated once per
-analysis and read by both calls. Planning is seeded and grounded: literals
-come from the live database when a connection is available, and join
-conditions come from the FK graph.
+``analyze`` resolves a tree once against its schema; the resolver's report
+holds the column bindings and where each node sits (clause, select core,
+nesting depth, aggregate or window, compound operand). ``check_applicability``
+and ``plan_mutation`` read only that analysis, so each parent is analysed
+once for all six operators. Each operator is one (sites, planner) pair in
+``_OPERATORS``: its sites are enumerated once per analysis and read by both
+calls. Planning is seeded and grounded: literals come from the live database
+when a connection is available, and join conditions come from the FK graph.
 
 A plan is one checked replacement: the subtree at ``target_path`` as the
 planner saw it (``original``) and the subtree that takes its place
@@ -37,7 +38,7 @@ from . import tree as t
 from .errors import InfeasibleOperatorError, SqlgrowError, StructuralError
 from .harness import _run_query
 from .render import render_expr
-from .resolve import resolve_references
+from .resolve import BindingReport, resolve_references
 from .schema import DatabaseSchema, fk_join_graph
 
 FULL_SCORE_SITES = 3  # an operator with this many sites scores 1.0
@@ -179,93 +180,6 @@ def _value_literal(value) -> t.Node:
 
 
 # ---------------------------------------------------------------------------
-# Site contexts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Ctx:
-    clause: str | None
-    select_path: t.Path
-    depth: int
-    grouped: bool
-    in_aggregate: bool = False
-    in_window: bool = False
-    in_compound: bool = False
-
-
-class _Annotator:
-    """Assigns each node the context the planners reason about."""
-
-    def __init__(self):
-        self.ctx: dict[t.Path, _Ctx] = {}
-        self.max_depth = 1
-        self.cores: list[tuple[t.Path, bool]] = []  # (path, in_compound)
-
-    def run(self, ast: t.Node) -> "_Annotator":
-        self._query(ast, (), 1, False)
-        return self
-
-    def _query(self, node: t.Node, path: t.Path, depth: int, in_compound: bool):
-        if node.kind == t.SETOP:
-            for i in (0, 1):
-                self._query(node.children[i], (*path, i), depth, True)
-            for i, extra in enumerate(node.children[2:], start=2):
-                base = _Ctx("setop_trailing", path, depth, False, in_compound=True)
-                for j, child in enumerate(extra.children):
-                    self._expr(child, (*path, i, j), base)
-            return
-        if node.kind != t.SELECT:
-            raise StructuralError(f"not a query node: {node.kind}")
-        self.max_depth = max(self.max_depth, depth)
-        self.cores.append((path, in_compound))
-        grouped = t.get_clause(node, "group_by") is not None
-        for ci, clause_node in enumerate(node.children):
-            kind = clause_node.value[0]
-            base = _Ctx(kind, path, depth, grouped, in_compound=in_compound)
-            for j, child in enumerate(clause_node.children):
-                cpath = (*path, ci, j)
-                if kind == "with":
-                    # cte -> subquery -> query
-                    self._query(child.children[0].children[0], (*cpath, 0, 0),
-                                depth + 1, False)
-                elif kind == "from":
-                    self._source(child, cpath, base)
-                else:
-                    self._expr(child, cpath, base)
-
-    def _source(self, node: t.Node, path: t.Path, base: _Ctx):
-        if node.kind == t.TABLE:
-            self.ctx[path] = base
-            return
-        if node.kind == t.SUBQUERY:
-            self._query(node.children[0], (*path, 0), base.depth + 1, False)
-            return
-        if node.kind == t.JOIN:
-            self._source(node.children[0], (*path, 0), base)
-            if len(node.children) > 1:
-                on_ctx = _Ctx("on", base.select_path, base.depth, base.grouped,
-                              in_compound=base.in_compound)
-                self._expr(node.children[1], (*path, 1), on_ctx)
-            return
-        raise StructuralError(f"invalid FROM child {node.kind}")
-
-    def _expr(self, node: t.Node, path: t.Path, ctx: _Ctx):
-        self.ctx[path] = ctx
-        if node.kind == t.SUBQUERY:
-            self._query(node.children[0], (*path, 0), ctx.depth + 1, False)
-            return
-        child_ctx = ctx
-        if node.kind == t.FUNCTION and node.value[0] in t.AGGREGATE_FUNCTIONS:
-            child_ctx = _Ctx(ctx.clause, ctx.select_path, ctx.depth, ctx.grouped,
-                             True, ctx.in_window, ctx.in_compound)
-        elif node.kind == t.WINDOW:
-            child_ctx = _Ctx(ctx.clause, ctx.select_path, ctx.depth, ctx.grouped,
-                             ctx.in_aggregate, True, ctx.in_compound)
-        for i, child in enumerate(node.children):
-            self._expr(child, (*path, i), child_ctx)
-
-
-# ---------------------------------------------------------------------------
 # Applicability
 # ---------------------------------------------------------------------------
 
@@ -278,25 +192,25 @@ class ParentAnalysis:
 
     ``analyze`` builds it once per parent; every ``check_applicability`` and
     ``plan_mutation`` call on that parent reads it. ``relation_at`` and
-    ``annotator`` are None when the tree does not resolve; then no operator
+    ``report`` are None when the tree does not resolve; then no operator
     has a site. ``sites`` holds each operator's sites once enumerated.
     """
 
     ast: t.Node
     schema: DatabaseSchema
     relation_at: dict[t.Path, str] | None
-    annotator: _Annotator | None
+    report: BindingReport | None
     sites: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
-    """Resolve and annotate a tree once for every operator."""
+    """Resolve a tree once for every operator."""
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError:
         return ParentAnalysis(ast, schema, None, None)
     relation_at = {b.path: b.relation for b in report.resolved}
-    return ParentAnalysis(ast, schema, relation_at, _Annotator().run(ast))
+    return ParentAnalysis(ast, schema, relation_at, report)
 
 
 def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:
@@ -383,12 +297,12 @@ def _func_candidates(schema, relation, name, ctx) -> tuple[str, ...]:
 
 
 def _func_sites(analysis):
-    ann, relation_at = analysis.annotator, analysis.relation_at
+    contexts, relation_at = analysis.report.contexts, analysis.relation_at
     sites = []
     for path, node in t.walk(analysis.ast):  # pre-order: ascending paths
         if node.kind != t.COLUMN:
             continue
-        ctx = ann.ctx.get(path)
+        ctx = contexts.get(path)
         if ctx is None or ctx.clause not in _FUNC_CONTEXTS:
             continue
         # wrapping a bare select item of a nested core would rename the
@@ -434,9 +348,9 @@ def _typed_comparisons(analysis):
     Yields (path, node, ctx, relation, literal class, affinity) when the
     literal is a number or text and the column is a column of a real table.
     """
-    ann, relation_at = analysis.annotator, analysis.relation_at
+    contexts, relation_at = analysis.report.contexts, analysis.relation_at
     for path, node in literal_comparisons(analysis.ast):
-        ctx = ann.ctx.get(path)
+        ctx = contexts.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
             continue
         left, right = node.children
@@ -490,7 +404,7 @@ def _scope_columns(ast, core_path, schema):
 def _logic_sites(analysis):
     ast, schema = analysis.ast, analysis.schema
     sites = []
-    for core_path, in_compound in analysis.annotator.cores:
+    for core_path, in_compound in analysis.report.cores:
         core = t.node_at(ast, core_path)
         columns = _scope_columns(ast, core_path, schema)
         where = t.get_clause(core, "where")
@@ -555,7 +469,7 @@ def _join_sites(analysis):
     ast, schema = analysis.ast, analysis.schema
     graph = fk_join_graph(schema)
     sites = []
-    for core_path, _ in analysis.annotator.cores:
+    for core_path, _ in analysis.report.cores:
         core = t.node_at(ast, core_path)
         found = t.get_clause(core, "from")
         if not found:
@@ -599,7 +513,7 @@ def _join_sites(analysis):
 def _nest_sites(analysis):
     sites = []
     for path, node, ctx, relation, lit_class, affinity in _typed_comparisons(analysis):
-        if ctx.depth != analysis.annotator.max_depth:
+        if ctx.depth != analysis.report.max_depth:
             continue  # keep the rewrite on the deepest core so depth grows
         if lit_class == "number" and affinity not in _NUMERIC_AFFINITIES:
             continue
@@ -862,7 +776,7 @@ def _plan_set(analysis, path, info, rng, sampler):
 def _perturbed_copy(analysis, symbol, rng, sampler):
     """Second operand for SET, shaped so the composition stays non-empty."""
     ast, schema = analysis.ast, analysis.schema
-    relation_at, cores = analysis.relation_at, analysis.annotator.cores
+    relation_at, cores = analysis.relation_at, analysis.report.cores
     comparisons = [path for path, node in literal_comparisons(ast)
                    if _literal_class(node.children[1]) is not None]
 

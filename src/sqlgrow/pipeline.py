@@ -115,8 +115,11 @@ class RunConfig:
     def echo(self) -> dict:
         data = asdict(self)
         data.pop("out_dir")  # sink location, not a synthesis parameter
+        # a model's endpoint and key variable say where it runs, not what it is
         data["backends"] = {role: {"model": b.get("model", "")}
                             for role, b in (self.backends or {}).items()}
+        if self.embedder is not None:
+            data["embedder"] = {"model": self.embedder.get("model", "")}
         return data
 
     @classmethod

@@ -4,6 +4,10 @@ Scoping follows the engine: a column is looked up in the innermost FROM
 scope first, then in enclosing (correlated) scopes. Unqualified columns
 matching more than one relation in the same scope raise an ambiguity
 error; references that match nothing are reported, never dropped.
+
+The same walk records where each node sits, for the mutation operators:
+the ``Context`` of every FROM table and expression node, each select
+core with whether it is a compound operand, and the deepest nesting.
 """
 
 from __future__ import annotations
@@ -24,10 +28,26 @@ class Binding:
     relation: str  # real table name, derived-table alias, or CTE name
 
 
+@dataclass(frozen=True)
+class Context:
+    """Where a node sits: its clause and select core, and what encloses it."""
+
+    clause: str  # a clause kind, "on" for a join condition, or "setop_trailing"
+    select_path: t.Path
+    depth: int  # 1 for the outermost cores; each subquery or CTE body adds 1
+    grouped: bool
+    in_aggregate: bool = False
+    in_window: bool = False
+    in_compound: bool = False
+
+
 @dataclass
 class BindingReport:
     resolved: list[Binding] = field(default_factory=list)
     unresolved: list[Binding] = field(default_factory=list)
+    contexts: dict[t.Path, Context] = field(default_factory=dict)
+    cores: list[tuple[t.Path, bool]] = field(default_factory=list)  # (path, in_compound)
+    max_depth: int = 1
 
 
 @dataclass(frozen=True)
@@ -40,13 +60,14 @@ class _Relation:
 def resolve_references(ast: t.Node, schema: DatabaseSchema) -> BindingReport:
     """Bind every column reference in the tree, innermost scope first."""
     report = BindingReport()
-    _resolve_query(ast, (), [], {}, schema, report)
+    _resolve_query(ast, (), [], {}, schema, report, 1, False)
     return report
 
 
-def _resolve_query(node, path, outer_scopes, cte_env, schema, report):
+def _resolve_query(node, path, outer_scopes, cte_env, schema, report, depth, in_compound):
     if node.kind == t.SELECT:
-        _resolve_select(node, path, outer_scopes, cte_env, schema, report)
+        _resolve_select(node, path, outer_scopes, cte_env, schema, report, depth,
+                        in_compound)
         return
     if node.kind == t.SETOP:
         env = dict(cte_env)
@@ -58,67 +79,87 @@ def _resolve_query(node, path, outer_scopes, cte_env, schema, report):
             for cte_node in found[1].children:
                 env[cte_node.value[0]] = None  # filled during left resolution
         for i in (0, 1):
-            _resolve_query(node.children[i], (*path, i), outer_scopes, env, schema, report)
+            _resolve_query(node.children[i], (*path, i), outer_scopes, env, schema,
+                           report, depth, True)
         # trailing ORDER BY resolves against the left-most core's scope
+        ctx = Context("setop_trailing", path, depth, False, in_compound=True)
         for i, extra in enumerate(node.children[2:], start=2):
             scope = _from_scope(lead, schema, env)
             for j, child in enumerate(extra.children):
                 _resolve_expr(child, (*path, i, j), [scope] + outer_scopes,
-                              env, schema, report, alias_env=_select_aliases(lead))
+                              env, schema, report, ctx, alias_env=_select_aliases(lead))
         return
     raise StructuralError(f"cannot resolve non-query root {node.kind}")
 
 
-def _resolve_select(node, path, outer_scopes, cte_env, schema, report):
+def _resolve_select(node, path, outer_scopes, cte_env, schema, report, depth, in_compound):
+    report.max_depth = max(report.max_depth, depth)
+    report.cores.append((path, in_compound))
     env = dict(cte_env)
     found = t.get_clause(node, "with")
     if found:
         idx, with_clause = found
         for i, cte_node in enumerate(with_clause.children):
             body = cte_node.children[0].children[0]
-            _resolve_query(body, (*path, idx, i, 0, 0), [], env, schema, report)
+            _resolve_query(body, (*path, idx, i, 0, 0), [], env, schema, report,
+                           depth + 1, False)
             env[cte_node.value[0]] = tuple(_output_columns(body, schema, env))
 
     scope = _from_scope(node, schema, env)
     scopes = [scope] + outer_scopes if scope else outer_scopes
     alias_env = _select_aliases(node)
+    grouped = t.get_clause(node, "group_by") is not None
 
     for idx, clause_node in enumerate(node.children):
         kind = clause_node.value[0]
         if kind == "with":
             continue
+        ctx = Context(kind, path, depth, grouped, in_compound=in_compound)
         use_aliases = alias_env if kind in ("group_by", "having", "order_by") else ()
         for j, child in enumerate(clause_node.children):
             if kind == "from":
-                _resolve_source(child, (*path, idx, j), scopes, env, schema, report)
+                _resolve_source(child, (*path, idx, j), scopes, env, schema, report, ctx)
             else:
-                _resolve_expr(child, (*path, idx, j), scopes, env, schema, report,
+                _resolve_expr(child, (*path, idx, j), scopes, env, schema, report, ctx,
                               alias_env=use_aliases)
 
 
-def _resolve_source(node, path, scopes, cte_env, schema, report):
+def _resolve_source(node, path, scopes, cte_env, schema, report, ctx):
     if node.kind == t.TABLE:
+        report.contexts[path] = ctx
         return
     if node.kind == t.SUBQUERY:
-        _resolve_query(node.children[0], (*path, 0), [], cte_env, schema, report)
+        _resolve_query(node.children[0], (*path, 0), [], cte_env, schema, report,
+                       ctx.depth + 1, False)
         return
     if node.kind == t.JOIN:
-        _resolve_source(node.children[0], (*path, 0), scopes, cte_env, schema, report)
+        _resolve_source(node.children[0], (*path, 0), scopes, cte_env, schema, report, ctx)
         if len(node.children) > 1:
-            _resolve_expr(node.children[1], (*path, 1), scopes, cte_env, schema, report)
+            on_ctx = Context("on", ctx.select_path, ctx.depth, ctx.grouped,
+                             in_compound=ctx.in_compound)
+            _resolve_expr(node.children[1], (*path, 1), scopes, cte_env, schema, report,
+                          on_ctx)
         return
     raise StructuralError(f"invalid FROM child {node.kind}")
 
 
-def _resolve_expr(node, path, scopes, cte_env, schema, report, alias_env=()):
+def _resolve_expr(node, path, scopes, cte_env, schema, report, ctx, alias_env=()):
+    report.contexts[path] = ctx
     if node.kind == t.COLUMN:
         _bind_column(node, path, scopes, report, alias_env)
         return
     if node.kind == t.SUBQUERY:
-        _resolve_query(node.children[0], (*path, 0), scopes, cte_env, schema, report)
+        _resolve_query(node.children[0], (*path, 0), scopes, cte_env, schema, report,
+                       ctx.depth + 1, False)
         return
+    if node.kind == t.FUNCTION and node.value[0] in t.AGGREGATE_FUNCTIONS:
+        ctx = Context(ctx.clause, ctx.select_path, ctx.depth, ctx.grouped,
+                      True, ctx.in_window, ctx.in_compound)
+    elif node.kind == t.WINDOW:
+        ctx = Context(ctx.clause, ctx.select_path, ctx.depth, ctx.grouped,
+                      ctx.in_aggregate, True, ctx.in_compound)
     for i, child in enumerate(node.children):
-        _resolve_expr(child, (*path, i), scopes, cte_env, schema, report, alias_env)
+        _resolve_expr(child, (*path, i), scopes, cte_env, schema, report, ctx, alias_env)
 
 
 def _bind_column(node, path, scopes, report, alias_env):

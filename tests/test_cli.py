@@ -232,6 +232,26 @@ def test_resume_under_another_config_is_refused(workspace, capsys):
     assert main(["run", "--config", str(cfg), "--resume"]) == 0
 
 
+@pytest.mark.parametrize("key, value, code", [
+    ("endpoint", "http://other.invalid/v1/embeddings", 0),
+    ("api_key_env", "SQLGROW_OTHER_KEY", 0),
+    ("model", "other-embedder", 1),
+])
+def test_resume_under_another_embedder(workspace, capsys, key, value, code):
+    # the embedder's endpoint and key variable are where it runs, its model is what it is
+    _, cfg = workspace
+    config = json.loads(cfg.read_text())
+    config["embedder"] = {"endpoint": "http://model.invalid/v1/embeddings",
+                          "model": "e", "api_key_env": "SQLGROW_TEST_KEY"}
+    cfg.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(cfg)]) == 0  # ingest embeds nothing
+    config["embedder"][key] = value
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["eqe", "--config", str(cfg)]) == code  # eqe resumes ingest
+    assert ("cannot resume" in capsys.readouterr().err) == bool(code)
+
+
 @pytest.mark.parametrize("edited", ["dbs/olympics.db", "dbs/shop.db", "seeds.json"])
 def test_resume_over_edited_inputs_is_refused(workspace, capsys, edited):
     tmp_path, cfg = workspace
@@ -376,6 +396,8 @@ def test_bad_dataset_row_is_a_stage_failure(workspace, capsys, command, corrupt,
      '"stage": "OGE-1", "operator_applied": "SWAP"}', "line 3: unknown operator 'SWAP'"),
     ('{"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1", '
      '"stage": "OGE-1"}', "line 3: evolution instances must record their operator"),
+    ('{"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1", '
+     '"stage": "seed", "status": "bogus"}', "line 3: unknown status 'bogus'"),
 ])
 def test_read_jsonl_names_the_line_that_holds_no_instance(tmp_path, line, problem):
     path = tmp_path / "rows.jsonl"

@@ -161,6 +161,14 @@ def test_mock_cot_single_candidate(gateway, olympics_schema):
     assert candidates[0].predicted_sql == "SELECT 1"
 
 
+@pytest.mark.parametrize("question", ["Who wrote ``` that", "Who ```` wrote `` that ```"])
+def test_mock_teacher_keeps_fences_out_of_its_trace(gateway, olympics_schema, question):
+    candidates = gateway.generate_cot_candidates(
+        question, "", olympics_schema, 2, gold_sql="SELECT 1")
+    assert [c.predicted_sql for c in candidates] == ["SELECT 1", "SELECT 1 LIMIT 0"]
+    assert "```" not in candidates[0].reasoning.split("```sql")[0]
+
+
 def test_mock_teacher_needs_the_gold_sql(gateway, olympics_schema):
     with pytest.raises(ValueError, match="gold SQL"):
         gateway.generate_cot_candidates("who", "", olympics_schema, 2)

@@ -287,6 +287,7 @@ def test_gateway_and_embedder_built_from_config(monkeypatch):
         "http://model.invalid/v1/embeddings", "e", "sk-test-secret")
     echo = cfg.echo()
     assert echo["backends"] == {role: {"model": f"m-{role}"} for role in ROLES}
+    assert echo["embedder"] == {"model": "e"}
     assert "sk-test-secret" not in json.dumps(echo)
 
 
