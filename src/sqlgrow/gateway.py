@@ -384,12 +384,11 @@ def _drop_dead_predicate(ast, schema, db):
         report = resolve_references(ast, schema)
     except SqlgrowError:
         return None
-    relation_at = {b.path: b.relation for b in report.resolved}
     for path, node in literal_comparisons(ast):
         if node.value[0] != "=":
             continue
         col, lit = node.children
-        relation = relation_at.get((*path, 0))
+        relation = report.relation_at.get((*path, 0))
         if not relation or relation == "<select-alias>" or schema.table(relation) is None:
             continue
         try:

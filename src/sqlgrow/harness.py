@@ -9,9 +9,9 @@ reports is exact only up to ``SAMPLE_ROWS``. ``collect_result`` reads up to
 
 Queries whose result depends on the clock or on chance are refused:
 the authorizer denies ``random``, ``randomblob`` and the ``CURRENT_*``
-keywords when the statement is prepared, and grounding rejects a ``'now'``
-argument to the date and time functions. So the same text on the same
-database gives the same result.
+keywords when the statement is prepared, and grounding rejects a date and
+time function called with a ``'now'`` literal or without its time-value.
+So the same text on the same database gives the same result.
 
 A query may take at most ``MAX_VM_STEPS`` SQLite virtual-machine steps,
 counted by the progress handler, so whether it is accepted depends only on
@@ -28,6 +28,7 @@ different order.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 import time
 from collections import Counter
@@ -95,10 +96,13 @@ _ALLOWED_ACTIONS = frozenset({
 _NONDETERMINISTIC_FUNCTIONS = frozenset({
     "random", "randomblob", "current_date", "current_time", "current_timestamp",
 })
-# The date and time functions, which read the clock when given 'now'.
+# The date and time functions, which read the clock when given 'now' or no
+# time-value (SQLite reads an omitted time-value as 'now').
 _CLOCK_FUNCTIONS = frozenset({
-    "date", "time", "datetime", "julianday", "strftime", "unixepoch",
+    "date", "time", "datetime", "julianday", "strftime", "unixepoch", "timediff",
 })
+_NAMES_A_CLOCK_FUNCTION = re.compile(
+    r"\b(?:" + "|".join(sorted(_CLOCK_FUNCTIONS)) + r")\b", re.IGNORECASE)
 
 
 def _authorize(action, _arg1, name, *_rest) -> int:
@@ -328,12 +332,22 @@ def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None]:
 
 
 def _reads_the_clock(sql: str, ast: t.Node) -> str:
-    """The date or time function given a 'now' literal in ``ast``, or ""."""
-    if "'now'" not in sql.lower():
+    """The date or time function in ``ast`` that reads the clock, or "".
+
+    A call reads the clock when it leaves out its time-value (no argument at
+    all, or ``strftime`` with only a format) or when a 'now' literal, in any
+    case, sits anywhere in its arguments. A 'now' the query computes, such
+    as ``'n' || 'ow'``, or one a column holds, stays out of reach. The tree
+    is walked only when the text names a clock function.
+    """
+    if not _NAMES_A_CLOCK_FUNCTION.search(sql):
         return ""
     for _, node in t.walk(ast):
-        if node.kind == t.FUNCTION and node.value[0] in _CLOCK_FUNCTIONS and any(
-                arg.kind == t.LITERAL and arg.value[0].lower() == "'now'"
-                for arg in node.children):
-            return node.value[0]
+        if node.kind != t.FUNCTION or node.value[0] not in _CLOCK_FUNCTIONS:
+            continue
+        name = node.value[0]
+        if len(node.children) < (2 if name == "strftime" else 1) or any(
+                sub.kind == t.LITERAL and sub.value[0].lower() == "'now'"
+                for arg in node.children for _, sub in t.walk(arg)):
+            return name
     return ""

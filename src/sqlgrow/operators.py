@@ -12,8 +12,11 @@ Each operator is a deterministic, schema-aware tree rewrite:
   SET    combine the query with a perturbed copy under a set operator
 
 ``analyze`` resolves a tree once against its schema; the resolver's report
-holds the column bindings and where each node sits (clause, select core,
-nesting depth, aggregate or window, compound operand). ``check_applicability``
+holds the column bindings, the relation each bound column names
+(``relation_at``), each select core's FROM relations (``scopes``) and where
+each node sits (clause, select core, nesting depth, aggregate or window,
+compound operand). No operator reads a FROM clause or walks a core for
+columns itself. ``check_applicability``
 and ``plan_mutation`` read only that analysis, so each parent is analysed
 once for all six operators. Each operator is one (sites, planner) pair in
 ``_OPERATORS``: its sites are enumerated once per analysis and read by both
@@ -188,17 +191,16 @@ _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 @dataclass(frozen=True)
 class ParentAnalysis:
-    """One tree and its schema, with the column bindings and site contexts.
+    """One tree and its schema, with the resolver's report on it.
 
     ``analyze`` builds it once per parent; every ``check_applicability`` and
-    ``plan_mutation`` call on that parent reads it. ``relation_at`` and
-    ``report`` are None when the tree does not resolve; then no operator
-    has a site. ``sites`` holds each operator's sites once enumerated.
+    ``plan_mutation`` call on that parent reads it. ``report`` is None when
+    the tree does not resolve; then no operator has a site. ``sites`` holds
+    each operator's sites once enumerated.
     """
 
     ast: t.Node
     schema: DatabaseSchema
-    relation_at: dict[t.Path, str] | None
     report: BindingReport | None
     sites: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -208,9 +210,8 @@ def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError:
-        return ParentAnalysis(ast, schema, None, None)
-    relation_at = {b.path: b.relation for b in report.resolved}
-    return ParentAnalysis(ast, schema, relation_at, report)
+        return ParentAnalysis(ast, schema, None)
+    return ParentAnalysis(ast, schema, report)
 
 
 def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:
@@ -246,7 +247,7 @@ def _sites_of(analysis: ParentAnalysis, op: OperatorId) -> list:
     if sites is None:
         enumerate_sites = _OPERATORS[op][0]
         sites = analysis.sites[op] = (
-            [] if analysis.relation_at is None else enumerate_sites(analysis))
+            [] if analysis.report is None else enumerate_sites(analysis))
     return sites
 
 
@@ -297,13 +298,12 @@ def _func_candidates(schema, relation, name, ctx) -> tuple[str, ...]:
 
 
 def _func_sites(analysis):
-    contexts, relation_at = analysis.report.contexts, analysis.relation_at
+    contexts = analysis.report.contexts
     sites = []
-    for path, node in t.walk(analysis.ast):  # pre-order: ascending paths
-        if node.kind != t.COLUMN:
-            continue
-        ctx = contexts.get(path)
-        if ctx is None or ctx.clause not in _FUNC_CONTEXTS:
+    for binding in sorted(analysis.report.resolved, key=lambda b: b.path):
+        path, relation = binding.path, binding.relation
+        ctx = contexts[path]
+        if ctx.clause not in _FUNC_CONTEXTS or relation == "<select-alias>":
             continue
         # wrapping a bare select item of a nested core would rename the
         # output column that enclosing queries may reference by name
@@ -313,10 +313,7 @@ def _func_sites(analysis):
             and len(path) == len(ctx.select_path) + 2
         ):
             continue
-        relation = relation_at.get(path)
-        if relation in (None, "<select-alias>"):
-            continue
-        names = _func_candidates(analysis.schema, relation, node.value[1], ctx)
+        names = _func_candidates(analysis.schema, relation, binding.name, ctx)
         if names:
             sites.append((path, names))
     return sites
@@ -348,7 +345,7 @@ def _typed_comparisons(analysis):
     Yields (path, node, ctx, relation, literal class, affinity) when the
     literal is a number or text and the column is a column of a real table.
     """
-    contexts, relation_at = analysis.report.contexts, analysis.relation_at
+    contexts, relation_at = analysis.report.contexts, analysis.report.relation_at
     for path, node in literal_comparisons(analysis.ast):
         ctx = contexts.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
@@ -380,33 +377,20 @@ def _op_sites(analysis):
     return sites
 
 
-def _scope_columns(ast, core_path, schema):
-    """In-scope (label, table, column, affinity) tuples for a select core."""
-    core = t.node_at(ast, core_path)
-    found = t.get_clause(core, "from")
-    if not found:
-        return []
-    out = []
-    for child in found[1].children:
-        source = child.children[0] if child.kind == t.JOIN else child
-        if source.kind != t.TABLE:
-            continue
-        name, alias = source.value
-        tab = schema.table(name)
-        if tab is None:
-            continue
-        label = alias or tab.name
-        for col in tab.columns:
-            out.append((label, tab.name, col.name, col.affinity))
-    return out
+def _scope_columns(analysis, core_path):
+    """(label, table, column, affinity) for each schema-table column a core reads."""
+    return [
+        (rel.label, rel.table.name, col.name, col.affinity)
+        for rel in analysis.report.scopes[core_path] if rel.table is not None
+        for col in rel.table.columns
+    ]
 
 
 def _logic_sites(analysis):
-    ast, schema = analysis.ast, analysis.schema
     sites = []
     for core_path, in_compound in analysis.report.cores:
-        core = t.node_at(ast, core_path)
-        columns = _scope_columns(ast, core_path, schema)
+        core = t.node_at(analysis.ast, core_path)
+        columns = _scope_columns(analysis, core_path)
         where = t.get_clause(core, "where")
         having = t.get_clause(core, "having")
         group_by = t.get_clause(core, "group_by")
@@ -426,7 +410,7 @@ def _logic_sites(analysis):
                           {"clause": "having", "mode": "create", "core": core_path}))
         if not in_compound:
             if order_by:
-                if _sort_candidates(core, columns, schema):
+                if _sort_candidates(core, columns):
                     sites.append(((*core_path, order_by[0]),
                                   {"clause": "order_by", "mode": "extend",
                                    "core": core_path}))
@@ -437,7 +421,7 @@ def _logic_sites(analysis):
     return sites
 
 
-def _sort_candidates(core, columns, schema):
+def _sort_candidates(core, columns):
     """Columns not already used as sort keys."""
     found = t.get_clause(core, "order_by")
     used = set()
@@ -466,45 +450,37 @@ def _sort_candidates(core, columns, schema):
 
 
 def _join_sites(analysis):
-    ast, schema = analysis.ast, analysis.schema
+    report, schema = analysis.report, analysis.schema
     graph = fk_join_graph(schema)
     sites = []
-    for core_path, _ in analysis.report.cores:
-        core = t.node_at(ast, core_path)
-        found = t.get_clause(core, "from")
-        if not found:
-            continue
-        from_idx, from_clause = found
-        present: dict[str, str] = {}  # real table name -> label
-        labels = set()
-        for child in from_clause.children:
-            source = child.children[0] if child.kind == t.JOIN else child
-            if source.kind == t.TABLE:
-                name, alias = source.value
-                tab = schema.table(name)
-                if tab is not None:
-                    present.setdefault(tab.name.lower(), alias or tab.name)
-                labels.add((alias or name).lower())
-            elif source.kind == t.SUBQUERY and source.value[0]:
-                labels.add(source.value[0].lower())
+    for core_path, _ in report.cores:
+        scope = report.scopes[core_path]
+        present = {}  # real table name, lower-cased -> its first relation
+        for rel in scope:
+            if rel.table is not None:
+                present.setdefault(rel.table.name.lower(), rel)
+        labels = {rel.label.lower() for rel in scope}
         # a new table whose columns collide with unqualified references
         # anywhere under this core would make them ambiguous
+        depth = len(core_path)
         bare_names = {
-            n.value[1].lower()
-            for _, n in t.walk(core)
-            if n.kind == t.COLUMN and not n.value[0]
+            b.name.lower()
+            for b in (*report.resolved, *report.unresolved)
+            if not b.qualifier and b.path[:depth] == core_path
         }
         candidates = []
         for real_name in sorted(present):
-            for edge in graph.get(schema.table(real_name).name, ()):
+            rel = present[real_name]
+            for edge in graph.get(rel.table.name, ()):
                 if edge.table_b.lower() in present:
                     continue
                 new_tab = schema.table(edge.table_b)
                 new_cols = {c.lower() for c in new_tab.column_names()}
                 if new_cols & bare_names:
                     continue
-                candidates.append((present[real_name], edge))
+                candidates.append((rel.label, edge))
         if candidates:
+            from_idx = t.get_clause(t.node_at(analysis.ast, core_path), "from")[0]
             sites.append(((*core_path, from_idx),
                           {"candidates": candidates, "labels": labels}))
     return sites
@@ -646,10 +622,10 @@ def _between_bounds(sampler, relation, col_name, lit):
 
 def _plan_logic(analysis, path, info, rng, sampler):
     """A new WHERE/HAVING/ORDER BY clause on a core, or one predicate or key more."""
-    ast, schema = analysis.ast, analysis.schema
+    ast = analysis.ast
     clause_kind, mode = info["clause"], info["mode"]
     core = t.node_at(ast, info["core"])
-    columns = _scope_columns(ast, info["core"], schema)
+    columns = _scope_columns(analysis, info["core"])
 
     if clause_kind in ("where", "having"):
         connector = ("and", "or")[rng.randrange(2)] if mode == "extend" else "and"
@@ -660,7 +636,7 @@ def _plan_logic(analysis, path, info, rng, sampler):
             expr, summary = _sampled_predicate(columns, rng, sampler)
     else:
         connector = ""
-        expr, summary = _sort_expr(core, columns, schema, rng)
+        expr, summary = _sort_expr(core, columns, rng)
 
     target = t.node_at(ast, path)
     if mode == "create":  # the target is the core
@@ -692,8 +668,8 @@ def _sampled_predicate(columns, rng, sampler):
     return pred, f"filter where {render_expr(pred)}"
 
 
-def _sort_expr(core, columns, schema, rng):
-    candidates = _sort_candidates(core, columns, schema)
+def _sort_expr(core, columns, rng):
+    candidates = _sort_candidates(core, columns)
     if not candidates:
         raise InfeasibleOperatorError("no sort key candidate")
     label, table_name, col_name, _ = candidates[rng.randrange(len(candidates))]
@@ -776,7 +752,7 @@ def _plan_set(analysis, path, info, rng, sampler):
 def _perturbed_copy(analysis, symbol, rng, sampler):
     """Second operand for SET, shaped so the composition stays non-empty."""
     ast, schema = analysis.ast, analysis.schema
-    relation_at, cores = analysis.relation_at, analysis.report.cores
+    relation_at, cores = analysis.report.relation_at, analysis.report.cores
     comparisons = [path for path, node in literal_comparisons(ast)
                    if _literal_class(node.children[1]) is not None]
 
@@ -816,7 +792,7 @@ def _perturbed_copy(analysis, symbol, rng, sampler):
 
     # no predicate to perturb: narrow the copy so EXCEPT keeps everything
     for core_path, _ in cores:
-        columns = _scope_columns(ast, core_path, schema)
+        columns = _scope_columns(analysis, core_path)
         if not columns:
             continue
         label, table_name, col_name, affinity = columns[rng.randrange(len(columns))]

@@ -5,19 +5,23 @@ scope first, then in enclosing (correlated) scopes. Unqualified columns
 matching more than one relation in the same scope raise an ambiguity
 error; references that match nothing are reported, never dropped.
 
-The same walk records where each node sits, for the mutation operators:
-the ``Context`` of every FROM table and expression node, each select
-core with whether it is a compound operand, and the deepest nesting.
+The same walk records what the mutation operators read: the ``Context``
+of every FROM table and expression node, each select core with whether it
+is a compound operand, the deepest nesting, the ``Relation``s each core's
+FROM clause brings into scope (``scopes``), and the relation each bound
+column names (``relation_at``). ``_from_scope`` is the one reader of a
+FROM clause's sources; star expansion filters its relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import tree as t
 from .errors import AmbiguousColumnError, StructuralError
 from .render import render_expr
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, TableDef
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,7 @@ class Binding:
     relation: str  # real table name, derived-table alias, or CTE name
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """Where a node sits: its clause and select core, and what encloses it."""
 
     clause: str  # a clause kind, "on" for a join condition, or "setop_trailing"
@@ -41,6 +44,16 @@ class Context:
     in_compound: bool = False
 
 
+@dataclass(frozen=True)
+class Relation:
+    """One source a FROM clause brings into scope."""
+
+    label: str            # what qualified refs must use (alias, or table name as written)
+    relation: str         # reported origin
+    columns: tuple[str, ...] | None  # lower-case; None while a CTE's columns are unknown
+    table: TableDef | None = None  # the schema table a TABLE source names
+
+
 @dataclass
 class BindingReport:
     resolved: list[Binding] = field(default_factory=list)
@@ -48,13 +61,8 @@ class BindingReport:
     contexts: dict[t.Path, Context] = field(default_factory=dict)
     cores: list[tuple[t.Path, bool]] = field(default_factory=list)  # (path, in_compound)
     max_depth: int = 1
-
-
-@dataclass(frozen=True)
-class _Relation:
-    label: str            # what qualified refs must use (alias, or table name)
-    relation: str         # reported origin
-    columns: tuple[str, ...] | None  # None when the table is unknown
+    scopes: dict[t.Path, list[Relation]] = field(default_factory=dict)  # core -> FROM
+    relation_at: dict[t.Path, str] = field(default_factory=dict)  # resolved column -> relation
 
 
 def resolve_references(ast: t.Node, schema: DatabaseSchema) -> BindingReport:
@@ -83,8 +91,8 @@ def _resolve_query(node, path, outer_scopes, cte_env, schema, report, depth, in_
                            report, depth, True)
         # trailing ORDER BY resolves against the left-most core's scope
         ctx = Context("setop_trailing", path, depth, False, in_compound=True)
+        scope = _from_scope(lead, schema, env)
         for i, extra in enumerate(node.children[2:], start=2):
-            scope = _from_scope(lead, schema, env)
             for j, child in enumerate(extra.children):
                 _resolve_expr(child, (*path, i, j), [scope] + outer_scopes,
                               env, schema, report, ctx, alias_env=_select_aliases(lead))
@@ -105,7 +113,7 @@ def _resolve_select(node, path, outer_scopes, cte_env, schema, report, depth, in
                            depth + 1, False)
             env[cte_node.value[0]] = tuple(_output_columns(body, schema, env))
 
-    scope = _from_scope(node, schema, env)
+    scope = report.scopes[path] = _from_scope(node, schema, env)
     scopes = [scope] + outer_scopes if scope else outer_scopes
     alias_env = _select_aliases(node)
     grouped = t.get_clause(node, "group_by") is not None
@@ -135,10 +143,8 @@ def _resolve_source(node, path, scopes, cte_env, schema, report, ctx):
     if node.kind == t.JOIN:
         _resolve_source(node.children[0], (*path, 0), scopes, cte_env, schema, report, ctx)
         if len(node.children) > 1:
-            on_ctx = Context("on", ctx.select_path, ctx.depth, ctx.grouped,
-                             in_compound=ctx.in_compound)
             _resolve_expr(node.children[1], (*path, 1), scopes, cte_env, schema, report,
-                          on_ctx)
+                          ctx._replace(clause="on"))
         return
     raise StructuralError(f"invalid FROM child {node.kind}")
 
@@ -153,31 +159,34 @@ def _resolve_expr(node, path, scopes, cte_env, schema, report, ctx, alias_env=()
                        ctx.depth + 1, False)
         return
     if node.kind == t.FUNCTION and node.value[0] in t.AGGREGATE_FUNCTIONS:
-        ctx = Context(ctx.clause, ctx.select_path, ctx.depth, ctx.grouped,
-                      True, ctx.in_window, ctx.in_compound)
+        ctx = ctx._replace(in_aggregate=True)
     elif node.kind == t.WINDOW:
-        ctx = Context(ctx.clause, ctx.select_path, ctx.depth, ctx.grouped,
-                      ctx.in_aggregate, True, ctx.in_compound)
+        ctx = ctx._replace(in_window=True)
     for i, child in enumerate(node.children):
         _resolve_expr(child, (*path, i), scopes, cte_env, schema, report, ctx, alias_env)
 
 
 def _bind_column(node, path, scopes, report, alias_env):
     qualifier, name = node.value
+    relation, bound = _lookup(qualifier, name, scopes, alias_env)
+    binding = Binding(path, qualifier, name, relation)
+    if bound:
+        report.resolved.append(binding)
+        report.relation_at[path] = relation
+    else:
+        report.unresolved.append(binding)
+
+
+def _lookup(qualifier, name, scopes, alias_env) -> tuple[str, bool]:
+    """The relation a column names (or ""), and whether the column binds there."""
     low = name.lower()
     if qualifier:
         qlow = qualifier.lower()
         for scope in scopes:
             for rel in scope:
-                if rel.label.lower() != qlow:
-                    continue
-                if rel.columns is None or low in rel.columns:
-                    report.resolved.append(Binding(path, qualifier, name, rel.relation))
-                else:
-                    report.unresolved.append(Binding(path, qualifier, name, rel.relation))
-                return
-        report.unresolved.append(Binding(path, qualifier, name, ""))
-        return
+                if rel.label.lower() == qlow:
+                    return rel.relation, rel.columns is None or low in rel.columns
+        return "", False
 
     for scope in scopes:
         matches = [
@@ -186,12 +195,10 @@ def _bind_column(node, path, scopes, report, alias_env):
         if len(matches) > 1:
             raise AmbiguousColumnError(name, [m.relation for m in matches])
         if matches:
-            report.resolved.append(Binding(path, qualifier, name, matches[0].relation))
-            return
+            return matches[0].relation, True
     if low in alias_env:
-        report.resolved.append(Binding(path, qualifier, name, "<select-alias>"))
-        return
-    report.unresolved.append(Binding(path, qualifier, name, ""))
+        return "<select-alias>", True
+    return "", False
 
 
 def _from_scope(select_node, schema, cte_env):
@@ -199,7 +206,7 @@ def _from_scope(select_node, schema, cte_env):
     if not found:
         return []
     _, from_clause = found
-    relations: list[_Relation] = []
+    relations: list[Relation] = []
     for child in from_clause.children:
         source = child.children[0] if child.kind == t.JOIN else child
         relations.append(_relation_for(source, schema, cte_env))
@@ -217,17 +224,17 @@ def _relation_for(source, schema, cte_env):
                 cte_cols = cols
                 break
         if cte_cols is not None or low in (k.lower() for k in cte_env):
-            return _Relation(label, name, cte_cols)
+            return Relation(label, name, cte_cols)
         tab = schema.table(name)
         if tab is None:
             # unknown relation: nothing can bind to it
-            return _Relation(label, name, ())
-        return _Relation(label, tab.name, tuple(c.lower() for c in tab.column_names()))
+            return Relation(label, name, ())
+        return Relation(label, tab.name, tuple(c.lower() for c in tab.column_names()), tab)
     if source.kind == t.SUBQUERY:
         alias = source.value[0]
         cols = tuple(_output_columns(source.children[0], schema, cte_env))
         label = alias or "(subquery)"
-        return _Relation(label, label, cols)
+        return Relation(label, label, cols)
     raise StructuralError(f"invalid FROM source {source.kind}")
 
 
@@ -253,31 +260,14 @@ def _output_columns(query, schema, cte_env) -> list[str]:
 
 
 def _star_columns(core, qualifier, schema, cte_env) -> list[str]:
-    found = t.get_clause(core, "from")
-    if not found:
-        return []
-    out: list[str] = []
-    for child in found[1].children:
-        source = child.children[0] if child.kind == t.JOIN else child
-        if source.kind == t.TABLE:
-            name, alias = source.value
-            if qualifier and qualifier.lower() not in (alias.lower(), name.lower()):
-                continue
-            low = name.lower()
-            for cte_name, cols in cte_env.items():
-                if cte_name.lower() == low and cols:
-                    out.extend(cols)
-                    break
-            else:
-                tab = schema.table(name)
-                if tab is not None:
-                    out.extend(c.lower() for c in tab.column_names())
-        elif source.kind == t.SUBQUERY:
-            alias = source.value[0]
-            if qualifier and alias.lower() != qualifier.lower():
-                continue
-            out.extend(_output_columns(source.children[0], schema, cte_env))
-    return out
+    """The columns ``*`` (or ``qualifier.*``) stands for in a core's FROM scope."""
+    qlow = qualifier.lower()
+    return [
+        col
+        for rel in _from_scope(core, schema, cte_env)
+        if rel.columns and (not qlow or qlow in (rel.label.lower(), rel.relation.lower()))
+        for col in rel.columns
+    ]
 
 
 def _select_aliases(select_node) -> tuple[str, ...]:

@@ -443,6 +443,23 @@ def test_fixed_dates_and_other_now_literals_ground(connections, olympics_schema,
     assert outcome.accepted, outcome.reason
 
 
+@pytest.mark.parametrize("sql,clock", [
+    ("SELECT date() FROM author", "date"),
+    ("SELECT time() FROM author", "time"),
+    ("SELECT datetime() FROM author", "datetime"),
+    ("SELECT julianday() FROM author", "julianday"),
+    ("SELECT unixepoch() FROM author", "unixepoch"),
+    ("SELECT strftime('%s') FROM author", "strftime"),
+    ("SELECT date(CAST('now' AS TEXT)) FROM author", "date"),
+    ("SELECT date(lower('NOW')) FROM author", "date"),
+    ("SELECT timediff('now', '2020-01-01') FROM author", "timediff"),
+])
+def test_clock_reads_without_a_bare_now_argument_are_refused(library_schema, sql, clock):
+    # SQLite reads an omitted time-value as 'now', so each returns the current time
+    reason, _ = harness._grounding_problem(sql, library_schema)
+    assert reason == f"nondeterministic: {clock}('now')"
+
+
 @given(st.lists(st.tuples(st.integers(-3, 3)), min_size=0, max_size=5))
 def test_results_equivalent_transitive_on_unordered(rows):
     a, b, c = rs(rows), rs(list(reversed(rows))), rs(sorted(rows))

@@ -92,6 +92,15 @@ def test_unresolvable_parent_has_no_site(olympics_schema):
             plan_mutation(analysis, op, 0)
 
 
+
+def test_a_cte_named_like_a_table_is_not_that_table(olympics_schema):
+    # the outer core reads the CTE, not the person table: no schema column is
+    # in its scope, so LOGIC's only sites are the CTE body's WHERE and ORDER BY
+    ast = parse_sql("WITH person AS (SELECT id FROM games) SELECT id FROM person")
+    sites = check_applicability(analyze(ast, olympics_schema), OperatorId.LOGIC)
+    body = (0, 0, 0, 0)
+    assert sites.eligible_sites == (body, body)
+
 def test_analysis_lets_errors_outside_the_package_through(olympics_schema, monkeypatch):
     def broken(ast, schema):
         raise KeyError("bug")

@@ -1,8 +1,7 @@
-from dataclasses import astuple
-
 import pytest
 
 from fixtures import GOLDEN_CORPUS, STAGE_SQL_2
+from sqlgrow import resolve
 from sqlgrow import tree as t
 from sqlgrow.errors import AmbiguousColumnError
 from sqlgrow.parser import parse_sql
@@ -177,4 +176,41 @@ def test_report_records_where_each_node_sits(sql, cores, max_depth, picks,
     assert report.cores == cores
     assert report.max_depth == max_depth
     for (kind, name, n), expected in picks:
-        assert astuple(report.contexts[_nth(ast, kind, name, n)]) == expected
+        assert tuple(report.contexts[_nth(ast, kind, name, n)]) == expected
+
+
+# -- star expansion: the output columns of derived tables and CTE bodies -------
+
+_PERSON = ["id", "full_name", "weight"]
+_COMPETITOR = ["id", "person_id", "games_id", "age"]
+_ON = "ON p.id = gc.person_id"
+STAR_CASES = [
+    pytest.param("SELECT * FROM person", {}, _PERSON, id="one-table"),
+    pytest.param(f"SELECT * FROM person p JOIN games_competitor gc {_ON}", {},
+                 _PERSON + _COMPETITOR, id="join"),
+    pytest.param(f"SELECT p.* FROM person p JOIN games_competitor gc {_ON}", {},
+                 _PERSON, id="alias-qualified"),
+    pytest.param("SELECT games_competitor.*, p.weight FROM person p JOIN "
+                 "games_competitor ON p.id = games_competitor.person_id", {},
+                 _COMPETITOR + ["weight"], id="table-qualified"),
+    pytest.param("SELECT * FROM (SELECT full_name, weight AS kg FROM person) AS sub",
+                 {}, ["full_name", "kg"], id="derived-table"),
+    pytest.param("SELECT sub.* FROM (SELECT * FROM person) AS sub", {}, _PERSON,
+                 id="derived-table-star"),
+    pytest.param("SELECT * FROM heavy", {"heavy": ("id", "weight")}, ["id", "weight"],
+                 id="cte"),
+    pytest.param("SELECT * FROM nowhere", {}, [], id="unknown-table"),
+]
+
+
+@pytest.mark.parametrize("sql,cte_env,expected", STAR_CASES)
+def test_star_expands_to_the_columns_in_scope(sql, cte_env, expected, olympics_schema):
+    assert resolve._output_columns(parse_sql(sql), olympics_schema, cte_env) == expected
+
+
+def test_star_over_a_cte_body_binds_through_the_cte(library_schema):
+    sql = ("WITH recent AS (SELECT id, title FROM book), "
+           "copy AS (SELECT * FROM recent) SELECT copy.title, copy.genre FROM copy")
+    report = resolve_references(parse_sql(sql), library_schema)
+    assert [b.name for b in report.resolved if b.qualifier == "copy"] == ["title"]
+    assert [b.name for b in report.unresolved] == ["genre"]
