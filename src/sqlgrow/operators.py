@@ -22,6 +22,8 @@ once for all six operators. Each operator is one (sites, planner) pair in
 ``_OPERATORS``: its sites are enumerated once per analysis and read by both
 calls. Planning is seeded and grounded: literals come from the live database
 when a connection is available, and join conditions come from the FK graph.
+Each literal lookup is one query under the harness's step budget. Nothing
+caches them: no plan looks the same column up twice.
 
 A plan is one checked replacement: the subtree at ``target_path`` as the
 planner saw it (``original``) and the subtree that takes its place
@@ -119,57 +121,47 @@ class MutationPlan:
 
 
 # ---------------------------------------------------------------------------
-# Value sampling
+# Literals from the live database
 # ---------------------------------------------------------------------------
 
 _NUMERIC_AFFINITIES = ("integer", "real", "numeric")
 _POOL_SIZE = 20
 
 
-class ValueSampler:
-    """Deterministic literal pools drawn from a live database.
+def _value_pool(db, table, column_name) -> list:
+    """Up to ``_POOL_SIZE`` distinct non-NULL values of a column, in order.
 
-    Its lookups run under the harness's step budget and wall cap; a lookup
-    that fails or runs over the budget yields nothing.
+    This lookup and ``_absent_value``'s run under the harness's step budget
+    and wall cap; one that fails or runs over the budget yields nothing.
     """
+    if db is None:
+        return []
+    try:
+        _, rows = _run_query(
+            db,
+            f'SELECT DISTINCT "{table}"."{column_name}" FROM "{table}" '
+            f'WHERE "{table}"."{column_name}" IS NOT NULL '
+            f'ORDER BY 1 LIMIT {_POOL_SIZE}',
+            _POOL_SIZE,
+        )
+    except sqlite3.Error:
+        return []
+    return [row[0] for row in rows]
 
-    def __init__(self, conn: sqlite3.Connection | None):
-        self.conn = conn
-        self._cache: dict[tuple[str, str], list] = {}
 
-    def pool(self, table: str, column_name: str) -> list:
-        key = (table.lower(), column_name.lower())
-        if key in self._cache:
-            return self._cache[key]
-        values: list = []
-        if self.conn is not None:
-            try:
-                _, rows = _run_query(
-                    self.conn,
-                    f'SELECT DISTINCT "{table}"."{column_name}" FROM "{table}" '
-                    f'WHERE "{table}"."{column_name}" IS NOT NULL '
-                    f'ORDER BY 1 LIMIT {_POOL_SIZE}',
-                    _POOL_SIZE,
-                )
-                values = [row[0] for row in rows]
-            except sqlite3.Error:
-                values = []
-        self._cache[key] = values
-        return values
-
-    def absent_value(self, table: str, column_name: str, affinity: str):
-        """A value not present in the column, best effort."""
-        numeric = affinity in _NUMERIC_AFFINITIES
-        if self.conn is not None:
-            past_max = "+ 1" if numeric else "|| '~'"
-            try:
-                _, rows = _run_query(
-                    self.conn, f'SELECT MAX("{column_name}") {past_max} FROM "{table}"', 1)
-            except sqlite3.Error:
-                rows = []
-            if rows and rows[0][0] is not None:
-                return rows[0][0]
-        return -999999 if numeric else "__absent__"
+def _absent_value(db, table, column_name, affinity):
+    """A value not present in the column, best effort."""
+    numeric = affinity in _NUMERIC_AFFINITIES
+    if db is not None:
+        past_max = "+ 1" if numeric else "|| '~'"
+        try:
+            _, rows = _run_query(
+                db, f'SELECT MAX("{column_name}") {past_max} FROM "{table}"', 1)
+        except sqlite3.Error:
+            rows = []
+        if rows and rows[0][0] is not None:
+            return rows[0][0]
+    return -999999 if numeric else "__absent__"
 
 
 def _value_literal(value) -> t.Node:
@@ -543,10 +535,10 @@ def plan_mutation(
     rng = random.Random(seed)
     path, info = sites[rng.randrange(len(sites))]
     plan = _OPERATORS[op][1]
-    return plan(analysis, path, info, rng, ValueSampler(db))
+    return plan(analysis, path, info, rng, db)
 
 
-def _plan_func(analysis, path, names, rng, sampler):
+def _plan_func(analysis, path, names, rng, db):
     name = names[rng.randrange(len(names))]
     col = t.node_at(analysis.ast, path)
     label = f"{col.value[0]}.{col.value[1]}" if col.value[0] else col.value[1]
@@ -554,7 +546,7 @@ def _plan_func(analysis, path, names, rng, sampler):
                         f"apply {name.upper()} to {label}")
 
 
-def _plan_op(analysis, path, info, rng, sampler):
+def _plan_op(analysis, path, info, rng, db):
     node = info["node"]
     col, lit = node.children
     omega = info["candidates"][rng.randrange(len(info["candidates"]))]
@@ -576,15 +568,15 @@ def _plan_op(analysis, path, info, rng, sampler):
     elif omega in ("in", "not_in"):
         items = [lit]
         if omega == "in":
-            extra = _other_value(sampler, relation, col_name, lit)
+            extra = _other_value(db, relation, col_name, lit)
             if extra is not None:
                 items.append(_value_literal(extra))
         else:
             items.append(_value_literal(
-                sampler.absent_value(relation, col_name, affinity)))
+                _absent_value(db, relation, col_name, affinity)))
         replacement = t.operator(omega, [col, *items])
     elif omega == "between":
-        lo, hi = _between_bounds(sampler, relation, col_name, lit)
+        lo, hi = _between_bounds(db, relation, col_name, lit)
         replacement = t.operator("between", [col, lo, hi])
     else:
         raise StructuralError(f"unknown OP rewrite {omega!r}")
@@ -595,19 +587,19 @@ def _plan_op(analysis, path, info, rng, sampler):
                         f"use a {word} condition on {col_name}")
 
 
-def _other_value(sampler, relation, col_name, lit):
-    for value in sampler.pool(relation, col_name):
+def _other_value(db, relation, col_name, lit):
+    for value in _value_pool(db, relation, col_name):
         if _value_literal(value) != lit:
             return value
     return None
 
 
-def _between_bounds(sampler, relation, col_name, lit):
+def _between_bounds(db, relation, col_name, lit):
     try:
         lit_num = float(lit.value[0])
     except ValueError:
         return lit, lit
-    pool = [v for v in sampler.pool(relation, col_name)
+    pool = [v for v in _value_pool(db, relation, col_name)
             if isinstance(v, (int, float))]
     if not pool:
         return lit, lit
@@ -620,7 +612,7 @@ def _between_bounds(sampler, relation, col_name, lit):
     return lo, hi
 
 
-def _plan_logic(analysis, path, info, rng, sampler):
+def _plan_logic(analysis, path, info, rng, db):
     """A new WHERE/HAVING/ORDER BY clause on a core, or one predicate or key more."""
     ast = analysis.ast
     clause_kind, mode = info["clause"], info["mode"]
@@ -633,7 +625,7 @@ def _plan_logic(analysis, path, info, rng, sampler):
             expr = t.operator(">=", [t.func("count", [t.star()]), t.literal("1")])
             summary = "keep groups having COUNT(*) >= 1"
         else:
-            expr, summary = _sampled_predicate(columns, rng, sampler)
+            expr, summary = _sampled_predicate(columns, rng, db)
     else:
         connector = ""
         expr, summary = _sort_expr(core, columns, rng)
@@ -652,11 +644,11 @@ def _plan_logic(analysis, path, info, rng, sampler):
     return MutationPlan(OperatorId.LOGIC, path, target, replacement, summary)
 
 
-def _sampled_predicate(columns, rng, sampler):
+def _sampled_predicate(columns, rng, db):
     pick = columns[rng.randrange(len(columns))]
     label, table_name, col_name, affinity = pick
     col = t.column(label, col_name)
-    pool = sampler.pool(table_name, col_name)
+    pool = _value_pool(db, table_name, col_name)
     if not pool:
         return t.operator("is_not_null", [col]), f"require {label}.{col_name} to be present"
     value = pool[rng.randrange(len(pool))]
@@ -683,7 +675,7 @@ def _sort_expr(core, columns, rng):
     return t.sort_key(expr, direction), f"sort also by {text} {direction.upper()}"
 
 
-def _plan_join(analysis, path, info, rng, sampler):
+def _plan_join(analysis, path, info, rng, db):
     candidates = info["candidates"]
     label, edge = candidates[rng.randrange(len(candidates))]
     kind = ("inner", "left")[rng.randrange(2)]
@@ -721,7 +713,7 @@ _AGG_FOR_COMPARISON = {
 }
 
 
-def _plan_nest(analysis, path, info, rng, sampler):
+def _plan_nest(analysis, path, info, rng, db):
     agg = _AGG_FOR_COMPARISON[info["comparison"]]
     col = info["column"]
     candidates = _nest_source_candidates(
@@ -740,16 +732,16 @@ def _plan_nest(analysis, path, info, rng, sampler):
     )
 
 
-def _plan_set(analysis, path, info, rng, sampler):
+def _plan_set(analysis, path, info, rng, db):
     symbol = ("union", "intersect", "except")[rng.randrange(3)]
-    second, perturb_note = _perturbed_copy(analysis, symbol, rng, sampler)
+    second, perturb_note = _perturbed_copy(analysis, symbol, rng, db)
     return MutationPlan(
         OperatorId.SET, path, analysis.ast, compose_set(symbol, analysis.ast, second),
         f"{symbol.upper().replace('_', ' ')} with a variant that {perturb_note}",
     )
 
 
-def _perturbed_copy(analysis, symbol, rng, sampler):
+def _perturbed_copy(analysis, symbol, rng, db):
     """Second operand for SET, shaped so the composition stays non-empty."""
     ast, schema = analysis.ast, analysis.schema
     relation_at, cores = analysis.report.relation_at, analysis.report.cores
@@ -780,11 +772,11 @@ def _perturbed_copy(analysis, symbol, rng, sampler):
         node = t.node_at(ast, path)
         col, lit = node.children
         relation = relation_at.get((*path, 0), "")
-        replacement_value = (_other_value(sampler, relation, col.value[1], lit)
+        replacement_value = (_other_value(db, relation, col.value[1], lit)
                              if relation else None)
         if replacement_value is None:
             affinity = _column_affinity(schema, relation, col.value[1]) or "text"
-            replacement_value = sampler.absent_value(relation, col.value[1], affinity)
+            replacement_value = _absent_value(db, relation, col.value[1], affinity)
         new_cmp = t.operator(node.value[0], [col, _value_literal(replacement_value)])
         changed = t.replace_at(ast, path, new_cmp)
         note = f"uses {render_expr(_value_literal(replacement_value))} instead"
@@ -796,7 +788,7 @@ def _perturbed_copy(analysis, symbol, rng, sampler):
         if not columns:
             continue
         label, table_name, col_name, affinity = columns[rng.randrange(len(columns))]
-        absent = sampler.absent_value(table_name, col_name, affinity)
+        absent = _absent_value(db, table_name, col_name, affinity)
         pred = t.operator("=", [t.column(label, col_name), _value_literal(absent)])
         core = t.node_at(ast, core_path)
         new_core = t.set_clause(core, t.clause("where", [pred]))
@@ -839,7 +831,7 @@ def _has_with_prefix(query: t.Node) -> bool:
 
 
 # Each operator's site enumerator, ``(analysis) -> [(target_path, info)]``,
-# and its planner, ``(analysis, target_path, info, rng, sampler) -> plan``.
+# and its planner, ``(analysis, target_path, info, rng, db) -> plan``.
 _OPERATORS = {
     OperatorId.FUNC: (_func_sites, _plan_func),
     OperatorId.OP: (_op_sites, _plan_op),

@@ -272,10 +272,23 @@ def _seed_problem(sql, schema, conn):
 # Stages that grow candidates: exploratory expansion and evolution rounds
 # ---------------------------------------------------------------------------
 
-def _parent_tree(inst, trees: dict | None):
-    """The tree handed on for ``inst``, taken out of ``trees``, else a parse of its SQL."""
+def _parent(inst, stage, repo, trees: dict | None, rejections):
+    """A parent's (schema, connection, analysis), or None once it is rejected.
+
+    The tree analysed is the one handed on in ``trees`` (taken out), else a
+    parse of the parent's SQL; SQL that does not parse is one rejection.
+    """
+    schema = repo.schema(inst.schema_id)
+    conn = repo.connection(inst.schema_id)
     tree = trees.pop(inst.id, None) if trees else None
-    return tree if tree is not None else parse_sql(inst.sql)
+    if tree is None:
+        try:
+            tree = parse_sql(inst.sql)
+        except SqlgrowError as exc:
+            rejections.append({"stage": stage, "parent": inst.id,
+                               "reason": f"unparseable input: {exc}"})
+            return None
+    return schema, conn, analyze(tree, schema)
 
 
 def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
@@ -326,17 +339,16 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             child_trees: dict | None = None):
     """Exploratory expansion of each seed; returns the accepted expansions.
 
-    ``trees`` and ``child_trees`` work as in ``run_oge``.
+    ``trees``, ``child_trees`` and a seed whose SQL does not parse work as
+    in ``run_oge``.
     """
     accepted: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     for seed_inst in seeds:
-        schema = repo.schema(seed_inst.schema_id)
-        conn = repo.connection(seed_inst.schema_id)
-        try:
-            analysis = analyze(_parent_tree(seed_inst, trees), schema)
-        except SqlgrowError:
-            analysis = None  # the expansion meets the same error and handles it
+        parent = _parent(seed_inst, STAGE_EQE, repo, trees, rejections)
+        if parent is None:
+            continue
+        schema, conn, analysis = parent
         for j in range(cfg.expansions_per_seed):
             call_seed = derive_seed(cfg.global_seed, seed_inst.id, "eqe", j)
             child = _grow(
@@ -361,23 +373,18 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
     and the mock evolution's plan share one ``operators.analyze`` result.
     ``trees`` maps parent ids to the trees grounding parsed them to; each is
     taken out when its parent is evolved, and a parent without one is
-    parsed. Accepted children's trees go into ``child_trees`` when given.
+    parsed. A parent whose SQL does not parse is one rejection and no model
+    call. Accepted children's trees go into ``child_trees`` when given.
     """
     evolved: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     stage = oge_stage(round_no)
 
     for inst in current:
-        schema = repo.schema(inst.schema_id)
-        conn = repo.connection(inst.schema_id)
-        try:
-            ast = _parent_tree(inst, trees)
-        except SqlgrowError as exc:
-            rejections.append({"stage": stage, "parent": inst.id,
-                               "reason": f"unparseable input: {exc}"})
+        parent = _parent(inst, stage, repo, trees, rejections)
+        if parent is None:
             continue
-
-        analysis = analyze(ast, schema)
+        schema, conn, analysis = parent
         rule_scores = {
             op: check_applicability(analysis, op).score
             for op in OperatorId

@@ -50,7 +50,7 @@ class Relation:
 
     label: str            # what qualified refs must use (alias, or table name as written)
     relation: str         # reported origin
-    columns: tuple[str, ...] | None  # lower-case; None while a CTE's columns are unknown
+    columns: tuple[str, ...]  # lower-case
     table: TableDef | None = None  # the schema table a TABLE source names
 
 
@@ -85,7 +85,8 @@ def _resolve_query(node, path, outer_scopes, cte_env, schema, report, depth, in_
         found = t.get_clause(lead, "with")
         if found:
             for cte_node in found[1].children:
-                env[cte_node.value[0]] = None  # filled during left resolution
+                body = cte_node.children[0].children[0]
+                env[cte_node.value[0]] = tuple(_output_columns(body, schema, env))
         for i in (0, 1):
             _resolve_query(node.children[i], (*path, i), outer_scopes, env, schema,
                            report, depth, True)
@@ -185,13 +186,11 @@ def _lookup(qualifier, name, scopes, alias_env) -> tuple[str, bool]:
         for scope in scopes:
             for rel in scope:
                 if rel.label.lower() == qlow:
-                    return rel.relation, rel.columns is None or low in rel.columns
+                    return rel.relation, low in rel.columns
         return "", False
 
     for scope in scopes:
-        matches = [
-            rel for rel in scope if rel.columns is not None and low in rel.columns
-        ]
+        matches = [rel for rel in scope if low in rel.columns]
         if len(matches) > 1:
             raise AmbiguousColumnError(name, [m.relation for m in matches])
         if matches:
@@ -218,13 +217,9 @@ def _relation_for(source, schema, cte_env):
         name, alias = source.value
         label = alias or name
         low = name.lower()
-        cte_cols = None
         for cte_name, cols in cte_env.items():
             if cte_name.lower() == low:
-                cte_cols = cols
-                break
-        if cte_cols is not None or low in (k.lower() for k in cte_env):
-            return Relation(label, name, cte_cols)
+                return Relation(label, name, cols)
         tab = schema.table(name)
         if tab is None:
             # unknown relation: nothing can bind to it

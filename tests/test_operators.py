@@ -179,16 +179,15 @@ def test_logic_plan_literal_comes_from_database(olympics_schema, connections):
 
 def test_sampler_lookup_over_the_step_budget_yields_nothing(connections, monkeypatch):
     db = connections["olympics"]
-    assert operators.ValueSampler(db).pool("person", "weight")
+    assert operators._value_pool(db, "person", "weight")
     (heaviest,) = db.execute("SELECT MAX(weight) FROM person").fetchone()
-    assert operators.ValueSampler(db).absent_value("person", "weight", "integer") == heaviest + 1
+    assert operators._absent_value(db, "person", "weight", "integer") == heaviest + 1
     monkeypatch.setattr(harness, "MAX_VM_STEPS", 0)
     monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
-    sampler = operators.ValueSampler(db)
     # the same results as a lookup that fails in SQLite
-    assert sampler.pool("person", "weight") == []
-    assert sampler.absent_value("person", "weight", "integer") == -999999
-    assert sampler.absent_value("person", "full_name", "text") == "__absent__"
+    assert operators._value_pool(db, "person", "weight") == []
+    assert operators._absent_value(db, "person", "weight", "integer") == -999999
+    assert operators._absent_value(db, "person", "full_name", "text") == "__absent__"
 
 
 # -- application -------------------------------------------------------------

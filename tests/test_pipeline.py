@@ -619,3 +619,79 @@ def test_discarded_child_keeps_ancestors(repo, mini_seed_file):
     discarded_ids = {d.instance_id for d in discards}
     assert all(child.id in discarded_ids for child in eqe)
     assert all(seed.id in kept_ids for seed in seeds)  # ancestors unaffected
+
+
+class CountingGateway(LlmGateway):
+    """The mock gateway, recording the role of every model call."""
+
+    def __init__(self):
+        super().__init__()
+        self.roles = []
+
+    def _call(self, role, *args):
+        self.roles.append(role)
+        return super()._call(role, *args)
+
+
+def test_an_unparseable_parent_is_one_rejection_and_no_model_call(repo):
+    parent = QueryInstance(id="seed-0000", schema_id="olympics", question="Who?",
+                           evidence="", sql="SELECT FROM WHERE", stage="seed")
+    cfg = RunConfig(global_seed=3, expansions_per_seed=2)
+    gateway = CountingGateway()
+    eqe_rejections, oge_rejections = [], []
+    assert run_eqe([parent], cfg, repo, gateway, eqe_rejections) == []
+    evolved, _ = run_oge([parent], cfg, repo, gateway, scheduler.fresh_state(), 1,
+                         oge_rejections)
+    assert evolved == []
+    assert gateway.roles == []
+    for stage, rejections in (("EQE", eqe_rejections), ("OGE-1", oge_rejections)):
+        assert [(r["stage"], r["parent"]) for r in rejections] == [(stage, parent.id)]
+        assert rejections[0]["reason"].startswith("unparseable input: ")
+
+
+def test_quarantined_seeds_lead_the_rejections_of_a_fresh_and_a_resumed_run(
+        tmp_path, db_dir, mini_seed_file):
+    records = json.loads(mini_seed_file.read_text())
+    records.insert(1, {"question": "bad sql", "SQL": "SELECT broken FROM person",
+                       "db_id": "olympics"})
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(records))
+    cfg, manifest = run_mini_full(tmp_path, db_dir, seeds, "runQ")
+    assert manifest["quarantined_seeds"] == 1
+    expected = {"stage": "ingest", "index": 1, "question": "bad sql",
+                "schema_id": "olympics", "reason": "unresolved columns: broken"}
+    rejections = tmp_path / "runQ" / "rejections.jsonl"
+    first = rejections.read_text().splitlines()[0]
+    assert json.loads(first) == expected
+    run_full(cfg, resume=True)
+    assert rejections.read_text().splitlines()[0] == first
+
+
+class DeferringTeacherGateway(LlmGateway):
+    """Mock gateway whose teacher fails in transport for one question and
+    proposes nothing for another."""
+
+    def __init__(self, outage_question, empty_question):
+        super().__init__()
+        self.outage_question = outage_question
+        self.empty_question = empty_question
+
+    def generate_cot_candidates(self, question, *args, **kwargs):
+        if question == self.outage_question:
+            raise TransportError("synthetic outage")
+        if question == self.empty_question:
+            return []
+        return super().generate_cot_candidates(question, *args, **kwargs)
+
+
+def test_cot_deferrals_are_counted_and_kept_out_of_the_dataset(
+        tmp_path, db_dir, mini_seed_file, monkeypatch):
+    (outage, _), (empty, _) = fixtures.SEED_QUESTIONS["olympics"][:2]
+    monkeypatch.setattr(pipeline, "build_gateway",
+                        lambda cfg: DeferringTeacherGateway(outage, empty))
+    _, manifest = run_mini_full(tmp_path, db_dir, mini_seed_file, "runD")
+    assert manifest["cot"]["deferred"] == 2
+    ids = {inst.id for inst in read_jsonl(tmp_path / "runD" / "dataset.jsonl")}
+    assert not ids & {"seed-0000", "seed-0001"}
+    submitted = sum(manifest["counts"][k] for k in ("seeds", "eqe", "evolved"))
+    assert sum(manifest["cot"].values()) == submitted

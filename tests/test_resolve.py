@@ -1,7 +1,7 @@
 import pytest
 
 from fixtures import GOLDEN_CORPUS, STAGE_SQL_2
-from sqlgrow import resolve
+from sqlgrow import harness, resolve
 from sqlgrow import tree as t
 from sqlgrow.errors import AmbiguousColumnError
 from sqlgrow.parser import parse_sql
@@ -60,6 +60,21 @@ def test_cte_columns_visible(library_schema):
            "SELECT title FROM recent")
     report = resolve_references(parse_sql(sql), library_schema)
     assert report.unresolved == []
+
+
+_LEAD_CTE = "WITH c AS (SELECT id FROM person) "
+
+
+@pytest.mark.parametrize("sql", [
+    _LEAD_CTE + "SELECT id FROM c UNION SELECT id FROM c",
+    _LEAD_CTE + "SELECT id FROM c UNION SELECT id FROM c ORDER BY id",
+    _LEAD_CTE + "SELECT c.id FROM c UNION SELECT c.id FROM c ORDER BY id",
+], ids=["right-operand", "trailing-order-by", "qualified"])
+def test_a_compound_sees_the_columns_of_its_lead_core_ctes(sql, olympics_schema,
+                                                          connections):
+    assert connections["olympics"].execute(sql).fetchall()  # SQLite runs it
+    reason, _ = harness._grounding_problem(sql, olympics_schema)
+    assert reason == ""
 
 
 def test_derived_table_columns_visible(shop_schema):
