@@ -31,7 +31,6 @@ from .harness import ExecutionFeedback, _run_query, render_feedback
 from .operators import (
     OperatorId,
     ParentAnalysis,
-    analyze,
     apply_mutation,
     literal_comparisons,
     operator_instruction,
@@ -185,17 +184,18 @@ class LlmGateway:
         schema: DatabaseSchema,
         db: sqlite3.Connection | None = None,
         seed: int = 0,
-        analysis: ParentAnalysis | None = None,
+        *,
+        analysis: ParentAnalysis,
     ) -> ExpansionResult:
         """A rephrased, grounded variant of the seed.
 
-        ``analysis``, the ``operators.analyze`` result of the parsed seed SQL,
-        spares the mock from analysing that tree again.
+        ``analysis`` is the ``operators.analyze`` result of the parsed seed
+        SQL; the mock rewrites its tree.
         """
         return self._call(
             "expand", DecodingParams(temperature=0.8),
-            lambda: [_mock_expansion(seed_question, seed_evidence, seed_sql,
-                                     schema, db, seed, analysis)],
+            lambda: [_mock_expansion(seed_question, seed_evidence, db, seed,
+                                     analysis)],
             lambda texts: _parse_expansion(texts[0]),
             schema, lambda: {
                 "EVIDENCE": seed_evidence or "None.",
@@ -214,17 +214,17 @@ class LlmGateway:
         op: OperatorId,
         db: sqlite3.Connection | None = None,
         seed: int = 0,
-        analysis: ParentAnalysis | None = None,
+        *,
+        analysis: ParentAnalysis,
     ) -> ExpansionResult:
         """The query evolved by one operator, with its question.
 
-        ``analysis``, the ``operators.analyze`` result of the parsed ``sql``,
-        spares the mock from analysing that tree again.
+        ``analysis`` is the ``operators.analyze`` result of the parsed
+        ``sql``; the mock mutates its tree.
         """
         return self._call(
             "evolve", DecodingParams(temperature=0.8),
-            lambda: [_mock_evolution(question, evidence, sql, schema, op, seed,
-                                     db, analysis)],
+            lambda: [_mock_evolution(question, evidence, op, seed, db, analysis)],
             lambda texts: _parse_expansion(texts[0]),
             schema, lambda: {
                 "EVIDENCE": evidence or "None.",
@@ -301,23 +301,21 @@ def _expansion_reply(question: str, evidence: str, sql: str) -> str:
     return json.dumps({"question": question, "evidence": evidence, "gold_sql": sql})
 
 
-def _mock_evolution(question, evidence, sql, schema, op, seed, db, analysis):
-    """The reply to an evolution by ``op``; ``analysis`` None analyses ``sql`` here."""
-    if analysis is None:
-        analysis = analyze(parse_sql(sql), schema)
+def _mock_evolution(question, evidence, op, seed, db, analysis):
+    """The reply to an evolution by ``op`` of the parent ``analysis`` describes."""
     plan = plan_mutation(analysis, op, seed, db)
     return _expansion_reply(f"{question} ({plan.summary})", evidence,
                             render_sql(apply_mutation(analysis.ast, plan)))
 
 
-def _mock_expansion(question, evidence, sql, schema, db, seed, analysis):
+def _mock_expansion(question, evidence, db, seed, analysis):
     """One logic rewrite of the seed, or the seed re-rendered when none applies."""
-    ast = analysis.ast if analysis is not None else parse_sql(sql)
     try:
-        return _mock_evolution(f"Rephrased: {question}", evidence, sql, schema,
+        return _mock_evolution(f"Rephrased: {question}", evidence,
                                OperatorId.LOGIC, seed, db, analysis)
     except SqlgrowError:
-        return _expansion_reply(f"Rephrased: {question}", evidence, render_sql(ast))
+        return _expansion_reply(f"Rephrased: {question}", evidence,
+                                render_sql(analysis.ast))
 
 
 def _mock_refine(question, draft, schema, feedback, db):
@@ -518,7 +516,7 @@ def _parse_scores(text: str) -> dict[OperatorId, float]:
             continue
         op = _STRATEGY_NAMES.get(str(entry.get("operator", "")).strip().lower())
         score = entry.get("score")
-        if op is None or not isinstance(score, (int, float)):
+        if op is None or type(score) not in (int, float):  # a bool is an int too
             continue
         if not 0.0 <= float(score) <= 1.0:
             continue  # out-of-range entries fall back to rule-based
@@ -537,12 +535,12 @@ def _parse_cot(texts: list[str]) -> list[CotCandidate]:
 
 def _parse_expansion(text: str) -> ExpansionResult:
     data = _first_json(text, dict)
-    if "question" not in data or not str(data.get("gold_sql", "")).strip():
+    question, sql = data.get("question"), data.get("gold_sql")
+    evidence = data.get("evidence", "")
+    if not (isinstance(question, str) and question and isinstance(sql, str)
+            and sql.strip() and isinstance(evidence, str)):
         raise ResponseFormatError(
-            "expansion response must carry a question and a non-empty gold_sql"
+            "expansion response must carry a non-empty question and gold_sql, "
+            "and string evidence if any"
         )
-    return ExpansionResult(
-        question=str(data["question"]),
-        evidence=str(data.get("evidence", "")),
-        sql=str(data["gold_sql"]),
-    )
+    return ExpansionResult(question=question, evidence=evidence, sql=sql)

@@ -367,7 +367,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             state: scheduler.EvolutionState, round_no: int,
             rejections: list | None = None, trees: dict | None = None,
             child_trees: dict | None = None):
-    """One evolution round; returns (newly evolved instances, state).
+    """One evolution round from ``state``; returns the newly evolved instances.
 
     Each parent is resolved and annotated once: the six applicability checks
     and the mock evolution's plan share one ``operators.analyze`` result.
@@ -375,6 +375,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
     taken out when its parent is evolved, and a parent without one is
     parsed. A parent whose SQL does not parse is one rejection and no model
     call. Accepted children's trees go into ``child_trees`` when given.
+    Each accepted child is counted in ``state`` for the rest of the round.
     """
     evolved: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
@@ -415,7 +416,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             if child is not None:
                 evolved.append(child)
                 state = scheduler.record_acceptance(state, op)
-    return evolved, state
+    return evolved
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +427,16 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
     """Execute the whole pipeline and write dataset, manifest, and reports.
 
     Each stage is checkpointed under ``out_dir/checkpoints`` and marked in
-    ``done.json``; a resumed run reuses the stages marked there. With
+    ``done.json``; a resumed run reuses the stages marked there. A round
+    that is grown recounts the scheduler state from the children of the
+    rounds before it, read or grown alike. With
     ``stop_after`` ("ingest", "eqe" or "oge", all rounds) the run ends once
     that stage is checkpointed and returns None; a resume finishes it.
 
-    A stage run here hands the trees grounding parsed its instances to the
+    A stage grown here hands the trees grounding parsed its instances to the
     stage that evolves them, and no further: the last round keeps none, so
-    no tree is held by the time CoT runs.
+    no tree is held by the time CoT runs. A stage read from its checkpoint
+    hands on none, so the next stage parses its parents.
     """
     if stop_after not in (None, "ingest", "eqe", "oge"):
         raise ValueError(f"unknown stage to stop after: {stop_after}")
@@ -462,36 +466,22 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
             return None
 
         # exploratory expansion
-        if "eqe" in done:
-            eqe = read_jsonl(ckpt_dir / "eqe.jsonl")
-        else:
-            child_trees = {} if cfg.rounds else None
-            eqe = run_eqe(seeds, cfg, repo, gateway, rejections, trees, child_trees)
-            trees = child_trees
-            write_jsonl(eqe, ckpt_dir / "eqe.jsonl")
-            _mark_done(ckpt_dir, done, "eqe")
+        child_trees = {} if cfg.rounds else None
+        eqe = _checkpointed(ckpt_dir, done, "eqe", lambda: run_eqe(
+            seeds, cfg, repo, gateway, rejections, trees, child_trees))
         if stop_after == "eqe":
             return None
 
         # evolution rounds
         p_target = ({op: cfg.p_target.get(op.name, 0.0) for op in OperatorId}
                     if cfg.p_target else None)
-        state = scheduler.fresh_state(cfg.epsilon, p_target)
         current, evolved = eqe, []
         for round_no in range(1, cfg.rounds + 1):
-            stage_name = f"oge-{round_no}"
-            state_path = ckpt_dir / f"state-{round_no}.json"
-            if stage_name in done:
-                current = read_jsonl(ckpt_dir / f"{stage_name}.jsonl")
-                state = _read_json(state_path, scheduler.state_from_json)
-            else:
-                child_trees = {} if round_no < cfg.rounds else None
-                current, state = run_oge(current, cfg, repo, gateway, state,
-                                         round_no, rejections, trees, child_trees)
-                trees = child_trees
-                write_jsonl(current, ckpt_dir / f"{stage_name}.jsonl")
-                state_path.write_text(scheduler.state_to_json(state))
-                _mark_done(ckpt_dir, done, stage_name)
+            trees, child_trees = child_trees, ({} if round_no < cfg.rounds else None)
+            current = _checkpointed(ckpt_dir, done, f"oge-{round_no}", lambda: run_oge(
+                current, cfg, repo, gateway,
+                _recount(scheduler.fresh_state(cfg.epsilon, p_target), evolved),
+                round_no, rejections, trees, child_trees))
             evolved.extend(current)
         if stop_after == "oge":
             return None
@@ -524,6 +514,25 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         return manifest
     finally:
         repo.close()
+
+
+def _checkpointed(ckpt_dir: Path, done: dict, stage: str, grow):
+    """The instances of ``stage``: its checkpoint when ``done`` marks it, else
+    ``grow()``, written to ``<stage>.jsonl`` and marked done."""
+    path = ckpt_dir / f"{stage}.jsonl"
+    if stage in done:
+        return read_jsonl(path)
+    instances = grow()
+    write_jsonl(instances, path)
+    _mark_done(ckpt_dir, done, stage)
+    return instances
+
+
+def _recount(state: scheduler.EvolutionState, evolved) -> scheduler.EvolutionState:
+    """``state`` after the acceptance of every child in ``evolved``."""
+    for inst in evolved:
+        state = scheduler.record_acceptance(state, inst.operator_applied)
+    return state
 
 
 def dedup_pool(pool, cfg: RunConfig):
@@ -680,16 +689,16 @@ def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
     return done
 
 
-def _read_json(path: Path, parse=json.loads, kind=object):
-    """``parse`` of the text of a JSON file a run wrote, which must be a ``kind``.
+def _read_json(path: Path, kind=object):
+    """The value of a JSON file a run wrote, which must be a ``kind``.
 
     A file that cannot be read or parsed, or holds something else, raises
     ``RunFileError`` naming it, so a corrupt checkpoint or manifest ends the
     command with one line.
     """
     try:
-        data = parse(path.read_text())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
         raise RunFileError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, kind):
         raise RunFileError(f"cannot read {path}: expected a {kind.__name__}, "

@@ -186,7 +186,7 @@ def test_criterion_3_scheduler_balance():
         chosen = select_top_k(utilities, 1)
         state = record_acceptance(state, chosen[0])
     elapsed = time.monotonic() - started
-    shares = {op: state.counts[op] / state.n_total for op in OperatorId}
+    shares = {op: state.counts[op] / 600 for op in OperatorId}
     for op, share in shares.items():
         assert 0.1497 <= share <= 0.1836, f"{op.name} share {share:.4f}"
     assert elapsed < 1.0

@@ -79,19 +79,19 @@ def test_staged_eqe_then_oge(workspace):
     assert main(["oge", "--config", str(cfg)]) == 0
     evolved = read_jsonl(tmp_path / "out" / "checkpoints" / "oge-1.jsonl")
     assert evolved and all(i.stage == "OGE-1" for i in evolved)
-    assert (tmp_path / "out" / "checkpoints" / "state-1.json").is_file()
 
 
 def test_staged_oge_uses_configured_p_target(workspace):
+    # a target of FUNC alone leaves every other operator a weight of zero
     tmp_path, cfg = workspace
-    p_target = {"FUNC": 0.5, "OP": 0.1, "LOGIC": 0.1, "JOIN": 0.1,
-                "NEST": 0.1, "SET": 0.1}
-    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "p_target": p_target}))
-    main(["ingest", "--config", str(cfg)])
-    main(["eqe", "--config", str(cfg)])
-    assert main(["oge", "--config", str(cfg)]) == 0
-    state = json.loads((tmp_path / "out" / "checkpoints" / "state-1.json").read_text())
-    assert state["p_target"] == p_target
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "rounds": 2,
+                               "p_target": {"FUNC": 1.0}}))
+    for command in ("ingest", "eqe", "oge"):
+        assert main([command, "--config", str(cfg)]) == 0
+    for round_no in (1, 2):
+        evolved = read_jsonl(tmp_path / "out" / "checkpoints" / f"oge-{round_no}.jsonl")
+        assert evolved, round_no
+        assert all(i.operator_applied.name == "FUNC" for i in evolved), round_no
 
 
 def test_staged_commands_write_the_checkpoints_of_run(workspace):
@@ -109,12 +109,10 @@ def test_staged_commands_write_the_checkpoints_of_run(workspace):
     assert {"ingest", "eqe", "oge-1", "oge-2"} <= set(done) and "final" not in done
     evolved = read_jsonl(staged / "checkpoints" / "oge-1.jsonl")
     assert evolved and all(i.stage == "OGE-1" for i in evolved)
-    state = json.loads((staged / "checkpoints" / "state-2.json").read_text())
-    assert state["p_target"] == p_target
     assert main(["run", "--config", str(cfg), "--resume"]) == 0
 
     names = ["done.json", "seeds.jsonl", "quarantine.json", "eqe.jsonl",
-             "oge-1.jsonl", "oge-2.jsonl", "state-1.json", "state-2.json"]
+             "oge-1.jsonl", "oge-2.jsonl"]
     assert sorted(p.name for p in (staged / "checkpoints").iterdir()) == sorted(names)
     for name in [f"checkpoints/{n}" for n in names] + ["dataset.jsonl",
                                                        "dedup_removals.jsonl"]:
@@ -428,7 +426,6 @@ def _truncate(path):
 @pytest.mark.parametrize("name, stages", [
     ("done.json", ["ingest"]),
     ("quarantine.json", ["ingest"]),
-    ("state-1.json", ["ingest", "eqe", "oge"]),
 ])
 def test_corrupt_json_checkpoint_under_resume_is_a_stage_failure(
         workspace, capsys, name, stages):

@@ -22,7 +22,8 @@ from sqlgrow.dedup import (
 from sqlgrow.errors import SqlgrowError, StructuralError
 from sqlgrow.gateway import LlmGateway
 from sqlgrow.instances import QueryInstance, read_jsonl, stage_rank
-from sqlgrow.operators import OperatorId
+from sqlgrow.operators import OperatorId, analyze
+from sqlgrow.parser import parse_sql
 from sqlgrow.pipeline import RunConfig, run_full
 
 
@@ -226,12 +227,15 @@ def _mock_questions(schemas, connections):
         group = [("seed", question, None) for question, _ in seeds]
         for k, (question, sql) in enumerate(seeds):
             for seed in (0, 1):
-                exp = gateway.generate_expansion(question, "", sql, schema, conn, seed)
+                exp = gateway.generate_expansion(
+                    question, "", sql, schema, conn, seed,
+                    analysis=analyze(parse_sql(sql), schema))
                 group.append(("EQE", exp.question, None))
             for op in OperatorId:  # evolve the last rephrasing
                 try:
-                    evo = gateway.generate_evolution(exp.question, "", exp.sql,
-                                                     schema, op, conn, k)
+                    evo = gateway.generate_evolution(
+                        exp.question, "", exp.sql, schema, op, conn, k,
+                        analysis=analyze(parse_sql(exp.sql), schema))
                 except SqlgrowError:
                     continue
                 group.append(("OGE-1", evo.question, op))

@@ -20,7 +20,7 @@ from sqlgrow.gateway import (
 )
 from sqlgrow import harness
 from sqlgrow.harness import ExecutionFeedback, execute_sql
-from sqlgrow.operators import OperatorId
+from sqlgrow.operators import OperatorId, analyze
 from sqlgrow.parser import parse_sql
 from sqlgrow.pipeline import RunConfig, run_full
 from sqlgrow.prompts import TEMPLATES, placeholders, render_template
@@ -60,10 +60,15 @@ def test_template_missing_binding_rejected():
         render_template("expand", {"QUESTION": "q"})
 
 
+def analysis_of(sql, schema):
+    return analyze(parse_sql(sql), schema)
+
+
 def test_mock_expansion_contract(gateway, olympics_schema, connections):
     result = gateway.generate_expansion(
         "Who is the heaviest athlete?", "", STAGE_SQL_0,
-        olympics_schema, db=connections["olympics"], seed=5)
+        olympics_schema, db=connections["olympics"], seed=5,
+        analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result.question.startswith("Rephrased: ")
     ast = parse_sql(result.sql)
     assert resolve_references(ast, olympics_schema).unresolved == []
@@ -75,21 +80,25 @@ def test_mock_evolution_join_adds_join(gateway, olympics_schema, connections):
     before = extract_features(parse_sql(STAGE_SQL_1)).joins
     result = gateway.generate_evolution(
         "Who won the most medals?", "", STAGE_SQL_1,
-        olympics_schema, OperatorId.JOIN, db=connections["olympics"], seed=1)
+        olympics_schema, OperatorId.JOIN, db=connections["olympics"], seed=1,
+        analysis=analysis_of(STAGE_SQL_1, olympics_schema))
     assert extract_features(parse_sql(result.sql)).joins == before + 1
 
 
 def test_mock_evolution_set_produces_setop_root(gateway, olympics_schema, connections):
+    sql = "SELECT full_name FROM person WHERE weight > 60"
     result = gateway.generate_evolution(
-        "Who?", "", "SELECT full_name FROM person WHERE weight > 60",
-        olympics_schema, OperatorId.SET, db=connections["olympics"], seed=2)
+        "Who?", "", sql, olympics_schema, OperatorId.SET,
+        db=connections["olympics"], seed=2, analysis=analysis_of(sql, olympics_schema))
     assert parse_sql(result.sql).kind == "setop"
 
 
 def test_mock_determinism(gateway, olympics_schema, connections):
     args = ("Who?", "", STAGE_SQL_1, olympics_schema, OperatorId.FUNC)
-    a = gateway.generate_evolution(*args, db=connections["olympics"], seed=9)
-    b = gateway.generate_evolution(*args, db=connections["olympics"], seed=9)
+    kwargs = {"db": connections["olympics"], "seed": 9,
+              "analysis": analysis_of(STAGE_SQL_1, olympics_schema)}
+    a = gateway.generate_evolution(*args, **kwargs)
+    b = gateway.generate_evolution(*args, **kwargs)
     assert a == b
 
 
@@ -248,6 +257,7 @@ def test_parse_expansion_happy_path():
     text = 'Sure! {"question": "Q", "evidence": "", "gold_sql": "SELECT 1"} done'
     result = _parse_expansion(text)
     assert result == ExpansionResult("Q", "", "SELECT 1")
+    assert _parse_expansion('{"question": "Q", "gold_sql": "SELECT 1"}') == result
 
 
 def test_parse_expansion_missing_gold_sql():
@@ -255,8 +265,17 @@ def test_parse_expansion_missing_gold_sql():
         _parse_expansion('{"question": "Q"}')
 
 
-@pytest.mark.parametrize("text", ['{"question": "Q", "gold_sql": " "}',
-                                  '{"gold_sql": "SELECT 1"}'])
+# a field that is not text is refused, not turned into text such as "None"
+@pytest.mark.parametrize("text", [
+    '{"question": "Q", "gold_sql": " "}',
+    '{"gold_sql": "SELECT 1"}',
+    '{"question": null, "evidence": "", "gold_sql": "SELECT 1"}',
+    '{"question": "", "evidence": "", "gold_sql": "SELECT 1"}',
+    '{"question": 7, "evidence": "", "gold_sql": "SELECT 1"}',
+    '{"question": "Q", "evidence": null, "gold_sql": "SELECT 1"}',
+    '{"question": "Q", "evidence": ["e"], "gold_sql": "SELECT 1"}',
+    '{"question": "Q", "evidence": "", "gold_sql": null}',
+])
 def test_parse_expansion_blank_gold_sql_or_no_question(text):
     with pytest.raises(ResponseFormatError):
         _parse_expansion(text)
@@ -340,11 +359,14 @@ def test_strategize_partial_and_out_of_range_entries(olympics_schema):
         {"operator": "Functional Wrapping", "score": 1.2, "justification": "too big"},
         {"operator": "Operator Mutation", "score": 0.4, "justification": "ok"},
         {"operator": "Unknown Thing", "score": 0.5, "justification": "ignored"},
+        {"operator": "Logical Clause Expansion", "score": True, "justification": "bool"},
+        {"operator": "Set Composition", "score": False, "justification": "bool"},
+        {"operator": "Nesting Evolution", "score": "0.5", "justification": "text"},
     ])
     backend = StubBackend([payload])
     gw = LlmGateway(backends={"strategize": backend})
     scores = gw.score_feasibility_llm("q", STAGE_SQL_0, olympics_schema)
-    # out-of-range and unknown entries dropped; missing operators fall back
+    # out-of-range, non-numeric and unknown entries dropped; missing operators fall back
     # to the rule-based score at the call site
     assert set(scores) == {OperatorId.OP}
 
@@ -354,7 +376,8 @@ def test_live_expansion_parses_json_response(olympics_schema):
         'prose {"question": "New Q", "evidence": "", "gold_sql": "SELECT 1"} tail'
     ])
     gw = LlmGateway(backends={"expand": backend})
-    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema)
+    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+                                   analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result.question == "New Q"
     assert result.sql == "SELECT 1"
 
@@ -364,7 +387,8 @@ def test_live_evolution_embeds_operator_instruction(olympics_schema):
         '{"question": "Q", "evidence": "", "gold_sql": "SELECT 1"}'
     ])
     gw = LlmGateway(backends={"evolve": backend})
-    gw.generate_evolution("q", "", STAGE_SQL_0, olympics_schema, OperatorId.SET)
+    gw.generate_evolution("q", "", STAGE_SQL_0, olympics_schema, OperatorId.SET,
+                          analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert "UNION, INTERSECT, EXCEPT" in backend.prompts[0]
 
 
@@ -381,8 +405,21 @@ def test_live_expansion_retries_malformed_then_parses(olympics_schema):
         '{"question": "fixed", "evidence": "", "gold_sql": "SELECT 2"}',
     ])
     gw = LlmGateway(backends={"expand": backend})
-    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema)
+    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+                                   analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result.sql == "SELECT 2"
+    assert len(backend.prompts) == 2
+
+
+def test_live_expansion_with_a_null_question_is_retried(olympics_schema):
+    backend = StubBackend([
+        '{"question": null, "evidence": "", "gold_sql": "SELECT 1"}',
+        '{"question": "Q", "evidence": "", "gold_sql": "SELECT 2"}',
+    ])
+    gw = LlmGateway(backends={"expand": backend})
+    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+                                   analysis=analysis_of(STAGE_SQL_0, olympics_schema))
+    assert result == ExpansionResult("Q", "", "SELECT 2")
     assert len(backend.prompts) == 2
 
 
@@ -390,5 +427,6 @@ def test_live_expansion_gives_up_after_parse_budget(olympics_schema):
     backend = StubBackend(["junk", "more junk", "still junk"])
     gw = LlmGateway(backends={"expand": backend})
     with pytest.raises(ResponseFormatError):
-        gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema)
+        gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+                              analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert len(backend.prompts) == 3

@@ -23,7 +23,8 @@ from sqlgrow.gateway import (
     LlmGateway,
 )
 from sqlgrow.harness import ExecutionFeedback
-from sqlgrow.operators import OperatorId
+from sqlgrow.operators import OperatorId, analyze
+from sqlgrow.parser import parse_sql
 from sqlgrow.pipeline import (
     RunConfig,
     SchemaRepo,
@@ -199,10 +200,16 @@ def live(*roles):
     return LlmGateway(backends={role: backend for role in roles})
 
 
+def select_1(schema):
+    """The analysis of the parent ``SELECT 1``."""
+    return analyze(parse_sql("SELECT 1"), schema)
+
+
 def test_transport_failures_stop_after_max_tries(posts, sleeps, olympics_schema):
     posts.script([DOWN] * 10)
     with pytest.raises(TransportError):
-        live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema)
+        live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema,
+                                          analysis=select_1(olympics_schema))
     assert len(posts) == MAX_TRIES == 3
     assert sleeps == [0.5, 1.0]
 
@@ -211,14 +218,16 @@ def test_format_failures_stop_after_max_tries(posts, sleeps, olympics_schema):
     posts.script([chat("no json here")] * 10)
     with pytest.raises(ResponseFormatError):
         live("evolve").generate_evolution("q", "", "SELECT 1", olympics_schema,
-                                          OperatorId.SET)
+                                          OperatorId.SET,
+                                          analysis=select_1(olympics_schema))
     assert len(posts) == 3
     assert sleeps == []  # a malformed reply is resampled at once
 
 
 def test_mixed_failures_share_one_bound(posts, sleeps, olympics_schema):
     posts.script([DOWN, chat("no json here"), chat(EXPANSION), chat(EXPANSION)])
-    result = live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema)
+    result = live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema,
+                                               analysis=select_1(olympics_schema))
     assert result.sql == "SELECT 1"
     assert len(posts) == 3
     assert sleeps == [0.5]

@@ -5,7 +5,6 @@ from sqlgrow import harness, operators
 from sqlgrow import tree as t
 from sqlgrow.errors import AmbiguousColumnError, InfeasibleOperatorError, StructuralError
 from sqlgrow.features import extract_features
-from sqlgrow.gateway import LlmGateway
 from sqlgrow.operators import (
     MutationPlan,
     OperatorId,
@@ -108,10 +107,6 @@ def test_analysis_lets_errors_outside_the_package_through(olympics_schema, monke
     monkeypatch.setattr(operators, "resolve_references", broken)
     with pytest.raises(KeyError):
         analyze(parse_sql(STAGE_SQL_0), olympics_schema)
-    # the mock evolution analyses on demand when it is given no analysis
-    with pytest.raises(KeyError):
-        LlmGateway().generate_evolution("q", "", STAGE_SQL_0, olympics_schema,
-                                        OperatorId.FUNC)
 
 
 # -- planning ----------------------------------------------------------------

@@ -217,14 +217,18 @@ def test_run_eqe_lineage_and_acceptance(repo, mini_seed_file, connections):
         assert len(fb) >= 1
 
 
-def test_run_oge_budget_and_lineage(repo, mini_seed_file):
+def test_run_oge_budget_and_lineage(repo, mini_seed_file, monkeypatch):
     cfg = RunConfig(global_seed=3, budget_k=2)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     gateway = LlmGateway()
-    state = scheduler.fresh_state(cfg.epsilon)
-    evolved, state = run_oge(seeds, cfg, repo, gateway, state, 1)
+    recorded = []
+    record = scheduler.record_acceptance
+    monkeypatch.setattr(scheduler, "record_acceptance",
+                        lambda state, op: recorded.append(op) or record(state, op))
+    evolved = run_oge(seeds, cfg, repo, gateway, scheduler.fresh_state(cfg.epsilon), 1)
     assert len(evolved) <= cfg.budget_k * len(seeds)
-    assert state.n_total == len(evolved)
+    # the round's state counts each accepted child as it is accepted
+    assert recorded == [child.operator_applied for child in evolved]
     parents = {s.id for s in seeds}
     for child in evolved:
         assert child.stage == "OGE-1"
@@ -306,6 +310,23 @@ def test_run_full_resume_reuses_checkpoints(tmp_path, db_dir, mini_seed_file):
     cfg, manifest = run_mini_full(tmp_path, db_dir, mini_seed_file, "runR")
     again = run_full(cfg, resume=True)
     assert again == manifest
+
+
+def test_resume_between_rounds_reproduces_the_run(tmp_path, db_dir, mini_seed_file):
+    # round 2 grown on resume must start from round 1's accepted operators
+    cfg, _ = run_mini_full(tmp_path, db_dir, mini_seed_file, "runB", rounds=2)
+    out = tmp_path / "runB"
+    fresh = {name: (out / name).read_bytes()
+             for name in ("checkpoints/oge-2.jsonl", "dataset.jsonl")}
+    done_path = out / "checkpoints" / "done.json"
+    done = json.loads(done_path.read_text())
+    del done["oge-2"], done["final"]
+    done_path.write_text(json.dumps(done))
+    for name in fresh:
+        (out / name).unlink()
+    run_full(cfg, resume=True)
+    for name, data in fresh.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_resume_under_changed_tau_is_refused(tmp_path, db_dir, mini_seed_file):
@@ -395,13 +416,13 @@ class FlakyGateway(LlmGateway):
             raise TransportError("synthetic outage")
 
     def generate_expansion(self, question, evidence, sql, schema, db=None, seed=0,
-                           analysis=None):
+                           *, analysis):
         self._outage(seed)
         return super().generate_expansion(question, evidence, sql, schema,
                                           db=db, seed=seed, analysis=analysis)
 
     def generate_evolution(self, question, evidence, sql, schema, op,
-                           db=None, seed=0, analysis=None):
+                           db=None, seed=0, *, analysis):
         self._outage(seed)
         return super().generate_evolution(question, evidence, sql, schema, op,
                                           db=db, seed=seed, analysis=analysis)
@@ -497,12 +518,10 @@ def test_oge_transport_failure_is_one_rejection_after_one_call(repo, mini_seed_f
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     state = scheduler.fresh_state(cfg.epsilon)
-    steady, _ = run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
-    assert steady
+    assert run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
     gateway = FlakyGateway(fail_times=1)
     rejections = []
-    flaky, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
-    assert flaky == [] and after == state
+    assert run_oge(seeds, cfg, repo, gateway, state, 1, rejections) == []
     assert len(gateway.calls) == len(rejections) == cfg.budget_k * len(seeds)
     assert all(r["reason"] == "transport: synthetic outage" for r in rejections)
 
@@ -513,8 +532,7 @@ def test_oge_persistent_transport_failure_rejects_each_operator(repo, mini_seed_
     state = scheduler.fresh_state(cfg.epsilon)
     gateway = FlakyGateway(fail_times=99)
     rejections = []
-    evolved, after = run_oge(seeds, cfg, repo, gateway, state, 1, rejections)
-    assert evolved == [] and after == state
+    assert run_oge(seeds, cfg, repo, gateway, state, 1, rejections) == []
     assert len(rejections) == cfg.budget_k * len(seeds)
     assert all(r["stage"] == "OGE-1" and r["reason"].startswith("transport: ")
                for r in rejections)
@@ -576,7 +594,7 @@ def test_run_oge_gates_llm_scores_with_rules(repo, mini_seed_file):
                                OID.NEST).score == 0
     ]
     assert nest_infeasible, "fixture should include a NEST-infeasible seed"
-    evolved, _ = run_oge(nest_infeasible, cfg, repo, gateway, state, 1)
+    evolved = run_oge(nest_infeasible, cfg, repo, gateway, state, 1)
     assert all(c.operator_applied is not OID.NEST for c in evolved)
 
 
@@ -640,9 +658,8 @@ def test_an_unparseable_parent_is_one_rejection_and_no_model_call(repo):
     gateway = CountingGateway()
     eqe_rejections, oge_rejections = [], []
     assert run_eqe([parent], cfg, repo, gateway, eqe_rejections) == []
-    evolved, _ = run_oge([parent], cfg, repo, gateway, scheduler.fresh_state(), 1,
-                         oge_rejections)
-    assert evolved == []
+    assert run_oge([parent], cfg, repo, gateway, scheduler.fresh_state(), 1,
+                   oge_rejections) == []
     assert gateway.roles == []
     for stage, rejections in (("EQE", eqe_rejections), ("OGE-1", oge_rejections)):
         assert [(r["stage"], r["parent"]) for r in rejections] == [(stage, parent.id)]

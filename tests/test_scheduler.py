@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,8 +9,6 @@ from sqlgrow.scheduler import (
     record_acceptance,
     scarcity_weight,
     select_top_k,
-    state_from_json,
-    state_to_json,
     utility,
 )
 
@@ -79,42 +75,20 @@ def test_record_acceptance_counters():
     state = fresh_state()
     state = record_acceptance(state, OperatorId.FUNC)
     assert state.counts[OperatorId.FUNC] == 1
-    assert state.n_total == 1
+    assert sum(state.counts.values()) == 1
     for _ in range(99):
         state = record_acceptance(state, OperatorId.SET)
-    assert state.n_total == 100 == sum(state.counts.values())
+    assert state.counts[OperatorId.SET] == 99
+    assert sum(state.counts.values()) == 100
 
 
 def test_state_validation():
     with pytest.raises(DomainError):
-        EvolutionState(counts={op: 0 for op in OperatorId}, n_total=1,
+        EvolutionState(counts={op: -1 for op in OperatorId},
                        p_target={op: 1 / 6 for op in OperatorId}, epsilon=0.01)
     with pytest.raises(DomainError):
-        EvolutionState(counts={op: 0 for op in OperatorId}, n_total=0,
+        EvolutionState(counts={op: 0 for op in OperatorId},
                        p_target={op: 0.5 for op in OperatorId}, epsilon=0.01)
-
-
-def test_state_json_round_trip():
-    state = fresh_state(epsilon=0.02)
-    state = record_acceptance(state, OperatorId.JOIN)
-    again = state_from_json(state_to_json(state))
-    assert again == state
-
-
-def test_state_written_with_round_and_budget_keys_still_loads():
-    # state-N.json files from before these two fields were dropped carry them
-    old = json.dumps({
-        "budget_k": 2,
-        "counts": {"FUNC": 0, "JOIN": 1, "LOGIC": 0, "NEST": 0, "OP": 0, "SET": 0},
-        "epsilon": 0.01,
-        "n_total": 1,
-        "p_target": {op.name: 1 / 6 for op in OperatorId},
-        "round_no": 0,
-    }, sort_keys=True, indent=2)
-    state = state_from_json(old)
-    assert state == record_acceptance(fresh_state(epsilon=0.01), OperatorId.JOIN)
-    assert set(json.loads(state_to_json(state))) == {
-        "counts", "epsilon", "n_total", "p_target"}
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -143,7 +117,7 @@ def simulate(steps, feasibility, epsilon=0.01):
 def test_balance_simulation_converges_to_uniform():
     state = simulate(600, {op: 1.0 for op in OperatorId})
     for op in OperatorId:
-        share = state.counts[op] / state.n_total
+        share = state.counts[op] / 600
         assert 0.1497 <= share <= 0.1836
 
 
