@@ -12,8 +12,11 @@ import sqlite3
 from dataclasses import dataclass
 
 from .errors import TransportError
-from .harness import collect_result, results_equivalent
+from .harness import MAX_ROWS, collect_result, results_equivalent
 from .instances import QueryInstance
+
+
+_TOO_LARGE = f"result over {MAX_ROWS} rows"
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,9 @@ def synthesize_cot(
     once, for the first candidate whose text differs; a gold that fails
     that run discards the instance. Every such candidate runs and is
     compared with the gold result; rows are normalized only when the raw
-    rows differ.
+    rows differ. A result over ``MAX_ROWS`` rows cannot be compared: as the
+    gold's it discards the instance, as a candidate's it fails that
+    candidate.
     """
     try:
         candidates = teacher.generate_cot_candidates(
@@ -77,11 +82,16 @@ def synthesize_cot(
                 gold_result = collect_result(conn, instance.sql)
                 if gold_result is None:
                     return CotDiscard(instance.id, ("gold SQL: execution error",))
+                if gold_result.too_large:
+                    return CotDiscard(instance.id, (f"gold SQL: {_TOO_LARGE}",))
                 if not gold_result.rows:
                     return CotDiscard(instance.id, ("gold SQL no longer returns rows",))
             result = collect_result(conn, candidate.predicted_sql)
             if result is None:
                 failures.append(f"candidate {index}: execution error")
+                continue
+            if result.too_large:
+                failures.append(f"candidate {index}: {_TOO_LARGE}")
                 continue
             if not results_equivalent(result, gold_result):
                 failures.append(f"candidate {index}: result mismatch")

@@ -15,12 +15,12 @@ occurrence into the count matrix.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .digests import md5
 from .errors import StructuralError
 from .gateway import HttpEmbeddingBackend
 from .instances import QueryInstance, stage_rank
@@ -61,7 +61,7 @@ def word_trigrams(text: str) -> list[str]:
 
 
 def _bucket(gram: str) -> int:
-    digest = hashlib.md5(gram.encode("utf-8")).hexdigest()
+    digest = md5(gram.encode("utf-8")).hexdigest()
     return int(digest[:8], 16) % FALLBACK_DIM
 
 

@@ -5,7 +5,7 @@ carries either the engine's error message or the shape of the result.
 Acceptance means the query ran and returned at least one row. Grounding
 reads at most ``SAMPLE_ROWS + 1`` rows of a result, so the row count it
 reports is exact only up to ``SAMPLE_ROWS``. ``collect_result`` reads up to
-``MAX_ROWS`` rows, for comparison.
+``MAX_ROWS`` rows, for comparison; a longer result is too large to compare.
 
 Queries whose result depends on the clock or on chance are refused:
 the authorizer denies ``random``, ``randomblob`` and the ``CURRENT_*``
@@ -62,10 +62,18 @@ class ExecutionFeedback:
 
 @dataclass(frozen=True)
 class ResultMultiset:
-    """The rows SQLite returned for one query, and that query's SQL text."""
+    """The rows SQLite returned for one query, and that query's SQL text.
+
+    ``collect_result`` keeps at most ``MAX_ROWS + 1`` rows: a result with
+    more than ``MAX_ROWS`` is ``too_large``, and it holds only a prefix.
+    """
 
     rows: tuple[tuple, ...]
     sql: str
+
+    @property
+    def too_large(self) -> bool:
+        return len(self.rows) > MAX_ROWS
 
 
 @dataclass(frozen=True)
@@ -227,12 +235,15 @@ def _looks_numeric(text: str) -> bool:
 
 
 def collect_result(conn: sqlite3.Connection, sql: str) -> ResultMultiset | None:
-    """The result rows as SQLite returned them, or None when execution fails."""
+    """The result rows as SQLite returned them, or None when execution fails.
+
+    One row past ``MAX_ROWS`` is read, so a longer result is ``too_large``.
+    """
     try:
         _, rows = _run_query(conn, sql, MAX_ROWS + 1)
     except sqlite3.Error:
         return None
-    return ResultMultiset(tuple(rows[:MAX_ROWS]), sql)
+    return ResultMultiset(tuple(rows), sql)
 
 
 def _is_ordered(sql: str) -> bool:
@@ -258,7 +269,11 @@ def results_equivalent(a: ResultMultiset, b: ResultMultiset) -> bool:
     Then identical normalized sequences are equivalent and different
     multisets are not. Only two results that hold the same multiset in a
     different order parse their SQL to ask whether either is ordered.
+    A result that is too large is equivalent to none: two results that
+    differ past ``MAX_ROWS`` rows would otherwise compare equal.
     """
+    if a.too_large or b.too_large:
+        return False
     if a.rows == b.rows:
         return True
     a_rows, b_rows = _normalized(a.rows), _normalized(b.rows)

@@ -8,7 +8,6 @@ stage checkpoints its output so an aborted run resumes by stage name.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -18,6 +17,7 @@ from pathlib import Path
 from . import scheduler
 from .cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
 from .dedup import dedup_schema_group, embed_questions
+from .digests import sha256
 from .errors import ConfigError, RunFileError, SqlgrowError, TransportError
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
 from .gateway import ROLES, HttpChatBackend, HttpEmbeddingBackend, LlmGateway
@@ -143,7 +143,7 @@ class RunConfig:
 
 def derive_seed(global_seed: int, *parts) -> int:
     tag = ":".join([str(global_seed), *map(str, parts)])
-    return int(hashlib.sha256(tag.encode("utf-8")).hexdigest()[:12], 16)
+    return int(sha256(tag.encode("utf-8")).hexdigest()[:12], 16)
 
 
 class SchemaRepo:
@@ -545,8 +545,9 @@ def dedup_pool(pool, cfg: RunConfig):
     for schema_id in sorted(by_schema):
         group = sorted(by_schema[schema_id],
                        key=lambda i: (stage_rank(i.stage), i.id))
-        vectors = embed_questions([i.question for i in group], embedder)
-        kept, removed = dedup_schema_group(group, vectors, cfg.tau)
+        # no name holds the matrix, so it is freed before the next group's
+        kept, removed = dedup_schema_group(
+            group, embed_questions([i.question for i in group], embedder), cfg.tau)
         kept_all.extend(kept)
         removals.extend(removed)
     return kept_all, removals
@@ -635,11 +636,11 @@ def _config_sha256(cfg: RunConfig) -> str:
     """The hash of the config echo, input locations left out."""
     echo = cfg.echo()
     del echo["seeds"], echo["db_dir"]
-    return hashlib.sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
+    return sha256(json.dumps(echo, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         # 64 KiB stays below glibc's mmap threshold; freeing a 1 MiB block
         # raises that threshold and the run's peak RSS with it
@@ -660,7 +661,7 @@ def _inputs_sha256(seeds, repo: SchemaRepo) -> str:
         raise IOError(f"cannot read seed file {seeds}: {exc}")
     lines += [f"{schema_id} {_file_sha256(repo.path(schema_id))}"
               for schema_id in repo.ids()]
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
@@ -674,7 +675,7 @@ def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
     hashes = {"config_sha256": _config_sha256(cfg), "inputs_sha256": inputs_sha256}
     if not resume:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(hashes, sort_keys=True, indent=2))
+        _write_done(ckpt_dir, hashes)
         return hashes
     if not path.is_file():
         raise ConfigError(f"cannot resume: there are no checkpoints to resume "
@@ -708,7 +709,15 @@ def _read_json(path: Path, kind=object):
 
 def _mark_done(ckpt_dir: Path, done: dict, stage: str) -> None:
     done[stage] = True
-    (ckpt_dir / "done.json").write_text(json.dumps(done, sort_keys=True, indent=2))
+    _write_done(ckpt_dir, done)
+
+
+def _write_done(ckpt_dir: Path, done: dict) -> None:
+    """Replace ``done.json`` whole, so a run killed while writing it leaves
+    the previous file, and a resume still finds the stages it marks."""
+    partial = ckpt_dir / "done.json.tmp"
+    partial.write_text(json.dumps(done, sort_keys=True, indent=2))
+    os.replace(partial, ckpt_dir / "done.json")
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,42 @@ def test_gold_that_fails_its_full_read_is_discarded(
     outcome = synthesize_cot(make_instance(gold), connections["olympics"],
                              teacher, olympics_schema, n=4)
     assert outcome == CotDiscard("q1", ("gold SQL: execution error",))
+
+
+def _counting_to(n):
+    return (f"WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+            f"WHERE x < {n}) SELECT x FROM c")
+
+
+def test_results_past_max_rows_are_not_compared(connections):
+    conn = connections["olympics"]
+    longer = collect_result(conn, _counting_to(harness.MAX_ROWS + 1))
+    shorter = collect_result(conn, f"{_counting_to(harness.MAX_ROWS + 1)} WHERE x <= 1000")
+    assert longer.too_large and not shorter.too_large
+    assert len(longer.rows) == harness.MAX_ROWS + 1 and len(shorter.rows) == harness.MAX_ROWS
+    assert not results_equivalent(longer, shorter)
+    assert not results_equivalent(longer, longer)
+    assert results_equivalent(shorter, collect_result(conn, _counting_to(harness.MAX_ROWS)))
+
+
+def test_a_gold_past_max_rows_is_discarded(connections, olympics_schema):
+    gold = _counting_to(harness.MAX_ROWS + 1)
+    teacher = ScriptedTeacher([CotCandidate("first 1000", f"{gold} WHERE x <= 1000")])
+    outcome = synthesize_cot(make_instance(gold), connections["olympics"],
+                             teacher, olympics_schema, n=4)
+    assert outcome == CotDiscard("q1", ("gold SQL: result over 1000 rows",))
+
+
+def test_a_candidate_past_max_rows_fails(connections, olympics_schema):
+    gold = _counting_to(harness.MAX_ROWS)
+    teacher = ScriptedTeacher([
+        CotCandidate("one too many", _counting_to(harness.MAX_ROWS + 1)),
+        CotCandidate("right", f"{_counting_to(harness.MAX_ROWS + 1)} WHERE x <= 1000"),
+    ])
+    outcome = synthesize_cot(make_instance(gold), connections["olympics"],
+                             teacher, olympics_schema, n=4)
+    assert isinstance(outcome, CotRecord) and outcome.attempts_used == 2
+    teacher.candidates.pop()
+    outcome = synthesize_cot(make_instance(gold), connections["olympics"],
+                             teacher, olympics_schema, n=4)
+    assert outcome == CotDiscard("q1", ("candidate 1: result over 1000 rows",))

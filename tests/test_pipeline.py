@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import re
 import shutil
@@ -292,6 +294,23 @@ def test_run_full_mini(tmp_path, db_dir, mini_seed_file):
     assert summary["failures"] == []
 
 
+# sha256 of two outputs of a rounds=1 fixture run: a change anywhere in the
+# pipeline that alters the data it writes shows here
+REFERENCE_OUTPUT = {
+    "dataset.jsonl": "856e51d7ad7e4e4c3aec5399d79fb61dfde42c3c3153be874aa2d73dae8c512e",
+    "dedup_removals.jsonl": "bec3adc5e210cb4de1f08508c25e88bfcae975909a167f648375835d57e017cd",
+}
+
+
+def test_a_fixture_run_reproduces_its_reference_output(tmp_path, db_dir, seed_file):
+    run_full(RunConfig(seeds=str(seed_file), db_dir=str(db_dir), out_dir=str(tmp_path),
+                       rounds=1, expansions_per_seed=2, global_seed=42))
+    assert len(read_jsonl(tmp_path / "dataset.jsonl")) == 260
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in REFERENCE_OUTPUT}
+    assert digests == REFERENCE_OUTPUT
+
+
 def test_run_full_rounds_zero(tmp_path, db_dir, mini_seed_file):
     cfg, manifest = run_mini_full(tmp_path, db_dir, mini_seed_file, "runT0", rounds=0)
     stages = set(manifest["stages"])
@@ -327,6 +346,53 @@ def test_resume_between_rounds_reproduces_the_run(tmp_path, db_dir, mini_seed_fi
     run_full(cfg, resume=True)
     for name, data in fresh.items():
         assert (out / name).read_bytes() == data, name
+
+
+OUTPUTS = ("dataset.jsonl", "dedup_removals.jsonl", "rejections.jsonl", "manifest.json",
+           "feature_report.txt", "feature_report.csv")
+
+
+# the k-th done.json write of a fresh rounds=1 run over a finished one, and
+# the stages the file marks once that write has failed
+@pytest.mark.parametrize("k, marked", [
+    (1, {"ingest", "eqe", "oge-1", "final"}),
+    (2, set()),
+    (3, {"ingest"}),
+    (4, {"ingest", "eqe"}),
+    (5, {"ingest", "eqe", "oge-1"}),
+])
+def test_a_failed_done_write_leaves_the_previous_file(
+        tmp_path, db_dir, mini_seed_file, monkeypatch, k, marked):
+    cfg, _ = run_mini_full(tmp_path, db_dir, mini_seed_file, "runW")
+    out = tmp_path / "runW"
+    fresh = {name: (out / name).read_bytes() for name in OUTPUTS}
+    real_write_text = Path.write_text
+    writes = []
+
+    def write_text(path, data, *args, **kwargs):
+        # a full disk: the k-th write of done.json stops half-way
+        if path.name.startswith("done.json"):
+            writes.append(path)
+            if len(writes) == k:
+                real_write_text(path, data[:len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_text(path, data, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", write_text)
+        with pytest.raises(OSError):
+            run_full(cfg)
+    done = json.loads((out / "checkpoints" / "done.json").read_text())
+    assert set(done) - {"config_sha256", "inputs_sha256"} == marked
+    grown = []
+    for name in ("run_eqe", "run_oge"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda *a, name=name, real=real: grown.append(name) or real(*a))
+    run_full(cfg, resume=True)
+    assert grown == [name for name, stage in (("run_eqe", "eqe"), ("run_oge", "oge-1"))
+                     if stage not in marked]
+    assert {name: (out / name).read_bytes() for name in OUTPUTS} == fresh
 
 
 def test_resume_under_changed_tau_is_refused(tmp_path, db_dir, mini_seed_file):
