@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, SqlgrowError
+from .instances import write_file
 from .pipeline import RunConfig, SchemaRepo, run_full, stats_report, verify_dataset
 
 
@@ -90,7 +91,7 @@ def _dispatch(args) -> int:
         text, csv_text = stats_report(args.dataset)
         print(text)
         if args.csv:
-            Path(args.csv).write_text(csv_text)
+            write_file(args.csv, [csv_text])
         return 0
 
     if args.command == "verify":

@@ -35,6 +35,7 @@ from .instances import (
     oge_stage,
     read_jsonl,
     stage_rank,
+    write_file,
     write_jsonl,
 )
 from .operators import OperatorId, analyze, check_applicability
@@ -459,8 +460,8 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
             trees = {}
             seeds, quarantined = ingest_seeds(cfg.seeds, repo, trees)
             write_jsonl(seeds, ckpt_dir / "seeds.jsonl")
-            (ckpt_dir / "quarantine.json").write_text(
-                json.dumps(quarantined, sort_keys=True, indent=2))
+            write_file(ckpt_dir / "quarantine.json",
+                       [json.dumps(quarantined, sort_keys=True, indent=2)])
             _mark_done(ckpt_dir, done, "ingest")
         if stop_after == "ingest":
             return None
@@ -496,20 +497,23 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
 
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
-        _write_removals(out_dir, removals)
-        _write_rejections(out_dir, rejections, quarantined)
+        write_file(out_dir / "dedup_removals.jsonl", (
+            json.dumps(asdict(record), sort_keys=True) + "\n" for record in removals))
+        write_file(out_dir / "rejections.jsonl", (
+            json.dumps(item, sort_keys=True) + "\n"
+            for item in [{"stage": "ingest", **q} for q in quarantined] + rejections))
 
         means = _stage_means(dataset)
         manifest = _build_manifest(
             cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
             removals, cot_counts, means,
         )
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        write_file(out_dir / "manifest.json",
+                   [json.dumps(manifest, sort_keys=True, indent=2) + "\n"])
 
         report_text, report_csv = _report(dataset, manifest, means)
-        (out_dir / "feature_report.txt").write_text(report_text)
-        (out_dir / "feature_report.csv").write_text(report_csv)
+        write_file(out_dir / "feature_report.txt", [report_text])
+        write_file(out_dir / "feature_report.csv", [report_csv])
         _mark_done(ckpt_dir, done, "final")
         return manifest
     finally:
@@ -614,24 +618,6 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
     }
 
 
-def _write_removals(out_dir: Path, removals) -> None:
-    with open(out_dir / "dedup_removals.jsonl", "w", encoding="utf-8") as handle:
-        for record in removals:
-            handle.write(json.dumps({
-                "removed_id": record.removed_id,
-                "kept_id": record.kept_id,
-                "similarity": record.similarity,
-            }, sort_keys=True) + "\n")
-
-
-def _write_rejections(out_dir: Path, rejections, quarantined) -> None:
-    with open(out_dir / "rejections.jsonl", "w", encoding="utf-8") as handle:
-        for item in quarantined:
-            handle.write(json.dumps({"stage": "ingest", **item}, sort_keys=True) + "\n")
-        for item in rejections:
-            handle.write(json.dumps(item, sort_keys=True) + "\n")
-
-
 def _config_sha256(cfg: RunConfig) -> str:
     """The hash of the config echo, input locations left out."""
     echo = cfg.echo()
@@ -674,7 +660,6 @@ def _start_done(ckpt_dir: Path, cfg: RunConfig, resume: bool,
     path = ckpt_dir / "done.json"
     hashes = {"config_sha256": _config_sha256(cfg), "inputs_sha256": inputs_sha256}
     if not resume:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
         _write_done(ckpt_dir, hashes)
         return hashes
     if not path.is_file():
@@ -713,11 +698,7 @@ def _mark_done(ckpt_dir: Path, done: dict, stage: str) -> None:
 
 
 def _write_done(ckpt_dir: Path, done: dict) -> None:
-    """Replace ``done.json`` whole, so a run killed while writing it leaves
-    the previous file, and a resume still finds the stages it marks."""
-    partial = ckpt_dir / "done.json.tmp"
-    partial.write_text(json.dumps(done, sort_keys=True, indent=2))
-    os.replace(partial, ckpt_dir / "done.json")
+    write_file(ckpt_dir / "done.json", [json.dumps(done, sort_keys=True, indent=2)])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from sqlgrow.pipeline import (
     stats_report,
     verify_dataset,
 )
-from sqlgrow import harness, pipeline, scheduler
+from sqlgrow import harness, instances, pipeline, scheduler
 
 
 @pytest.fixture()
@@ -292,6 +292,7 @@ def test_run_full_mini(tmp_path, db_dir, mini_seed_file):
     finally:
         repo.close()
     assert summary["failures"] == []
+    assert list(out.rglob("*.tmp")) == []
 
 
 # sha256 of two outputs of a rounds=1 fixture run: a change anywhere in the
@@ -352,38 +353,69 @@ OUTPUTS = ("dataset.jsonl", "dedup_removals.jsonl", "rejections.jsonl", "manifes
            "feature_report.txt", "feature_report.csv")
 
 
-# the k-th done.json write of a fresh rounds=1 run over a finished one, and
-# the stages the file marks once that write has failed
+# every file a fresh rounds=1 run writes, in the order it writes them
+WRITES = ("done.json", "seeds.jsonl", "quarantine.json", "done.json", "eqe.jsonl",
+          "done.json", "oge-1.jsonl", "done.json", "dataset.jsonl", "dedup_removals.jsonl",
+          "rejections.jsonl", "manifest.json", "feature_report.txt", "feature_report.csv",
+          "done.json")
+
+
+class FullDisk:
+    """A file opened for writing on a full disk: half the data lands, then ENOSPC."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+
+# the k-th write of a fresh rounds=1 run over a finished one fails, and the
+# stages done.json marks once it has
 @pytest.mark.parametrize("k, marked", [
-    (1, {"ingest", "eqe", "oge-1", "final"}),
-    (2, set()),
-    (3, {"ingest"}),
-    (4, {"ingest", "eqe"}),
-    (5, {"ingest", "eqe", "oge-1"}),
-])
-def test_a_failed_done_write_leaves_the_previous_file(
+    pytest.param(k, marked, id=f"{k}-{WRITES[k - 1]}") for k, marked in enumerate(
+        [{"ingest", "eqe", "oge-1", "final"}] + [set()] * 3 + [{"ingest"}] * 2
+        + [{"ingest", "eqe"}] * 2 + [{"ingest", "eqe", "oge-1"}] * 7, 1)])
+def test_a_failed_write_leaves_every_file_whole(
         tmp_path, db_dir, mini_seed_file, monkeypatch, k, marked):
     cfg, _ = run_mini_full(tmp_path, db_dir, mini_seed_file, "runW")
     out = tmp_path / "runW"
-    fresh = {name: (out / name).read_bytes() for name in OUTPUTS}
-    real_write_text = Path.write_text
-    writes = []
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    fault = (WRITES[k - 1], WRITES[:k].count(WRITES[k - 1]))
+    opened = []
 
-    def write_text(path, data, *args, **kwargs):
-        # a full disk: the k-th write of done.json stops half-way
-        if path.name.startswith("done.json"):
-            writes.append(path)
-            if len(writes) == k:
-                real_write_text(path, data[:len(data) // 2], *args, **kwargs)
-                raise OSError(errno.ENOSPC, "No space left on device")
-        return real_write_text(path, data, *args, **kwargs)
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return handle
+        name = Path(file).name.removesuffix(".tmp")
+        opened.append(name)
+        return FullDisk(handle) if (name, opened.count(name)) == fault else handle
 
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", write_text)
+        patch.setattr(instances, "open", open_on_a_full_disk, raising=False)
         with pytest.raises(OSError):
             run_full(cfg)
-    done = json.loads((out / "checkpoints" / "done.json").read_text())
+    # every file is whole: done.json holds the stages its last whole write
+    # marked, and each other file its old bytes, which a fresh run rewrites
+    fresh = {name: before[out / name] for name in OUTPUTS}
+    done_path = out / "checkpoints" / "done.json"
+    del before[done_path]
+    done = json.loads(done_path.read_text())
     assert set(done) - {"config_sha256", "inputs_sha256"} == marked
+    assert [path.name for path, data in before.items() if path.read_bytes() != data] == []
+    assert opened == list(WRITES[:k])
+
     grown = []
     for name in ("run_eqe", "run_oge"):
         real = getattr(pipeline, name)
@@ -393,6 +425,7 @@ def test_a_failed_done_write_leaves_the_previous_file(
     assert grown == [name for name, stage in (("run_eqe", "eqe"), ("run_oge", "oge-1"))
                      if stage not in marked]
     assert {name: (out / name).read_bytes() for name in OUTPUTS} == fresh
+    assert list(out.rglob("*.tmp")) == []
 
 
 def test_resume_under_changed_tau_is_refused(tmp_path, db_dir, mini_seed_file):

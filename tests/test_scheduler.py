@@ -89,6 +89,9 @@ def test_state_validation():
     with pytest.raises(DomainError):
         EvolutionState(counts={op: 0 for op in OperatorId},
                        p_target={op: 0.5 for op in OperatorId}, epsilon=0.01)
+    with pytest.raises(DomainError):
+        EvolutionState(counts={op: 0 for op in OperatorId},
+                       p_target={op: 1 / 6 for op in OperatorId}, epsilon=0)
 
 
 @given(st.integers(min_value=0, max_value=200))
