@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+import sys
 import time
 from dataclasses import dataclass
 
@@ -111,6 +112,17 @@ def _post_json(endpoint: str, api_key: str, payload: dict, read):
         raise TransportError(f"model endpoint {endpoint} failed: {exc}")
 
 
+def _embedding_rows(reply: dict) -> list[list[float]]:
+    rows = [item["embedding"] for item in reply["data"]]
+    for row in rows:
+        for value in row:
+            # a bool is an int; NaN, infinities and ints past any float fail the bound
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"embedding entry {value!r} is not a finite number")
+    return rows
+
+
 def _chat_texts(reply: dict) -> list[str]:
     texts = [c["message"]["content"] for c in reply["choices"]]
     if not texts:
@@ -148,8 +160,7 @@ class HttpEmbeddingBackend:
     def embed(self, texts: list[str]) -> list[list[float]]:
         payload = {"model": self.model, "input": texts}
         return _with_retries(lambda: _post_json(
-            self.endpoint, self.api_key, payload,
-            lambda reply: [item["embedding"] for item in reply["data"]]))
+            self.endpoint, self.api_key, payload, _embedding_rows))
 
 
 class LlmGateway:

@@ -498,7 +498,7 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
         write_file(out_dir / "dedup_removals.jsonl", (
-            json.dumps(asdict(record), sort_keys=True) + "\n" for record in removals))
+            json.dumps(vars(record), sort_keys=True) + "\n" for record in removals))
         write_file(out_dir / "rejections.jsonl", (
             json.dumps(item, sort_keys=True) + "\n"
             for item in [{"stage": "ingest", **q} for q in quarantined] + rejections))
@@ -547,9 +547,8 @@ def dedup_pool(pool, cfg: RunConfig):
     for inst in pool:
         by_schema.setdefault(inst.schema_id, []).append(inst)
     for schema_id in sorted(by_schema):
-        group = sorted(by_schema[schema_id],
-                       key=lambda i: (stage_rank(i.stage), i.id))
-        # no name holds the matrix, so it is freed before the next group's
+        group = by_schema[schema_id]
+        # no name holds the vectors, so they are freed before the next group's
         kept, removed = dedup_schema_group(
             group, embed_questions([i.question for i in group], embedder), cfg.tau)
         kept_all.extend(kept)

@@ -15,7 +15,12 @@ import pytest
 
 import fixtures
 from sqlgrow import tree as t
-from sqlgrow.dedup import _greedy_scan, dedup_schema_group, embed_questions
+from sqlgrow.dedup import (
+    _greedy_scan,
+    _SimilarityMatrix,
+    dedup_schema_group,
+    embed_questions,
+)
 from sqlgrow.features import extract_features
 from sqlgrow.gateway import LlmGateway
 from sqlgrow.harness import collect_result, results_equivalent
@@ -338,7 +343,7 @@ def test_criterion_8_dedup():
     sims = np.array([[1.0, 0.95, 0.5],
                      [0.95, 1.0, 0.95],
                      [0.5, 0.95, 1.0]])
-    kept = _greedy_scan([0, 1, 2], sims, tau=0.9)
+    kept = _greedy_scan([0, 1, 2], _SimilarityMatrix(sims), tau=0.9)
     assert kept == [0, 2]
 
     # identical questions under two schemas both survive
@@ -359,8 +364,8 @@ def test_criterion_8_dedup():
                  for k, q in enumerate(questions)]
     vectors = embed_questions([i.question for i in instances])
     kept1, _ = dedup_schema_group(instances, vectors, tau=0.9)
-    kept_rows = [instances.index(i) for i in kept1]
-    kept2, removed2 = dedup_schema_group(kept1, vectors[kept_rows], 0.9)
+    kept2, removed2 = dedup_schema_group(
+        kept1, embed_questions([i.question for i in kept1]), 0.9)
     assert kept2 == kept1 and removed2 == []
     announce(8, "greedy scan keeps {A, C}; schema independence and idempotence hold")
 

@@ -6,14 +6,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 from sqlgrow import dedup
 from sqlgrow.dedup import (
+    _EMPTY_AXIS,
     _WORD,
     FALLBACK_DIM,
     _bucket,
     _greedy_scan,
+    _PackedColumns,
+    _SimilarityMatrix,
     cosine,
     dedup_schema_group,
     embed_questions,
@@ -67,16 +72,20 @@ def test_fallback_cosine_matches_trigram_oracle():
 
 def test_empty_string_reserved_axis():
     (alone,) = embed_questions([""])
-    assert alone.tolist() == [1.0]
-    # beside other questions the reserved axis is still one unit column
+    assert alone == (_EMPTY_AXIS,)
+    # beside other questions the reserved axis still holds one count
     empty, other = embed_questions(["", "list all athletes"])
-    assert np.count_nonzero(empty) == 1 and empty.max() == 1.0
-    assert np.dot(empty, other) == 0
+    assert empty == (_EMPTY_AXIS,)
+    assert cosine(empty, other) == 0
 
 
 def test_vectors_unit_normalized():
+    # a lexical vector holds counts; its similarity to itself is 1
     for v in embed_questions(["one", "two tokens here", "a much longer question"]):
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+    reply = [[1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]]
+    rows = embed_questions(["a", "b", "c"], StubEmbedder(reply))
+    assert np.linalg.norm(rows, axis=1) == pytest.approx([1.0] * 3, abs=1e-12)
 
 
 def test_identical_questions_second_removed():
@@ -103,7 +112,7 @@ def test_greedy_triplet_keeps_a_and_c():
     sims = np.array([[1.0, 0.95, 0.5],
                      [0.95, 1.0, 0.95],
                      [0.5, 0.95, 1.0]])
-    kept = _greedy_scan([0, 1, 2], sims, tau=0.9)
+    kept = _greedy_scan([0, 1, 2], _SimilarityMatrix(sims), tau=0.9)
     assert kept == [0, 2]
 
 
@@ -136,8 +145,10 @@ def test_idempotence():
     instances = [inst(f"i{k}", q) for k, q in enumerate(questions)]
     vectors = embed_questions([i.question for i in instances])
     kept, _ = dedup_schema_group(instances, vectors, tau=0.9)
-    kept_rows = [instances.index(i) for i in kept]
-    kept2, removed2 = dedup_schema_group(kept, vectors[kept_rows], 0.9)
+    # lexical vectors do not depend on the other questions of the call
+    kept_vectors = embed_questions([i.question for i in kept])
+    assert kept_vectors == [vectors[instances.index(i)] for i in kept]
+    kept2, removed2 = dedup_schema_group(kept, kept_vectors, 0.9)
     assert kept2 == kept
     assert removed2 == []
 
@@ -184,7 +195,7 @@ class FailingEmbedder:
 @pytest.mark.parametrize("embedder", [None, FailingEmbedder()])
 def test_no_questions_embed_to_no_rows(embedder):
     vectors = embed_questions([], embedder)
-    assert vectors.shape[0] == 0 and vectors.dtype == np.float64
+    assert len(vectors) == 0
     assert dedup_schema_group([], vectors, tau=0.9) == ([], [])
 
 
@@ -210,12 +221,13 @@ def test_kept_id_is_nearest_kept_even_when_later():
 
 
 def test_lexical_vectors_share_one_compact_basis():
+    # every call counts into the same FALLBACK_DIM buckets, and a vector
+    # holds only the buckets its question uses
     questions = ["list all athletes", "count the games", ""]
-    used = set()
-    for q in questions:
-        used.update(np.flatnonzero(dense_vector(q)).tolist())
     vectors = embed_questions(questions)
-    assert vectors.shape == (len(questions), len(used))
+    assert vectors == [embed_questions([q])[0] for q in questions]
+    for q, vector in zip(questions, vectors):
+        assert sorted(set(vector)) == np.flatnonzero(dense_vector(q)).tolist()
 
 
 def _mock_questions(schemas, connections):
@@ -255,16 +267,20 @@ def _dense_oracle(group, tau):
     order = sorted(group, key=lambda i: (stage_rank(i.stage), i.id))
     kept = []
     for item in order:
-        if all(cosine(dense[item.id], dense[k.id]) <= tau for k in kept):
+        if all(dense_cosine(dense[item.id], dense[k.id]) <= tau for k in kept):
             kept.append(item)
     removals = []
     for item in order:
         if item in kept:
             continue
-        nearest = max(kept, key=lambda k: cosine(dense[item.id], dense[k.id]))
+        nearest = max(kept, key=lambda k: dense_cosine(dense[item.id], dense[k.id]))
         removals.append((item.id, nearest.id,
-                         round(cosine(dense[item.id], dense[nearest.id]), 6)))
+                         round(dense_cosine(dense[item.id], dense[nearest.id]), 6)))
     return dense, sorted(k.id for k in kept), removals
+
+
+def dense_cosine(a, b):
+    return float(np.dot(a, b))
 
 
 @pytest.mark.parametrize("tau", [0.9, 0.6])
@@ -280,9 +296,12 @@ def test_matrix_scan_matches_dense_oracle(schemas, connections, tau):
             (rid, kid) for rid, kid, _ in oracle_removed]
         for r, (_, _, sim) in zip(removed, oracle_removed):
             assert r.similarity == pytest.approx(sim, abs=1e-9)
-        exact = np.array([[cosine(dense[a.id], dense[b.id]) for b in group]
+        exact = np.array([[dense_cosine(dense[a.id], dense[b.id]) for b in group]
                           for a in group])
-        assert np.abs(vectors @ vectors.T - exact).max() < 1e-9
+        packed = _packed(vectors)
+        sims = np.array([np.array(packed.dots(v)) / packed.kept_norms / packed.norms[i]
+                         for i, v in enumerate(vectors)])
+        assert np.abs(sims - exact).max() < 1e-9
         total_removed += len(removed)
     assert total_removed > 0
 
@@ -304,22 +323,13 @@ def _per_char_trigrams(text):
     return grams
 
 
-def _per_occurrence_matrix(questions):
+def _per_occurrence_counts(questions):
     """One _bucket call per trigram occurrence, then a Counter per question."""
     counts = []
     for question in questions:
         text_counts = Counter(_bucket(gram) for gram in _per_char_trigrams(question))
         counts.append(text_counts or Counter({0: 1}))
-    column = {b: k for k, b in enumerate(sorted(set().union(*counts)))}
-    matrix = np.zeros((len(questions), len(column)), dtype=np.float64)
-    for row, text_counts in zip(matrix, counts):
-        for bucket, count in text_counts.items():
-            row[column[bucket]] = count
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    empty = norms[:, 0] == 0
-    matrix[empty, 0] = 1.0
-    norms[empty] = 1.0
-    return matrix / norms
+    return counts
 
 
 def _pairwise_scan(order, sims, tau):
@@ -352,12 +362,9 @@ def test_word_trigrams_match_per_character_split():
         assert Counter(word_trigrams(text)) == Counter(_per_char_trigrams(text)), text
 
 
-def test_embedding_bytes_match_per_occurrence_hashing():
+def test_embedding_counts_match_per_occurrence_hashing():
     questions = _seed_questions() + EDGE_QUESTIONS
-    got = embed_questions(questions)
-    want = _per_occurrence_matrix(questions)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert list(map(Counter, embed_questions(questions))) == _per_occurrence_counts(questions)
 
 
 def _pool_questions(tmp_path, db_dir):
@@ -373,12 +380,12 @@ def _pool_questions(tmp_path, db_dir):
     return groups
 
 
-def test_embedding_bytes_match_per_occurrence_hashing_on_a_run_pool(tmp_path, db_dir):
+def test_embedding_counts_match_per_occurrence_hashing_on_a_run_pool(tmp_path, db_dir):
     groups = _pool_questions(tmp_path, db_dir)
     assert any(q.startswith("Rephrased: ") for g in groups.values() for q in g)
     for questions in [*groups.values(), EDGE_QUESTIONS]:
-        assert embed_questions(questions).tobytes() == \
-            _per_occurrence_matrix(questions).tobytes()
+        assert list(map(Counter, embed_questions(questions))) == \
+            _per_occurrence_counts(questions)
 
 
 def test_each_distinct_word_split_once_per_call(monkeypatch):
@@ -430,14 +437,122 @@ def test_array_scan_matches_pairwise_scan(seed):
         sims[rng.integers(0, n, 3), rng.integers(0, n, 3)] = np.nan
     assert (sims == tau).any() or n < 4
     order = rng.permutation(n).tolist()
-    assert _greedy_scan(order, sims, tau) == _pairwise_scan(order, sims, tau)
+    assert _greedy_scan(order, _SimilarityMatrix(sims), tau) == \
+        _pairwise_scan(order, sims, tau)
 
 
 def test_array_scan_keeps_the_first_item_against_the_empty_kept_set():
     # every similarity is above tau: only the first item in order is kept
     sims = np.full((4, 4), 0.95)
-    assert _greedy_scan([2, 0, 3, 1], sims, 0.9) == [2]
-    assert _greedy_scan([], sims, 0.9) == []
+    assert _greedy_scan([2, 0, 3, 1], _SimilarityMatrix(sims), 0.9) == [2]
+    assert _greedy_scan([], _SimilarityMatrix(sims), 0.9) == []
     # NaN never compares <= tau, so a NaN against a kept item blocks
     sims = np.array([[1.0, np.nan], [np.nan, 1.0]])
-    assert _greedy_scan([0, 1], sims, 1.0) == [0] == _pairwise_scan([0, 1], sims, 1.0)
+    assert _greedy_scan([0, 1], _SimilarityMatrix(sims), 1.0) == [0] == \
+        _pairwise_scan([0, 1], sims, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The packed columns: exact integer dot products
+# ---------------------------------------------------------------------------
+
+def _direct_dot(x, y):
+    """Sum over buckets of x_b * y_b, from the two vectors' counts."""
+    cx, cy = Counter(x), Counter(y)
+    return sum(count * cy[bucket] for bucket, count in cx.items())
+
+
+def _occurrences(counts):
+    return tuple(Counter(counts).elements())
+
+
+def _packed(vectors):
+    packed = _PackedColumns(vectors)
+    for i in range(len(vectors)):
+        packed.keep(i)
+    return packed
+
+
+count_vectors = st.dictionaries(st.integers(0, 40), st.integers(1, 300),
+                                min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(count_vectors, min_size=1, max_size=25), count_vectors)
+def test_packed_dots_equal_direct_sums(kept, probe):
+    vectors = list(map(_occurrences, kept))
+    probe = _occurrences(probe)
+    packed = _PackedColumns(vectors + [probe])
+    for i in range(len(vectors)):
+        packed.keep(i)
+    for x in [*vectors, probe]:
+        assert packed.dots(x).tolist() == [_direct_dot(x, y) for y in vectors]
+        for start in (1, len(vectors)):
+            assert packed.dots(x, start).tolist() == [
+                _direct_dot(x, y) for y in vectors[start:]]
+
+
+@pytest.mark.parametrize("length, width", [
+    (15, 8), (16, 16), (255, 16), (256, 32), (65535, 32), (65536, 64)])
+def test_field_width_holds_the_longest_question_squared(length, width):
+    # "ab" is its own gram, so each word is one occurrence of one bucket and
+    # the longest question's dot product with itself is length**2
+    questions = ["ab " * length, "ab " * (length - 1) + "cd", "cd ab", ""]
+    vectors = embed_questions(questions)
+    packed = _packed(vectors)
+    assert packed.width == width
+    assert packed.dots(vectors[0])[0] == length * length
+    for i, x in enumerate(vectors):
+        assert packed.dots(x).tolist() == [_direct_dot(x, y) for y in vectors]
+        k, sim = packed.nearest(i)
+        assert sim == max(cosine(x, y) for y in vectors) == cosine(x, vectors[k])
+
+
+def test_reserved_axis_is_bucket_zero_in_packed_dots():
+    # "teq" hashes to bucket 0, the axis an empty question counts on
+    assert _bucket("teq") == _EMPTY_AXIS
+    vectors = embed_questions(["", "teq teq", "list all athletes"])
+    packed = _packed(vectors)
+    assert packed.dots(vectors[0]).tolist() == [1, 2, 0]
+    assert [cosine(vectors[0], y) for y in vectors] == [1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("first, second", [("a", "c"), ("c", "a")])
+def test_a_tie_names_the_earlier_kept_item(first, second):
+    # "xx yy" is equally near "xx" and "yy", which are kept apart; the
+    # scan order, by id, decides which one the removal names
+    instances = [inst(second, "yy"), inst("b", "xx yy"), inst(first, "xx")]
+    vectors = embed_questions([i.question for i in instances])
+    kept, removed = dedup_schema_group(instances, vectors, tau=0.6)
+    assert sorted(k.id for k in kept) == ["a", "c"]
+    assert removed == [dedup.RemovalRecord("b", "a", round(math.sqrt(0.5), 6))]
+
+
+def test_embedder_vectors_deduplicate():
+    reply = [[1.0, 0.0], [2.0, 0.1], [0.0, 3.0], [0.0, 0.0]]
+    instances = [inst(k, q) for k, q in zip("abcd", "wxyz")]
+    vectors = embed_questions([i.question for i in instances], StubEmbedder(reply))
+    kept, removed = dedup_schema_group(instances, vectors, tau=0.9)
+    # "d" lands on the reserved axis, where "a" already lies
+    assert [k.id for k in kept] == ["a", "c"]
+    assert [(r.removed_id, r.kept_id) for r in removed] == [("b", "a"), ("d", "a")]
+    assert removed[1].similarity == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6).map(tuple),
+                min_size=2, max_size=20),
+       st.lists(st.booleans(), min_size=20, max_size=20))
+def test_nearest_extends_its_last_answer_with_later_keeps(vectors, keeps):
+    # small alphabets give many equal similarities: the first kept wins a tie
+    norm = [math.sqrt(_direct_dot(v, v)) for v in vectors]
+    packed = _PackedColumns(vectors)
+    for i, keep in zip(range(len(vectors)), keeps):
+        for j in range(len(vectors)):
+            if packed.kept:
+                # dot / |kept| orders the kept items as the similarity does
+                scaled = [_direct_dot(vectors[j], vectors[k]) / norm[k] for k in packed.kept]
+                best = max(scaled)
+                assert packed.nearest(j) == (scaled.index(best), best / norm[j])
+        if keep:
+            packed.keep(i)

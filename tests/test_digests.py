@@ -48,3 +48,36 @@ def test_a_mock_run_loads_no_openssl(tmp_path, db_dir):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "dataset.jsonl").is_file()
     assert done.stdout.strip() == "[]"
+
+
+NO_NUMPY = """
+import sys
+import sqlgrow
+from sqlgrow.cli import main
+loaded = ["numpy" in sys.modules]
+out = sys.argv[3]
+for argv in (["run", "--seeds", sys.argv[1], "--db-dir", sys.argv[2], "--out", out,
+              "--rounds", "1"],
+             ["stats", "--dataset", out + "/dataset.jsonl"],
+             ["verify", "--dataset", out + "/dataset.jsonl", "--db-dir", sys.argv[2]]):
+    assert main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_a_mock_run_stats_and_verify_load_no_numpy(tmp_path, db_dir):
+    # only an embedder's replies need numpy; the lexical dedup is pure Python
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([{"question": q, "evidence": "", "SQL": sql,
+                                  "db_id": "olympics"} for q, sql in (
+        ("How many people are there?", "SELECT COUNT(*) FROM person"),
+        ("How many people are there?", "SELECT COUNT(*) FROM person WHERE 1"))]))
+    env = {**os.environ, "PYTHONPATH": str(Path(sqlgrow.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(seeds), str(db_dir), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
+    # the run deduplicated: the repeated seed question was removed
+    assert (tmp_path / "out" / "dedup_removals.jsonl").read_text().count("\n") >= 1

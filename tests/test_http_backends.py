@@ -281,6 +281,20 @@ def test_embedder_retries_a_transport_failure(posts, sleeps):
     assert posts[0] == {"model": "e", "input": ["q"]}
 
 
+@pytest.mark.parametrize("entry", [None, True, "x", float("nan"), float("inf"),
+                                   -float("inf"), 10**400])
+def test_an_embedding_entry_that_is_not_a_finite_number_is_retried(posts, sleeps, entry):
+    posts.script([{"data": [{"embedding": [1.0, entry]}]},
+                  {"data": [{"embedding": [3.0, 4.0]}]}])
+    backend = HttpEmbeddingBackend(endpoint="http://model.invalid/v1", model="e")
+    assert backend.embed(["q"]) == [[3.0, 4.0]]
+    assert len(posts) == 2
+    posts.script([{"data": [{"embedding": [entry, 0.0]}]}] * MAX_TRIES)
+    with pytest.raises(TransportError, match="not a finite number"):
+        backend.embed(["q"])
+    assert len(posts) == 2 + MAX_TRIES
+
+
 def test_gateway_and_embedder_built_from_config(monkeypatch):
     monkeypatch.setenv("SQLGROW_TEST_TOKEN", "sk-test-secret")
     chat = "http://model.invalid/v1/chat/completions"
