@@ -39,7 +39,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config(args) -> RunConfig:
     """The config file, or defaults, overridden by flags named after fields."""
     overrides = {key: value for key, value in vars(args).items()
-                 if key in RunConfig.__dataclass_fields__ and value is not None}
+                 if key in RunConfig._fields and value is not None}
     if args.config:
         return RunConfig.from_file(args.config, overrides)
     cfg = RunConfig(**overrides)

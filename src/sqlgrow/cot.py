@@ -8,33 +8,30 @@ are discarded with every failure reason recorded.
 
 from __future__ import annotations
 
-import sqlite3
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TransportError
 from .harness import MAX_ROWS, collect_result, results_equivalent
 from .instances import QueryInstance
+from .sqlite import sqlite3
 
 
 _TOO_LARGE = f"result over {MAX_ROWS} rows"
 
 
-@dataclass(frozen=True)
-class CotRecord:
+class CotRecord(NamedTuple):
     instance_id: str
     trace: str
     verified_sql: str
     attempts_used: int
 
 
-@dataclass(frozen=True)
-class CotDiscard:
+class CotDiscard(NamedTuple):
     instance_id: str
     failure_reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CotDeferral:
+class CotDeferral(NamedTuple):
     instance_id: str
     reason: str
 

@@ -24,9 +24,9 @@ import re
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, lshift, mul, truediv
+from typing import NamedTuple
 
 from .digests import md5
 from .errors import StructuralError
@@ -39,8 +39,7 @@ _EMPTY_AXIS = 0
 _WORD = re.compile(r"[^\W_]+")
 
 
-@dataclass(frozen=True)
-class RemovalRecord:
+class RemovalRecord(NamedTuple):
     """One removed instance and the kept instance most similar to it.
 
     ``kept_id`` names the most similar item of the final kept set, which

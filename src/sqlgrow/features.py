@@ -9,7 +9,7 @@ toward both the CTE and subquery features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tree as t
 from .errors import DomainError
@@ -31,33 +31,7 @@ FEATURE_COLUMNS = (
 FEATURE_NAMES = tuple(name for name, _ in FEATURE_COLUMNS)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    tables: int
-    joins: int
-    functions: int
-    tokens: int
-    aggregates: int
-    subqueries: int
-    windows: int
-    ctes: int
-    nesting: int
-
-    def __post_init__(self):
-        for name in FEATURE_NAMES:
-            if getattr(self, name) < 0:
-                raise DomainError(f"feature {name} must be >= 0")
-        if self.nesting < 1:
-            raise DomainError("nesting depth is at least 1")
-        if self.aggregates > self.functions:
-            raise DomainError("aggregates cannot exceed functions")
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
-
-
-@dataclass(frozen=True)
-class FeatureMeans:
+class _Features(NamedTuple):
     tables: float
     joins: float
     functions: float
@@ -69,7 +43,30 @@ class FeatureMeans:
     nesting: float
 
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
+        return self._asdict()
+
+
+class FeatureVector(_Features):
+    """The nine counts of one query; counts no query can have raise DomainError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(FEATURE_NAMES, self):
+            if value < 0:
+                raise DomainError(f"feature {name} must be >= 0")
+        if self.nesting < 1:
+            raise DomainError("nesting depth is at least 1")
+        if self.aggregates > self.functions:
+            raise DomainError("aggregates cannot exceed functions")
+        return self
+
+
+class FeatureMeans(_Features):
+    """The mean of each feature over a set of queries."""
+
+    __slots__ = ()
 
 
 def tokenize_sql(text: str) -> list[str]:

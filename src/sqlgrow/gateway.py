@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-import sqlite3
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tree as t
 from .errors import (
@@ -42,6 +41,7 @@ from .prompts import render_template
 from .render import render_sql
 from .resolve import resolve_references
 from .schema import DatabaseSchema, render_schema_prompt
+from .sqlite import sqlite3
 
 ROLES = ("expand", "evolve", "refine", "strategize", "teach")  # template ids too
 
@@ -55,22 +55,19 @@ _STRATEGY_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class DecodingParams:
+class DecodingParams(NamedTuple):
     temperature: float = 0.8
     max_tokens: int = 1024
     n: int = 1
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     question: str
     evidence: str
     sql: str
 
 
-@dataclass(frozen=True)
-class CotCandidate:
+class CotCandidate(NamedTuple):
     reasoning: str
     predicted_sql: str
 
@@ -130,8 +127,7 @@ def _chat_texts(reply: dict) -> list[str]:
     return texts
 
 
-@dataclass
-class HttpChatBackend:
+class HttpChatBackend(NamedTuple):
     """Chat-completion endpoint client; one POST per call."""
 
     endpoint: str
@@ -149,8 +145,7 @@ class HttpChatBackend:
         return _post_json(self.endpoint, self.api_key, payload, _chat_texts)
 
 
-@dataclass
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(NamedTuple):
     """Embedding endpoint client; one request per call, within the retry bound."""
 
     endpoint: str

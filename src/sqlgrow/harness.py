@@ -29,15 +29,15 @@ different order.
 from __future__ import annotations
 
 import re
-import sqlite3
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import SqlgrowError
 from .parser import parse_sql
 from .resolve import resolve_references
+from .sqlite import sqlite3
 from . import tree as t
 
 MAX_VM_STEPS = 200_000_000
@@ -50,8 +50,7 @@ WALL_CAP_S = 120.0
 _PROGRESS_OPCODES = 2000
 
 
-@dataclass(frozen=True)
-class ExecutionFeedback:
+class ExecutionFeedback(NamedTuple):
     """One grounding run; ``row_count`` is at most ``SAMPLE_ROWS + 1``."""
 
     ok: bool
@@ -60,8 +59,7 @@ class ExecutionFeedback:
     row_count: int = 0
 
 
-@dataclass(frozen=True)
-class ResultMultiset:
+class ResultMultiset(NamedTuple):
     """The rows SQLite returned for one query, and that query's SQL text.
 
     ``collect_result`` keeps at most ``MAX_ROWS + 1`` rows: a result with
@@ -76,8 +74,7 @@ class ResultMultiset:
         return len(self.rows) > MAX_ROWS
 
 
-@dataclass(frozen=True)
-class RefinementOutcome:
+class RefinementOutcome(NamedTuple):
     """An accepted outcome carries the tree grounding checked; a failed one None."""
 
     accepted: bool

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InstanceFileError, SqlgrowError, StructuralError
 from .features import FeatureVector
@@ -36,8 +36,7 @@ def stage_rank(stage: str) -> int:
     return 99
 
 
-@dataclass
-class QueryInstance:
+class _InstanceFields(NamedTuple):
     id: str
     schema_id: str
     question: str
@@ -50,7 +49,14 @@ class QueryInstance:
     status: str = "active"
     cot: str | None = None
 
-    def __post_init__(self):
+
+class QueryInstance(_InstanceFields):
+    """One question and its SQL; an inconsistent lineage or status raises StructuralError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.stage == STAGE_SEED and self.parent_id is not None:
             raise StructuralError("seed instances cannot have a parent")
         if self.stage.startswith("OGE-") and self.operator_applied is None:
@@ -59,13 +65,19 @@ class QueryInstance:
             raise StructuralError("operator_applied is only valid for OGE stages")
         if self.status not in _STATUS_ORDER:
             raise StructuralError(f"unknown status {self.status!r}")
+        return self
 
-    def with_status(self, status: str) -> "QueryInstance":
+    def with_status(self, status: str, cot: str | None = None) -> "QueryInstance":
+        """A copy with ``status``, and with ``cot`` when one is given.
+
+        The status may stay or move right along ``_STATUS_ORDER``, never back.
+        No other field changes, so the copy skips the checks of construction.
+        """
         if _STATUS_ORDER.index(status) < _STATUS_ORDER.index(self.status):
             raise StructuralError(
                 f"status cannot move from {self.status!r} back to {status!r}"
             )
-        return replace(self, status=status)
+        return self._replace(status=status, cot=self.cot if cot is None else cot)
 
     def to_dict(self) -> dict:
         record = {
@@ -144,7 +156,7 @@ def read_jsonl(path) -> list[QueryInstance]:
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON: {exc.msg}"
             except KeyError as exc:
-                field = exc.args[0] in QueryInstance.__dataclass_fields__
+                field = exc.args[0] in QueryInstance._fields
                 problem = f"missing field {exc}" if field else f"unknown operator {exc}"
             except (ValueError, TypeError, SqlgrowError) as exc:
                 problem = str(exc)

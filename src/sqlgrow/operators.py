@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import enum
 import random
-import sqlite3
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import tree as t
 from .errors import InfeasibleOperatorError, SqlgrowError, StructuralError
@@ -45,6 +44,7 @@ from .harness import _run_query
 from .render import render_expr
 from .resolve import BindingReport, resolve_references
 from .schema import DatabaseSchema, fk_join_graph
+from .sqlite import sqlite3
 
 FULL_SCORE_SITES = 3  # an operator with this many sites scores 1.0
 
@@ -102,15 +102,13 @@ def operator_instruction(op: OperatorId) -> str:
     return OPERATOR_INSTRUCTIONS[op]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     operator: OperatorId
     score: float
     eligible_sites: tuple[t.Path, ...]
 
 
-@dataclass(frozen=True)
-class MutationPlan:
+class MutationPlan(NamedTuple):
     """Replace ``original``, the node at ``target_path``, with ``replacement``."""
 
     operator: OperatorId
@@ -181,20 +179,20 @@ def _value_literal(value) -> t.Node:
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class ParentAnalysis:
+class ParentAnalysis(NamedTuple):
     """One tree and its schema, with the resolver's report on it.
 
     ``analyze`` builds it once per parent; every ``check_applicability`` and
     ``plan_mutation`` call on that parent reads it. ``report`` is None when
     the tree does not resolve; then no operator has a site. ``sites`` holds
-    each operator's sites once enumerated.
+    each operator's sites once enumerated, in a dict that ``analyze`` makes
+    for each analysis.
     """
 
     ast: t.Node
     schema: DatabaseSchema
     report: BindingReport | None
-    sites: dict = field(default_factory=dict, compare=False, repr=False)
+    sites: dict
 
 
 def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
@@ -202,8 +200,8 @@ def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError:
-        return ParentAnalysis(ast, schema, None)
-    return ParentAnalysis(ast, schema, report)
+        return ParentAnalysis(ast, schema, None, {})
+    return ParentAnalysis(ast, schema, report, {})
 
 
 def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
-from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 from . import scheduler
 from .cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
@@ -41,6 +40,7 @@ from .instances import (
 from .operators import OperatorId, analyze, check_applicability
 from .parser import parse_sql
 from .schema import DatabaseSchema, load_schema
+from .sqlite import sqlite3
 
 # The JSON values each field annotation admits, and how to name them.
 # ``type(value) in`` these tuples keeps ``true``/``false`` out of integers.
@@ -53,8 +53,7 @@ _JSON_TYPES = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     seeds: str = ""
     db_dir: str = ""
     out_dir: str = "out"
@@ -67,13 +66,13 @@ class RunConfig:
     expansions_per_seed: int = 1
     max_attempts: int = 3
     global_seed: int = 0
-    backends: dict = field(default_factory=dict)
+    backends: dict = {}  # never mutated, so every config may share the default
     embedder: dict | None = None
 
     def validate(self) -> None:
-        for name, spec in self.__dataclass_fields__.items():
-            value = getattr(self, name)
-            types, wanted = _JSON_TYPES[spec.type]
+        for (name, spec), value in zip(self.__annotations__.items(), self):
+            # NamedTuple keeps a string annotation as a ForwardRef
+            types, wanted = _JSON_TYPES[getattr(spec, "__forward_arg__", spec)]
             if type(value) not in types:
                 raise ConfigError(
                     f"{name} must be {wanted}, not {json.dumps(value, default=repr)}")
@@ -114,7 +113,7 @@ class RunConfig:
                                   "and no keys but a string model and api_key_env")
 
     def echo(self) -> dict:
-        data = asdict(self)
+        data = self._asdict()
         data.pop("out_dir")  # sink location, not a synthesis parameter
         # a model's endpoint and key variable say where it runs, not what it is
         data["backends"] = {role: {"model": b.get("model", "")}
@@ -132,8 +131,7 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         merged = {**data, **{k: v for k, v in (overrides or {}).items() if v is not None}}
@@ -498,7 +496,7 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
         write_jsonl(dataset, out_dir / "dataset.jsonl")
         write_file(out_dir / "dedup_removals.jsonl", (
-            json.dumps(vars(record), sort_keys=True) + "\n" for record in removals))
+            json.dumps(record._asdict(), sort_keys=True) + "\n" for record in removals))
         write_file(out_dir / "rejections.jsonl", (
             json.dumps(item, sort_keys=True) + "\n"
             for item in [{"stage": "ingest", **q} for q in quarantined] + rejections))
@@ -572,9 +570,7 @@ def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
             seed=derive_seed(cfg.global_seed, inst.id, "cot"),
         )
         if isinstance(outcome, CotRecord):
-            inst = inst.with_status("cot-kept")
-            inst.cot = outcome.trace
-            kept.append(inst)
+            kept.append(inst.with_status("cot-kept", cot=outcome.trace))
         elif isinstance(outcome, CotDiscard):
             discards.append(outcome)
         else:

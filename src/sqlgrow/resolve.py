@@ -15,7 +15,6 @@ FROM clause's sources; star expansion filters its relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import tree as t
@@ -24,8 +23,7 @@ from .render import render_expr
 from .schema import DatabaseSchema, TableDef
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     path: t.Path
     qualifier: str
     name: str
@@ -44,8 +42,7 @@ class Context(NamedTuple):
     in_compound: bool = False
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """One source a FROM clause brings into scope."""
 
     label: str            # what qualified refs must use (alias, or table name as written)
@@ -54,15 +51,20 @@ class Relation:
     table: TableDef | None = None  # the schema table a TABLE source names
 
 
-@dataclass
 class BindingReport:
-    resolved: list[Binding] = field(default_factory=list)
-    unresolved: list[Binding] = field(default_factory=list)
-    contexts: dict[t.Path, Context] = field(default_factory=dict)
-    cores: list[tuple[t.Path, bool]] = field(default_factory=list)  # (path, in_compound)
-    max_depth: int = 1
-    scopes: dict[t.Path, list[Relation]] = field(default_factory=dict)  # core -> FROM
-    relation_at: dict[t.Path, str] = field(default_factory=dict)  # resolved column -> relation
+    """What one walk found; ``resolve_references`` fills it as it walks."""
+
+    __slots__ = ("resolved", "unresolved", "contexts", "cores", "max_depth", "scopes",
+                 "relation_at")
+
+    def __init__(self):
+        self.resolved: list[Binding] = []
+        self.unresolved: list[Binding] = []
+        self.contexts: dict[t.Path, Context] = {}
+        self.cores: list[tuple[t.Path, bool]] = []  # (path, in_compound)
+        self.max_depth = 1
+        self.scopes: dict[t.Path, list[Relation]] = {}  # core -> FROM
+        self.relation_at: dict[t.Path, str] = {}  # resolved column -> relation
 
 
 def resolve_references(ast: t.Node, schema: DatabaseSchema) -> BindingReport:

@@ -12,7 +12,7 @@ stored: a run recounts it from the evolved children it has checkpointed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError
 from .operators import OperatorId
@@ -20,19 +20,26 @@ from .operators import OperatorId
 DEFAULT_EPSILON = 0.01
 
 
-@dataclass(frozen=True)
-class EvolutionState:
+class _SchedulerFields(NamedTuple):
     counts: dict
     p_target: dict
     epsilon: float
 
-    def __post_init__(self):
+
+class EvolutionState(_SchedulerFields):
+    """Acceptance counts and target shares; values out of range raise DomainError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if any(c < 0 for c in self.counts.values()):
             raise DomainError("acceptance counts cannot be negative")
         if abs(sum(self.p_target.values()) - 1.0) > 1e-9:
             raise DomainError("target distribution must sum to 1")
+        return self
 
 
 def fresh_state(
@@ -71,6 +78,7 @@ def select_top_k(utilities: dict, k: int) -> list[OperatorId]:
 
 
 def record_acceptance(state: EvolutionState, op: OperatorId) -> EvolutionState:
+    # a count only grows, so the copy skips the checks of construction
     counts = dict(state.counts)
     counts[op] += 1
-    return replace(state, counts=counts)
+    return state._replace(counts=counts)

@@ -7,11 +7,11 @@ values are immutable after load and safe to share across workers.
 
 from __future__ import annotations
 
-import sqlite3
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import SchemaValidationError
+from .sqlite import sqlite3
 
 AFFINITIES = ("integer", "real", "text", "blob", "numeric")
 
@@ -20,22 +20,19 @@ AFFINITIES = ("integer", "real", "text", "blob", "numeric")
 DATE_LIKE_PATTERNS = ("date", "time", "year")
 
 
-@dataclass(frozen=True)
-class ColumnDef:
+class ColumnDef(NamedTuple):
     name: str
     affinity: str
     nullable: bool = True
 
 
-@dataclass(frozen=True)
-class ForeignKey:
+class ForeignKey(NamedTuple):
     columns: tuple[str, ...]
     ref_table: str
     ref_columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TableDef:
+class TableDef(NamedTuple):
     name: str
     columns: tuple[ColumnDef, ...]
     primary_key: tuple[str, ...] = ()
@@ -52,8 +49,7 @@ class TableDef:
         return [c.name for c in self.columns]
 
 
-@dataclass(frozen=True)
-class DatabaseSchema:
+class DatabaseSchema(NamedTuple):
     schema_id: str
     tables: tuple[TableDef, ...]
 
@@ -76,8 +72,7 @@ class DatabaseSchema:
         return any(pat in low for pat in DATE_LIKE_PATTERNS)
 
 
-@dataclass(frozen=True)
-class JoinEdge:
+class JoinEdge(NamedTuple):
     """An undirected FK edge; ``a``/``b`` sides keep their column pairing."""
 
     table_a: str

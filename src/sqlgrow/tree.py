@@ -8,8 +8,7 @@ the rewritten node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import StructuralError
 
@@ -41,8 +40,7 @@ AGGREGATE_FUNCTIONS = frozenset(
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str
     value: tuple = ()
     children: tuple["Node", ...] = ()

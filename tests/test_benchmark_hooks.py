@@ -12,7 +12,6 @@ them, which the other tests check by patching those names.
 """
 
 import ast
-import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -89,7 +88,7 @@ RESULT_READS = _result_reads()
 
 def _members(cls) -> set:
     props = {n for n, v in vars(cls).items() if isinstance(v, property)}
-    return {f.name for f in dataclasses.fields(cls)} | props
+    return set(cls._fields) | props
 
 
 @pytest.mark.parametrize("wrapped,attr,only", RESULT_READS,

@@ -50,24 +50,35 @@ def test_a_mock_run_loads_no_openssl(tmp_path, db_dir):
     assert done.stdout.strip() == "[]"
 
 
-NO_NUMPY = """
+# modules a mock process must not load, and why: numpy serves only an
+# embedder's replies; dataclasses brings inspect, ast, dis and tokenize, and
+# sqlite3.dbapi2 brings datetime, none of which sqlgrow uses
+UNWANTED = ("numpy", "dataclasses", "inspect", "datetime")
+
+LOADED = """
+import json
 import sys
 import sqlgrow
 from sqlgrow.cli import main
-loaded = ["numpy" in sys.modules]
+unwanted = sys.argv[4:]
+loaded = [[name for name in unwanted if name in sys.modules]]
 out = sys.argv[3]
 for argv in (["run", "--seeds", sys.argv[1], "--db-dir", sys.argv[2], "--out", out,
               "--rounds", "1"],
              ["stats", "--dataset", out + "/dataset.jsonl"],
              ["verify", "--dataset", out + "/dataset.jsonl", "--db-dir", sys.argv[2]]):
     assert main(argv) == 0, argv
-    loaded.append("numpy" in sys.modules)
-print(loaded)
+    loaded.append([name for name in unwanted if name in sys.modules])
+print(json.dumps(loaded))
 """
 
 
-def test_a_mock_run_stats_and_verify_load_no_numpy(tmp_path, db_dir):
-    # only an embedder's replies need numpy; the lexical dedup is pure Python
+@pytest.fixture(scope="module")
+def mock_process(tmp_path_factory, db_dir):
+    """The unwanted modules loaded after ``import sqlgrow``, then after each of
+    ``run``, ``stats`` and ``verify`` in one fresh interpreter, and the run's
+    output directory."""
+    tmp_path = tmp_path_factory.mktemp("mock-process")
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps([{"question": q, "evidence": "", "SQL": sql,
                                   "db_id": "olympics"} for q, sql in (
@@ -75,9 +86,22 @@ def test_a_mock_run_stats_and_verify_load_no_numpy(tmp_path, db_dir):
         ("How many people are there?", "SELECT COUNT(*) FROM person WHERE 1"))]))
     env = {**os.environ, "PYTHONPATH": str(Path(sqlgrow.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, str(seeds), str(db_dir), str(tmp_path / "out")],
+        [sys.executable, "-c", LOADED, str(seeds), str(db_dir), str(tmp_path / "out"),
+         *UNWANTED],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
+    return json.loads(done.stdout.strip().splitlines()[-1]), tmp_path / "out"
+
+
+def test_a_mock_run_stats_and_verify_load_no_numpy(mock_process):
+    # only an embedder's replies need numpy; the lexical dedup is pure Python
+    loaded, out = mock_process
+    assert [("numpy" in names) for names in loaded] == [False, False, False, False]
     # the run deduplicated: the repeated seed question was removed
-    assert (tmp_path / "out" / "dedup_removals.jsonl").read_text().count("\n") >= 1
+    assert (out / "dedup_removals.jsonl").read_text().count("\n") >= 1
+
+
+def test_a_mock_run_stats_and_verify_load_no_dataclasses_inspect_or_datetime(mock_process):
+    # records are NamedTuples, and the connection API comes from _sqlite3
+    loaded, _ = mock_process
+    assert loaded == [[], [], [], []]

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from fixtures import GOLDEN_CORPUS, STAGE_SQL_0, STAGE_SQL_2
@@ -67,9 +65,9 @@ def test_feature_vector_rejects_invalid_values():
         fv(aggregates=1, functions=0)
 
 
-def test_feature_names_are_the_dataclass_fields():
+def test_feature_names_are_the_record_fields():
     for cls in (FeatureVector, FeatureMeans):
-        assert tuple(f.name for f in fields(cls)) == FEATURE_NAMES
+        assert cls._fields == FEATURE_NAMES
 
 
 @pytest.mark.parametrize("name", FEATURE_NAMES)

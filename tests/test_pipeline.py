@@ -3,7 +3,6 @@ import hashlib
 import json
 import re
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -431,13 +430,13 @@ def test_a_failed_write_leaves_every_file_whole(
 def test_resume_under_changed_tau_is_refused(tmp_path, db_dir, mini_seed_file):
     cfg, manifest = run_mini_full(tmp_path, db_dir, mini_seed_file, "runC")
     with pytest.raises(ConfigError, match="cannot resume"):
-        run_full(replace(cfg, tau=0.8), resume=True)
+        run_full(cfg._replace(tau=0.8), resume=True)
     # input locations are not part of the hash
     moved_seeds = tmp_path / "moved" / "seeds.json"
     moved_seeds.parent.mkdir()
     moved_seeds.write_text(mini_seed_file.read_text())
     moved_dbs = shutil.copytree(db_dir, tmp_path / "moved" / "dbs")
-    moved = run_full(replace(cfg, seeds=str(moved_seeds), db_dir=str(moved_dbs)),
+    moved = run_full(cfg._replace(seeds=str(moved_seeds), db_dir=str(moved_dbs)),
                      resume=True)
     assert moved["counts"] == manifest["counts"]
     # checkpoints that record no config are not resumed either
@@ -454,7 +453,7 @@ def test_fresh_run_over_a_finished_directory_starts_done_afresh(
     cfg, _ = run_mini_full(tmp_path, db_dir, mini_seed_file, "runF", rounds=2)
     done_path = tmp_path / "runF" / "checkpoints" / "done.json"
     assert "oge-2" in json.loads(done_path.read_text())
-    run_full(replace(cfg, rounds=1))
+    run_full(cfg._replace(rounds=1))
     done = json.loads(done_path.read_text())
     assert set(done) == {"config_sha256", "inputs_sha256", "ingest", "eqe", "oge-1",
                          "final"}
