@@ -42,7 +42,6 @@ def synthesize_cot(
     teacher,
     schema,
     n: int = 4,
-    seed: int = 0,
 ) -> CotRecord | CotDiscard | CotDeferral:
     """Rejection-sample a verified trace for one instance.
 
@@ -59,13 +58,7 @@ def synthesize_cot(
     """
     try:
         candidates = teacher.generate_cot_candidates(
-            instance.question,
-            instance.evidence,
-            schema,
-            n,
-            gold_sql=instance.sql,
-            seed=seed,
-        )
+            instance.question, instance.evidence, schema, n, gold_sql=instance.sql)
     except TransportError as exc:
         return CotDeferral(instance.id, str(exc))
     if not candidates:

@@ -42,9 +42,6 @@ class _Features(NamedTuple):
     ctes: float
     nesting: float
 
-    def as_dict(self) -> dict[str, float]:
-        return self._asdict()
-
 
 class FeatureVector(_Features):
     """The nine counts of one query; counts no query can have raise DomainError."""

@@ -283,7 +283,6 @@ class LlmGateway:
         schema: DatabaseSchema,
         n: int,
         gold_sql: str = "",
-        seed: int = 0,
     ) -> list[CotCandidate]:
         """Up to ``n`` samples; the mock's first traces ``gold_sql``, which it needs."""
         if n < 1:

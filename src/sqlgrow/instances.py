@@ -14,8 +14,9 @@ from .operators import OperatorId
 STAGE_SEED = "seed"
 STAGE_EQE = "EQE"
 
-# status lifecycle; transitions may only move rightward
-_STATUS_ORDER = ("active", "rejected", "cot-kept", "cot-discarded", "dedup-removed")
+# a run builds every instance "active"; run_cot copies each one it keeps to
+# "cot-kept" together with its trace
+_STATUSES = ("active", "cot-kept")
 
 
 def oge_stage(round_no: int) -> str:
@@ -50,69 +51,50 @@ class _InstanceFields(NamedTuple):
     cot: str | None = None
 
 
+# the fields a record may leave out, and the value each then takes
+_OPTIONAL = {**_InstanceFields._field_defaults, "evidence": ""}
+
+
+def _checked(inst):
+    """``inst`` itself; an inconsistent lineage or status raises StructuralError."""
+    if inst.stage == STAGE_SEED and inst.parent_id is not None:
+        raise StructuralError("seed instances cannot have a parent")
+    if inst.stage.startswith("OGE-") and inst.operator_applied is None:
+        raise StructuralError("evolution instances must record their operator")
+    if not inst.stage.startswith("OGE-") and inst.operator_applied is not None:
+        raise StructuralError("operator_applied is only valid for OGE stages")
+    if inst.status not in _STATUSES:
+        raise StructuralError(f"unknown status {inst.status!r}")
+    return inst
+
+
 class QueryInstance(_InstanceFields):
     """One question and its SQL; an inconsistent lineage or status raises StructuralError."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.stage == STAGE_SEED and self.parent_id is not None:
-            raise StructuralError("seed instances cannot have a parent")
-        if self.stage.startswith("OGE-") and self.operator_applied is None:
-            raise StructuralError("evolution instances must record their operator")
-        if not self.stage.startswith("OGE-") and self.operator_applied is not None:
-            raise StructuralError("operator_applied is only valid for OGE stages")
-        if self.status not in _STATUS_ORDER:
-            raise StructuralError(f"unknown status {self.status!r}")
-        return self
-
-    def with_status(self, status: str, cot: str | None = None) -> "QueryInstance":
-        """A copy with ``status``, and with ``cot`` when one is given.
-
-        The status may stay or move right along ``_STATUS_ORDER``, never back.
-        No other field changes, so the copy skips the checks of construction.
-        """
-        if _STATUS_ORDER.index(status) < _STATUS_ORDER.index(self.status):
-            raise StructuralError(
-                f"status cannot move from {self.status!r} back to {status!r}"
-            )
-        return self._replace(status=status, cot=self.cot if cot is None else cot)
+        return _checked(super().__new__(cls, *args, **kwargs))
 
     def to_dict(self) -> dict:
-        record = {
-            "id": self.id,
-            "schema_id": self.schema_id,
-            "question": self.question,
-            "evidence": self.evidence,
-            "sql": self.sql,
-            "stage": self.stage,
-            "parent_id": self.parent_id,
-            "operator_applied": self.operator_applied.name if self.operator_applied else None,
-            "features": self.features.as_dict() if self.features else None,
-            "status": self.status,
-        }
-        if self.cot is not None:
-            record["cot"] = self.cot
+        record = self._asdict()
+        if self.operator_applied:
+            record["operator_applied"] = self.operator_applied.name
+        if self.features:
+            record["features"] = self.features._asdict()
+        if self.cot is None:
+            del record["cot"]
         return record
 
     @classmethod
     def from_dict(cls, record: dict) -> "QueryInstance":
-        features = record.get("features")
-        operator = record.get("operator_applied")
-        return cls(
-            id=record["id"],
-            schema_id=record["schema_id"],
-            question=record["question"],
-            evidence=record.get("evidence", ""),
-            sql=record["sql"],
-            stage=record["stage"],
-            parent_id=record.get("parent_id"),
-            operator_applied=OperatorId[operator] if operator else None,
-            features=FeatureVector(**features) if features else None,
-            status=record.get("status", "active"),
-            cot=record.get("cot"),
-        )
+        """The instance a ``to_dict`` record holds; a missing field raises KeyError."""
+        fields = {name: record.get(name, _OPTIONAL[name]) if name in _OPTIONAL
+                  else record[name] for name in cls._fields}
+        operator, features = fields["operator_applied"], fields["features"]
+        fields["operator_applied"] = OperatorId[operator] if operator else None
+        fields["features"] = FeatureVector(**features) if features else None
+        return _checked(cls._make(fields.values()))
 
 
 def write_file(path, lines) -> None:

@@ -565,12 +565,9 @@ def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
     for inst in pool:
         conn = repo.connection(inst.schema_id)
         schema = repo.schema(inst.schema_id)
-        outcome = synthesize_cot(
-            inst, conn, gateway, schema, n=cfg.cot_n,
-            seed=derive_seed(cfg.global_seed, inst.id, "cot"),
-        )
+        outcome = synthesize_cot(inst, conn, gateway, schema, n=cfg.cot_n)
         if isinstance(outcome, CotRecord):
-            kept.append(inst.with_status("cot-kept", cot=outcome.trace))
+            kept.append(inst._replace(status="cot-kept", cot=outcome.trace))
         elif isinstance(outcome, CotDiscard):
             discards.append(outcome)
         else:
@@ -609,7 +606,7 @@ def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,
             # tau calibrates differently on the lexical fallback
             "embedding_source": "external-embedder" if cfg.embedder else "lexical-fallback",
         },
-        "feature_report": {stage: m.as_dict() for stage, m in means.items()},
+        "feature_report": {stage: m._asdict() for stage, m in means.items()},
     }
 
 

@@ -270,8 +270,7 @@ class FixedTeacher:
         self.by_instance = by_instance
         self.current = None
 
-    def generate_cot_candidates(self, question, evidence, schema, n,
-                                gold_sql="", seed=0):
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
         return self.by_instance[self.current][:n]
 
 

@@ -85,7 +85,7 @@ def test_aggregate_features_mean():
 def test_aggregate_features_single_vector_identity():
     v = fv(tables=4, joins=3, tokens=17)
     means = aggregate_features([v])
-    assert means.as_dict() == {k: float(x) for k, x in v.as_dict().items()}
+    assert means._asdict() == {k: float(x) for k, x in v._asdict().items()}
 
 
 def test_aggregate_features_empty_is_domain_error():

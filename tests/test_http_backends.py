@@ -272,6 +272,26 @@ def test_candidate_posts_at_most_three_per_attempt(posts, db_dir, tmp_path):
     assert [r["stage"] for r in rejections] == ["EQE"]
 
 
+def test_a_refiner_reply_without_sql_is_one_rejection(posts, sleeps, db_dir, tmp_path):
+    seeds = tmp_path / "seeds.json"
+    question, sql = fixtures.SEED_QUESTIONS["olympics"][0]
+    seeds.write_text(json.dumps(
+        [{"question": question, "SQL": sql, "db_id": "olympics"}]))
+    broken = '{"question": "Q", "evidence": "", "gold_sql": "SELECT nosuch FROM games"}'
+    posts.script([chat(broken)] + [chat(" \n")] * MAX_TRIES)
+    repo = SchemaRepo(db_dir)
+    try:
+        parents, _ = ingest_seeds(seeds, repo)
+        rejections = []
+        assert run_eqe(parents, RunConfig(global_seed=3), repo,
+                       live("expand", "refine"), rejections) == []
+    finally:
+        repo.close()
+    assert len(posts) == 1 + MAX_TRIES and sleeps == []  # resampled at once
+    assert rejections == [{"stage": "EQE", "parent": parents[0].id,
+                           "reason": "refiner returned no SQL"}]
+
+
 def test_embedder_retries_a_transport_failure(posts, sleeps):
     posts.script([DOWN, {"data": [{"embedding": [3.0, 4.0]}]}])
     backend = HttpEmbeddingBackend(endpoint="http://model.invalid/v1", model="e")

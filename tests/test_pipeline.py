@@ -189,6 +189,8 @@ def test_ingest_quarantines_bad_records(repo, tmp_path):
       "db_id": "olympics"}, "must be strings"),
     ({"question": "Who?", "SQL": "SELECT full_name FROM person",
       "db_id": "olympics", "evidence": {"note": 1}}, "must be strings"),
+    ({"question": "", "SQL": "SELECT full_name FROM person", "db_id": "olympics"},
+     "missing question or SQL"),
 ])
 def test_ingest_quarantines_malformed_records(repo, tmp_path, record, reason):
     good = {"question": "ok", "SQL": "SELECT full_name FROM person", "db_id": "olympics"}
@@ -198,6 +200,33 @@ def test_ingest_quarantines_malformed_records(repo, tmp_path, record, reason):
     assert [s.question for s in seeds] == ["ok"]
     assert len(quarantined) == 1 and quarantined[0]["index"] == 0
     assert reason in quarantined[0]["reason"]
+
+
+def test_a_seed_with_an_ambiguous_column_is_quarantined(repo, tmp_path):
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps([{
+        "question": "Which id?", "db_id": "olympics",
+        "SQL": "SELECT id FROM person JOIN games_competitor "
+               "ON person.id = games_competitor.person_id"}]))
+    seeds, quarantined = ingest_seeds(path, repo)
+    assert seeds == []
+    assert [q["reason"] for q in quarantined] == [
+        "resolution failure: column 'id' is ambiguous; "
+        "candidates: games_competitor, person"]
+
+
+def test_a_seed_without_from_expands_to_itself_re_rendered(repo, tmp_path):
+    # no FROM clause leaves the mock expansion's LOGIC rewrite no site
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps([{"question": "Two?", "SQL": "select 1+1",
+                                 "db_id": "olympics"}]))
+    seeds, quarantined = ingest_seeds(path, repo)
+    assert quarantined == []
+    rejections = []
+    children = run_eqe(seeds, RunConfig(global_seed=3, expansions_per_seed=2),
+                       repo, LlmGateway(), rejections)
+    assert rejections == []
+    assert [(c.question, c.sql) for c in children] == [("Rephrased: Two?", "SELECT 1 + 1")] * 2
 
 
 def test_ingest_unreadable_file_is_io_error(repo, tmp_path):
@@ -248,11 +277,10 @@ def test_stage_and_status_invariants():
         QueryInstance(id="x", schema_id="s", question="q", evidence="",
                       sql="SELECT 1", stage="seed",
                       operator_applied=OperatorId.FUNC)
-    inst = QueryInstance(id="x", schema_id="s", question="q", evidence="",
-                         sql="SELECT 1", stage="seed")
-    kept = inst.with_status("cot-kept")
-    with pytest.raises(Exception):
-        kept.with_status("active")
+    for status in ("rejected", "cot-discarded", "dedup-removed"):
+        with pytest.raises(Exception):
+            QueryInstance(id="x", schema_id="s", question="q", evidence="",
+                          sql="SELECT 1", stage="seed", status=status)
 
 
 def run_mini_full(tmp_path, db_dir, seed_path, name, rounds=1):
@@ -640,6 +668,35 @@ def test_oge_persistent_transport_failure_rejects_each_operator(repo, mini_seed_
     assert sorted(gateway.calls) == sorted(rejected)
 
 
+class FailingStrategistGateway(LlmGateway):
+    """Mock gateway whose strategist fails on every call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def score_feasibility_llm(self, question, sql, schema):
+        self.calls += 1
+        raise TransportError("strategist down")
+
+
+def test_a_failing_strategist_leaves_the_rule_scores(repo, mini_seed_file):
+    cfg = RunConfig(global_seed=3)
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+
+    def evolve(gateway):
+        rejections = []
+        children = run_oge(seeds, cfg, repo, gateway,
+                           scheduler.fresh_state(cfg.epsilon), 1, rejections)
+        return children, rejections
+
+    plain = evolve(LlmGateway())
+    assert plain[0]
+    failing = FailingStrategistGateway()
+    assert evolve(failing) == plain
+    assert failing.calls == len(seeds)
+
+
 def test_schema_repo_nested_layout(tmp_path):
     import fixtures as fx
 
@@ -711,14 +768,13 @@ class SelectiveTeacherGateway(LlmGateway):
         super().__init__()
         self.marker = marker
 
-    def generate_cot_candidates(self, question, evidence, schema, n,
-                                gold_sql="", seed=0):
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
         from sqlgrow.gateway import CotCandidate
 
         if self.marker in question:
             return [CotCandidate("junk", "SELECT nothing FROM nowhere")] * n
         return super().generate_cot_candidates(question, evidence, schema, n,
-                                               gold_sql=gold_sql, seed=seed)
+                                               gold_sql=gold_sql)
 
 
 def test_discarded_child_keeps_ancestors(repo, mini_seed_file):

@@ -88,19 +88,44 @@ def test_a_checkpoint_row_with_a_negative_feature_is_refused(tmp_path):
     assert str(exc.value) == f"{path}, line 1: feature ctes must be >= 0"
 
 
-def test_with_status_moves_only_forward_and_keeps_every_other_field():
-    inst = QueryInstance(id="x", schema_id="s", question="q", evidence="e",
+def _evolved(**fields):
+    return QueryInstance(id="x", schema_id="s", question="q", evidence="e",
                          sql="SELECT 1", stage="OGE-2", parent_id="p",
                          operator_applied=OperatorId.JOIN,
-                         features=FeatureVector(**COUNTS))
-    kept = inst.with_status("cot-kept", cot="trace")
-    assert type(kept) is QueryInstance
-    assert kept == inst._replace(status="cot-kept", cot="trace")
-    assert kept.with_status("dedup-removed") == kept._replace(status="dedup-removed")
-    assert inst.status == "active" and inst.cot is None
-    with pytest.raises(StructuralError,
-                       match="^status cannot move from 'cot-kept' back to 'active'$"):
-        kept.with_status("active")
+                         features=FeatureVector(**COUNTS), **fields)
+
+
+def test_a_record_takes_only_the_two_statuses_a_run_sets(tmp_path):
+    kept = _evolved(status="cot-kept", cot="trace")
+    assert kept == _evolved()._replace(status="cot-kept", cot="trace")
+    for status in ("rejected", "cot-discarded", "dedup-removed"):
+        with pytest.raises(StructuralError, match=f"^unknown status '{status}'$"):
+            _evolved(status=status)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(kept.to_dict()) + "\n"
+                    + json.dumps({**kept.to_dict(), "status": "dedup-removed"}) + "\n")
+    with pytest.raises(InstanceFileError) as exc:
+        read_jsonl(path)
+    assert str(exc.value) == f"{path}, line 2: unknown status 'dedup-removed'"
+
+
+def test_to_dict_converts_the_operator_features_and_trace_and_from_dict_reverses_it():
+    kept = _evolved(status="cot-kept", cot="trace")
+    record = {"id": "x", "schema_id": "s", "question": "q", "evidence": "e",
+              "sql": "SELECT 1", "stage": "OGE-2", "parent_id": "p",
+              "operator_applied": "JOIN", "features": COUNTS, "status": "cot-kept",
+              "cot": "trace"}
+    assert kept.to_dict() == record
+    unkept = {k: v for k, v in record.items() if k != "cot"}
+    assert _evolved().to_dict() == {**unkept, "status": "active"}
+    read = QueryInstance.from_dict(record)
+    assert type(read) is QueryInstance and type(read.features) is FeatureVector
+    assert read == kept
+    seed = {"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1", "stage": "seed"}
+    assert QueryInstance.from_dict(seed) == QueryInstance(**seed, evidence="")
+    assert QueryInstance.from_dict(seed).to_dict() == {
+        **seed, "evidence": "", "parent_id": None, "operator_applied": None,
+        "features": None, "status": "active"}
 
 
 def test_two_analyses_never_share_a_sites_memo(olympics_schema):
