@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -13,6 +14,7 @@ from .operators import OperatorId
 
 STAGE_SEED = "seed"
 STAGE_EQE = "EQE"
+_ROUND_STAGE = re.compile(r"OGE-([1-9][0-9]*)")  # the stage of OGE round n >= 1
 
 # a run builds every instance "active"; run_cot copies each one it keeps to
 # "cot-kept" together with its trace
@@ -24,17 +26,18 @@ def oge_stage(round_no: int) -> str:
 
 
 def stage_rank(stage: str) -> int:
-    """Lineage ordering: seeds first, then expansion, then rounds."""
+    """Lineage ordering: ``seed``, then ``EQE``, then ``OGE-<n>`` by round n >= 1.
+
+    Any other stage raises StructuralError.
+    """
     if stage == STAGE_SEED:
         return 0
     if stage == STAGE_EQE:
         return 1
-    if stage.startswith("OGE-"):
-        try:
-            return 1 + int(stage.split("-", 1)[1])
-        except ValueError:
-            pass
-    return 99
+    found = _ROUND_STAGE.fullmatch(stage) if isinstance(stage, str) else None
+    if found is None:
+        raise StructuralError(f"unknown stage {stage!r}")
+    return 1 + int(found[1])
 
 
 class _InstanceFields(NamedTuple):
@@ -56,12 +59,17 @@ _OPTIONAL = {**_InstanceFields._field_defaults, "evidence": ""}
 
 
 def _checked(inst):
-    """``inst`` itself; an inconsistent lineage or status raises StructuralError."""
+    """``inst`` itself; a non-string id, schema_id, question or sql, an unknown
+    stage, or an inconsistent lineage or status raises StructuralError."""
+    for name in ("id", "schema_id", "question", "sql"):
+        if not isinstance(getattr(inst, name), str):
+            raise StructuralError(f"{name} is not a string: {getattr(inst, name)!r}")
+    evolved = stage_rank(inst.stage) > 1
     if inst.stage == STAGE_SEED and inst.parent_id is not None:
         raise StructuralError("seed instances cannot have a parent")
-    if inst.stage.startswith("OGE-") and inst.operator_applied is None:
+    if evolved and inst.operator_applied is None:
         raise StructuralError("evolution instances must record their operator")
-    if not inst.stage.startswith("OGE-") and inst.operator_applied is not None:
+    if not evolved and inst.operator_applied is not None:
         raise StructuralError("operator_applied is only valid for OGE stages")
     if inst.status not in _STATUSES:
         raise StructuralError(f"unknown status {inst.status!r}")
@@ -69,7 +77,7 @@ def _checked(inst):
 
 
 class QueryInstance(_InstanceFields):
-    """One question and its SQL; an inconsistent lineage or status raises StructuralError."""
+    """One question and its SQL; a record ``_checked`` refuses raises StructuralError."""
 
     __slots__ = ()
 

@@ -11,19 +11,16 @@ Each operator is a deterministic, schema-aware tree rewrite:
   NEST   replace a compared literal with a scalar aggregate subquery
   SET    combine the query with a perturbed copy under a set operator
 
-``analyze`` resolves a tree once against its schema; the resolver's report
-holds the column bindings, the relation each bound column names
-(``relation_at``), each select core's FROM relations (``scopes``) and where
-each node sits (clause, select core, nesting depth, aggregate or window,
-compound operand). No operator reads a FROM clause or walks a core for
-columns itself. ``check_applicability``
-and ``plan_mutation`` read only that analysis, so each parent is analysed
-once for all six operators. Each operator is one (sites, planner) pair in
-``_OPERATORS``: its sites are enumerated once per analysis and read by both
-calls. Planning is seeded and grounded: literals come from the live database
-when a connection is available, and join conditions come from the FK graph.
-Each literal lookup is one query under the harness's step budget. Nothing
-caches them: no plan looks the same column up twice.
+``analyze`` resolves a tree once against its schema and enumerates each
+operator's sites, which ``check_applicability`` scores and ``plan_mutation``
+picks from. The resolver's report holds the column bindings, the relation
+each bound column names (``relation_at``), each select core's FROM relations
+(``scopes``) and where each node sits (clause, core, nesting depth, aggregate
+or window, compound operand), so no operator reads a FROM clause or walks a
+core for columns itself. Planning is seeded and grounded: literals come from
+the live database when a connection is available, and join conditions come
+from the FK graph. Each literal lookup is one query under the harness's step
+budget. Nothing caches them: no plan looks the same column up twice.
 
 A plan is one checked replacement: the subtree at ``target_path`` as the
 planner saw it (``original``) and the subtree that takes its place
@@ -180,13 +177,10 @@ _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 class ParentAnalysis(NamedTuple):
-    """One tree and its schema, with the resolver's report on it.
+    """A parent tree, its schema, the resolver's report and every operator's sites.
 
-    ``analyze`` builds it once per parent; every ``check_applicability`` and
-    ``plan_mutation`` call on that parent reads it. ``report`` is None when
-    the tree does not resolve; then no operator has a site. ``sites`` holds
-    each operator's sites once enumerated, in a dict that ``analyze`` makes
-    for each analysis.
+    ``sites`` maps each operator to its (target_path, site_info) pairs, in
+    order; when the tree does not resolve, ``report`` is None and none has any.
     """
 
     ast: t.Node
@@ -196,19 +190,19 @@ class ParentAnalysis(NamedTuple):
 
 
 def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
-    """Resolve a tree once for every operator."""
+    """Resolve a tree once and enumerate every operator's sites on it."""
     try:
-        report = resolve_references(ast, schema)
+        analysis = ParentAnalysis(ast, schema, resolve_references(ast, schema), None)
     except SqlgrowError:
-        return ParentAnalysis(ast, schema, None, {})
-    return ParentAnalysis(ast, schema, report, {})
+        return ParentAnalysis(ast, schema, None, {op: [] for op in _OPERATORS})
+    return analysis._replace(
+        sites={op: sites(analysis) for op, (sites, _) in _OPERATORS.items()})
 
 
 def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:
-    """Rule-based feasibility: enumerate rewrite sites and score them."""
-    sites = [site for site, _ in _sites_of(analysis, op)]
-    score = min(1.0, len(sites) / FULL_SCORE_SITES) if sites else 0.0
-    return FeasibilityReport(op, score, tuple(sites))
+    """Rule-based feasibility: score the rewrite sites ``analyze`` enumerated."""
+    sites = tuple(site for site, _ in analysis.sites[op])
+    return FeasibilityReport(op, min(1.0, len(sites) / FULL_SCORE_SITES), sites)
 
 
 def literal_comparisons(ast: t.Node):
@@ -226,19 +220,6 @@ def literal_comparisons(ast: t.Node):
         left, right = node.children
         if left.kind == t.COLUMN and right.kind == t.LITERAL:
             yield path, node
-
-
-def _sites_of(analysis: ParentAnalysis, op: OperatorId) -> list:
-    """The (target_path, site_info) pairs of ``op``, enumerated once per analysis.
-
-    Pairs come in deterministic order; a tree that does not resolve has none.
-    """
-    sites = analysis.sites.get(op)
-    if sites is None:
-        enumerate_sites = _OPERATORS[op][0]
-        sites = analysis.sites[op] = (
-            [] if analysis.report is None else enumerate_sites(analysis))
-    return sites
 
 
 _FUNC_CONTEXTS = ("select", "where", "having", "group_by", "order_by")
@@ -527,13 +508,12 @@ def plan_mutation(
     db: sqlite3.Connection | None = None,
 ) -> MutationPlan:
     """Pick a rewrite site uniformly (seeded) and build its grounded replacement."""
-    sites = _sites_of(analysis, op)
+    sites = analysis.sites[op]
     if not sites:
         raise InfeasibleOperatorError(f"{op.name} has no eligible site")
     rng = random.Random(seed)
     path, info = sites[rng.randrange(len(sites))]
-    plan = _OPERATORS[op][1]
-    return plan(analysis, path, info, rng, db)
+    return _OPERATORS[op][1](analysis, path, info, rng, db)
 
 
 def _plan_func(analysis, path, names, rng, db):

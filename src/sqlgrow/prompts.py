@@ -182,21 +182,13 @@ def placeholders(template_id: str) -> set[str]:
 
 
 def render_template(template_id: str, bindings: dict[str, str]) -> str:
-    """Substitute bindings; unbound or leftover placeholders are errors."""
-    template = TEMPLATES[template_id]
-    needed = placeholders(template_id)
-    missing = needed - set(bindings)
+    """Substitute bindings in one pass, so each value goes in verbatim.
+
+    An unbound placeholder is an error.
+    """
+    missing = placeholders(template_id) - set(bindings)
     if missing:
         raise ResponseFormatError(
             f"template {template_id!r} is missing bindings: {sorted(missing)}"
         )
-    text = template
-    for key in sorted(needed, key=len, reverse=True):
-        text = text.replace("{" + key + "}", str(bindings[key]))
-    leftover = _PLACEHOLDER.findall(text)
-    stale = [name for name in leftover if name in needed]
-    if stale:
-        raise ResponseFormatError(
-            f"template {template_id!r} left placeholders unsubstituted: {stale}"
-        )
-    return text
+    return _PLACEHOLDER.sub(lambda m: str(bindings[m[1]]), TEMPLATES[template_id])

@@ -406,6 +406,26 @@ def test_read_jsonl_names_the_line_that_holds_no_instance(tmp_path, line, proble
     assert str(exc.value) == f"{path}, {problem}"  # the blank line counts
 
 
+@pytest.mark.parametrize("fields, problem", [
+    ({"stage": 5}, "unknown stage 5"),
+    ({"stage": "EXPANSION"}, "unknown stage 'EXPANSION'"),
+    ({"stage": "OGE-0", "operator_applied": "JOIN"}, "unknown stage 'OGE-0'"),
+    ({"stage": "OGE-01", "operator_applied": "JOIN"}, "unknown stage 'OGE-01'"),
+    ({"id": 7}, "id is not a string: 7"),
+    ({"schema_id": None}, "schema_id is not a string: None"),
+    ({"question": ["q"]}, "question is not a string: ['q']"),
+    ({"sql": {"text": "SELECT 1"}}, "sql is not a string: {'text': 'SELECT 1'}"),
+])
+def test_a_row_with_a_bad_stage_or_a_non_string_text_is_a_stage_failure(
+        tmp_path, capsys, fields, problem):
+    row = {"id": "x", "schema_id": "s", "question": "q", "sql": "SELECT 1",
+           "stage": "OGE-2", "operator_applied": "JOIN"}
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(row) + "\n" + json.dumps({**row, **fields}) + "\n")
+    assert main(["stats", "--dataset", str(dataset)]) == 2
+    _one_line_failure(capsys, f"{dataset}, line 2: {problem}")
+
+
 def test_corrupt_checkpoint_under_resume_is_a_stage_failure(workspace, capsys):
     tmp_path, cfg = workspace
     assert main(["ingest", "--config", str(cfg)]) == 0

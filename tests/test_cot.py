@@ -118,6 +118,14 @@ def test_gold_that_fails_its_full_read_is_discarded(
     assert outcome == CotDiscard("q1", ("gold SQL: execution error",))
 
 
+def test_a_gold_that_returns_no_rows_is_discarded(connections, olympics_schema):
+    gold = "SELECT full_name FROM person WHERE weight < 0"
+    teacher = ScriptedTeacher([CotCandidate("other", "SELECT full_name FROM person")])
+    outcome = synthesize_cot(make_instance(gold), connections["olympics"],
+                             teacher, olympics_schema, n=4)
+    assert outcome == CotDiscard("q1", ("gold SQL no longer returns rows",))
+
+
 def _counting_to(n):
     return (f"WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
             f"WHERE x < {n}) SELECT x FROM c")

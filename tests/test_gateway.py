@@ -60,6 +60,13 @@ def test_template_missing_binding_rejected():
         render_template("expand", {"QUESTION": "q"})
 
 
+def test_a_binding_that_holds_a_placeholder_goes_in_verbatim(olympics_schema):
+    bindings = {**bindings_for("teach", olympics_schema),
+                "EVIDENCE": "EV", "QUESTION": "What is {EVIDENCE}?"}
+    rendered = render_template("teach", bindings)
+    assert "What is {EVIDENCE}?" in rendered and "EV" in rendered
+
+
 def analysis_of(sql, schema):
     return analyze(parse_sql(sql), schema)
 

@@ -91,6 +91,33 @@ def test_unresolvable_parent_has_no_site(olympics_schema):
             plan_mutation(analysis, op, 0)
 
 
+@pytest.mark.parametrize("sql, resolves", [
+    (STAGE_SQL_0, True),
+    ("SELECT id FROM person JOIN games_competitor "
+     "ON person.id = games_competitor.person_id", False),
+])
+def test_one_analysis_enumerates_each_operators_sites_once(
+        monkeypatch, olympics_schema, connections, sql, resolves):
+    called = []
+    for op, (sites, plan) in list(operators._OPERATORS.items()):
+        def counted(analysis, op=op, sites=sites):
+            called.append(op)
+            return sites(analysis)
+
+        monkeypatch.setitem(operators._OPERATORS, op, (counted, plan))
+    analysis = analyze(parse_sql(sql), olympics_schema)
+    expected = list(OperatorId) if resolves else []
+    assert sorted(called, key=lambda op: op.value) == expected
+    assert set(analysis.sites) == set(OperatorId)
+    assert (analysis.report is not None) == resolves
+    for op in OperatorId:
+        if check_applicability(analysis, op).score:
+            plan_mutation(analysis, op, 0, connections["olympics"])
+        else:
+            assert analysis.sites[op] == []
+    assert len(called) == len(expected)
+
+
 
 def test_a_cte_named_like_a_table_is_not_that_table(olympics_schema):
     # the outer core reads the CTE, not the person table: no schema column is

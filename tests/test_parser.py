@@ -347,6 +347,12 @@ _ORACLE_QUERIES = [
                 "GROUP BY genre) AS t WHERE t.n > 1 ORDER BY t.genre"),
     ("shop", "SELECT big.name FROM (SELECT c.name, c.id FROM customer c WHERE c.city = 'Lyon') "
              "big ORDER BY big.id"),
+    ("olympics", "SELECT id FROM person WHERE weight > 60 UNION "
+                 "SELECT person_id FROM games_competitor ORDER BY 1 DESC LIMIT 2"),
+    ("library", "SELECT id, title FROM book EXCEPT SELECT id, title FROM book "
+                "WHERE genre = 'novel' ORDER BY id LIMIT 1 OFFSET 1"),
+    ("shop", "WITH lyon AS (SELECT id, name FROM customer WHERE city = 'Lyon') "
+             "SELECT name FROM lyon UNION ALL SELECT name FROM customer ORDER BY name LIMIT 3"),
 ]
 
 

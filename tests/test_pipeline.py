@@ -202,6 +202,17 @@ def test_ingest_quarantines_malformed_records(repo, tmp_path, record, reason):
     assert reason in quarantined[0]["reason"]
 
 
+def test_a_seed_the_parser_refuses_is_quarantined(repo, tmp_path):
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps([{
+        "question": "Who competed?", "db_id": "olympics",
+        "SQL": "SELECT full_name FROM person NATURAL JOIN games_competitor"}]))
+    seeds, quarantined = ingest_seeds(path, repo)
+    assert seeds == []
+    assert [q["reason"] for q in quarantined] == [
+        "parse failure: NATURAL joins are not supported (at position 29)"]
+
+
 def test_a_seed_with_an_ambiguous_column_is_quarantined(repo, tmp_path):
     path = tmp_path / "seeds.json"
     path.write_text(json.dumps([{

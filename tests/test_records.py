@@ -11,8 +11,7 @@ import sqlgrow
 from sqlgrow.errors import DomainError, InstanceFileError, StructuralError
 from sqlgrow.features import FeatureVector
 from sqlgrow.instances import QueryInstance, read_jsonl
-from sqlgrow.operators import OperatorId, analyze, check_applicability
-from sqlgrow.parser import parse_sql
+from sqlgrow.operators import OperatorId
 from sqlgrow.resolve import BindingReport
 from sqlgrow.scheduler import EvolutionState, fresh_state, record_acceptance
 
@@ -126,11 +125,3 @@ def test_to_dict_converts_the_operator_features_and_trace_and_from_dict_reverses
     assert QueryInstance.from_dict(seed).to_dict() == {
         **seed, "evidence": "", "parent_id": None, "operator_applied": None,
         "features": None, "status": "active"}
-
-
-def test_two_analyses_never_share_a_sites_memo(olympics_schema):
-    ast = parse_sql("SELECT full_name FROM person WHERE height > 180")
-    first, second = analyze(ast, olympics_schema), analyze(ast, olympics_schema)
-    assert first.sites is not second.sites
-    check_applicability(first, OperatorId.OP)
-    assert OperatorId.OP in first.sites and second.sites == {}
