@@ -3,8 +3,10 @@
 Dedup is the last stage of a run. ``embed_questions`` gives one vector per
 question of one schema group, and ``dedup_schema_group`` scans that group
 greedily in lineage order: an instance stays iff its maximum cosine against
-everything already kept is at or below the threshold. Groups are
-independent, so identical questions under two schemas both survive.
+everything already kept is at or below the threshold. A similarity that
+rounding puts above 1.0 reads as 1.0, so a threshold of 1.0 removes no
+duplicate, whatever its length. Groups are independent, so identical
+questions under two schemas both survive.
 
 Without an embedding endpoint a question's vector lists the bucket of each
 of its word trigrams, hashed into ``FALLBACK_DIM`` buckets, and a similarity
@@ -24,6 +26,7 @@ import re
 import sys
 from array import array
 from collections import Counter
+from functools import cache
 from itertools import chain, repeat
 from operator import add, lshift, mul, truediv
 from typing import NamedTuple
@@ -105,24 +108,11 @@ def embed_questions(
         norms[empty] = 1.0
         matrix /= norms
         return matrix
-    buckets = _Memo(_bucket)  # both memos last for this call only
-    word_buckets = _Memo(lambda word: tuple(map(buckets.__getitem__, _split_word(word))))
-    return [tuple(chain.from_iterable(map(word_buckets.__getitem__,
-                                          _WORD.findall(question.lower()))))
+    bucket = cache(_bucket)  # both caches last for this call only
+    word_buckets = cache(lambda word: tuple(map(bucket, _split_word(word))))
+    return [tuple(chain.from_iterable(map(word_buckets, _WORD.findall(question.lower()))))
             or (_EMPTY_AXIS,)
             for question in questions]
-
-
-class _Memo(dict):
-    """A dict that fills in a missing key with ``compute(key)``."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
 
 
 def _norm(counts: Counter) -> float:
@@ -134,7 +124,7 @@ def cosine(a: tuple[int, ...], b: tuple[int, ...]) -> float:
     rounds it for an item ``a`` against a kept item ``b``."""
     counts = Counter(b)
     dot = sum(map(counts.__getitem__, a))
-    return dot / _norm(counts) / _norm(Counter(a))
+    return min(dot / _norm(counts) / _norm(Counter(a)), 1.0)
 
 
 def dedup_schema_group(
@@ -205,7 +195,7 @@ class _SimilarityMatrix:
             return -1, -math.inf
         row = self.sims[i, self.kept]
         k = int(row.argmax())  # the first maximum, or the first NaN
-        return k, float(row[k])
+        return k, min(float(row[k]), 1.0)  # min keeps a NaN
 
 
 class _PackedColumns:
@@ -214,8 +204,7 @@ class _PackedColumns:
     Bit field ``p`` of ``columns[b]`` holds bucket ``b``'s count in the
     ``p``-th kept item. A dot product is at most the product of the two
     vectors' lengths, so fields that hold the square of the longest length
-    never carry into each other. ``nearest`` remembers its answer for each
-    item and later looks only at the items kept since.
+    never carry into each other.
     """
 
     def __init__(self, vectors: list[tuple[int, ...]]):
@@ -229,7 +218,6 @@ class _PackedColumns:
         self.columns: dict[int, int] = {}
         self.kept: list[int] = []
         self.kept_norms: list[float] = []
-        self.seen: dict[int, tuple[int, int, float]] = {}  # i -> kept count, k, best
 
     def keep(self, i: int) -> None:
         counts, shift = self.counts[i], len(self.kept) * self.width
@@ -238,29 +226,19 @@ class _PackedColumns:
         self.kept.append(i)
         self.kept_norms.append(self.norms[i])
 
-    def dots(self, vector: tuple[int, ...], start: int = 0) -> array:
-        """The exact dot products of ``vector`` with each kept item from
-        position ``start`` on, in keep order."""
+    def dots(self, vector: tuple[int, ...]) -> array:
+        """The exact dot products of ``vector`` with each kept item, in keep order."""
         total = sum(map(self.columns.get, vector, repeat(0)))
         fields = array(self.typecode)
-        fields.frombytes(total.to_bytes(len(self.kept) * fields.itemsize, "little")[
-            start * fields.itemsize:])
+        fields.frombytes(total.to_bytes(len(self.kept) * fields.itemsize, "little"))
         if sys.byteorder == "big":
             fields.byteswap()
         return fields
 
     def nearest(self, i: int) -> tuple[int, float]:
-        # dot / |kept| orders the kept items as the similarity does. Only the
-        # items kept since the last call for i are new; an earlier one wins a tie.
-        start, k, best = self.seen.get(i, (0, -1, -math.inf))
-        if start < len(self.kept):
-            dots = self.dots(self.vectors[i], start)
-            norms = self.kept_norms[start:] if start else self.kept_norms
-            # no new item beats best if the largest dot over the smallest norm does not
-            if not start or max(dots) / min(norms) > best:
-                scaled = list(map(truediv, dots, norms))
-                top = max(scaled)
-                if top > best:
-                    k, best = start + scaled.index(top), top
-        self.seen[i] = len(self.kept), k, best
-        return k, best / self.norms[i]
+        if not self.kept:
+            return -1, -math.inf
+        # dot / |kept| orders the kept items as the similarity does
+        scaled = list(map(truediv, self.dots(self.vectors[i]), self.kept_norms))
+        best = max(scaled)
+        return scaled.index(best), min(best / self.norms[i], 1.0)

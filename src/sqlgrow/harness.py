@@ -244,10 +244,12 @@ def collect_result(conn: sqlite3.Connection, sql: str) -> ResultMultiset | None:
 
 
 def _is_ordered(sql: str) -> bool:
+    """Whether ``sql`` orders its result. SQL the parser refuses, which only
+    model SQL can be, reads as ordered, so it must match row for row."""
     try:
         ast = parse_sql(sql)
     except SqlgrowError:
-        return False
+        return True
     if ast.kind == t.SETOP:
         return any(c.value[0] == "order_by" for c in ast.children[2:])
     found = t.get_clause(ast, "order_by")

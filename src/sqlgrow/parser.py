@@ -406,10 +406,11 @@ class _Parser:
         return node
 
     def parse_unary(self) -> t.Node:
+        # unary + is kept: in SQLite it strips affinity and index use
         if self.accept_op("-"):
             return t.operator("neg", [self.parse_unary()])
         if self.accept_op("+"):
-            return self.parse_unary()
+            return t.operator("pos", [self.parse_unary()])
         return self.parse_primary()
 
     def parse_subquery_parens(self) -> t.Node:

@@ -1,8 +1,8 @@
 """Prompt templates for the model roles.
 
-Placeholders use the {UPPER_SNAKE} convention; rendering replaces each
-binding literally and then checks that no placeholder survives, so JSON
-braces inside the templates are safe.
+Placeholders use the {UPPER_SNAKE} convention; rendering fills every
+placeholder in one pass, inserting each binding verbatim, so JSON braces
+inside the templates and placeholders inside a binding are safe.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ _PREC = {
     "+": 6, "-": 6,
     "*": 7, "/": 7, "%": 7,
     "||": 8,
-    "neg": 9,
+    "neg": 9, "pos": 9,
 }
 _ATOM_PREC = 10
 
@@ -260,6 +260,8 @@ def _render_operator(node: t.Node) -> str:
     if sym == "neg":
         operand = _expr(kids[0], _PREC["neg"])
         return ("- " if operand.startswith("-") else "-") + operand  # not a -- comment
+    if sym == "pos":
+        return "+" + _expr(kids[0], _PREC["pos"])
     if sym == "cast":
         return f"CAST({_expr(kids[0], 0)} AS {kids[1].value[0].upper()})"
     if sym == "case":

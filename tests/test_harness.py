@@ -183,11 +183,13 @@ def test_ordered_comparison_is_sequence():
                                   rs([(2,), (1,)], ordered=True))
 
 
-def test_sql_the_parser_refuses_reads_as_unordered():
+def test_sql_the_parser_refuses_reads_as_ordered():
     natural = "SELECT id FROM person NATURAL JOIN games_competitor"
-    assert results_equivalent(ResultMultiset(((1,), (2,)), natural), rs([(2,), (1,)]))
+    assert not results_equivalent(ResultMultiset(((1,), (2,)), natural), rs([(2,), (1,)]))
     assert not results_equivalent(ResultMultiset(((1,), (2,)), natural),
                                   rs([(2,), (1,)], ordered=True))
+    using = "SELECT id FROM person JOIN games_competitor USING (id) ORDER BY id"
+    assert not results_equivalent(ResultMultiset(((1,), (2,)), using), rs([(2,), (1,)]))
 
 
 def test_duplicate_multiplicity_matters():

@@ -1,14 +1,16 @@
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import GOLDEN_CORPUS, STAGE_SQL_0, STAGE_SQL_3
+from fixtures import GOLDEN_CORPUS, SEED_QUESTIONS, STAGE_SQL_0, STAGE_SQL_3
 from sqlgrow import tree as t
 from sqlgrow.errors import (
     InfeasibleOperatorError,
+    SqlgrowError,
     SqlSyntaxError,
     StructuralError,
     UnsupportedSqlError,
@@ -18,6 +20,7 @@ from sqlgrow.lexer import KEYWORDS, tokenize
 from sqlgrow.operators import OperatorId, analyze, apply_mutation, plan_mutation
 from sqlgrow.parser import parse_sql
 from sqlgrow.render import render_sql
+from sqlgrow.sqlite import sqlite3
 
 
 def test_stage0_shape():
@@ -302,7 +305,8 @@ _EXPRESSIONS = st.recursive(
     lambda inner: (
         st.tuples(st.sampled_from(_BINARY), inner, inner).map(
             lambda parts: t.operator(parts[0], [parts[1], parts[2]]))
-        | inner.map(lambda operand: t.operator("neg", [operand]))
+        | st.tuples(st.sampled_from(("neg", "pos")), inner).map(
+            lambda parts: t.operator(parts[0], [parts[1]]))
     ),
     max_leaves=12,
 )
@@ -343,6 +347,9 @@ _ORACLE_QUERIES = [
     ("library", "SELECT id, ROW_NUMBER() OVER (PARTITION BY member_id, book_id "
                 "ORDER BY loan_date DESC) FROM loan ORDER BY id"),
     ("olympics", "SELECT +weight, -(+weight), + + id FROM person WHERE +weight > 60 ORDER BY id"),
+    # unary + strips affinity: without it the text ids would equal the integer ones
+    ("olympics", "SELECT COUNT(*) FROM (SELECT CAST(id AS TEXT) AS s FROM person) d "
+                 "JOIN person p ON +d.s = +p.id"),
     ("library", "SELECT t.genre, t.n FROM (SELECT genre, COUNT(*) AS n FROM book "
                 "GROUP BY genre) AS t WHERE t.n > 1 ORDER BY t.genre"),
     ("shop", "SELECT big.name FROM (SELECT c.name, c.id FROM customer c WHERE c.city = 'Lyon') "
@@ -376,3 +383,41 @@ def test_round_trip_returns_sqlite_rows(connections, schema_id, sql):
 def test_unsupported_construct_is_named(sql, construct):
     with pytest.raises(UnsupportedSqlError, match=f"^{construct} are not supported"):
         parse_sql(sql)
+
+
+def test_random_token_edits_run_as_sqlite_runs_them_or_are_refused(connections):
+    # Replace, insert or delete 1-3 tokens of the seeds' and the queries
+    # above, drawing from their own tokens. An edit SQLite runs must either
+    # be refused with a package error or render to a parse -> render
+    # fixpoint that returns SQLite's rows for the edit as written.
+    queries = [(schema_id, sql) for schema_id, pairs in SEED_QUESTIONS.items()
+               for _, sql in pairs] + _ORACLE_QUERIES
+    corpus = [(schema_id, [tok.text for tok in tokenize(sql)]) for schema_id, sql in queries]
+    pool = list(dict.fromkeys(text for _, tokens in corpus for text in tokens))
+    rng = random.Random(20261020)
+    accepted = refused = 0
+    for _ in range(10_000):
+        schema_id, tokens = rng.choice(corpus)
+        tokens = list(tokens)
+        for _ in range(rng.randint(1, 3)):
+            edit = rng.choice("rid")
+            if edit == "i":
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(pool))
+            elif edit == "r":
+                tokens[rng.randrange(len(tokens))] = rng.choice(pool)
+            else:
+                del tokens[rng.randrange(len(tokens))]
+        sql, conn = " ".join(tokens), connections[schema_id]
+        try:
+            expected = conn.execute(sql).fetchall()
+        except sqlite3.Error:
+            continue
+        try:
+            rendered = render_sql(parse_sql(sql))
+        except SqlgrowError:
+            refused += 1
+            continue
+        assert render_sql(parse_sql(rendered)) == rendered, sql
+        assert Counter(conn.execute(rendered).fetchall()) == Counter(expected), sql
+        accepted += 1
+    assert accepted >= 250 and refused >= 20, (accepted, refused)
