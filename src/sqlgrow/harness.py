@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .errors import SqlgrowError
 from .parser import parse_sql
 from .resolve import resolve_references
-from .sqlite import sqlite3
+from .sqlite import readonly_uri, sqlite3
 from . import tree as t
 
 MAX_VM_STEPS = 200_000_000
@@ -124,7 +124,7 @@ def open_readonly(db_file) -> sqlite3.Connection:
         raise IOError(f"database file not found: {path}")
     # No statement cache: a cached statement carries its VM step count over
     # from earlier runs, which would shift where the progress handler fires.
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
+    conn = sqlite3.connect(readonly_uri(path), uri=True, cached_statements=0)
     conn.set_authorizer(_authorize)
     return conn
 

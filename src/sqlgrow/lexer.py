@@ -10,9 +10,10 @@ alternatives are tried in order. A match that reaches the end of the text
 instead of a token ends it. A string keeps its quotes and ``''`` escapes;
 an identifier in double quotes, backticks or square brackets keeps its
 inner text verbatim. An opener that never closes, or a character no
-alternative takes, is a syntax error at its position. As in SQLite, a word
-starts with any word character except a decimal digit, so non-ASCII number
-characters such as ``²`` and ``½`` are identifier characters.
+alternative takes, is a syntax error at its position; SQLite's blob
+literal ``X'…'`` and bitwise ``~ << >> & |`` are refused by name. As in
+SQLite, a word starts with any word character but a decimal digit, so
+``²`` and ``½`` are identifier characters.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import SqlSyntaxError
+from .errors import SqlSyntaxError, UnsupportedSqlError
 
 KEYWORDS = frozenset(
     """
     select from where group by having order limit offset as on join inner
     left outer cross right full natural using and or not in like between
     is null distinct all union intersect except exists case when then else
-    end with over partition asc desc cast true false
+    end with over partition asc desc cast true false isnull notnull
     """.split()
 )
 
@@ -44,12 +45,14 @@ _TOKEN = re.compile(r"""
       | (?P<string> '[^']*(?:''[^']*)*'(?!') )
       | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
       | (?P<unclosed> /\* | ['"`\[] )
-      | (?P<op> != | <> | <= | >= | \|\| | == | [=<>+\-*/%] )
+      | (?P<op> != | <> | <= | >= | << | >> | \|\| | == | [=<>+\-*/%~&|] )
       | (?P<bad> (?s:.) )
       | (?P<end> \Z ) )
 """, re.VERBOSE)
 
 _OP_ALIASES = {"==": "=", "<>": "!="}
+_UPPER = {word: word.upper() for word in KEYWORDS}
+_BITWISE = frozenset(("~", "&", "|", "<<", ">>"))
 _UNCLOSED = {"/*": "unterminated comment", "'": "unterminated string literal"}
 
 
@@ -63,19 +66,27 @@ def tokenize(sql: str) -> list[Token]:
     """Split SQL text into tokens, skipping whitespace and comments."""
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # skips Token.__new__'s argument handling; Token checks nothing
     for match in _TOKEN.finditer(sql):
         kind = match.lastgroup
-        text, pos = match.group(kind), match.start(kind)
+        text = match[kind]
+        pos = match.end() - len(text)  # every token ends its match
         if kind == "word":
             low = text.lower()
             if low in KEYWORDS:
-                append(Token("kw", low.upper(), pos))
+                append(new(Token, ("kw", _UPPER[low], pos)))
+            # a blob X'…'; an unclosed X' is left to the unclosed ' after it
+            elif low == "x" and sql.startswith("'", pos + 1) and "'" in sql[pos + 2:]:
+                blob = sql[pos:sql.index("'", pos + 2) + 1]
+                raise UnsupportedSqlError(f"blob literal {blob!r} is not supported", pos)
             else:
-                append(Token("ident", low, pos))
+                append(new(Token, ("ident", low, pos)))
         elif kind == "quoted":
-            append(Token("ident", text[1:-1], pos))
+            append(new(Token, ("ident", text[1:-1], pos)))
         elif kind == "op":
-            append(Token("op", _OP_ALIASES.get(text, text), pos))
+            if text in _BITWISE:
+                raise UnsupportedSqlError(f"bitwise operator {text!r} is not supported", pos)
+            append(new(Token, ("op", _OP_ALIASES.get(text, text), pos)))
         elif kind == "end":
             break
         elif kind == "unclosed":
@@ -84,5 +95,5 @@ def tokenize(sql: str) -> list[Token]:
         elif kind == "bad":
             raise SqlSyntaxError(f"unexpected character {text!r}", pos)
         else:
-            append(Token(kind, text, pos))  # number, punct, string
+            append(new(Token, (kind, text, pos)))  # number, punct, string
     return tokens

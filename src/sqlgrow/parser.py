@@ -56,8 +56,9 @@ class _Parser:
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.types = [tok.type for tok in tokens] + ["", ""]
-        self.texts = [tok.text for tok in tokens] + ["", ""]
+        types, texts, _ = zip(*tokens)
+        self.types = [*types, "", ""]
+        self.texts = [*texts, "", ""]
         self.end = len(tokens)
         self.i = 0
 
@@ -87,9 +88,6 @@ class _Parser:
             raise SqlSyntaxError(f"expected {word}, got {self._got()}", self.position())
         self.i += 1
 
-    def at_punct(self, ch: str) -> bool:
-        return self.types[self.i] == "punct" and self.texts[self.i] == ch
-
     def accept_punct(self, ch: str) -> bool:
         if self.types[self.i] == "punct" and self.texts[self.i] == ch:
             self.i += 1
@@ -100,16 +98,6 @@ class _Parser:
         if self.types[self.i] != "punct" or self.texts[self.i] != ch:
             raise SqlSyntaxError(f"expected {ch!r}, got {self._got()}", self.position())
         self.i += 1
-
-    def at_op(self, *symbols: str) -> bool:
-        return self.types[self.i] == "op" and self.texts[self.i] in symbols
-
-    def accept_op(self, *symbols: str) -> str | None:
-        text = self.texts[self.i]
-        if self.types[self.i] == "op" and text in symbols:
-            self.i += 1
-            return text
-        return None
 
     def expect_ident(self, what: str = "identifier") -> str:
         if self.types[self.i] != "ident":
@@ -276,19 +264,21 @@ class _Parser:
         if self.accept_punct("("):
             body = self.parse_query()
             self.expect_punct(")")
-            alias = self.parse_optional_alias()
-            return t.subquery(body, alias)
+            return t.subquery(body, self.parse_optional_alias() or "")
         name = self.expect_ident("table name")
-        alias = self.parse_optional_alias()
-        return t.table(name, alias)
+        return t.table(name, self.parse_optional_alias() or "")
 
-    def parse_optional_alias(self) -> str:
-        if self.accept_kw("AS"):
+    def parse_optional_alias(self) -> str | None:
+        """The alias that follows, with or without AS, or None; SQLite also
+        takes a string literal as an alias, which is refused by name."""
+        written_as = self.accept_kw("AS")
+        if self.types[self.i] == "string":
+            raise UnsupportedSqlError(
+                f"string-literal alias {self.texts[self.i]!r} is not supported",
+                self.position())
+        if written_as or self.types[self.i] == "ident":
             return self.expect_ident("alias")
-        if self.types[self.i] == "ident":
-            self.i += 1
-            return self.texts[self.i - 1]
-        return ""
+        return None
 
     # -- select items --------------------------------------------------------
 
@@ -302,12 +292,8 @@ class _Parser:
             self.i += 3
             return t.star(texts[i])
         expr = self.parse_expr()
-        if self.accept_kw("AS"):
-            return t.aliased(expr, self.expect_ident("alias"))
-        if types[self.i] == "ident":
-            self.i += 1
-            return t.aliased(expr, texts[self.i - 1])
-        return expr
+        alias = self.parse_optional_alias()
+        return expr if alias is None else t.aliased(expr, alias)
 
     # -- expressions ---------------------------------------------------------
 
@@ -316,7 +302,7 @@ class _Parser:
 
     def parse_or(self) -> t.Node:
         node = self.parse_and()
-        if not self.at_kw("OR"):
+        if self.types[self.i] != "kw" or self.texts[self.i] != "OR":
             return node
         children = [node]
         while self.accept_kw("OR"):
@@ -325,7 +311,7 @@ class _Parser:
 
     def parse_and(self) -> t.Node:
         node = self.parse_not()
-        if not self.at_kw("AND"):
+        if self.types[self.i] != "kw" or self.texts[self.i] != "AND":
             return node
         children = [node]
         while self.accept_kw("AND"):
@@ -333,7 +319,7 @@ class _Parser:
         return t.logical("and", _flatten("and", children))
 
     def parse_not(self) -> t.Node:
-        if self.at_kw("NOT"):
+        if self.types[self.i] == "kw" and self.texts[self.i] == "NOT":
             if self.types[self.i + 1] == "kw" and self.texts[self.i + 1] == "EXISTS":
                 self.i += 2
                 return t.operator("not_exists", [self.parse_subquery_parens()])
@@ -343,28 +329,38 @@ class _Parser:
 
     def parse_predicate(self) -> t.Node:
         node = self.parse_binary()
+        types, texts = self.types, self.texts
         while True:
-            sym = self.accept_op("=", "!=")
-            if sym:
-                node = t.operator(sym, [node, self.parse_binary()])
+            kind, word = types[self.i], texts[self.i]
+            if kind == "op" and word in ("=", "!="):
+                self.i += 1
+                node = t.operator(word, [node, self.parse_binary()])
                 continue
-            if self.at_kw("IS"):
+            if kind != "kw":
+                return node
+            if word == "IS":
                 self.i += 1
                 negated = self.accept_kw("NOT")
+                if not self.at_kw("NULL") and not self.at_end():
+                    raise UnsupportedSqlError(
+                        f"IS{' NOT' if negated else ''} comparison with {self._got()} "
+                        "is not supported", self.position())
                 self.expect_kw("NULL")
                 node = t.operator("is_not_null" if negated else "is_null", [node])
                 continue
-            negated = False
-            if self.at_kw("NOT") and self.types[self.i + 1] == "kw" \
-                    and self.texts[self.i + 1] in ("LIKE", "BETWEEN", "IN"):
-                negated = True
+            negated = word == "NOT" and types[self.i + 1] == "kw" \
+                and texts[self.i + 1] in ("LIKE", "BETWEEN", "IN")
+            if negated:
                 self.i += 1
-            if self.accept_kw("LIKE"):
+                word = texts[self.i]
+            if word == "LIKE":
+                self.i += 1
                 node = t.operator(
                     "not_like" if negated else "like", [node, self.parse_binary()]
                 )
                 continue
-            if self.accept_kw("BETWEEN"):
+            if word == "BETWEEN":
+                self.i += 1
                 low = self.parse_binary()
                 self.expect_kw("AND")
                 high = self.parse_binary()
@@ -372,11 +368,14 @@ class _Parser:
                     "not_between" if negated else "between", [node, low, high]
                 )
                 continue
-            if self.accept_kw("IN"):
+            if word == "IN":
+                self.i += 1
                 node = self.parse_in_rhs(node, negated)
                 continue
-            if negated:
-                raise SqlSyntaxError("dangling NOT", self.position())
+            if word == "NOT" and types[self.i + 1] == "kw" and texts[self.i + 1] == "NULL":
+                word = "NOT NULL"
+            if word in ("ISNULL", "NOTNULL", "NOT NULL"):  # SQLite's, not the subset's
+                raise UnsupportedSqlError(f"postfix {word} is not supported", self.position())
             return node
 
     def parse_in_rhs(self, lhs: t.Node, negated: bool) -> t.Node:
@@ -407,10 +406,10 @@ class _Parser:
 
     def parse_unary(self) -> t.Node:
         # unary + is kept: in SQLite it strips affinity and index use
-        if self.accept_op("-"):
-            return t.operator("neg", [self.parse_unary()])
-        if self.accept_op("+"):
-            return t.operator("pos", [self.parse_unary()])
+        if self.types[self.i] == "op" and self.texts[self.i] in ("-", "+"):
+            self.i += 1
+            sign = "neg" if self.texts[self.i - 1] == "-" else "pos"
+            return t.operator(sign, [self.parse_unary()])
         return self.parse_primary()
 
     def parse_subquery_parens(self) -> t.Node:
@@ -467,10 +466,10 @@ class _Parser:
         self.expect_punct("(")
         distinct = False
         args: list[t.Node] = []
-        if self.at_op("*"):
+        if self.types[self.i] == "op" and self.texts[self.i] == "*":
             self.i += 1
             args.append(t.star())
-        elif not self.at_punct(")"):
+        elif self.types[self.i] != "punct" or self.texts[self.i] != ")":
             if self.accept_kw("DISTINCT"):
                 distinct = True
             args.append(self.parse_expr())

@@ -207,11 +207,11 @@ def build_embedder(cfg: RunConfig) -> HttpEmbeddingBackend | None:
 _SQL_KEYS = ("SQL", "sql", "query", "gold_sql")
 
 
-def ingest_seeds(path, repo: SchemaRepo, trees: dict | None = None):
+def ingest_seeds(path, repo: SchemaRepo):
     """Parse, resolve, and execute every seed; failures are quarantined.
 
-    When ``trees`` is given, each kept seed's parsed tree is stored in it
-    under the seed's id, for the expansion stage.
+    A kept seed's tree lives only until its features are measured; the
+    expansion stage parses the seed's SQL again.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -237,10 +237,10 @@ def ingest_seeds(path, repo: SchemaRepo, trees: dict | None = None):
             reason = "missing question or SQL"
         elif not repo.has(schema_id):
             reason = "schema not found"
-        else:
-            schema = repo.schema(schema_id)
-            conn = repo.connection(schema_id)
-            reason, ast = _seed_problem(sql, schema, conn)
+        else:  # kept only when it grounds and returns rows
+            reason, ast = _grounding_problem(sql, repo.schema(schema_id))
+            if not reason:
+                reason = execution_problem(execute_sql(repo.connection(schema_id), sql))
         if reason:
             quarantined.append({"index": i, "question": question,
                                 "schema_id": schema_id, "reason": reason})
@@ -254,51 +254,40 @@ def ingest_seeds(path, repo: SchemaRepo, trees: dict | None = None):
             stage=STAGE_SEED,
             features=extract_features(ast),
         ))
-        if trees is not None:
-            trees[seeds[-1].id] = ast
     return seeds, quarantined
-
-
-def _seed_problem(sql, schema, conn):
-    """Why a seed is quarantined ("" when it grounds and returns rows), and its tree."""
-    reason, ast = _grounding_problem(sql, schema)
-    if not reason:
-        reason = execution_problem(execute_sql(conn, sql))
-    return reason, ast
 
 
 # ---------------------------------------------------------------------------
 # Stages that grow candidates: exploratory expansion and evolution rounds
 # ---------------------------------------------------------------------------
 
-def _parent(inst, stage, repo, trees: dict | None, rejections):
+def _parent(inst, stage, repo, rejections):
     """A parent's (schema, connection, analysis), or None once it is rejected.
 
-    The tree analysed is the one handed on in ``trees`` (taken out), else a
-    parse of the parent's SQL; SQL that does not parse is one rejection.
+    The tree analysed is a parse of the parent's SQL, the same in a fresh,
+    resumed or staged run; it lives only while the parent is evolved. SQL
+    that does not parse is one rejection and no model call.
     """
     schema = repo.schema(inst.schema_id)
     conn = repo.connection(inst.schema_id)
-    tree = trees.pop(inst.id, None) if trees else None
-    if tree is None:
-        try:
-            tree = parse_sql(inst.sql)
-        except SqlgrowError as exc:
-            rejections.append({"stage": stage, "parent": inst.id,
-                               "reason": f"unparseable input: {exc}"})
-            return None
+    try:
+        tree = parse_sql(inst.sql)
+    except SqlgrowError as exc:
+        rejections.append({"stage": stage, "parent": inst.id,
+                           "reason": f"unparseable input: {exc}"})
+        return None
     return schema, conn, analyze(tree, schema)
 
 
 def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
-          rejections, child_trees):
+          rejections):
     """The grounded child that ``generate()`` proposes, or None once rejected.
 
     A failed refinement, a transport failure (the gateway has already spent
     its retries on it) or any other package error becomes one rejection
     record; it carries ``operator`` only when ``op`` is given (evolution
-    rounds). An accepted child's grounded tree goes into ``child_trees``
-    when that is given.
+    rounds). The grounded tree is kept only until the child's features
+    are measured.
     """
     try:
         result = generate()
@@ -318,8 +307,6 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
             record["operator"] = op.name
         rejections.append(record)
         return None
-    if child_trees is not None:
-        child_trees[child_id] = outcome.tree
     return QueryInstance(
         id=child_id,
         schema_id=parent.schema_id,
@@ -334,17 +321,16 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
 
 
 def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
-            rejections: list | None = None, trees: dict | None = None,
-            child_trees: dict | None = None):
+            rejections: list | None = None):
     """Exploratory expansion of each seed; returns the accepted expansions.
 
-    ``trees``, ``child_trees`` and a seed whose SQL does not parse work as
-    in ``run_oge``.
+    Each seed is parsed from its SQL when it is expanded; a seed whose SQL
+    does not parse is one rejection and no model call.
     """
     accepted: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     for seed_inst in seeds:
-        parent = _parent(seed_inst, STAGE_EQE, repo, trees, rejections)
+        parent = _parent(seed_inst, STAGE_EQE, repo, rejections)
         if parent is None:
             continue
         schema, conn, analysis = parent
@@ -355,7 +341,7 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 lambda: gateway.generate_expansion(
                     seed_inst.question, seed_inst.evidence, seed_inst.sql,
                     schema, db=conn, seed=call_seed, analysis=analysis),
-                cfg, schema, conn, gateway, rejections, child_trees,
+                cfg, schema, conn, gateway, rejections,
             )
             if child is not None:
                 accepted.append(child)
@@ -364,24 +350,21 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
 
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             state: scheduler.EvolutionState, round_no: int,
-            rejections: list | None = None, trees: dict | None = None,
-            child_trees: dict | None = None):
+            rejections: list | None = None):
     """One evolution round from ``state``; returns the newly evolved instances.
 
-    Each parent is resolved and annotated once: the six applicability checks
-    and the mock evolution's plan share one ``operators.analyze`` result.
-    ``trees`` maps parent ids to the trees grounding parsed them to; each is
-    taken out when its parent is evolved, and a parent without one is
-    parsed. A parent whose SQL does not parse is one rejection and no model
-    call. Accepted children's trees go into ``child_trees`` when given.
-    Each accepted child is counted in ``state`` for the rest of the round.
+    Each parent is parsed from its SQL, then resolved and annotated once:
+    the six applicability checks and the mock evolution's plan share one
+    ``operators.analyze`` result. A parent whose SQL does not parse is one
+    rejection and no model call. Each accepted child is counted in
+    ``state`` for the rest of the round.
     """
     evolved: list[QueryInstance] = []
     rejections = rejections if rejections is not None else []
     stage = oge_stage(round_no)
 
     for inst in current:
-        parent = _parent(inst, stage, repo, trees, rejections)
+        parent = _parent(inst, stage, repo, rejections)
         if parent is None:
             continue
         schema, conn, analysis = parent
@@ -410,7 +393,7 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
                 lambda: gateway.generate_evolution(
                     inst.question, inst.evidence, inst.sql, schema, op,
                     db=conn, seed=call_seed, analysis=analysis),
-                cfg, schema, conn, gateway, rejections, child_trees,
+                cfg, schema, conn, gateway, rejections,
             )
             if child is not None:
                 evolved.append(child)
@@ -432,10 +415,9 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
     ``stop_after`` ("ingest", "eqe" or "oge", all rounds) the run ends once
     that stage is checkpointed and returns None; a resume finishes it.
 
-    A stage grown here hands the trees grounding parsed its instances to the
-    stage that evolves them, and no further: the last round keeps none, so
-    no tree is held by the time CoT runs. A stage read from its checkpoint
-    hands on none, so the next stage parses its parents.
+    Stages hand on instances, not trees: each stage parses its parents'
+    SQL when it evolves them, so a fresh, resumed or staged run builds a
+    parent's tree the same way and no round's trees are held.
     """
     if stop_after not in (None, "ingest", "eqe", "oge"):
         raise ValueError(f"unknown stage to stop after: {stop_after}")
@@ -449,14 +431,12 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
     try:
         done = _start_done(ckpt_dir, cfg, resume, _inputs_sha256(cfg.seeds, repo))
 
-        # ingest; ``trees`` holds the next stage's parents' trees, if any
-        trees = None
+        # ingest
         if "ingest" in done:
             seeds = read_jsonl(ckpt_dir / "seeds.jsonl")
             quarantined = _read_json(ckpt_dir / "quarantine.json", kind=list)
         else:
-            trees = {}
-            seeds, quarantined = ingest_seeds(cfg.seeds, repo, trees)
+            seeds, quarantined = ingest_seeds(cfg.seeds, repo)
             write_jsonl(seeds, ckpt_dir / "seeds.jsonl")
             write_file(ckpt_dir / "quarantine.json",
                        [json.dumps(quarantined, sort_keys=True, indent=2)])
@@ -465,9 +445,8 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
             return None
 
         # exploratory expansion
-        child_trees = {} if cfg.rounds else None
         eqe = _checkpointed(ckpt_dir, done, "eqe", lambda: run_eqe(
-            seeds, cfg, repo, gateway, rejections, trees, child_trees))
+            seeds, cfg, repo, gateway, rejections))
         if stop_after == "eqe":
             return None
 
@@ -476,11 +455,10 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
                     if cfg.p_target else None)
         current, evolved = eqe, []
         for round_no in range(1, cfg.rounds + 1):
-            trees, child_trees = child_trees, ({} if round_no < cfg.rounds else None)
             current = _checkpointed(ckpt_dir, done, f"oge-{round_no}", lambda: run_oge(
                 current, cfg, repo, gateway,
                 _recount(scheduler.fresh_state(cfg.epsilon, p_target), evolved),
-                round_no, rejections, trees, child_trees))
+                round_no, rejections))
             evolved.extend(current)
         if stop_after == "oge":
             return None

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SchemaValidationError
-from .sqlite import sqlite3
+from .sqlite import readonly_uri, sqlite3
 
 AFFINITIES = ("integer", "real", "text", "blob", "numeric")
 
@@ -101,7 +101,7 @@ def load_schema(db_file) -> DatabaseSchema:
     if not path.is_file():
         raise IOError(f"database file not found: {path}")
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = sqlite3.connect(readonly_uri(path), uri=True)
     except sqlite3.Error as exc:
         raise IOError(f"cannot open database {path}: {exc}")
     try:

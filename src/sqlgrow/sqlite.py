@@ -9,7 +9,15 @@ either way. ``sqlite3`` is the fallback for a build that names its C module
 differently.
 """
 
+from pathlib import Path
+
 try:
     import _sqlite3 as sqlite3
 except ImportError:
     import sqlite3
+
+
+def readonly_uri(path) -> str:
+    """A read-only URI of the database file at ``path``; ``as_uri`` escapes a
+    ``?``, ``#`` or ``%`` in the path, which would end it or start an escape."""
+    return Path(path).resolve().as_uri() + "?mode=ro"

@@ -32,6 +32,7 @@ SORT = "sort"
 
 # Canonical clause order inside a select core.
 CLAUSE_ORDER = ("with", "select", "from", "where", "group_by", "having", "order_by", "limit")
+_CLAUSE_RANK = {kind: i for i, kind in enumerate(CLAUSE_ORDER)}
 
 AGGREGATE_FUNCTIONS = frozenset(
     {"count", "sum", "avg", "min", "max", "total", "group_concat"}
@@ -63,8 +64,7 @@ def clause(kind: str, children, *flags: str) -> Node:
 
 def select_core(clauses) -> Node:
     """Build a select node with clauses sorted into canonical order."""
-    order = {k: i for i, k in enumerate(CLAUSE_ORDER)}
-    kids = sorted(clauses, key=lambda c: order[c.value[0]])
+    kids = sorted(clauses, key=lambda c: _CLAUSE_RANK[c.value[0]])
     seen = set()
     for c in kids:
         if c.kind != CLAUSE:

@@ -20,6 +20,7 @@ import pytest
 
 import fixtures
 from sqlgrow import cot, harness, operators, pipeline, scheduler
+from sqlgrow.cli import main
 from sqlgrow.gateway import CotCandidate, LlmGateway
 from sqlgrow.instances import QueryInstance
 
@@ -231,23 +232,34 @@ def _record_parses(monkeypatch):
     return parsed
 
 
-def test_fresh_run_parses_no_parent_again(monkeypatch, tmp_path, db_dir):
-    # each stage evolves the trees grounding parsed in the stage before
-    parsed = _record_parses(monkeypatch)
-    manifest = pipeline.run_full(pipeline.RunConfig(
-        seeds=str(_olympics_seed_file(tmp_path)), db_dir=str(db_dir),
-        out_dir=str(tmp_path / "out"), rounds=2))
-    assert manifest["counts"]["evolved"] > manifest["counts"]["eqe"] > 0
-    assert parsed == []
+def _fresh(cfg, config_file):
+    pipeline.run_full(cfg)
 
 
-def test_resumed_round_parses_each_parent_once(monkeypatch, tmp_path, db_dir):
+def _resumed_after_eqe(cfg, config_file):
+    pipeline.run_full(cfg, stop_after="eqe")
+    pipeline.run_full(cfg, resume=True)
+
+
+def _staged(cfg, config_file):
+    for argv in (["ingest"], ["eqe"], ["oge"], ["run", "--resume"]):
+        assert main([*argv, "--config", str(config_file)]) == 0
+
+
+@pytest.mark.parametrize("run", [_fresh, _resumed_after_eqe, _staged],
+                         ids=["fresh", "resumed-after-eqe", "staged"])
+def test_each_parent_is_parsed_once_in_stage_order(run, monkeypatch, tmp_path, db_dir):
+    # every stage parses its parents' SQL, each once and in stage order, and
+    # no stage evolves the last round's children
     cfg = pipeline.RunConfig(
         seeds=str(_olympics_seed_file(tmp_path)), db_dir=str(db_dir),
         out_dir=str(tmp_path / "out"), rounds=2)
-    pipeline.run_full(cfg, stop_after="eqe")
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(cfg._asdict()))
     parsed = _record_parses(monkeypatch)
-    pipeline.run_full(cfg, resume=True)
-    eqe = pipeline.read_jsonl(tmp_path / "out" / "checkpoints" / "eqe.jsonl")
-    # round 1 parses the checkpointed parents; round 2 gets round 1's trees
-    assert eqe and parsed == [inst.sql for inst in eqe]
+    run(cfg, config_file)
+    ckpt = tmp_path / "out" / "checkpoints"
+    parents = [inst.sql for stage in ("seeds", "eqe", "oge-1")
+               for inst in pipeline.read_jsonl(ckpt / f"{stage}.jsonl")]
+    assert pipeline.read_jsonl(ckpt / "oge-2.jsonl")
+    assert parents and parsed == parents

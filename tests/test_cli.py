@@ -202,13 +202,13 @@ def test_wall_cap_ends_the_run_without_a_rejection(workspace, monkeypatch, capsy
     real_run_eqe = pipeline.run_eqe
     seen = []
 
-    def run_eqe_past_the_cap(seeds, cfg, repo, gateway, rejections, *trees):
+    def run_eqe_past_the_cap(seeds, cfg, repo, gateway, rejections):
         # from here on every progress-handler call reads a clock past the cap
         ticks = itertools.count(step=harness.WALL_CAP_S + 1)
         monkeypatch.setattr(harness.time, "monotonic", lambda: next(ticks))
         monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
         try:
-            return real_run_eqe(seeds, cfg, repo, gateway, rejections, *trees)
+            return real_run_eqe(seeds, cfg, repo, gateway, rejections)
         finally:
             seen.append(list(rejections))
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import STAGE_SQL_2
+from fixtures import MINI_OLYMPICS_DDL, STAGE_SQL_2, build_database
 from sqlgrow import harness
 from sqlgrow.harness import (
     ExecutionFeedback,
@@ -20,6 +20,7 @@ from sqlgrow.harness import (
     results_equivalent,
 )
 from sqlgrow.parser import parse_sql
+from sqlgrow.schema import load_schema
 
 
 def test_constant_query(connections):
@@ -164,6 +165,30 @@ def test_readonly_harness_refuses_writes(db_dir, tmp_path, sql):
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
     assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
+@pytest.mark.parametrize("dirname", ["a#b", "a?b", "a%20b", "sp ace"])
+def test_readonly_opens_read_the_named_file(tmp_path, dirname):
+    # In a bare "file:" URI, "?" and "#" would end the path and drop
+    # mode=ro, and "%20" would be read as an escape for a space.
+    (tmp_path / dirname).mkdir()
+    path = build_database(tmp_path / dirname / "mini.db", MINI_OLYMPICS_DDL)
+    before = sorted(tmp_path.rglob("*"))
+    assert [t.name for t in load_schema(path).tables] == ["games_competitor", "person"]
+    conn = open_readonly(path)
+    try:
+        assert conn.execute("SELECT full_name FROM person ORDER BY id").fetchall() == [
+            ("Alice Swift",), ("Bob Stone",)]
+        conn.set_authorizer(None)  # the file itself must refuse the write
+        with pytest.raises(harness.sqlite3.OperationalError, match="readonly"):
+            conn.execute("DELETE FROM person")
+    finally:
+        conn.close()
+    assert sorted(tmp_path.rglob("*")) == before
+    with pytest.raises(IOError):
+        open_readonly(tmp_path / dirname / "missing.db")
+    with pytest.raises(IOError):
+        load_schema(tmp_path / dirname / "missing.db")
 
 
 # -- result comparison --------------------------------------------------------

@@ -88,6 +88,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_chat_backend_round_trip(stub_server):

@@ -186,6 +186,7 @@ def test_token_stream(text, expected):
     ("SELECT ?", "unexpected character '?'", 7),
     ("SELECT @x", "unexpected character '@'", 7),
     ("a ! b", "unexpected character '!'", 2),
+    ("a|||b", "bitwise operator '|' is not supported", 3),  # || lexes first
 ])
 def test_lexer_error(text, message, position):
     with pytest.raises(SqlSyntaxError) as info:
@@ -206,8 +207,9 @@ def test_lexer_is_total_or_raises_cleanly(text):
 
 
 def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
-    # callers share trees (grounding hands its tree on), so apply_mutation
-    # must build a new tree and never change the one it was given
+    # callers share trees (one parent's analysis serves each of its
+    # children), so apply_mutation must build a new tree and never change
+    # the one it was given
     ast = parse_sql(STAGE_SQL_0)
     before = render_sql(ast)
     mutated = 0
@@ -226,15 +228,18 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
 # -- equivalence pins for the parse stack ---------------------------------------
 
 # The token table as it stood before whitespace and comments were read as a
-# prefix of each token, with its alternatives in their first order. The
-# differential test below holds ``tokenize`` to its output.
+# prefix of each token, with its alternatives in their first order, and the
+# blob and bitwise refusals added. The differential test below holds
+# ``tokenize`` to its output.
 _REFERENCE_TOKEN = re.compile(r"""
     (?P<skip> \s+ | --[^\n]* | /\*(?s:.*?)\*/ | ; )
   | (?P<string> '[^']*(?:''[^']*)*'(?!') )
   | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
   | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
+  | (?P<blob> [xX]'[^']*' )
   | (?P<word> [^\W\d]\w* )
   | (?P<unclosed> /\* | ['"`\[] )
+  | (?P<bitwise> << | >> | [~&] | \|(?!\|) )
   | (?P<op> != | <> | <= | >= | \|\| | == | [=<>+\-*/%] )
   | (?P<punct> [(),.] )
   | (?P<bad> (?s:.) )
@@ -261,6 +266,9 @@ def _reference_tokenize(sql):
                                   text, "unterminated quoted identifier"), pos)
         elif kind == "bad":
             return ("error", f"unexpected character {text!r}", pos)
+        elif kind in ("blob", "bitwise"):
+            construct = "blob literal" if kind == "blob" else "bitwise operator"
+            return ("error", f"{construct} {text!r} is not supported", pos)
         else:
             tokens.append((kind, text, pos))
     return tokens
@@ -273,7 +281,7 @@ def _lexed(sql):
         return ("error", str(exc).rsplit(" (at position", 1)[0], exc.position)
 
 
-_LEX_ALPHABET = [*"ab_Z19.eE+-*/%|<>=!'\"`[](),; \n\t²½?", "--", "/*", "*/", "''",
+_LEX_ALPHABET = [*"ab_Z19.eE+-*/%|<>=!'\"`[](),; \n\t²½?xX~&", "--", "/*", "*/", "''",
                  "SELECT", "from", "NOT", "in", "é"]
 
 
@@ -383,6 +391,31 @@ def test_round_trip_returns_sqlite_rows(connections, schema_id, sql):
 def test_unsupported_construct_is_named(sql, construct):
     with pytest.raises(UnsupportedSqlError, match=f"^{construct} are not supported"):
         parse_sql(sql)
+
+
+@pytest.mark.parametrize("sql, message", [
+    ("SELECT ~weight FROM person", "bitwise operator '~' is not supported"),
+    ("SELECT weight & 1 FROM person", "bitwise operator '&' is not supported"),
+    ("SELECT weight | 1 FROM person", "bitwise operator '|' is not supported"),
+    ("SELECT weight << 1 FROM person", "bitwise operator '<<' is not supported"),
+    ("SELECT weight >> 1 FROM person", "bitwise operator '>>' is not supported"),
+    ("SELECT X'00' FROM person", "blob literal \"X'00'\" is not supported"),
+    ("SELECT id FROM person WHERE weight IS 1", "IS comparison with '1' is not supported"),
+    ("SELECT id FROM person WHERE weight IS NOT 1",
+     "IS NOT comparison with '1' is not supported"),
+    ("SELECT id FROM person WHERE weight NOT NULL", "postfix NOT NULL is not supported"),
+    ("SELECT id FROM person WHERE weight NOTNULL", "postfix NOTNULL is not supported"),
+    ("SELECT weight ISNULL FROM person", "postfix ISNULL is not supported"),
+    ("SELECT weight 'w' FROM person", "string-literal alias \"'w'\" is not supported"),
+    ("SELECT weight AS 'w' FROM person", "string-literal alias \"'w'\" is not supported"),
+    ("SELECT p.id FROM person AS 'p'", "string-literal alias \"'p'\" is not supported"),
+])
+def test_each_refusal_names_its_construct(connections, sql, message):
+    # SQLite runs every one of these; the subset refuses each by name
+    connections["olympics"].execute(sql).fetchall()
+    with pytest.raises(UnsupportedSqlError) as info:
+        parse_sql(sql)
+    assert str(info.value).startswith(message + " (at position")
 
 
 def test_random_token_edits_run_as_sqlite_runs_them_or_are_refused(connections):
