@@ -1,12 +1,13 @@
 """Schema-aware near-duplicate removal over question vectors.
 
-Dedup is the last stage of a run. ``embed_questions`` gives one vector per
+Dedup is the last filter of a run. ``embed_questions`` gives one vector per
 question of one schema group, and ``dedup_schema_group`` scans that group
-greedily in lineage order: an instance stays iff its maximum cosine against
-everything already kept is at or below the threshold. A similarity that
-rounding puts above 1.0 reads as 1.0, so a threshold of 1.0 removes no
-duplicate, whatever its length. Groups are independent, so identical
-questions under two schemas both survive.
+greedily in lineage order: an instance stays iff its verdict, such as CoT's,
+keeps it and its maximum cosine against everything already kept is at or
+below the threshold. A similarity that rounding puts above 1.0 reads as
+1.0, so a threshold of 1.0 removes no duplicate, whatever its length.
+Groups are independent, so identical questions under two schemas both
+survive.
 
 Without an embedding endpoint a question's vector lists the bucket of each
 of its word trigrams, hashed into ``FALLBACK_DIM`` buckets, and a similarity
@@ -131,13 +132,15 @@ def dedup_schema_group(
     instances: list[QueryInstance],
     vectors,
     tau: float,
+    verdict=lambda inst: inst,
 ) -> tuple[list[QueryInstance], list[RemovalRecord]]:
     """Greedy first-kept-wins scan over one schema group.
 
     ``vectors`` are the ``embed_questions`` vectors of the group's
-    questions: ``vectors[i]`` belongs to ``instances[i]``. A removed item's
-    record names its nearest item of the final kept set, the earliest in
-    scan order on a tie.
+    questions: ``vectors[i]`` belongs to ``instances[i]``. ``verdict(inst)``
+    is the instance as it is to be kept, or None to drop it. The kept
+    instances come in scan order. A blocked instance's record names its
+    nearest item of the final kept set, the earliest in scan order on a tie.
     """
     if len(instances) != len(vectors):
         raise StructuralError("instances and vectors are misaligned")
@@ -153,31 +156,37 @@ def dedup_schema_group(
         kept_set = _PackedColumns(vectors)
     else:
         kept_set = _SimilarityMatrix(vectors @ vectors.T)
-    kept_idx = _greedy_scan(order, kept_set, tau)
-    kept_ids = set(kept_idx)
+    kept, blocked = _greedy_scan(order, kept_set, tau, lambda i: verdict(instances[i]))
     removals = []
-    for i in order:
-        if i not in kept_ids:
-            k, sim = kept_set.nearest(i)
-            removals.append(RemovalRecord(instances[i].id, instances[kept_idx[k]].id,
-                                          round(sim, 6)))
-    kept = [instances[i] for i in sorted(kept_ids)]
+    for i in blocked:
+        k, sim = kept_set.nearest(i)
+        removals.append(RemovalRecord(instances[i].id, instances[kept_set.kept[k]].id,
+                                      round(sim, 6)))
     return kept, removals
 
 
-def _greedy_scan(order, kept_set, tau) -> list[int]:
-    """Keep an item iff its similarity to every item kept so far is <= tau.
+def _greedy_scan(order, kept_set, tau, verdict=lambda i: i):
+    """Keep an item iff ``verdict(i)``, asked of every item, is not None and
+    the item's similarity to every item kept so far is <= tau.
 
     ``kept_set`` starts empty; ``keep(i)`` appends item ``i`` to its ``kept``
     list, and ``nearest(i)`` gives the position in that list of the kept
     item most similar to item ``i``, the first on a tie, and that
     similarity. A NaN is the maximum wherever it occurs, and it fails
-    ``<= tau``, so it blocks. Returns the kept list.
+    ``<= tau``, so it blocks. Returns the kept items, as ``verdict`` gave
+    them, and the positions of the blocked ones, in scan order.
     """
+    kept, blocked = [], []
     for i in order:
+        item = verdict(i)
+        if item is None:
+            continue
         if kept_set.nearest(i)[1] <= tau:
             kept_set.keep(i)
-    return kept_set.kept
+            kept.append(item)
+        else:
+            blocked.append(i)
+    return kept, blocked
 
 
 class _SimilarityMatrix:

@@ -16,8 +16,8 @@ STAGE_SEED = "seed"
 STAGE_EQE = "EQE"
 _ROUND_STAGE = re.compile(r"OGE-([1-9][0-9]*)")  # the stage of OGE round n >= 1
 
-# a run builds every instance "active"; run_cot copies each one it keeps to
-# "cot-kept" together with its trace
+# a run builds every instance "active"; CoT verification copies each one it
+# keeps to "cot-kept" together with its trace
 _STATUSES = ("active", "cot-kept")
 
 

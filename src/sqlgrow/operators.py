@@ -124,7 +124,8 @@ _POOL_SIZE = 20
 
 
 def _value_pool(db, table, column_name) -> list:
-    """Up to ``_POOL_SIZE`` distinct non-NULL values of a column, in order.
+    """Up to ``_POOL_SIZE`` distinct non-NULL values of a column, in order,
+    BLOBs left out: the parser reads no BLOB literal.
 
     This lookup and ``_absent_value``'s run under the harness's step budget
     and wall cap; one that fails or runs over the budget yields nothing.
@@ -141,7 +142,7 @@ def _value_pool(db, table, column_name) -> list:
         )
     except sqlite3.Error:
         return []
-    return [row[0] for row in rows]
+    return [row[0] for row in rows if not isinstance(row[0], bytes)]
 
 
 def _absent_value(db, table, column_name, affinity):
@@ -164,8 +165,6 @@ def _value_literal(value) -> t.Node:
         return t.literal("1" if value else "0")
     if isinstance(value, (int, float)):
         return t.number(value)
-    if isinstance(value, bytes):
-        return t.literal("x'" + value.hex() + "'")
     return t.string(str(value))
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import scheduler
-from .cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
+from .cot import CotDiscard, CotRecord, synthesize_cot
 from .dedup import dedup_schema_group, embed_questions
 from .digests import sha256
 from .errors import ConfigError, RunFileError, SqlgrowError, TransportError
@@ -463,15 +463,9 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
         if stop_after == "oge":
             return None
 
-        # chain-of-thought verification
-        dataset, discards, deferrals = run_cot(seeds + eqe + evolved, cfg, repo, gateway)
-        cot_counts = {"kept": len(dataset), "discarded": len(discards),
-                      "deferred": len(deferrals)}
-
-        # dedup, the last filter
-        dataset, removals = dedup_pool(dataset, cfg)
-
-        dataset.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
+        # chain-of-thought verification and dedup, the last filters
+        dataset, removals, cot_counts = verify_and_dedup(
+            seeds + eqe + evolved, cfg, repo, gateway)
         write_jsonl(dataset, out_dir / "dataset.jsonl")
         write_file(out_dir / "dedup_removals.jsonl", (
             json.dumps(record._asdict(), sort_keys=True) + "\n" for record in removals))
@@ -515,9 +509,27 @@ def _recount(state: scheduler.EvolutionState, evolved) -> scheduler.EvolutionSta
     return state
 
 
-def dedup_pool(pool, cfg: RunConfig):
-    """Near-duplicate removal per schema; returns (kept, removal records)."""
+def verify_and_dedup(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
+    """CoT verification and dedup in one scan per schema group; returns
+    (kept, removal records, cot counts), the kept instances in dataset order.
+
+    Each group, in schema order, embeds its questions, then
+    ``dedup_schema_group`` scans it in lineage order: ``synthesize_cot``
+    verifies every instance, and one it keeps is kept, "cot-kept" with its
+    trace, unless a kept instance is above ``tau`` to it.
+    """
     embedder = build_embedder(cfg)
+    cot_counts = {"kept": 0, "discarded": 0, "deferred": 0}
+
+    def verdict(inst):
+        outcome = synthesize_cot(inst, repo.connection(inst.schema_id), gateway,
+                                 repo.schema(inst.schema_id), n=cfg.cot_n)
+        if isinstance(outcome, CotRecord):
+            cot_counts["kept"] += 1
+            return inst._replace(status="cot-kept", cot=outcome.trace)
+        cot_counts["discarded" if isinstance(outcome, CotDiscard) else "deferred"] += 1
+        return None
+
     kept_all, removals = [], []
     by_schema: dict[str, list[QueryInstance]] = {}
     for inst in pool:
@@ -526,31 +538,10 @@ def dedup_pool(pool, cfg: RunConfig):
         group = by_schema[schema_id]
         # no name holds the vectors, so they are freed before the next group's
         kept, removed = dedup_schema_group(
-            group, embed_questions([i.question for i in group], embedder), cfg.tau)
+            group, embed_questions([i.question for i in group], embedder), cfg.tau, verdict)
         kept_all.extend(kept)
         removals.extend(removed)
-    return kept_all, removals
-
-
-def run_cot(pool, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway):
-    """Verify a reasoning trace for each instance; returns (kept, discards, deferrals).
-
-    Kept instances, in pool order, have status "cot-kept" and carry their trace.
-    """
-    kept: list[QueryInstance] = []
-    discards: list[CotDiscard] = []
-    deferrals: list[CotDeferral] = []
-    for inst in pool:
-        conn = repo.connection(inst.schema_id)
-        schema = repo.schema(inst.schema_id)
-        outcome = synthesize_cot(inst, conn, gateway, schema, n=cfg.cot_n)
-        if isinstance(outcome, CotRecord):
-            kept.append(inst._replace(status="cot-kept", cot=outcome.trace))
-        elif isinstance(outcome, CotDiscard):
-            discards.append(outcome)
-        else:
-            deferrals.append(outcome)
-    return kept, discards, deferrals
+    return kept_all, removals, cot_counts
 
 
 def _build_manifest(cfg, seeds, eqe, evolved, dataset, quarantined, rejections,

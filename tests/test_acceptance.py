@@ -342,7 +342,7 @@ def test_criterion_8_dedup():
     sims = np.array([[1.0, 0.95, 0.5],
                      [0.95, 1.0, 0.95],
                      [0.5, 0.95, 1.0]])
-    kept = _greedy_scan([0, 1, 2], _SimilarityMatrix(sims), tau=0.9)
+    kept, _ = _greedy_scan([0, 1, 2], _SimilarityMatrix(sims), tau=0.9)
     assert kept == [0, 2]
 
     # identical questions under two schemas both survive

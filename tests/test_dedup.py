@@ -131,7 +131,7 @@ def test_greedy_triplet_keeps_a_and_c():
     sims = np.array([[1.0, 0.95, 0.5],
                      [0.95, 1.0, 0.95],
                      [0.5, 0.95, 1.0]])
-    kept = _greedy_scan([0, 1, 2], _SimilarityMatrix(sims), tau=0.9)
+    kept, _ = _greedy_scan([0, 1, 2], _SimilarityMatrix(sims), tau=0.9)
     assert kept == [0, 2]
 
 
@@ -456,18 +456,18 @@ def test_array_scan_matches_pairwise_scan(seed):
         sims[rng.integers(0, n, 3), rng.integers(0, n, 3)] = np.nan
     assert (sims == tau).any() or n < 4
     order = rng.permutation(n).tolist()
-    assert _greedy_scan(order, _SimilarityMatrix(sims), tau) == \
+    assert _greedy_scan(order, _SimilarityMatrix(sims), tau)[0] == \
         _pairwise_scan(order, sims, tau)
 
 
 def test_array_scan_keeps_the_first_item_against_the_empty_kept_set():
     # every similarity is above tau: only the first item in order is kept
     sims = np.full((4, 4), 0.95)
-    assert _greedy_scan([2, 0, 3, 1], _SimilarityMatrix(sims), 0.9) == [2]
-    assert _greedy_scan([], _SimilarityMatrix(sims), 0.9) == []
+    assert _greedy_scan([2, 0, 3, 1], _SimilarityMatrix(sims), 0.9) == ([2], [0, 3, 1])
+    assert _greedy_scan([], _SimilarityMatrix(sims), 0.9) == ([], [])
     # NaN never compares <= tau, so a NaN against a kept item blocks
     sims = np.array([[1.0, np.nan], [np.nan, 1.0]])
-    assert _greedy_scan([0, 1], _SimilarityMatrix(sims), 1.0) == [0] == \
+    assert _greedy_scan([0, 1], _SimilarityMatrix(sims), 1.0)[0] == [0] == \
         _pairwise_scan([0, 1], sims, 1.0)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import requests
 
 import fixtures
-from sqlgrow import gateway
+from sqlgrow import cli, gateway
 from sqlgrow.dedup import embed_questions
 from sqlgrow.errors import ResponseFormatError, TransportError
 from sqlgrow.gateway import (
@@ -376,3 +377,144 @@ def test_import_does_not_load_requests():
          "import sqlgrow, sys; assert 'requests' not in sys.modules"],
         env=env, check=True,
     )
+
+
+# -- a whole run through the HTTP backends ---------------------------------------
+
+def _section(prompt, header):
+    """The text under a template's ``header`` line, up to the next blank line."""
+    return prompt.split(f"\n{header}\n", 1)[1].split("\n\n", 1)[0]
+
+
+class _ScriptedModel:
+    """Stands in for ``requests.post`` for a whole run: each role, named by
+    its model in the config, answers from a small script.
+
+    The teacher sees no gold SQL, so the script keeps each question's SQL
+    as the expansion and evolution prompts and replies show it. Seed
+    ``malformed`` gets expansion replies with no JSON, seed ``deferred``
+    teacher samples with no code block, and seed ``broken`` an expansion
+    whose SQL names a column that does not exist, which the refiner mends.
+    """
+
+    def __init__(self, seeds, malformed, deferred, broken):
+        self.sql_of = dict(seeds)
+        self.malformed, self.deferred, self.broken = malformed, deferred, broken
+        self.posts = []  # (model, Authorization header) per post
+        self.scored = False
+
+    def __call__(self, endpoint, json=None, headers=None, timeout=None):
+        model = json["model"]
+        self.posts.append((model, headers.get("Authorization")))
+        if model == "embed":
+            if len(self.posts) == 1 or self.posts[-2][0] != "embed":
+                raise DOWN  # the first post of each embedding call
+            return _Reply({"data": [{"embedding": self._vector(q)} for q in json["input"]]})
+        prompt = json["messages"][0]["content"]
+        return _Reply(chat(*getattr(self, model)(prompt)))
+
+    @staticmethod
+    def _vector(question):
+        # questions are orthogonal unless their crc32s meet modulo 16
+        vector = [0.0] * 16
+        vector[zlib.crc32(question.encode("utf-8")) % 16] = 1.0
+        return vector
+
+    def _child(self, question, sql):
+        self.sql_of[question] = sql
+        return [json.dumps({"question": question, "evidence": "", "gold_sql": sql})]
+
+    def expand(self, prompt):
+        question, sql = _section(prompt, "Question"), _section(prompt, "Gold SQL")
+        if question == self.malformed:
+            return ["no json here"]
+        child = self._child(f"Rephrased: {question}", sql)
+        if question == self.broken:
+            return [child[0].replace(sql, sql.replace("season", "seasn", 1))]
+        return child
+
+    def evolve(self, prompt):
+        question, sql = _section(prompt, "Question"), _section(prompt, "Gold SQL")
+        return self._child(f"{question} How many rows?", f"SELECT COUNT(*) FROM ({sql})")
+
+    def refine(self, prompt):
+        return [f"```sql\n{self.sql_of[_section(prompt, 'Question')]}\n```"]
+
+    def strategize(self, prompt):
+        if not self.scored:  # the first reply is malformed, and resampled
+            self.scored = True
+            return ["no array"]
+        return [json.dumps([{"operator": name, "score": 0.5} for name in (
+            "Functional Wrapping", "Logical Clause Expansion", "Set Composition")])]
+
+    def teach(self, prompt):
+        question = _section(prompt, "Question")
+        if question == self.deferred:
+            return ["I cannot show the query."] * 2
+        return ["I will not show code here.",
+                f"1. Read the schema.\n2. Final query:\n```sql\n{self.sql_of[question]}\n```"]
+
+
+def test_a_run_through_every_http_backend(tmp_path, db_dir, sleeps, monkeypatch):
+    key = "sk-live-path-secret"
+    monkeypatch.setenv("SQLGROW_LIVE_KEY", key)
+    seeds = fixtures.SEED_QUESTIONS["olympics"][:4]
+    (malformed, _), (deferred, _), (broken, _) = seeds[0], seeds[1], seeds[2]
+    seed_file = tmp_path / "seeds.json"
+    seed_file.write_text(json.dumps(
+        [{"question": q, "SQL": sql, "db_id": "olympics"} for q, sql in seeds]))
+    endpoint = "http://model.invalid/v1"
+    config = tmp_path / "run.json"
+    out = tmp_path / "out"
+    config.write_text(json.dumps({
+        "seeds": str(seed_file), "db_dir": str(db_dir), "out_dir": str(out),
+        "rounds": 1, "cot_n": 2, "global_seed": 5,
+        "backends": {role: {"endpoint": f"{endpoint}/chat/completions", "model": role,
+                            "api_key_env": "SQLGROW_LIVE_KEY"} for role in ROLES},
+        "embedder": {"endpoint": f"{endpoint}/embeddings", "model": "embed",
+                     "api_key_env": "SQLGROW_LIVE_KEY"}}))
+    model = _ScriptedModel(seeds, malformed, deferred, broken)
+    monkeypatch.setattr(requests, "post", model)
+    parsed = set()
+    for name in ("_parse_expansion", "_parse_refined", "_parse_scores", "_parse_cot",
+                 "_embedding_rows"):
+        parse = getattr(gateway, name)
+        monkeypatch.setattr(gateway, name,
+                            lambda *a, _name=name, _parse=parse: parsed.add(_name) or _parse(*a))
+    posts_per_call = []
+    with_retries = gateway._with_retries
+
+    def counted(call):
+        before = len(model.posts)
+        try:
+            return with_retries(call)
+        finally:
+            posts_per_call.append(len(model.posts) - before)
+
+    monkeypatch.setattr(gateway, "_with_retries", counted)
+
+    assert cli.main(["run", "--config", str(config)]) == 0
+
+    assert {m for m, _ in model.posts} == {*ROLES, "embed"}
+    assert parsed == {"_parse_expansion", "_parse_refined", "_parse_scores", "_parse_cot",
+                      "_embedding_rows"}
+    assert 1 <= min(posts_per_call) and max(posts_per_call) == MAX_TRIES
+    assert sum(posts_per_call) == len(model.posts)
+    assert {auth for _, auth in model.posts} == {f"Bearer {key}"}
+    rejections = [json.loads(line)
+                  for line in (out / "rejections.jsonl").read_text().splitlines()]
+    assert {"stage": "EQE", "parent": "seed-0000",
+            "reason": "no JSON object found in model response"} in rejections
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cot"]["deferred"] == 1
+    assert manifest["dedup"]["embedding_source"] == "external-embedder"
+    dataset = {row["id"]: row for row in map(
+        json.loads, (out / "dataset.jsonl").read_text().splitlines())}
+    assert dataset["seed-0002/e0"]["sql"] == seeds[2][1]  # the refiner's repair
+    assert deferred not in {row["question"] for row in dataset.values()}
+    assert any(row["stage"] == "OGE-1" for row in dataset.values())
+    assert cli.main(["verify", "--dataset", str(out / "dataset.jsonl"),
+                     "--db-dir", str(db_dir)]) == 0
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert key not in path.read_text(), path

@@ -502,3 +502,35 @@ def test_logic_plan_can_extend_where_with_and(olympics_schema, connections):
             found = True
             break
     assert found, "no seed produced an AND extension of WHERE"
+
+
+def test_children_on_a_blob_column_parse(tmp_path):
+    # the parser reads no BLOB literal, so no plan may write one
+    import sqlite3
+
+    from sqlgrow.harness import open_readonly
+    from sqlgrow.schema import load_schema
+
+    path = tmp_path / "blobs.db"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, data BLOB)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)",
+                     [(1, b"\x00\x01"), (2, b"\xff"), (3, "a"), (4, None)])
+    conn.commit()
+    conn.close()
+    schema, db = load_schema(path), open_readonly(path)
+    try:
+        children = 0
+        for sql in ("SELECT id FROM t", "SELECT id FROM t WHERE t.data = 'a'"):
+            ast = parse_sql(sql)
+            for op in (OperatorId.LOGIC, OperatorId.OP, OperatorId.SET):
+                for seed in range(40):
+                    try:
+                        plan = plan_mutation(analyze(ast, schema), op, seed, db)
+                    except InfeasibleOperatorError:
+                        continue
+                    parse_sql(render_sql(apply_mutation(ast, plan)))
+                    children += 1
+        assert children > 100
+    finally:
+        db.close()

@@ -3,15 +3,18 @@ import hashlib
 import json
 import re
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
 
 import fixtures
+from sqlgrow.cot import CotDeferral, CotDiscard, CotRecord, synthesize_cot
+from sqlgrow.dedup import dedup_schema_group, embed_questions
 from sqlgrow.errors import ConfigError, ResponseFormatError, TransportError
 from sqlgrow.features import aggregate_features
-from sqlgrow.gateway import ExpansionResult, LlmGateway
-from sqlgrow.instances import QueryInstance, read_jsonl
+from sqlgrow.gateway import CotCandidate, ExpansionResult, LlmGateway
+from sqlgrow.instances import QueryInstance, read_jsonl, stage_rank
 from sqlgrow.operators import OperatorId
 from sqlgrow.parser import parse_sql
 from sqlgrow.pipeline import (
@@ -19,11 +22,11 @@ from sqlgrow.pipeline import (
     SchemaRepo,
     derive_seed,
     ingest_seeds,
-    run_cot,
     run_eqe,
     run_full,
     run_oge,
     stats_report,
+    verify_and_dedup,
     verify_dataset,
 )
 from sqlgrow import harness, instances, pipeline, scheduler
@@ -796,12 +799,11 @@ def test_discarded_child_keeps_ancestors(repo, mini_seed_file):
     assert eqe
     # fail the teacher only for expansion children ("Rephrased" marker)
     selective = SelectiveTeacherGateway("Rephrased")
-    kept, discards, deferrals = run_cot(seeds + eqe, cfg, repo, selective)
+    kept, removals, cot_counts = verify_and_dedup(seeds + eqe, cfg, repo, selective)
     assert all(inst.status == "cot-kept" and inst.cot for inst in kept)
-    kept_ids = {inst.id for inst in kept}
-    discarded_ids = {d.instance_id for d in discards}
-    assert all(child.id in discarded_ids for child in eqe)
-    assert all(seed.id in kept_ids for seed in seeds)  # ancestors unaffected
+    assert cot_counts == {"kept": len(seeds), "discarded": len(eqe), "deferred": 0}
+    assert [inst.id for inst in kept] == [seed.id for seed in seeds]  # ancestors unaffected
+    assert removals == []
 
 
 class CountingGateway(LlmGateway):
@@ -829,6 +831,79 @@ def test_an_unparseable_parent_is_one_rejection_and_no_model_call(repo):
     for stage, rejections in (("EQE", eqe_rejections), ("OGE-1", oge_rejections)):
         assert [(r["stage"], r["parent"]) for r in rejections] == [(stage, parent.id)]
         assert rejections[0]["reason"].startswith("unparseable input: ")
+
+
+class DiscardingDeferringTeacher(LlmGateway):
+    """The mock teacher, except that a quarter of the questions get only
+    failing candidates and an eighth a transport failure."""
+
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
+        bucket = zlib.crc32(question.encode("utf-8")) % 8
+        if bucket < 2:
+            return [CotCandidate("junk", "SELECT nothing FROM nowhere")] * n
+        if bucket == 2:
+            raise TransportError("synthetic outage")
+        return super().generate_cot_candidates(question, evidence, schema, n,
+                                               gold_sql=gold_sql)
+
+
+def _grown_pool(repo, seed_file, cfg):
+    seeds, _ = ingest_seeds(seed_file, repo)
+    eqe = run_eqe(seeds, cfg, repo, LlmGateway())
+    return seeds + eqe + run_oge(eqe, cfg, repo, LlmGateway(), scheduler.fresh_state(), 1)
+
+
+def _dedup_by_schema(pool, tau):
+    kept, removals = [], []
+    for schema_id in sorted({inst.schema_id for inst in pool}):
+        group = [inst for inst in pool if inst.schema_id == schema_id]
+        group_kept, group_removals = dedup_schema_group(
+            group, embed_questions([inst.question for inst in group]), tau)
+        kept += group_kept
+        removals += group_removals
+    return kept, removals
+
+
+def test_one_scan_matches_cot_then_dedup(repo, seed_file):
+    cfg = RunConfig(global_seed=42, expansions_per_seed=2)
+    pool = _grown_pool(repo, seed_file, cfg)
+    teacher = DiscardingDeferringTeacher()
+    # the reference: verify the whole pool first, then dedup what CoT kept
+    verified, outcomes = [], {CotRecord: 0, CotDiscard: 0, CotDeferral: 0}
+    for inst in pool:
+        outcome = synthesize_cot(inst, repo.connection(inst.schema_id), teacher,
+                                 repo.schema(inst.schema_id), n=cfg.cot_n)
+        outcomes[type(outcome)] += 1
+        if isinstance(outcome, CotRecord):
+            verified.append(inst._replace(status="cot-kept", cot=outcome.trace))
+    expected_kept, expected_removals = _dedup_by_schema(verified, cfg.tau)
+    expected_kept.sort(key=lambda i: (i.schema_id, stage_rank(i.stage), i.id))
+    assert outcomes[CotDiscard] and outcomes[CotDeferral] and expected_removals
+    # some item is kept only because CoT dropped the item that would block it
+    plain_kept, _ = _dedup_by_schema(pool, cfg.tau)
+    assert {i.id for i in expected_kept} - {i.id for i in plain_kept}
+
+    kept, removals, cot_counts = verify_and_dedup(pool, cfg, repo, teacher)
+    assert kept == expected_kept
+    assert removals == expected_removals
+    assert cot_counts == {"kept": outcomes[CotRecord], "discarded": outcomes[CotDiscard],
+                          "deferred": outcomes[CotDeferral]}
+
+
+class FailingEmbedder:
+    def embed(self, texts):
+        raise TransportError("embedder down")
+
+
+def test_a_failing_embedder_ends_the_run_before_any_teacher_call(
+        tmp_path, db_dir, mini_seed_file, monkeypatch):
+    gateway = CountingGateway()
+    monkeypatch.setattr(pipeline, "build_gateway", lambda cfg: gateway)
+    monkeypatch.setattr(pipeline, "build_embedder", lambda cfg: FailingEmbedder())
+    with pytest.raises(TransportError, match="embedder down"):
+        run_mini_full(tmp_path, db_dir, mini_seed_file, "runE")
+    assert "expand" in gateway.roles
+    assert "teach" not in gateway.roles
 
 
 def test_quarantined_seeds_lead_the_rejections_of_a_fresh_and_a_resumed_run(
