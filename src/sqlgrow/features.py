@@ -71,8 +71,14 @@ def tokenize_sql(text: str) -> list[str]:
     return [tok.text for tok in tokenize(text)]
 
 
-def extract_features(ast: t.Node) -> FeatureVector:
-    """Count the nine structural features of a query tree."""
+def extract_features(ast: t.Node, sql: str = "", token_count: int = 0) -> FeatureVector:
+    """Count the nine structural features of a query tree.
+
+    The token feature counts the tokens of the tree's canonical rendering.
+    A caller that lexed the text the tree was parsed from may pass that
+    text and its token count: when the rendering is that very text, the
+    count is used; otherwise the rendering is lexed.
+    """
     table_names: set[str] = set()
     joins = functions = aggregates = subqueries = windows = ctes = 0
     max_depth = 1
@@ -103,11 +109,12 @@ def extract_features(ast: t.Node) -> FeatureVector:
         for child in node.children:
             stack.append((child, child_depth))
 
+    rendered = render_sql(ast)
     return FeatureVector(
         tables=len(table_names),
         joins=joins,
         functions=functions,
-        tokens=len(tokenize_sql(render_sql(ast))),
+        tokens=token_count if rendered == sql else len(tokenize_sql(rendered)),
         aggregates=aggregates,
         subqueries=subqueries,
         windows=windows,

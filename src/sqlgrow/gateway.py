@@ -41,7 +41,7 @@ from .prompts import render_template
 from .render import render_sql
 from .resolve import resolve_references
 from .schema import DatabaseSchema, render_schema_prompt
-from .sqlite import sqlite3
+from .sqlite import quote_ident, sqlite3
 
 ROLES = ("expand", "evolve", "refine", "strategize", "teach")  # template ids too
 
@@ -396,7 +396,8 @@ def _drop_dead_predicate(ast, schema, db):
             continue
         try:
             _, rows = _run_query(
-                db, f'SELECT 1 FROM "{relation}" WHERE "{col.value[1]}" = ? LIMIT 1',
+                db, f'SELECT 1 FROM {quote_ident(relation)} '
+                    f'WHERE {quote_ident(col.value[1])} = ? LIMIT 1',
                 1, (_python_value(lit),))
         except sqlite3.Error:
             continue

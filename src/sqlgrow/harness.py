@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SqlgrowError
+from .lexer import tokenize
 from .parser import parse_sql
 from .resolve import resolve_references
 from .sqlite import readonly_uri, sqlite3
@@ -75,7 +76,8 @@ class ResultMultiset(NamedTuple):
 
 
 class RefinementOutcome(NamedTuple):
-    """An accepted outcome carries the tree grounding checked; a failed one None."""
+    """An accepted outcome carries the tree grounding checked and the number
+    of tokens it lexed from ``sql``; a failed one None and 0."""
 
     accepted: bool
     sql: str
@@ -83,6 +85,7 @@ class RefinementOutcome(NamedTuple):
     feedback: ExecutionFeedback
     reason: str = ""
     tree: t.Node | None = None
+    tokens: int = 0
 
 
 # Statements may only read. Recursive CTEs read too; the VM step budget
@@ -310,9 +313,10 @@ def refine_until_valid(
         feedback = execute_sql(conn, sql)
         reason = execution_problem(feedback)
         if not reason:
-            reason, tree = _grounding_problem(sql, schema)
+            reason, tree, tokens = _grounding_problem(sql, schema)
             if not reason:
-                return RefinementOutcome(True, sql, attempt, feedback, tree=tree)
+                return RefinementOutcome(True, sql, attempt, feedback, tree=tree,
+                                         tokens=tokens)
             feedback = ExecutionFeedback(ok=False, error=reason)
         if attempt == max_attempts:
             break
@@ -323,26 +327,30 @@ def refine_until_valid(
     return RefinementOutcome(False, sql, attempt, feedback, reason)
 
 
-def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None]:
-    """Why ``sql`` does not ground ("" when it does), and the tree it parsed to.
+def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None, int]:
+    """Why ``sql`` does not ground ("" when it does), the tree it parsed to
+    and the number of tokens it lexed to.
 
-    The tree is None when the text does not parse.
+    The text is lexed once, here; the parser reads those tokens. The tree
+    is None, and the count 0, when the text does not parse.
     """
     try:
-        ast = parse_sql(sql)
+        tokens = tokenize(sql)
+        ast = parse_sql(sql, tokens)
     except SqlgrowError as exc:
-        return f"parse failure: {exc}", None
+        return f"parse failure: {exc}", None, 0
+    count = len(tokens)
     clock = _reads_the_clock(sql, ast)
     if clock:
-        return f"nondeterministic: {clock}('now')", ast
+        return f"nondeterministic: {clock}('now')", ast, count
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError as exc:
-        return f"resolution failure: {exc}", ast
+        return f"resolution failure: {exc}", ast, count
     if report.unresolved:
         names = sorted({b.name for b in report.unresolved})
-        return "unresolved columns: " + ", ".join(names), ast
-    return "", ast
+        return "unresolved columns: " + ", ".join(names), ast, count
+    return "", ast, count
 
 
 def _reads_the_clock(sql: str, ast: t.Node) -> str:

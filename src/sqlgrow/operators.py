@@ -41,7 +41,7 @@ from .harness import _run_query
 from .render import render_expr
 from .resolve import BindingReport, resolve_references
 from .schema import DatabaseSchema, fk_join_graph
-from .sqlite import sqlite3
+from .sqlite import quote_ident, sqlite3
 
 FULL_SCORE_SITES = 3  # an operator with this many sites scores 1.0
 
@@ -132,11 +132,11 @@ def _value_pool(db, table, column_name) -> list:
     """
     if db is None:
         return []
+    tab, col = quote_ident(table), quote_ident(column_name)
     try:
         _, rows = _run_query(
             db,
-            f'SELECT DISTINCT "{table}"."{column_name}" FROM "{table}" '
-            f'WHERE "{table}"."{column_name}" IS NOT NULL '
+            f'SELECT DISTINCT {tab}.{col} FROM {tab} WHERE {tab}.{col} IS NOT NULL '
             f'ORDER BY 1 LIMIT {_POOL_SIZE}',
             _POOL_SIZE,
         )
@@ -152,7 +152,8 @@ def _absent_value(db, table, column_name, affinity):
         past_max = "+ 1" if numeric else "|| '~'"
         try:
             _, rows = _run_query(
-                db, f'SELECT MAX("{column_name}") {past_max} FROM "{table}"', 1)
+                db, f'SELECT MAX({quote_ident(column_name)}) {past_max} '
+                    f'FROM {quote_ident(table)}', 1)
         except sqlite3.Error:
             rows = []
         if rows and rows[0][0] is not None:
@@ -179,21 +180,26 @@ class ParentAnalysis(NamedTuple):
     """A parent tree, its schema, the resolver's report and every operator's sites.
 
     ``sites`` maps each operator to its (target_path, site_info) pairs, in
-    order; when the tree does not resolve, ``report`` is None and none has any.
+    order; ``comparisons`` holds the typed literal comparisons that OP and
+    NEST both rewrite. When the tree does not resolve, ``report`` is None
+    and neither holds anything.
     """
 
     ast: t.Node
     schema: DatabaseSchema
     report: BindingReport | None
     sites: dict
+    comparisons: tuple = ()
 
 
 def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
     """Resolve a tree once and enumerate every operator's sites on it."""
     try:
-        analysis = ParentAnalysis(ast, schema, resolve_references(ast, schema), None)
+        report = resolve_references(ast, schema)
     except SqlgrowError:
         return ParentAnalysis(ast, schema, None, {op: [] for op in _OPERATORS})
+    analysis = ParentAnalysis(ast, schema, report, None,
+                              tuple(_typed_comparisons(ast, schema, report)))
     return analysis._replace(
         sites={op: sites(analysis) for op, (sites, _) in _OPERATORS.items()})
 
@@ -309,14 +315,14 @@ def _literal_class(node: t.Node) -> str | None:
     return None
 
 
-def _typed_comparisons(analysis):
+def _typed_comparisons(ast, schema, report):
     """Literal comparisons in WHERE or HAVING that OP and NEST may rewrite.
 
     Yields (path, node, ctx, relation, literal class, affinity) when the
     literal is a number or text and the column is a column of a real table.
     """
-    contexts, relation_at = analysis.report.contexts, analysis.report.relation_at
-    for path, node in literal_comparisons(analysis.ast):
+    contexts, relation_at = report.contexts, report.relation_at
+    for path, node in literal_comparisons(ast):
         ctx = contexts.get(path)
         if ctx is None or ctx.clause not in ("where", "having"):
             continue
@@ -327,7 +333,7 @@ def _typed_comparisons(analysis):
         relation = relation_at.get((*path, 0))
         if relation in (None, "<select-alias>"):
             continue
-        affinity = _column_affinity(analysis.schema, relation, left.value[1])
+        affinity = _column_affinity(schema, relation, left.value[1])
         if affinity is None:
             continue
         yield path, node, ctx, relation, lit_class, affinity
@@ -335,7 +341,7 @@ def _typed_comparisons(analysis):
 
 def _op_sites(analysis):
     sites = []
-    for path, node, _, relation, lit_class, affinity in _typed_comparisons(analysis):
+    for path, node, _, relation, lit_class, affinity in analysis.comparisons:
         sym = node.value[0]
         sym_class = "=" if sym == "=" else "!=" if sym == "!=" else "<"
         candidates = _OMEGA_BY_SHAPE.get((sym_class, lit_class), ())
@@ -458,7 +464,7 @@ def _join_sites(analysis):
 
 def _nest_sites(analysis):
     sites = []
-    for path, node, ctx, relation, lit_class, affinity in _typed_comparisons(analysis):
+    for path, node, ctx, relation, lit_class, affinity in analysis.comparisons:
         if ctx.depth != analysis.report.max_depth:
             continue  # keep the rewrite on the deepest core so depth grows
         if lit_class == "number" and affinity not in _NUMERIC_AFFINITIES:

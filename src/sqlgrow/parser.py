@@ -24,11 +24,16 @@ _UNSUPPORTED_LEADS = {
 }
 
 
-def parse_sql(text: str) -> t.Node:
-    """Parse SQL text into its labeled ordered tree."""
+def parse_sql(text: str, tokens: list[Token] | None = None) -> t.Node:
+    """Parse SQL text into its labeled ordered tree.
+
+    ``tokens``, when given, must be ``tokenize(text)``; a caller that has
+    lexed the text already hands them on, so it is not lexed twice.
+    """
     if not text or not text.strip():
         raise SqlSyntaxError("empty SQL text", 0)
-    tokens = tokenize(text)
+    if tokens is None:
+        tokens = tokenize(text)
     if not tokens:
         raise SqlSyntaxError("empty SQL text", 0)
     parser = _Parser(tokens)

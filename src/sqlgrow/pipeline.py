@@ -238,7 +238,7 @@ def ingest_seeds(path, repo: SchemaRepo):
         elif not repo.has(schema_id):
             reason = "schema not found"
         else:  # kept only when it grounds and returns rows
-            reason, ast = _grounding_problem(sql, repo.schema(schema_id))
+            reason, ast, tokens = _grounding_problem(sql, repo.schema(schema_id))
             if not reason:
                 reason = execution_problem(execute_sql(repo.connection(schema_id), sql))
         if reason:
@@ -252,7 +252,7 @@ def ingest_seeds(path, repo: SchemaRepo):
             evidence=evidence,
             sql=sql,
             stage=STAGE_SEED,
-            features=extract_features(ast),
+            features=extract_features(ast, sql, tokens),
         ))
     return seeds, quarantined
 
@@ -316,7 +316,7 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
         stage=stage,
         parent_id=parent.id,
         operator_applied=op,
-        features=extract_features(outcome.tree),
+        features=extract_features(outcome.tree, outcome.sql, outcome.tokens),
     )
 
 
@@ -734,7 +734,13 @@ def _report(instances, manifest: dict | None, means) -> tuple[str, str]:
 
 
 def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
-    """Re-execute every row; the final dataset must be 100% non-empty."""
+    """Re-execute every row; the final dataset must be 100% non-empty.
+
+    Each row's recorded features must also equal those derived again on
+    the reference path, ``extract_features(parse_sql(sql))``, which lexes
+    the canonical rendering. A failing row is listed once, with its first
+    problem.
+    """
     instances = read_jsonl(dataset_path)
     failures = []
     for inst in instances:
@@ -742,6 +748,20 @@ def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
             reason = execution_problem(execute_sql(repo.connection(inst.schema_id), inst.sql))
         else:
             reason = "schema not found"
+        if not reason and inst.features is not None:
+            reason = _features_problem(inst)
         if reason:
             failures.append({"id": inst.id, "reason": reason})
     return {"total": len(instances), "failures": failures}
+
+
+def _features_problem(inst) -> str:
+    """Which recorded features differ from those derived from the row's SQL."""
+    try:
+        derived = extract_features(parse_sql(inst.sql))
+    except SqlgrowError as exc:
+        return f"features of unparseable SQL: {exc}"
+    differ = [f"{name} {got:g}, derived {want:g}"
+              for name, got, want in zip(FeatureVector._fields, inst.features, derived)
+              if got != want]
+    return "features differ: " + "; ".join(differ) if differ else ""

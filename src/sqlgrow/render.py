@@ -10,6 +10,7 @@ from __future__ import annotations
 from . import tree as t
 from .errors import StructuralError
 from .lexer import KEYWORDS
+from .sqlite import quote_ident
 
 # Expression precedence, low to high. Parens are emitted when a child
 # binds more loosely than its parent, and around the right operand of a
@@ -282,6 +283,26 @@ def _render_operator(node: t.Node) -> str:
 
 
 _PLAIN_IDENT = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+# The 147 words SQLite reads as keywords (https://www.sqlite.org/lang_keywords.html,
+# as sqlite3_keyword_name lists them in SQLite 3.40). SQLite takes some of them
+# as bare names and refuses others, such as ``index`` and ``values``; the
+# subset's own keywords add ``true`` and ``false``. Each is quoted.
+_QUOTED_WORDS = KEYWORDS | frozenset("""
+    abort action add after all alter always analyze and as asc attach
+    autoincrement before begin between by cascade case cast check collate column
+    commit conflict constraint create cross current current_date current_time
+    current_timestamp database default deferrable deferred delete desc detach
+    distinct do drop each else end escape except exclude exclusive exists explain
+    fail filter first following for foreign from full generated glob group groups
+    having if ignore immediate in index indexed initially inner insert instead
+    intersect into is isnull join key last left like limit match materialized
+    natural no not nothing notnull null nulls of offset on or order others outer
+    over partition plan pragma preceding primary query raise range recursive
+    references regexp reindex release rename replace restrict returning right
+    rollback row rows savepoint select set table temp temporary then ties to
+    transaction trigger unbounded union unique update using vacuum values view
+    virtual when where window with without
+""".split())
 
 
 def _ident(name: str) -> str:
@@ -289,5 +310,5 @@ def _ident(name: str) -> str:
         raise StructuralError("empty identifier")
     plain = (
         name[0].isalpha() or name[0] == "_"
-    ) and _PLAIN_IDENT.issuperset(name) and name not in KEYWORDS
-    return name if plain else f'"{name}"'
+    ) and _PLAIN_IDENT.issuperset(name) and name not in _QUOTED_WORDS
+    return name if plain else quote_ident(name)

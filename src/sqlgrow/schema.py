@@ -3,6 +3,10 @@
 Schemas are introspected from live SQLite files so the schema object and
 the database the harness executes against can never disagree. Schema
 values are immutable after load and safe to share across workers.
+
+``TableDef`` and ``DatabaseSchema`` build their case-insensitive name
+lookups when they are made, and ``DatabaseSchema`` its FK join graph, so
+no lookup scans a table list and no caller rebuilds the graph.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SchemaValidationError
-from .sqlite import readonly_uri, sqlite3
+from .sqlite import quote_ident, readonly_uri, sqlite3
 
 AFFINITIES = ("integer", "real", "text", "blob", "numeric")
 
@@ -32,33 +36,65 @@ class ForeignKey(NamedTuple):
     ref_columns: tuple[str, ...]
 
 
-class TableDef(NamedTuple):
-    name: str
-    columns: tuple[ColumnDef, ...]
-    primary_key: tuple[str, ...] = ()
-    foreign_keys: tuple[ForeignKey, ...] = ()
+class _Frozen:
+    """A value whose slots ``__init__`` sets once; like the NamedTuple
+    records it holds no ``__dict__``, and any later assignment raises."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _first_by_name(items) -> dict:
+    """Lower-cased name -> item; of two items named alike, the first wins."""
+    by_name: dict = {}
+    for item in items:
+        by_name.setdefault(item.name.lower(), item)
+    return by_name
+
+
+class TableDef(_Frozen):
+    """One table; ``column`` reads a case-insensitive lookup built with it."""
+
+    __slots__ = ("name", "columns", "primary_key", "foreign_keys", "_by_name")
+    _fields = ("name", "columns", "primary_key", "foreign_keys")
+
+    def __init__(self, name: str, columns: tuple[ColumnDef, ...],
+                 primary_key: tuple[str, ...] = (),
+                 foreign_keys: tuple[ForeignKey, ...] = ()):
+        self._set(name=name, columns=columns, primary_key=primary_key,
+                  foreign_keys=foreign_keys, _by_name=_first_by_name(columns))
 
     def column(self, name: str) -> ColumnDef | None:
-        low = name.lower()
-        for col in self.columns:
-            if col.name.lower() == low:
-                return col
-        return None
+        return self._by_name.get(name.lower())
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
 
-class DatabaseSchema(NamedTuple):
-    schema_id: str
-    tables: tuple[TableDef, ...]
+class DatabaseSchema(_Frozen):
+    """A database's tables, with the table lookup and the FK join graph
+    built with it, once per schema value."""
+
+    __slots__ = ("schema_id", "tables", "_by_name", "_join_graph")
+    _fields = ("schema_id", "tables")
+
+    def __init__(self, schema_id: str, tables: tuple[TableDef, ...]):
+        self._set(schema_id=schema_id, tables=tables, _by_name=_first_by_name(tables))
+        self._set(_join_graph=_build_join_graph(self))
 
     def table(self, name: str) -> TableDef | None:
-        low = name.lower()
-        for tab in self.tables:
-            if tab.name.lower() == low:
-                return tab
-        return None
+        return self._by_name.get(name.lower())
 
     def table_names(self) -> list[str]:
         return [t.name for t in self.tables]
@@ -125,12 +161,13 @@ def _introspect(conn: sqlite3.Connection, schema_id: str) -> DatabaseSchema:
     for name in names:
         cols = []
         pk_cols: list[tuple[int, str]] = []
-        for _, col_name, decl, notnull, _, pk in cur.execute(f'PRAGMA table_info("{name}")'):
+        quoted = quote_ident(name)
+        for _, col_name, decl, notnull, _, pk in cur.execute(f"PRAGMA table_info({quoted})"):
             cols.append(ColumnDef(col_name, _affinity_of(decl), nullable=not notnull))
             if pk:
                 pk_cols.append((pk, col_name))
         fks: dict[int, dict] = {}
-        for row in cur.execute(f'PRAGMA foreign_key_list("{name}")'):
+        for row in cur.execute(f"PRAGMA foreign_key_list({quoted})"):
             fk_id, seq, ref_table, local, ref = row[0], row[1], row[2], row[3], row[4]
             entry = fks.setdefault(fk_id, {"table": ref_table, "local": [], "ref": []})
             entry["local"].append((seq, local))
@@ -202,7 +239,15 @@ def validate_schema(schema: DatabaseSchema) -> None:
 
 
 def fk_join_graph(schema: DatabaseSchema) -> dict[str, list[JoinEdge]]:
-    """Undirected FK adjacency: table name -> edges touching it."""
+    """Undirected FK adjacency: table name -> edges touching it.
+
+    Built once per schema value; every call returns the same graph, which
+    callers only read.
+    """
+    return schema._join_graph
+
+
+def _build_join_graph(schema: DatabaseSchema) -> dict[str, list[JoinEdge]]:
     adjacency: dict[str, list[JoinEdge]] = {tab.name: [] for tab in schema.tables}
     for tab in schema.tables:
         for fk in tab.foreign_keys:

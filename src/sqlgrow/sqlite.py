@@ -7,6 +7,9 @@ parameters and never asks for type detection, so neither ever runs: the
 connection, its authorizer, progress handler and errors are ``_sqlite3``'s
 either way. ``sqlite3`` is the fallback for a build that names its C module
 differently.
+
+``quote_ident`` is SQLite's quoting of a name: the renderer and every query
+sqlgrow builds from schema names quote through it.
 """
 
 from pathlib import Path
@@ -21,3 +24,8 @@ def readonly_uri(path) -> str:
     """A read-only URI of the database file at ``path``; ``as_uri`` escapes a
     ``?``, ``#`` or ``%`` in the path, which would end it or start an escape."""
     return Path(path).resolve().as_uri() + "?mode=ro"
+
+
+def quote_ident(name: str) -> str:
+    """``name`` as a double-quoted SQLite identifier, each ``"`` in it doubled."""
+    return '"' + name.replace('"', '""') + '"'

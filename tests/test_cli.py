@@ -357,6 +357,22 @@ def test_verify_names_the_broken_row(workspace, capsys, fields, reason):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_verify_names_a_row_whose_features_differ(workspace, capsys):
+    # verify derives each row's features again, with no hand-off from grounding
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    dataset = tmp_path / "out" / "dataset.jsonl"
+    features = json.loads(dataset.read_text().splitlines()[0])["features"]
+    tokens = features["tokens"]
+    broken = _edit_first_row(dataset, features={**features, "tokens": tokens + 1})
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(dataset),
+                 "--db-dir", str(tmp_path / "dbs")]) == 2
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["failures"] == [
+        {"id": broken, "reason": f"features differ: tokens {tokens + 1}, derived {tokens}"}]
+
+
 def _one_line_failure(capsys, *parts):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("stage failure: ")

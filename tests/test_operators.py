@@ -1,7 +1,9 @@
+import sqlite3
+
 import pytest
 
 from fixtures import STAGE_SQL_1, STAGE_SQL_2, STAGE_SQL_0
-from sqlgrow import harness, operators
+from sqlgrow import gateway, harness, operators
 from sqlgrow import tree as t
 from sqlgrow.errors import AmbiguousColumnError, InfeasibleOperatorError, StructuralError
 from sqlgrow.features import extract_features
@@ -17,7 +19,7 @@ from sqlgrow.operators import (
 from sqlgrow.parser import parse_sql
 from sqlgrow.render import render_sql
 from sqlgrow.resolve import resolve_references
-from sqlgrow.schema import fk_join_graph
+from sqlgrow.schema import fk_join_graph, load_schema
 
 
 def predicate_count(core, clause_kind):
@@ -210,6 +212,24 @@ def test_sampler_lookup_over_the_step_budget_yields_nothing(connections, monkeyp
     assert operators._value_pool(db, "person", "weight") == []
     assert operators._absent_value(db, "person", "weight", "integer") == -999999
     assert operators._absent_value(db, "person", "full_name", "text") == "__absent__"
+
+
+def test_lookups_quote_a_double_quote_in_a_name(tmp_path):
+    path = tmp_path / "quote.db"
+    conn = sqlite3.connect(path)
+    conn.executescript('''CREATE TABLE "t""a" ("c""o" INTEGER);
+                          INSERT INTO "t""a" VALUES (3), (5);''')
+    conn.close()
+    db = harness.open_readonly(path)
+    try:
+        assert operators._value_pool(db, 't"a', 'c"o') == [3, 5]
+        assert operators._absent_value(db, 't"a', 'c"o', "integer") == 6
+        # the mock refiner's lookup, which drops a predicate no row meets
+        ast = parse_sql('SELECT "c""o" FROM "t""a" WHERE "c""o" = 4')
+        assert gateway._drop_dead_predicate(ast, load_schema(path), db) == \
+            'SELECT "c""o" FROM "t""a"'
+    finally:
+        db.close()
 
 
 # -- application -------------------------------------------------------------

@@ -2,11 +2,13 @@ import random
 import re
 import time
 from collections import Counter
+from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import GOLDEN_CORPUS, SEED_QUESTIONS, STAGE_SQL_0, STAGE_SQL_3
+from sqlgrow import render
 from sqlgrow import tree as t
 from sqlgrow.errors import (
     InfeasibleOperatorError,
@@ -171,6 +173,9 @@ def test_tokenize_counts_qualified_names_as_three():
     # SQLite reads every non-ASCII character as an identifier character
     ("²", [("ident", "²", 0)]),
     ("½", [("ident", "½", 0)]),
+    # as in SQLite, "" inside double quotes is one "; other quotes keep it
+    ('"a""b" "c""" [d""e]', [("ident", 'a"b', 0), ("ident", 'c"', 7),
+                             ("ident", 'd""e', 13)]),
 ])
 def test_token_stream(text, expected):
     assert [(tok.type, tok.text, tok.pos) for tok in tokenize(text)] == expected
@@ -181,6 +186,7 @@ def test_token_stream(text, expected):
     ("'a''", "unterminated string literal", 0),
     ("SELECT /* x", "unterminated comment", 7),
     ('SELECT "a', "unterminated quoted identifier", 7),
+    ('SELECT "a""', "unterminated quoted identifier", 7),
     ("SELECT `a", "unterminated quoted identifier", 7),
     ("SELECT [a", "unterminated quoted identifier", 7),
     ("SELECT ?", "unexpected character '?'", 7),
@@ -229,12 +235,12 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
 
 # The token table as it stood before whitespace and comments were read as a
 # prefix of each token, with its alternatives in their first order, and the
-# blob and bitwise refusals added. The differential test below holds
-# ``tokenize`` to its output.
+# blob and bitwise refusals and the ``""`` escape in double quotes added. The
+# differential test below holds ``tokenize`` to its output.
 _REFERENCE_TOKEN = re.compile(r"""
     (?P<skip> \s+ | --[^\n]* | /\*(?s:.*?)\*/ | ; )
   | (?P<string> '[^']*(?:''[^']*)*'(?!') )
-  | (?P<quoted> "[^"]*" | `[^`]*` | \[[^\]]*\] )
+  | (?P<quoted> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
   | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
   | (?P<blob> [xX]'[^']*' )
   | (?P<word> [^\W\d]\w* )
@@ -257,7 +263,8 @@ def _reference_tokenize(sql):
             tokens.append(("kw", low.upper(), pos) if low in KEYWORDS
                           else ("ident", low, pos))
         elif kind == "quoted":
-            tokens.append(("ident", text[1:-1], pos))
+            inner = text[1:-1]
+            tokens.append(("ident", inner.replace('""', '"') if text[0] == '"' else inner, pos))
         elif kind == "op":
             tokens.append(("op", {"==": "=", "<>": "!="}.get(text, text), pos))
         elif kind == "unclosed":
@@ -381,6 +388,43 @@ def test_round_trip_returns_sqlite_rows(connections, schema_id, sql):
     expected = conn.execute(sql).fetchall()
     assert expected
     assert conn.execute(rendered).fetchall() == expected
+
+
+def _oracle_database(ddl):
+    conn = sqlite3.connect(":memory:")
+    conn.executescript(ddl)
+    return closing(conn)
+
+
+@pytest.mark.parametrize("sql, name", [
+    ('SELECT "a""b" FROM t', 'a"b'),
+    ('SELECT x AS [p"q] FROM t', 'p"q'),
+    ('SELECT t."a""b" AS "c""" FROM t WHERE "a""b" > 0', 'c"'),
+])
+def test_a_double_quote_in_a_name_round_trips(sql, name):
+    # SQLite reads "a""b" as one column named a"b; a bracketed alias may hold a "
+    ast = parse_sql(sql)
+    rendered = render_sql(ast)
+    assert parse_sql(rendered) == ast
+    assert len(tokenize(rendered)) == len(tokenize(sql))
+    with _oracle_database('''CREATE TABLE t ("a""b" INTEGER, x INTEGER);
+                             INSERT INTO t VALUES (1, 2), (3, 4);''') as conn:
+        expected = conn.execute(sql)
+        got = conn.execute(rendered)
+        assert got.fetchall() == expected.fetchall()
+        assert got.description[0][0] == expected.description[0][0] == name
+
+
+def test_every_sqlite_keyword_renders_quoted():
+    # SQLite refuses some keywords as bare names (index, values, default, ...)
+    words = sorted(render._QUOTED_WORDS)
+    assert len(words) == 149  # SQLite's 147 and the subset's TRUE and FALSE
+    with _oracle_database(
+            "CREATE TABLE t (" + ", ".join(f'"{w}" INTEGER' for w in words) + ");"
+            f"INSERT INTO t VALUES ({', '.join(map(str, range(len(words))))});") as conn:
+        for i, word in enumerate(words):
+            rendered = render_sql(parse_sql(f'SELECT "{word}" FROM t'))
+            assert conn.execute(rendered).fetchall() == [(i,)], rendered
 
 
 @pytest.mark.parametrize("sql, construct", [

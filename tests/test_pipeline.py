@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,10 @@ from sqlgrow.errors import ConfigError, ResponseFormatError, TransportError
 from sqlgrow.features import aggregate_features
 from sqlgrow.gateway import CotCandidate, ExpansionResult, LlmGateway
 from sqlgrow.instances import QueryInstance, read_jsonl, stage_rank
+from sqlgrow.lexer import tokenize
 from sqlgrow.operators import OperatorId
 from sqlgrow.parser import parse_sql
+from sqlgrow.render import render_sql
 from sqlgrow.pipeline import (
     RunConfig,
     SchemaRepo,
@@ -29,7 +32,7 @@ from sqlgrow.pipeline import (
     verify_and_dedup,
     verify_dataset,
 )
-from sqlgrow import harness, instances, pipeline, scheduler
+from sqlgrow import features, harness, instances, parser, pipeline, scheduler
 
 
 @pytest.fixture()
@@ -141,9 +144,9 @@ def parsed(monkeypatch):
     """Every text that grounding or the pipeline parses, in call order."""
     texts = []
 
-    def counting(text):
+    def counting(text, *rest):
         texts.append(text)
-        return parse_sql(text)
+        return parse_sql(text, *rest)
 
     for module in (harness, pipeline):
         monkeypatch.setattr(module, "parse_sql", counting)
@@ -163,6 +166,69 @@ def test_run_eqe_parses_each_accepted_candidate_once(repo, mini_seed_file, parse
     assert accepted
     for child in accepted:
         assert parsed.count(child.sql) == 1
+
+
+@pytest.fixture()
+def lexed(monkeypatch):
+    """Every text the lexer reads, in call order."""
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return tokenize(text)
+
+    for module in (parser, harness, features):
+        monkeypatch.setattr(module, "tokenize", counting)
+    return texts
+
+
+def test_each_accepted_canonical_candidate_is_lexed_once(repo, mini_seed_file, lexed):
+    # grounding lexes a candidate once: the parser reads those tokens, and
+    # the token feature takes their count when the text is its own rendering
+    seeds, _ = ingest_seeds(mini_seed_file, repo)
+    cfg = RunConfig(global_seed=3)
+    counts = []
+    for grow in (lambda: run_eqe(seeds, cfg, repo, LlmGateway()),
+                 lambda: run_oge(seeds, cfg, repo, LlmGateway(),
+                                 scheduler.fresh_state(cfg.epsilon), 1)):
+        lexed.clear()
+        children = grow()
+        counts.append((children, Counter(lexed)))
+    canonical = 0
+    for children, count in counts:
+        for child in children:
+            if render_sql(parse_sql(child.sql)) == child.sql:
+                assert count[child.sql] == 1, child.sql
+                canonical += 1
+    assert canonical
+
+
+# lower-case keywords and <>, an alias without AS and redundant parentheses:
+# neither seed is its own canonical rendering
+_NON_CANONICAL_SEEDS = [
+    ("Who does not weigh 62?", "select full_name from person where weight <> 62"),
+    ("Who weighs more than 60?", "SELECT p.full_name FROM person p WHERE (p.weight > 60)"),
+]
+
+
+def test_the_token_feature_counts_the_canonical_rendering(tmp_path, db_dir):
+    seed_file = tmp_path / "seeds.json"
+    seed_file.write_text(json.dumps([{"question": q, "SQL": sql, "db_id": "olympics"}
+                                     for q, sql in _NON_CANONICAL_SEEDS]))
+    out = tmp_path / "out"
+    run_full(RunConfig(seeds=str(seed_file), db_dir=str(db_dir), out_dir=str(out),
+                       rounds=1, global_seed=3))
+    rows = [inst for path in (*sorted((out / "checkpoints").glob("*.jsonl")),
+                              out / "dataset.jsonl")
+            for inst in read_jsonl(path)]
+    assert [inst.sql for inst in rows if inst.stage == "seed"][:2] == [
+        sql for _, sql in _NON_CANONICAL_SEEDS]
+    fallback = 0
+    for inst in rows:
+        rendered = render_sql(parse_sql(inst.sql))
+        assert inst.features.tokens == len(tokenize(rendered)), inst.sql
+        fallback += rendered != inst.sql
+    assert fallback >= 2
 
 
 def test_ingest_quarantines_bad_records(repo, tmp_path):

@@ -1,5 +1,6 @@
-"""Value records are NamedTuples: frozen, without a ``__dict__``, and the three
-that hold untrusted values check them whenever they are built."""
+"""Value records are NamedTuples, or slotted values like them: frozen, without a
+``__dict__``, and the three that hold untrusted values check them whenever they
+are built."""
 
 import importlib
 import json
@@ -14,6 +15,7 @@ from sqlgrow.instances import QueryInstance, read_jsonl
 from sqlgrow.operators import OperatorId
 from sqlgrow.resolve import BindingReport
 from sqlgrow.scheduler import EvolutionState, fresh_state, record_acceptance
+from sqlgrow.schema import _Frozen
 
 MODULES = [importlib.import_module(f"sqlgrow.{m.name}")
            for m in pkgutil.iter_modules(sqlgrow.__path__)]
@@ -21,6 +23,9 @@ RECORDS = sorted({cls for module in MODULES for cls in vars(module).values()
                   if isinstance(cls, type) and issubclass(cls, tuple)
                   and cls.__module__ == module.__name__},
                  key=lambda cls: (cls.__module__, cls.__qualname__))
+FROZEN = [cls for module in MODULES for cls in vars(module).values()
+          if isinstance(cls, type) and issubclass(cls, _Frozen) and cls is not _Frozen
+          and cls.__module__ == module.__name__]
 COUNTS = dict(tables=1, joins=0, functions=1, tokens=4, aggregates=1,
               subqueries=0, windows=0, ctes=0, nesting=1)
 
@@ -32,9 +37,12 @@ def test_every_record_of_the_package_is_found():
     assert len(RECORDS) >= 28
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+@pytest.mark.parametrize("cls", RECORDS + FROZEN,
+                         ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
 def test_records_refuse_attribute_assignment(cls):
-    record = cls._make([None] * len(cls._fields))  # _make skips the checks
+    # _make and object.__new__ skip the checks
+    is_tuple = issubclass(cls, tuple)
+    record = cls._make([None] * len(cls._fields)) if is_tuple else object.__new__(cls)
     for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, 1)

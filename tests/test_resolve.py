@@ -73,7 +73,7 @@ _LEAD_CTE = "WITH c AS (SELECT id FROM person) "
 def test_a_compound_sees_the_columns_of_its_lead_core_ctes(sql, olympics_schema,
                                                           connections):
     assert connections["olympics"].execute(sql).fetchall()  # SQLite runs it
-    reason, _ = harness._grounding_problem(sql, olympics_schema)
+    reason = harness._grounding_problem(sql, olympics_schema)[0]
     assert reason == ""
 
 

@@ -47,6 +47,43 @@ def test_dangling_fk_named_in_validation_error():
         validate_schema(schema)
 
 
+def test_schema_lookups_ignore_case_and_take_the_first_definition():
+    first = TableDef("Person", (ColumnDef("ID", "integer"), ColumnDef("id", "text")))
+    second = TableDef("person", (ColumnDef("x", "integer"),))
+    schema = DatabaseSchema("s", (first, second))
+    assert schema.table("PERSON") is first and schema.table("person") is first
+    assert schema.table("nobody") is None
+    assert first.column("Id") is first.columns[0]
+    assert first.column("nothing") is None
+    assert fk_join_graph(schema) is fk_join_graph(schema)
+
+
+def test_schema_values_hold_no_dict_and_refuse_assignment(olympics_schema):
+    # like the NamedTuple records, though they keep lookups in __slots__
+    table = olympics_schema.tables[0]
+    for value in (olympics_schema, table):
+        assert not hasattr(value, "__dict__")
+        for name in (*value._fields, "_by_name", "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, ())
+    assert repr(table).startswith(f"TableDef(name={table.name!r}, columns=(ColumnDef(")
+
+
+def test_a_double_quote_in_a_table_name_is_read(tmp_path):
+    path = tmp_path / "quote.db"
+    conn = sqlite3.connect(path)
+    conn.executescript('''
+        CREATE TABLE "pa""rent" (id INTEGER PRIMARY KEY);
+        CREATE TABLE "ch""ild" ("p""id" INTEGER REFERENCES "pa""rent"(id));
+    ''')
+    conn.close()
+    schema = load_schema(path)
+    child = schema.table('ch"ild')
+    assert child.column_names() == ['p"id']
+    assert child.foreign_keys == (ForeignKey(('p"id',), 'pa"rent', ("id",)),)
+    assert schema.table('pa"rent').primary_key == ("id",)
+
+
 def test_join_graph_mini(mini_olympics_db):
     schema = load_schema(mini_olympics_db)
     graph = fk_join_graph(schema)
