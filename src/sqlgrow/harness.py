@@ -343,6 +343,9 @@ def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None, int]:
     clock = _reads_the_clock(sql, ast)
     if clock:
         return f"nondeterministic: {clock}('now')", ast, count
+    views = _views_read(ast, schema)
+    if views:
+        return "reads a view, which is not supported: " + ", ".join(views), ast, count
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError as exc:
@@ -351,6 +354,22 @@ def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None, int]:
         names = sorted({b.name for b in report.unresolved})
         return "unresolved columns: " + ", ".join(names), ast, count
     return "", ast, count
+
+
+def _views_read(ast: t.Node, schema) -> list[str]:
+    """The views of ``schema`` that ``ast`` reads, as the database names them.
+
+    A CTE named like a view hides it; the tree is walked only when the
+    database has views.
+    """
+    if not schema.views:
+        return []
+    nodes = [node for _, node in t.walk(ast)]
+    ctes = {node.value[0].lower() for node in nodes if node.kind == t.CTE}
+    views = {schema.view(node.value[0]) for node in nodes
+             if node.kind == t.TABLE and node.value[0].lower() not in ctes}
+    views.discard(None)
+    return sorted(views)
 
 
 def _reads_the_clock(sql: str, ast: t.Node) -> str:

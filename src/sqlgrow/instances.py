@@ -85,6 +85,7 @@ class QueryInstance(_InstanceFields):
         return _checked(super().__new__(cls, *args, **kwargs))
 
     def to_dict(self) -> dict:
+        """Every field but a null ``cot``; ``features`` maps each count's name to it."""
         record = self._asdict()
         if self.operator_applied:
             record["operator_applied"] = self.operator_applied.name
@@ -94,15 +95,38 @@ class QueryInstance(_InstanceFields):
             del record["cot"]
         return record
 
+    def to_row(self) -> dict:
+        """The checkpoint record: no field at its ``_OPTIONAL`` default, and
+        ``features`` as the nine counts in ``FeatureVector`` field order."""
+        record = {name: value for name, value in zip(self._fields, self)
+                  if name not in _OPTIONAL or value != _OPTIONAL[name]}
+        if self.operator_applied:
+            record["operator_applied"] = self.operator_applied.name
+        if self.features:
+            record["features"] = list(self.features)
+        return record
+
     @classmethod
     def from_dict(cls, record: dict) -> "QueryInstance":
-        """The instance a ``to_dict`` record holds; a missing field raises KeyError."""
+        """The instance a ``to_dict`` or ``to_row`` record holds; a missing
+        field raises KeyError."""
         fields = {name: record.get(name, _OPTIONAL[name]) if name in _OPTIONAL
                   else record[name] for name in cls._fields}
-        operator, features = fields["operator_applied"], fields["features"]
+        operator = fields["operator_applied"]
         fields["operator_applied"] = OperatorId[operator] if operator else None
-        fields["features"] = FeatureVector(**features) if features else None
+        fields["features"] = _features(fields["features"])
         return _checked(cls._make(fields.values()))
+
+
+def _features(value) -> FeatureVector | None:
+    """The counts a record's ``features`` holds, as a list in field order or
+    as a mapping by name; a list of another length raises ValueError."""
+    if isinstance(value, list):
+        if len(value) != len(FeatureVector._fields):
+            raise ValueError(f"features holds {len(value)} counts, "
+                             f"not {len(FeatureVector._fields)}")
+        return FeatureVector(*value)
+    return FeatureVector(**value) if value else None
 
 
 def write_file(path, lines) -> None:
@@ -122,13 +146,18 @@ def write_file(path, lines) -> None:
     os.replace(partial, path)
 
 
-def write_jsonl(instances, path) -> None:
+def write_jsonl(instances, path, compact: bool = False) -> None:
+    """Write one JSON row per instance: its ``to_dict`` record, or with
+    ``compact`` (a checkpoint) its ``to_row`` record with no space after a
+    separator. ``read_jsonl`` reads either form."""
+    record = QueryInstance.to_row if compact else QueryInstance.to_dict
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                              separators=(",", ":") if compact else None).encode
     # a record and its newline go as two strings: joining them copies every
     # record, and that raised the peak RSS, which dedup sets later, by 0.3 MiB
     # on the bigdb workload (CPython 3.11, x86-64 Linux)
-    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     write_file(path, (text for inst in instances for text in (
-        encode(inst.to_dict()), "\n")))
+        encode(record(inst)), "\n")))
 
 
 def read_jsonl(path) -> list[QueryInstance]:

@@ -9,9 +9,10 @@ whitespace, comments and ``;`` come first, then one token, whose
 alternatives are tried in order. A match that reaches the end of the text
 instead of a token ends it. A string keeps its quotes and ``''`` escapes;
 an identifier in double quotes, backticks or square brackets keeps its
-inner text verbatim, except that ``""`` inside double quotes is one ``"``,
-as in SQLite. An opener that never closes, or a character no
-alternative takes, is a syntax error at its position; SQLite's blob
+inner text verbatim, except that ``""`` inside double quotes is one ``"``
+and a doubled backtick inside backticks is one backtick, as in SQLite. An
+opener that never closes, or a character no alternative takes, is a
+syntax error at its position; SQLite's blob
 literal ``X'…'`` and bitwise ``~ << >> & |`` are refused by name. As in
 SQLite, a word starts with any word character but a decimal digit, so
 ``²`` and ``½`` are identifier characters.
@@ -44,7 +45,7 @@ _TOKEN = re.compile(r"""
       | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
       | (?P<punct> [(),.] )
       | (?P<string> '[^']*(?:''[^']*)*'(?!') )
-      | (?P<quoted> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+      | (?P<quoted> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*(?:``[^`]*)*`(?!`) | \[[^\]]*\] )
       | (?P<unclosed> /\* | ['"`\[] )
       | (?P<op> != | <> | <= | >= | << | >> | \|\| | == | [=<>+\-*/%~&|] )
       | (?P<bad> (?s:.) )
@@ -83,7 +84,8 @@ def tokenize(sql: str) -> list[Token]:
             else:
                 append(new(Token, ("ident", low, pos)))
         elif kind == "quoted":
-            name = text[1:-1].replace('""', '"') if text[0] == '"' else text[1:-1]
+            quote = text[0]
+            name = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
             append(new(Token, ("ident", name, pos)))
         elif kind == "op":
             if text in _BITWISE:

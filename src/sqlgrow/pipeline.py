@@ -437,7 +437,7 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
             quarantined = _read_json(ckpt_dir / "quarantine.json", kind=list)
         else:
             seeds, quarantined = ingest_seeds(cfg.seeds, repo)
-            write_jsonl(seeds, ckpt_dir / "seeds.jsonl")
+            write_jsonl(seeds, ckpt_dir / "seeds.jsonl", compact=True)
             write_file(ckpt_dir / "quarantine.json",
                        [json.dumps(quarantined, sort_keys=True, indent=2)])
             _mark_done(ckpt_dir, done, "ingest")
@@ -497,7 +497,7 @@ def _checkpointed(ckpt_dir: Path, done: dict, stage: str, grow):
     if stage in done:
         return read_jsonl(path)
     instances = grow()
-    write_jsonl(instances, path)
+    write_jsonl(instances, path, compact=True)
     _mark_done(ckpt_dir, done, stage)
     return instances
 

@@ -84,17 +84,25 @@ class TableDef(_Frozen):
 
 class DatabaseSchema(_Frozen):
     """A database's tables, with the table lookup and the FK join graph
-    built with it, once per schema value."""
+    built with it, once per schema value. ``views`` names the database's
+    views, which no query may read."""
 
-    __slots__ = ("schema_id", "tables", "_by_name", "_join_graph")
-    _fields = ("schema_id", "tables")
+    __slots__ = ("schema_id", "tables", "views", "_by_name", "_views", "_join_graph")
+    _fields = ("schema_id", "tables", "views")
 
-    def __init__(self, schema_id: str, tables: tuple[TableDef, ...]):
-        self._set(schema_id=schema_id, tables=tables, _by_name=_first_by_name(tables))
+    def __init__(self, schema_id: str, tables: tuple[TableDef, ...],
+                 views: tuple[str, ...] = ()):
+        self._set(schema_id=schema_id, tables=tables, views=views,
+                  _by_name=_first_by_name(tables),
+                  _views={name.lower(): name for name in views})
         self._set(_join_graph=_build_join_graph(self))
 
     def table(self, name: str) -> TableDef | None:
         return self._by_name.get(name.lower())
+
+    def view(self, name: str) -> str | None:
+        """The name the database gives the view ``name`` names, if it is one."""
+        return self._views.get(name.lower())
 
     def table_names(self) -> list[str]:
         return [t.name for t in self.tables]
@@ -150,19 +158,21 @@ def load_schema(db_file) -> DatabaseSchema:
 
 def _introspect(conn: sqlite3.Connection, schema_id: str) -> DatabaseSchema:
     cur = conn.cursor()
-    names = [
-        r[0]
-        for r in cur.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table' "
-            "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-        )
-    ]
+    listed = ("SELECT name FROM sqlite_master WHERE type = ? "
+              "AND name NOT LIKE 'sqlite_%' ORDER BY name")
+    names = [r[0] for r in cur.execute(listed, ("table",))]
+    views = tuple(r[0] for r in cur.execute(listed, ("view",)))
     tables = []
     for name in names:
         cols = []
         pk_cols: list[tuple[int, str]] = []
         quoted = quote_ident(name)
-        for _, col_name, decl, notnull, _, pk in cur.execute(f"PRAGMA table_info({quoted})"):
+        # table_xinfo, unlike table_info, lists generated columns: hidden 2
+        # (virtual) and 3 (stored); 1 is a virtual table's hidden column
+        for _, col_name, decl, notnull, _, pk, hidden in cur.execute(
+                f"PRAGMA table_xinfo({quoted})"):
+            if hidden == 1:
+                continue
             cols.append(ColumnDef(col_name, _affinity_of(decl), nullable=not notnull))
             if pk:
                 pk_cols.append((pk, col_name))
@@ -186,7 +196,7 @@ def _introspect(conn: sqlite3.Connection, schema_id: str) -> DatabaseSchema:
                 foreign_keys=tuple(fk_list),
             )
         )
-    schema = DatabaseSchema(schema_id, tuple(tables))
+    schema = DatabaseSchema(schema_id, tuple(tables), views)
     validate_schema(schema)
     return schema
 
@@ -234,6 +244,12 @@ def validate_schema(schema: DatabaseSchema) -> None:
                         f"foreign key on {tab.name} references missing column "
                         f"{fk.ref_table}.{col}"
                     )
+            if _referenced_columns(fk, ref) is None:
+                violations.append(
+                    f"foreign key {tab.name}({', '.join(fk.columns)}) names no column "
+                    f"of {fk.ref_table}, which has "
+                    + (f"a {len(ref.primary_key)}-column primary key"
+                       if ref.primary_key else "no primary key"))
     if violations:
         raise SchemaValidationError(violations)
 
@@ -252,12 +268,9 @@ def _build_join_graph(schema: DatabaseSchema) -> dict[str, list[JoinEdge]]:
     for tab in schema.tables:
         for fk in tab.foreign_keys:
             ref = schema.table(fk.ref_table)
-            if ref is None:
-                continue
-            ref_cols = tuple(
-                c if c is not None else ref.primary_key[i]
-                for i, c in enumerate(fk.ref_columns)
-            )
+            ref_cols = _referenced_columns(fk, ref) if ref is not None else None
+            if ref_cols is None:
+                continue  # validate_schema reports the key
             edge = JoinEdge(tab.name, fk.columns, ref.name, ref_cols)
             adjacency[tab.name].append(edge)
             adjacency[ref.name].append(
@@ -266,6 +279,15 @@ def _build_join_graph(schema: DatabaseSchema) -> dict[str, list[JoinEdge]]:
     for edges in adjacency.values():
         edges.sort(key=lambda e: (e.table_b, e.columns_a, e.columns_b))
     return adjacency
+
+
+def _referenced_columns(fk: ForeignKey, ref: TableDef) -> tuple[str, ...] | None:
+    """The columns of ``ref`` that ``fk`` pairs with its own, or None when
+    they are not known: a key that names no columns (SQLite lists each as
+    None) pairs with ``ref``'s primary key, which must be as wide as the key."""
+    if None not in fk.ref_columns:
+        return fk.ref_columns
+    return ref.primary_key if len(ref.primary_key) == len(fk.ref_columns) else None
 
 
 def render_schema_prompt(schema: DatabaseSchema) -> str:
@@ -284,11 +306,14 @@ def render_schema_prompt(schema: DatabaseSchema) -> str:
         if len(tab.primary_key) > 1:
             lines.append("  PRIMARY KEY (" + ", ".join(tab.primary_key) + ")")
         for fk in tab.foreign_keys:
+            # a key that names no columns is shown with the ones it pairs with
+            ref = schema.table(fk.ref_table)
+            ref_cols = (ref and _referenced_columns(fk, ref)) or fk.ref_columns
             lines.append(
                 "  FOREIGN KEY ("
                 + ", ".join(fk.columns)
                 + f") REFERENCES {fk.ref_table}("
-                + ", ".join(c or "" for c in fk.ref_columns)
+                + ", ".join(c or "" for c in ref_cols)
                 + ")"
             )
         statements.append(f"CREATE TABLE {tab.name} (\n" + ",\n".join(lines) + "\n);")

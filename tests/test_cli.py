@@ -197,6 +197,25 @@ def test_stage_failure_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_a_key_to_a_table_without_a_primary_key_is_a_stage_failure(tmp_path, capsys):
+    # the key names no column and p has no primary key to stand for them
+    dbs = tmp_path / "dbs"
+    dbs.mkdir()
+    conn = sqlite3.connect(dbs / "bare.db")
+    conn.executescript("CREATE TABLE p (a INTEGER, b TEXT);"
+                       "CREATE TABLE c (id INTEGER PRIMARY KEY, y INTEGER REFERENCES p);"
+                       "INSERT INTO c VALUES (1, 1);")
+    conn.close()
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([{"question": "Which y?", "SQL": "SELECT y FROM c",
+                                  "db_id": "bare"}]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": str(seeds), "db_dir": str(dbs),
+                               "out_dir": str(tmp_path / "out"), "rounds": 1}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    _one_line_failure(capsys, "foreign key c(y) names no column of p, which has no primary key")
+
+
 def test_wall_cap_ends_the_run_without_a_rejection(workspace, monkeypatch, capsys):
     tmp_path, cfg = workspace
     real_run_eqe = pipeline.run_eqe

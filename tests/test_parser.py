@@ -176,6 +176,8 @@ def test_tokenize_counts_qualified_names_as_three():
     # as in SQLite, "" inside double quotes is one "; other quotes keep it
     ('"a""b" "c""" [d""e]', [("ident", 'a"b', 0), ("ident", 'c"', 7),
                              ("ident", 'd""e', 13)]),
+    # and a doubled backtick inside backticks is one backtick
+    ("`a``b` ```` `c\"`", [("ident", "a`b", 0), ("ident", "`", 7), ("ident", 'c"', 12)]),
 ])
 def test_token_stream(text, expected):
     assert [(tok.type, tok.text, tok.pos) for tok in tokenize(text)] == expected
@@ -188,6 +190,7 @@ def test_token_stream(text, expected):
     ('SELECT "a', "unterminated quoted identifier", 7),
     ('SELECT "a""', "unterminated quoted identifier", 7),
     ("SELECT `a", "unterminated quoted identifier", 7),
+    ("SELECT `a``", "unterminated quoted identifier", 7),
     ("SELECT [a", "unterminated quoted identifier", 7),
     ("SELECT ?", "unexpected character '?'", 7),
     ("SELECT @x", "unexpected character '@'", 7),
@@ -240,7 +243,7 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
 _REFERENCE_TOKEN = re.compile(r"""
     (?P<skip> \s+ | --[^\n]* | /\*(?s:.*?)\*/ | ; )
   | (?P<string> '[^']*(?:''[^']*)*'(?!') )
-  | (?P<quoted> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+  | (?P<quoted> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*(?:``[^`]*)*`(?!`) | \[[^\]]*\] )
   | (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d*)? )
   | (?P<blob> [xX]'[^']*' )
   | (?P<word> [^\W\d]\w* )
@@ -263,8 +266,9 @@ def _reference_tokenize(sql):
             tokens.append(("kw", low.upper(), pos) if low in KEYWORDS
                           else ("ident", low, pos))
         elif kind == "quoted":
-            inner = text[1:-1]
-            tokens.append(("ident", inner.replace('""', '"') if text[0] == '"' else inner, pos))
+            inner, quote = text[1:-1], text[0]
+            tokens.append(("ident", inner if quote == "[" else inner.replace(quote * 2, quote),
+                           pos))
         elif kind == "op":
             tokens.append(("op", {"==": "=", "<>": "!="}.get(text, text), pos))
         elif kind == "unclosed":
@@ -413,6 +417,42 @@ def test_a_double_quote_in_a_name_round_trips(sql, name):
         got = conn.execute(rendered)
         assert got.fetchall() == expected.fetchall()
         assert got.description[0][0] == expected.description[0][0] == name
+
+
+# Characters and words a quoted name may hold: quotes of every style, spaces,
+# dots, keywords, upper case and a non-ASCII letter.
+_NAME_PARTS = [*"aZ_9 .\"'`[]-é", " select ", "FROM", "order", "x"]
+
+
+def _quoted(name, style):
+    if style == '"':
+        return '"' + name.replace('"', '""') + '"'
+    if style == "`":
+        return "`" + name.replace("`", "``") + "`"
+    return "[" + name + "]"
+
+
+def test_quoted_names_render_to_the_column_sqlite_names():
+    # SQLite is the oracle: a name in any of its quoting styles renders to
+    # a query whose result column SQLite names as it names the query written
+    rng = random.Random(20261021)
+    with _oracle_database("") as conn:
+        for _ in range(600):
+            style = rng.choice(['"', "`", "["])
+            name = "".join(rng.choice(_NAME_PARTS) for _ in range(rng.randint(1, 6)))
+            if style == "[":
+                name = name.replace("]", "")
+            if not name:
+                continue
+            conn.executescript(f"DROP TABLE IF EXISTS t; CREATE TABLE t (k INTEGER, "
+                               f"{render.quote_ident(name)} INTEGER); "
+                               "INSERT INTO t VALUES (1, 2);")
+            for sql in (f"SELECT {_quoted(name, style)} FROM t",
+                        f"SELECT k AS {_quoted(name, style)} FROM t"):
+                rendered = render_sql(parse_sql(sql))
+                expected, got = conn.execute(sql), conn.execute(rendered)
+                assert got.description[0][0] == expected.description[0][0] == name, sql
+                assert got.fetchall() == expected.fetchall(), sql
 
 
 def test_every_sqlite_keyword_renders_quoted():

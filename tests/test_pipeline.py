@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shutil
+import sqlite3
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -295,6 +296,37 @@ def test_a_seed_with_an_ambiguous_column_is_quarantined(repo, tmp_path):
         "candidates: games_competitor, person"]
 
 
+def test_a_seed_that_reads_a_view_is_quarantined_naming_it(tmp_path):
+    # generated columns ground like any other; a view is named, not reported
+    # as unknown columns, unless a CTE of its name hides it
+    dbs = tmp_path / "dbs"
+    dbs.mkdir()
+    conn = sqlite3.connect(dbs / "gen.db")
+    conn.executescript("""
+        CREATE TABLE g (a INTEGER, b INTEGER GENERATED ALWAYS AS (a * 2));
+        CREATE VIEW v AS SELECT a FROM g;
+        CREATE VIEW "Big View" AS SELECT b FROM g;
+        INSERT INTO g (a) VALUES (1), (2);""")
+    conn.close()
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps([
+        {"question": q, "db_id": "gen", "SQL": sql} for q, sql in (
+            ("Which a?", "SELECT a FROM v"),
+            ("Twice a?", "SELECT b FROM g"),
+            ("Which b?", 'SELECT x.b FROM g JOIN "Big View" x ON x.b = g.b JOIN V ON 1'),
+            ("Hidden?", "WITH v AS (SELECT a FROM g) SELECT a FROM v"))]))
+    repo = SchemaRepo(dbs)
+    try:
+        seeds, quarantined = ingest_seeds(path, repo)
+    finally:
+        repo.close()
+    assert [s.sql for s in seeds] == ["SELECT b FROM g",
+                                      "WITH v AS (SELECT a FROM g) SELECT a FROM v"]
+    assert [q["reason"] for q in quarantined] == [
+        "reads a view, which is not supported: v",
+        "reads a view, which is not supported: Big View, v"]
+
+
 def test_a_seed_without_from_expands_to_itself_re_rendered(repo, tmp_path):
     # no FROM clause leaves the mock expansion's LOGIC rewrite no site
     path = tmp_path / "seeds.json"
@@ -454,6 +486,71 @@ def test_resume_between_rounds_reproduces_the_run(tmp_path, db_dir, mini_seed_fi
     run_full(cfg, resume=True)
     for name, data in fresh.items():
         assert (out / name).read_bytes() == data, name
+
+
+# a checkpoint row leaves out each field at this value; features are listed
+# in this order
+ROW_DEFAULTS = {"evidence": "", "parent_id": None, "operator_applied": None,
+                "features": None, "status": "active", "cot": None}
+FEATURE_ORDER = ("tables", "joins", "functions", "tokens", "aggregates", "subqueries",
+                 "windows", "ctes", "nesting")
+
+
+def _run_with_evidence(tmp_path, db_dir, name):
+    """A rounds=2 run of four olympics seeds, one of them with evidence."""
+    records = [{"question": q, "evidence": "weight is in kg" if i == 0 else "",
+                "SQL": sql, "db_id": "olympics"}
+               for i, (q, sql) in enumerate(fixtures.SEED_QUESTIONS["olympics"][:4])]
+    seeds = tmp_path / "evidence_seeds.json"
+    seeds.write_text(json.dumps(records))
+    return run_mini_full(tmp_path, db_dir, seeds, name, rounds=2)[0]
+
+
+def test_checkpoint_rows_leave_out_default_fields_and_list_the_features(tmp_path, db_dir):
+    _run_with_evidence(tmp_path, db_dir, "compact")
+    paths = sorted((tmp_path / "compact" / "checkpoints").glob("*.jsonl"))
+    assert [p.name for p in paths] == ["eqe.jsonl", "oge-1.jsonl", "oge-2.jsonl",
+                                       "seeds.jsonl"]
+    fields = Counter()
+    for path in paths:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            fields.update(row.keys())
+            assert line == json.dumps(row, sort_keys=True, ensure_ascii=False,
+                                      separators=(",", ":"))
+            assert not [name for name, value in ROW_DEFAULTS.items()
+                        if name in row and row[name] == value], line
+            assert len(row["features"]) == 9, line
+            assert all(type(count) is int and count >= 0 for count in row["features"])
+    # the fields that are not at their default are still written
+    assert {"evidence", "parent_id", "operator_applied"} <= set(fields)
+    assert fields["id"] > fields["parent_id"] > fields["operator_applied"] > 0
+
+
+def _full_row(line):
+    """A compact checkpoint row in the form written before rows were compact:
+    every field, features by name, a space after each separator."""
+    row = {**ROW_DEFAULTS, **json.loads(line)}
+    del row["cot"]
+    if row["features"] is not None:
+        row["features"] = dict(zip(FEATURE_ORDER, row["features"]))
+    return json.dumps(row, sort_keys=True, ensure_ascii=False)
+
+
+def test_checkpoints_of_full_rows_resume_to_the_same_outputs(tmp_path, db_dir):
+    cfg = _run_with_evidence(tmp_path, db_dir, "compact")
+    fresh, full = tmp_path / "compact", tmp_path / "full"
+    shutil.copytree(fresh, full)
+    for path in (full / "checkpoints").glob("*.jsonl"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(_full_row(line) + "\n" for line in lines), encoding="utf-8")
+        assert read_jsonl(path) == read_jsonl(fresh / "checkpoints" / path.name)
+    assert '"features": {"aggregates": ' in (full / "checkpoints" / "eqe.jsonl").read_text()
+    for name in ("dataset.jsonl", "dedup_removals.jsonl", "feature_report.csv"):
+        (full / name).unlink()
+    run_full(cfg._replace(out_dir=str(full)), resume=True)
+    for name in ("dataset.jsonl", "dedup_removals.jsonl", "feature_report.csv"):
+        assert (full / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 OUTPUTS = ("dataset.jsonl", "dedup_removals.jsonl", "rejections.jsonl", "manifest.json",

@@ -116,6 +116,37 @@ def test_a_record_takes_only_the_two_statuses_a_run_sets(tmp_path):
     assert str(exc.value) == f"{path}, line 2: unknown status 'dedup-removed'"
 
 
+def test_to_row_leaves_out_default_fields_and_lists_the_features():
+    assert _evolved().to_row() == {
+        "id": "x", "schema_id": "s", "question": "q", "evidence": "e", "sql": "SELECT 1",
+        "stage": "OGE-2", "parent_id": "p", "operator_applied": "JOIN",
+        "features": [1, 0, 1, 4, 1, 0, 0, 0, 1]}
+    kept = _evolved(status="cot-kept", cot="trace")
+    assert kept.to_row() == {**_evolved().to_row(), "status": "cot-kept", "cot": "trace"}
+    seed = QueryInstance(id="x", schema_id="s", question="q", evidence="",
+                         sql="SELECT 1", stage="seed")
+    assert seed.to_row() == {"id": "x", "schema_id": "s", "question": "q",
+                             "sql": "SELECT 1", "stage": "seed"}
+    for inst in (_evolved(), kept, seed):
+        assert QueryInstance.from_dict(inst.to_row()) == inst
+        assert QueryInstance.from_dict(inst.to_dict()) == inst
+
+
+@pytest.mark.parametrize("features, problem", [
+    ([1, 0, 1, 4, 1, 0, 0, 0], "features holds 8 counts, not 9"),
+    ([1, 0, 1, 4, 1, 0, 0, 0, 1, 0], "features holds 10 counts, not 9"),
+    ([1, 0, 1, 4, 1, 0, -1, 0, 1], "feature windows must be >= 0"),
+])
+def test_a_checkpoint_row_whose_feature_list_is_not_nine_counts_is_refused(
+        tmp_path, features, problem):
+    row = _evolved().to_row()
+    path = tmp_path / "oge-2.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "features": features}) + "\n")
+    with pytest.raises(InstanceFileError) as exc:
+        read_jsonl(path)
+    assert str(exc.value) == f"{path}, line 2: {problem}"
+
+
 def test_to_dict_converts_the_operator_features_and_trace_and_from_dict_reverses_it():
     kept = _evolved(status="cot-kept", cot="trace")
     record = {"id": "x", "schema_id": "s", "question": "q", "evidence": "e",
