@@ -31,16 +31,7 @@ FEATURE_COLUMNS = (
 FEATURE_NAMES = tuple(name for name, _ in FEATURE_COLUMNS)
 
 
-class _Features(NamedTuple):
-    tables: float
-    joins: float
-    functions: float
-    tokens: float
-    aggregates: float
-    subqueries: float
-    windows: float
-    ctes: float
-    nesting: float
+_Features = NamedTuple("_Features", [(name, float) for name in FEATURE_NAMES])
 
 
 class FeatureVector(_Features):

@@ -28,6 +28,7 @@ from .errors import (
     TransportError,
 )
 from .harness import ExecutionFeedback, _run_query, render_feedback
+from .lexer import _TOKEN, tokenize
 from .operators import (
     OperatorId,
     ParentAnalysis,
@@ -38,7 +39,7 @@ from .operators import (
 )
 from .parser import parse_sql
 from .prompts import render_template
-from .render import render_sql
+from .render import render_expr, render_sql
 from .resolve import resolve_references
 from .schema import DatabaseSchema, render_schema_prompt
 from .sqlite import quote_ident, sqlite3
@@ -324,44 +325,41 @@ def _mock_expansion(question, evidence, db, seed, analysis):
 
 
 def _mock_refine(question, draft, schema, feedback, db):
-    """Rule repairs: identifier fix, predicate drop, equality-to-LIKE."""
-    message = feedback.error if not feedback.ok else ""
-
-    fixed = _fix_identifier(draft, schema, message)
-    if fixed is not None:
-        return fixed
-
-    if not (feedback.ok and feedback.row_count == 0):
+    """Rule repairs that leave the rest of the query as written: the name
+    SQLite could not find is fixed, else one literal equality that no row
+    meets is dropped, else the draft comes back."""
+    if not feedback.ok:
+        return _fix_identifier(draft, schema, feedback.error) or draft
+    if feedback.row_count:
         return draft
-
     try:
         ast = parse_sql(draft)
     except SqlgrowError:
         return draft
-
-    dropped = _drop_dead_predicate(ast, schema, db)
-    if dropped is not None:
-        return dropped
-
-    relaxed = _relax_text_equality(ast)
-    if relaxed is not None:
-        return relaxed
-    return draft
+    return _drop_dead_predicate(ast, schema, db) or draft
 
 
 def _fix_identifier(draft, schema, message):
-    match = re.search(r"no such (?:column|table): ([\w.]+)", message)
+    """The draft with each identifier token that names what SQLite reported
+    replaced by the nearest name of that kind; a string literal or a longer
+    name that holds the text is left alone."""
+    match = re.search(r"no such (column|table): ([\w.]+)", message)
     if not match:
         return None
-    broken = match.group(1).split(".")[-1]
-    pool = set()
-    for tab in schema.tables:
-        pool.add(tab.name)
-        pool.update(tab.column_names())
+    broken = match.group(2).split(".")[-1].lower()
+    if match.group(1) == "column":
+        pool = {name for tab in schema.tables for name in tab.column_names()}
+    else:
+        pool = set(schema.table_names())
     best = min(pool, key=lambda name: (_edit_distance(broken, name), name), default=None)
-    if best is None or best == broken:
+    if best is None or best.lower() == broken:
         return None
-    return re.sub(rf"\b{re.escape(broken)}\b", best, draft)
+    fixed, done = [], 0
+    for tok in tokenize(draft):
+        if tok.type == "ident" and tok.text.lower() == broken:
+            fixed += [draft[done:tok.pos], render_expr(t.column("", best))]
+            done = _TOKEN.match(draft, tok.pos).end()  # a quoted name ends at its quote
+    return "".join(fixed) + draft[done:] if fixed else None
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -380,7 +378,12 @@ def _edit_distance(a: str, b: str) -> int:
 
 
 def _drop_dead_predicate(ast, schema, db):
-    """Remove one literal predicate whose value no longer exists in its column."""
+    """Remove one literal equality whose value is in no row of its column.
+
+    The lookup holds the literal's own lexeme, a number, string, NULL, TRUE
+    or FALSE token as the parser read it, so SQLite reads the value as it
+    reads the draft's.
+    """
     if db is None:
         return None
     try:
@@ -397,8 +400,7 @@ def _drop_dead_predicate(ast, schema, db):
         try:
             _, rows = _run_query(
                 db, f'SELECT 1 FROM {quote_ident(relation)} '
-                    f'WHERE {quote_ident(col.value[1])} = ? LIMIT 1',
-                1, (_python_value(lit),))
+                    f'WHERE {quote_ident(col.value[1])} = {lit.value[0]} LIMIT 1', 1)
         except sqlite3.Error:
             continue
         if not rows:
@@ -406,19 +408,6 @@ def _drop_dead_predicate(ast, schema, db):
             if pruned is not None:
                 return render_sql(pruned)
     return None
-
-
-def _python_value(lit: t.Node):
-    lex = lit.value[0]
-    if lex.startswith("'"):
-        return lex[1:-1].replace("''", "'")
-    try:
-        return int(lex)
-    except ValueError:
-        try:
-            return float(lex)
-        except ValueError:
-            return lex
 
 
 def _remove_predicate(ast, pred_path):
@@ -436,18 +425,6 @@ def _remove_predicate(ast, pred_path):
         select_node = t.node_at(ast, select_path)
         kept_clauses = [c for c in select_node.children if c is not parent]
         return t.replace_at(ast, select_path, t.select_core(kept_clauses))
-    return None
-
-
-def _relax_text_equality(ast):
-    """Turn the first text equality into a LIKE substring match."""
-    for path, node in literal_comparisons(ast):
-        col, lit = node.children
-        if node.value[0] != "=" or not lit.value[0].startswith("'"):
-            continue
-        inner = lit.value[0][1:-1]
-        relaxed = t.operator("like", [col, t.literal(f"'%{inner}%'")])
-        return render_sql(t.replace_at(ast, path, relaxed))
     return None
 
 

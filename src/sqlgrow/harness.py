@@ -144,7 +144,7 @@ def execute_sql(conn: sqlite3.Connection, sql: str) -> ExecutionFeedback:
     return ExecutionFeedback(ok=True, columns=columns, row_count=len(rows))
 
 
-def _run_query(conn: sqlite3.Connection, sql: str, limit: int, params=()):
+def _run_query(conn: sqlite3.Connection, sql: str, limit: int):
     """Column names and up to ``limit`` rows; SQLite errors propagate.
 
     Grounding, result collection, value sampling and the mock refiner's
@@ -166,7 +166,7 @@ def _run_query(conn: sqlite3.Connection, sql: str, limit: int, params=()):
 
     conn.set_progress_handler(progress, _PROGRESS_OPCODES)
     try:
-        cur = conn.execute(sql, params)
+        cur = conn.execute(sql)
         rows = cur.fetchmany(limit)
         return tuple(d[0] for d in cur.description or ()), rows
     except sqlite3.OperationalError:

@@ -422,6 +422,9 @@ def run_full(cfg: RunConfig, resume: bool = False, stop_after: str | None = None
     if stop_after not in (None, "ingest", "eqe", "oge"):
         raise ValueError(f"unknown stage to stop after: {stop_after}")
     cfg.validate()
+    for name, what in (("seeds", "seed file"), ("db_dir", "database directory")):
+        if not getattr(cfg, name):  # Path("") is the current directory
+            raise ConfigError(f"{name} must name the {what}")
     out_dir = Path(cfg.out_dir)
     ckpt_dir = out_dir / "checkpoints"
     repo = SchemaRepo(cfg.db_dir)

@@ -84,7 +84,7 @@ def _render_clause(node: t.Node) -> str:
         return "WITH " + ", ".join(_render_cte(c) for c in kids)
     if kind == "select":
         head = "SELECT DISTINCT" if "distinct" in node.value[1:] else "SELECT"
-        return head + " " + ", ".join(_render_select_item(c) for c in kids)
+        return head + " " + ", ".join(_expr(c, 0) for c in kids)
     if kind == "from":
         text = _render_source(kids[0])
         for join_node in kids[1:]:
@@ -110,18 +110,6 @@ def _render_cte(node: t.Node) -> str:
     if node.kind != t.CTE:
         raise StructuralError("WITH children must be CTE nodes")
     return f"{_ident(node.value[0])} AS {_render_subquery(node.children[0], with_alias=False)}"
-
-
-def _render_select_item(node: t.Node) -> str:
-    if node.kind == t.STAR:
-        return _render_star(node)
-    if node.kind == t.ALIAS:
-        return f"{_expr(node.children[0], 0)} AS {_ident(node.value[0])}"
-    return _expr(node, 0)
-
-
-def _render_star(node: t.Node) -> str:
-    return f"{_ident(node.value[0])}.*" if node.value[0] else "*"
 
 
 def _render_source(node: t.Node) -> str:
@@ -198,7 +186,7 @@ def _expr_bare(node: t.Node) -> str:
         qual, name = node.value
         return f"{_ident(qual)}.{_ident(name)}" if qual else _ident(name)
     if kind == t.STAR:
-        return _render_star(node)
+        return f"{_ident(node.value[0])}.*" if node.value[0] else "*"
     if kind == t.SUBQUERY:
         return _render_subquery(node, with_alias=False)
     if kind == t.FUNCTION:

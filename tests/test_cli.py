@@ -136,6 +136,21 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("missing, given, flag", [
+    ("seeds", "db_dir", "--db-dir"),
+    ("db_dir", "seeds", "--seeds"),
+])
+def test_run_without_its_inputs_is_a_config_error(
+        workspace, tmp_path, monkeypatch, capsys, missing, given, flag):
+    _, cfg = workspace
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    assert main(["run", flag, json.loads(cfg.read_text())[given], "--out", "out"]) == 1
+    assert f"{missing} must name" in capsys.readouterr().err
+    assert list(empty.iterdir()) == []
+
+
 @pytest.mark.parametrize("p_target,message", [
     ({"FUNK": 1.0}, "operator names"),
     ({"FUNC": 0.5, "JOIN": 0.4}, "sum to 1"),

@@ -120,12 +120,32 @@ def test_mock_refine_fixes_identifier(gateway, olympics_schema):
     assert min(pool, key=lambda n: _edit_distance("full_nam", n)) == "full_name"
 
 
-def test_mock_refine_relaxes_text_equality(gateway, olympics_schema):
-    fb = ExecutionFeedback(ok=True, row_count=0)
-    relaxed = gateway.refine_sql(
-        "who", "SELECT full_name FROM person WHERE full_name = 'Alise Swift'",
-        olympics_schema, fb)
-    assert "LIKE '%Alise Swift%'" in relaxed
+def test_mock_refine_fixes_identifier_tokens_only(gateway, olympics_schema):
+    # a string literal holding the misspelled name, and a longer name that
+    # holds it, are not the name SQLite reported
+    fb = ExecutionFeedback(ok=False, error="no such column: full_nam")
+    draft = "SELECT full_nam FROM person WHERE full_name <> 'full_nam' AND full_nam <> 'x'"
+    assert gateway.refine_sql("who", draft, olympics_schema, fb) == (
+        "SELECT full_name FROM person WHERE full_name <> 'full_nam' AND full_name <> 'x'")
+
+
+def test_mock_refine_fixes_quoted_identifier(gateway, olympics_schema, connections):
+    # qualified, so SQLite reports the name instead of reading a string
+    draft = 'SELECT p."full_nam" FROM person AS p'
+    fb = execute_sql(connections["olympics"], draft)
+    assert fb.error == "no such column: p.full_nam"
+    fixed = gateway.refine_sql("who", draft, olympics_schema, fb)
+    assert fixed == "SELECT p.full_name FROM person AS p"
+    assert execute_sql(connections["olympics"], fixed).row_count >= 1
+
+
+def test_mock_refine_repairs_table_then_column(gateway, olympics_schema, connections):
+    conn = connections["olympics"]
+    outcome = harness.refine_until_valid(
+        "who", "SELECT p.full_nam FROM persn AS p", olympics_schema, conn,
+        lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn))
+    assert outcome.accepted and outcome.attempts == 3
+    assert outcome.sql == "SELECT p.full_name FROM person AS p"
 
 
 def test_mock_refine_identity_when_feedback_fine(gateway, olympics_schema):
@@ -149,15 +169,31 @@ def test_mock_refine_drops_sampled_out_literal(gateway, olympics_schema, connect
 def test_mock_refine_lookup_over_the_step_budget_drops_nothing(
         gateway, olympics_schema, connections, monkeypatch):
     # the dead-literal lookup runs under the harness's step budget; over it,
-    # the lookup fails and the refiner falls back to relaxing the equality
+    # the lookup fails and the draft comes back unchanged
     monkeypatch.setattr(harness, "MAX_VM_STEPS", 0)
     monkeypatch.setattr(harness, "_PROGRESS_OPCODES", 1)
     fb = ExecutionFeedback(ok=True, row_count=0)
     sql = ("SELECT full_name FROM person "
            "WHERE weight > 50 AND full_name = 'Nobody Here'")
-    repaired = gateway.refine_sql("who", sql, olympics_schema, fb,
-                                  db=connections["olympics"])
-    assert "Nobody Here" in repaired and "LIKE" in repaired
+    assert gateway.refine_sql("who", sql, olympics_schema, fb,
+                              db=connections["olympics"]) == sql
+
+
+@pytest.mark.parametrize("where, repaired", [
+    # past 64 bits, the literal is a REAL to SQLite; no weight is that
+    ("weight > 50 AND weight = 99999999999999999999", "WHERE weight > 50"),
+    ("weight > 50 AND weight = NULL", "WHERE weight > 50"),
+    # TRUE is 1 to SQLite, and person 1 exists: nothing to drop
+    ("weight < 0 AND id = TRUE", None),
+])
+def test_mock_refine_looks_literals_up_as_sqlite_reads_them(
+        gateway, olympics_schema, connections, where, repaired):
+    conn = connections["olympics"]
+    sql = f"SELECT full_name FROM person WHERE {where}"
+    fb = execute_sql(conn, sql)
+    assert fb.ok and fb.row_count == 0
+    expected = f"SELECT full_name FROM person {repaired}" if repaired else sql
+    assert gateway.refine_sql("who", sql, olympics_schema, fb, db=conn) == expected
 
 
 def test_mock_cot_first_candidate_is_gold(gateway, olympics_schema):

@@ -434,11 +434,13 @@ def test_run_full_mini(tmp_path, db_dir, mini_seed_file):
     assert list(out.rglob("*.tmp")) == []
 
 
-# sha256 of two outputs of a rounds=1 fixture run: a change anywhere in the
-# pipeline that alters the data it writes shows here
+# sha256 of three outputs of a rounds=1 fixture run: a change anywhere in the
+# pipeline that alters the data it writes shows here. Every rejection of this
+# run is an "empty result", so its hash does not depend on SQLite's messages.
 REFERENCE_OUTPUT = {
     "dataset.jsonl": "856e51d7ad7e4e4c3aec5399d79fb61dfde42c3c3153be874aa2d73dae8c512e",
     "dedup_removals.jsonl": "bec3adc5e210cb4de1f08508c25e88bfcae975909a167f648375835d57e017cd",
+    "rejections.jsonl": "2178406e4fe4425243db127583db0e486c7f6bdd04ca38aeefb1baa101656477",
 }
 
 
