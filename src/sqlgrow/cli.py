@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     stats.add_argument("--dataset", required=True, help="dataset JSONL path")
     stats.add_argument("--csv", help="also write the CSV report here")
 
-    verify = sub.add_parser("verify", help="re-execute every dataset row")
+    verify = sub.add_parser("verify", help="ground every dataset row again")
     verify.add_argument("--dataset", required=True)
     verify.add_argument("--db-dir", dest="db_dir", required=True)
 

@@ -326,7 +326,7 @@ def _mock_expansion(question, evidence, db, seed, analysis):
 
 def _mock_refine(question, draft, schema, feedback, db):
     """Rule repairs that leave the rest of the query as written: the name
-    SQLite could not find is fixed, else one literal equality that no row
+    SQLite or grounding could not find is fixed, else one literal equality that no row
     meets is dropped, else the draft comes back."""
     if not feedback.ok:
         return _fix_identifier(draft, schema, feedback.error) or draft
@@ -340,10 +340,10 @@ def _mock_refine(question, draft, schema, feedback, db):
 
 
 def _fix_identifier(draft, schema, message):
-    """The draft with each identifier token that names what SQLite reported
-    replaced by the nearest name of that kind; a string literal or a longer
-    name that holds the text is left alone."""
-    match = re.search(r"no such (column|table): ([\w.]+)", message)
+    """The draft with each identifier token that names what SQLite or grounding
+    reported first replaced by the nearest name of that kind; a string
+    literal or a longer name that holds the text is left alone."""
+    match = re.search(r"(?:no such|unresolved) (column|table)s?: ([\w.]+)", message)
     if not match:
         return None
     broken = match.group(2).split(".")[-1].lower()

@@ -2,10 +2,14 @@
 
 All execution failures are data, not exceptions: the feedback object
 carries either the engine's error message or the shape of the result.
-Acceptance means the query ran and returned at least one row. Grounding
-reads at most ``SAMPLE_ROWS + 1`` rows of a result, so the row count it
-reports is exact only up to ``SAMPLE_ROWS``. ``collect_result`` reads up to
-``MAX_ROWS`` rows, for comparison; a longer result is too large to compare.
+``ground`` is the one gate that admits SQL (a seed, each text refinement
+tries, each row ``sqlgrow verify`` reads): the query must run and return a
+row, then parse, read no clock or view and resolve; its reason is the
+first that fails, so SQLite's error or "empty result" comes before a
+static one. Grounding reads at most ``SAMPLE_ROWS + 1`` rows of a result,
+so the row count it reports is exact only up to ``SAMPLE_ROWS``.
+``collect_result`` reads up to ``MAX_ROWS`` rows, for comparison; a longer
+result is too large to compare.
 
 Queries whose result depends on the clock or on chance are refused:
 the authorizer denies ``random``, ``randomblob`` and the ``CURRENT_*``
@@ -290,6 +294,20 @@ def results_equivalent(a: ResultMultiset, b: ResultMultiset) -> bool:
 # Execution-grounded refinement
 # ---------------------------------------------------------------------------
 
+def ground(sql: str, schema, conn: sqlite3.Connection) -> RefinementOutcome:
+    """Whether ``sql`` is admitted, in the order the module names, as one
+    attempt; a static failure's feedback is ``ExecutionFeedback(ok=False,
+    error=reason)``."""
+    feedback = execute_sql(conn, sql)
+    reason = execution_problem(feedback)
+    if not reason:
+        reason, tree, tokens = _grounding_problem(sql, schema)
+        if not reason:
+            return RefinementOutcome(True, sql, 1, feedback, tree=tree, tokens=tokens)
+        feedback = ExecutionFeedback(ok=False, error=reason)
+    return RefinementOutcome(False, sql, 1, feedback, reason)
+
+
 def refine_until_valid(
     question: str,
     draft_sql: str,
@@ -298,33 +316,24 @@ def refine_until_valid(
     refiner,
     max_attempts: int = 3,
 ) -> RefinementOutcome:
-    """Execute, and on failure ask the refiner for a revision, up to a bound.
+    """Ground, and on failure ask the refiner for a revision, up to a bound.
 
-    Acceptance requires a non-empty result plus a clean parse and
-    reference resolution, so everything downstream can rely on the tree
-    that an accepted outcome carries. A revision equal to the text it
-    revises ends refinement: the same text on the same database fails the
-    same way. ``attempts`` counts the texts actually tried.
+    Each text tried passes through ``ground``, so everything downstream can
+    rely on the tree that an accepted outcome carries. A revision equal to
+    the text it revises ends refinement: the same text on the same database
+    fails the same way. ``attempts`` counts the texts actually tried.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     sql = draft_sql
     for attempt in range(1, max_attempts + 1):
-        feedback = execute_sql(conn, sql)
-        reason = execution_problem(feedback)
-        if not reason:
-            reason, tree, tokens = _grounding_problem(sql, schema)
-            if not reason:
-                return RefinementOutcome(True, sql, attempt, feedback, tree=tree,
-                                         tokens=tokens)
-            feedback = ExecutionFeedback(ok=False, error=reason)
-        if attempt == max_attempts:
-            break
-        revised = refiner(question, sql, schema, feedback)
+        outcome = ground(sql, schema, conn)._replace(attempts=attempt)
+        if outcome.accepted or attempt == max_attempts:
+            return outcome
+        revised = refiner(question, sql, schema, outcome.feedback)
         if revised == sql:
-            break
+            return outcome
         sql = revised
-    return RefinementOutcome(False, sql, attempt, feedback, reason)
 
 
 def _grounding_problem(sql: str, schema) -> tuple[str, t.Node | None, int]:

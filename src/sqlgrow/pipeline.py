@@ -20,13 +20,7 @@ from .digests import sha256
 from .errors import ConfigError, RunFileError, SqlgrowError, TransportError
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
 from .gateway import ROLES, HttpChatBackend, HttpEmbeddingBackend, LlmGateway
-from .harness import (
-    _grounding_problem,
-    execute_sql,
-    execution_problem,
-    open_readonly,
-    refine_until_valid,
-)
+from .harness import ground, open_readonly, refine_until_valid
 from .instances import (
     STAGE_EQE,
     STAGE_SEED,
@@ -208,7 +202,8 @@ _SQL_KEYS = ("SQL", "sql", "query", "gold_sql")
 
 
 def ingest_seeds(path, repo: SchemaRepo):
-    """Parse, resolve, and execute every seed; failures are quarantined.
+    """Check each record's fields, then admit its SQL through ``harness.ground``
+    (SQLite's error before a static reason); failures are quarantined.
 
     A kept seed's tree lives only until its features are measured; the
     expansion stage parses the seed's SQL again.
@@ -237,10 +232,9 @@ def ingest_seeds(path, repo: SchemaRepo):
             reason = "missing question or SQL"
         elif not repo.has(schema_id):
             reason = "schema not found"
-        else:  # kept only when it grounds and returns rows
-            reason, ast, tokens = _grounding_problem(sql, repo.schema(schema_id))
-            if not reason:
-                reason = execution_problem(execute_sql(repo.connection(schema_id), sql))
+        else:
+            outcome = ground(sql, repo.schema(schema_id), repo.connection(schema_id))
+            reason = outcome.reason
         if reason:
             quarantined.append({"index": i, "question": question,
                                 "schema_id": schema_id, "reason": reason})
@@ -252,7 +246,7 @@ def ingest_seeds(path, repo: SchemaRepo):
             evidence=evidence,
             sql=sql,
             stage=STAGE_SEED,
-            features=extract_features(ast, sql, tokens),
+            features=extract_features(outcome.tree, sql, outcome.tokens),
         ))
     return seeds, quarantined
 
@@ -737,34 +731,31 @@ def _report(instances, manifest: dict | None, means) -> tuple[str, str]:
 
 
 def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
-    """Re-execute every row; the final dataset must be 100% non-empty.
+    """Ground every row through ``harness.ground``, the pipeline's own gate
+    (SQLite's error before a static reason); the dataset must pass 100%.
 
-    Each row's recorded features must also equal those derived again on
-    the reference path, ``extract_features(parse_sql(sql))``, which lexes
-    the canonical rendering. A failing row is listed once, with its first
-    problem.
+    Each row's recorded features must also equal those derived from the
+    grounded tree on the reference path, ``extract_features(tree)``, which
+    lexes the canonical rendering. A failing row is listed once, with its
+    first problem.
     """
     instances = read_jsonl(dataset_path)
     failures = []
     for inst in instances:
         if repo.has(inst.schema_id):
-            reason = execution_problem(execute_sql(repo.connection(inst.schema_id), inst.sql))
+            outcome = ground(inst.sql, repo.schema(inst.schema_id), repo.connection(inst.schema_id))
+            reason = outcome.reason
         else:
             reason = "schema not found"
         if not reason and inst.features is not None:
-            reason = _features_problem(inst)
+            reason = _features_problem(inst, outcome.tree)
         if reason:
             failures.append({"id": inst.id, "reason": reason})
     return {"total": len(instances), "failures": failures}
 
 
-def _features_problem(inst) -> str:
-    """Which recorded features differ from those derived from the row's SQL."""
-    try:
-        derived = extract_features(parse_sql(inst.sql))
-    except SqlgrowError as exc:
-        return f"features of unparseable SQL: {exc}"
-    differ = [f"{name} {got:g}, derived {want:g}"
-              for name, got, want in zip(FeatureVector._fields, inst.features, derived)
-              if got != want]
+def _features_problem(inst, tree) -> str:
+    """Which recorded features differ from those derived from the row's tree."""
+    pairs = zip(FeatureVector._fields, inst.features, extract_features(tree))
+    differ = [f"{name} {got:g}, derived {want:g}" for name, got, want in pairs if got != want]
     return "features differ: " + "; ".join(differ) if differ else ""

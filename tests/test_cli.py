@@ -8,7 +8,9 @@ import fixtures
 from sqlgrow import harness, pipeline
 from sqlgrow.cli import main
 from sqlgrow.errors import InstanceFileError
+from sqlgrow.features import extract_features
 from sqlgrow.instances import read_jsonl
+from sqlgrow.parser import parse_sql
 
 
 @pytest.fixture()
@@ -405,6 +407,30 @@ def test_verify_names_a_row_whose_features_differ(workspace, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["failures"] == [
         {"id": broken, "reason": f"features differ: tokens {tokens + 1}, derived {tokens}"}]
+
+
+@pytest.mark.parametrize("sql, reason", [
+    ('SELECT "full_nam" FROM person', "unresolved columns: full_nam"),
+    ("SELECT date('now') FROM person", "nondeterministic: date('now')"),
+])
+def test_verify_refuses_a_row_that_does_not_ground(workspace, capsys, sql, reason):
+    # SQLite runs both and returns rows, and the recorded features are right;
+    # verify grounds each row as ingest and refinement do
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    dataset = tmp_path / "out" / "dataset.jsonl"
+    features = extract_features(parse_sql(sql))._asdict()
+    broken = _edit_first_row(dataset, sql=sql, features=features)
+    repo = pipeline.SchemaRepo(tmp_path / "dbs")
+    try:
+        direct = pipeline.verify_dataset(dataset, repo)
+    finally:
+        repo.close()
+    assert direct["failures"] == [{"id": broken, "reason": reason}]
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(dataset),
+                 "--db-dir", str(tmp_path / "dbs")]) == 2
+    assert json.loads(capsys.readouterr().out) == direct
 
 
 def _one_line_failure(capsys, *parts):

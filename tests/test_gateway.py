@@ -148,6 +148,18 @@ def test_mock_refine_repairs_table_then_column(gateway, olympics_schema, connect
     assert outcome.sql == "SELECT p.full_name FROM person AS p"
 
 
+def test_mock_refine_repairs_the_name_grounding_reports(gateway, olympics_schema,
+                                                         connections):
+    # SQLite reads an unknown double-quoted name as a string, so the query
+    # runs; grounding names the column it cannot resolve
+    conn = connections["olympics"]
+    outcome = harness.refine_until_valid(
+        "who", 'SELECT "full_nam" FROM person', olympics_schema, conn,
+        lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn))
+    assert outcome.accepted and outcome.attempts == 2
+    assert outcome.sql == "SELECT full_name FROM person"
+
+
 def test_mock_refine_identity_when_feedback_fine(gateway, olympics_schema):
     fb = ExecutionFeedback(ok=True, row_count=3)
     sql = "SELECT full_name FROM person"

@@ -244,7 +244,7 @@ def test_ingest_quarantines_bad_records(repo, tmp_path):
     seeds, quarantined = ingest_seeds(path, repo)
     assert len(seeds) == 1
     reasons = {q["question"]: q["reason"] for q in quarantined}
-    assert "unresolved columns" in reasons["bad sql"]
+    assert reasons["bad sql"] == "no such table: nowhere"
     assert reasons["unknown db"] == "schema not found"
     assert reasons["empty result"] == "empty result"
 
@@ -291,9 +291,7 @@ def test_a_seed_with_an_ambiguous_column_is_quarantined(repo, tmp_path):
                "ON person.id = games_competitor.person_id"}]))
     seeds, quarantined = ingest_seeds(path, repo)
     assert seeds == []
-    assert [q["reason"] for q in quarantined] == [
-        "resolution failure: column 'id' is ambiguous; "
-        "candidates: games_competitor, person"]
+    assert [q["reason"] for q in quarantined] == ["ambiguous column name: id"]
 
 
 def test_a_seed_that_reads_a_view_is_quarantined_naming_it(tmp_path):
@@ -325,6 +323,44 @@ def test_a_seed_that_reads_a_view_is_quarantined_naming_it(tmp_path):
     assert [q["reason"] for q in quarantined] == [
         "reads a view, which is not supported: v",
         "reads a view, which is not supported: Big View, v"]
+
+
+@pytest.mark.parametrize("sql, reason", [
+    ("SELECT full_name FROM nowhere", "no such table: nowhere"),
+    ("SELECT full_name FROM person WHERE weight < 0", "empty result"),
+    ("SELECT full_name FROM person NATURAL JOIN heavy",
+     "parse failure: NATURAL joins are not supported (at position 29)"),
+    ("SELECT full_name FROM heavy", "reads a view, which is not supported: heavy"),
+    ("SELECT date('now') FROM person", "nondeterministic: date('now')"),
+    ('SELECT "full_nam" FROM person', "unresolved columns: full_nam"),
+])
+def test_ingest_refinement_and_verify_give_one_reason(tmp_path, sql, reason):
+    # one gate admits SQL at ingest, in refinement and in verify
+    dbs = tmp_path / "dbs"
+    dbs.mkdir()
+    conn = sqlite3.connect(dbs / "people.db")
+    conn.executescript("""
+        CREATE TABLE person (id INTEGER PRIMARY KEY, full_name TEXT, weight INTEGER);
+        CREATE VIEW heavy AS SELECT full_name FROM person WHERE weight > 80;
+        INSERT INTO person VALUES (1, 'Ann Lee', 70), (2, 'Bo Chan', 90);""")
+    conn.close()
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([{"question": "Who?", "db_id": "people", "SQL": sql}]))
+    dataset = tmp_path / "dataset.jsonl"
+    instances.write_jsonl([QueryInstance(id="seed-0000", schema_id="people", question="Who?",
+                                         evidence="", sql=sql, stage="seed")], dataset)
+    repo = SchemaRepo(dbs)
+    try:
+        _, quarantined = ingest_seeds(seeds, repo)
+        refined = harness.refine_until_valid(
+            "Who?", sql, repo.schema("people"), repo.connection("people"),
+            refiner=None, max_attempts=1)
+        verified = verify_dataset(dataset, repo)
+    finally:
+        repo.close()
+    assert [q["reason"] for q in quarantined] == [reason]
+    assert not refined.accepted and refined.reason == reason
+    assert verified["failures"] == [{"id": "seed-0000", "reason": reason}]
 
 
 def test_a_seed_without_from_expands_to_itself_re_rendered(repo, tmp_path):
@@ -1081,7 +1117,7 @@ def test_quarantined_seeds_lead_the_rejections_of_a_fresh_and_a_resumed_run(
     cfg, manifest = run_mini_full(tmp_path, db_dir, seeds, "runQ")
     assert manifest["quarantined_seeds"] == 1
     expected = {"stage": "ingest", "index": 1, "question": "bad sql",
-                "schema_id": "olympics", "reason": "unresolved columns: broken"}
+                "schema_id": "olympics", "reason": "no such column: broken"}
     rejections = tmp_path / "runQ" / "rejections.jsonl"
     first = rejections.read_text().splitlines()[0]
     assert json.loads(first) == expected
