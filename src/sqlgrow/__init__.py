@@ -34,7 +34,6 @@ from .harness import (
 )
 from .instances import QueryInstance
 from .operators import (
-    FeasibilityReport,
     MutationPlan,
     OperatorId,
     ParentAnalysis,

@@ -41,7 +41,7 @@ def synthesize_cot(
     conn: sqlite3.Connection,
     teacher,
     schema,
-    n: int = 4,
+    n: int,
 ) -> CotRecord | CotDiscard | CotDeferral:
     """Rejection-sample a verified trace for one instance.
 
@@ -58,7 +58,7 @@ def synthesize_cot(
     """
     try:
         candidates = teacher.generate_cot_candidates(
-            instance.question, instance.evidence, schema, n, gold_sql=instance.sql)
+            instance.question, instance.evidence, schema, n, instance.sql)
     except TransportError as exc:
         return CotDeferral(instance.id, str(exc))
     if not candidates:

@@ -56,9 +56,11 @@ _STRATEGY_NAMES = {
 }
 
 
+MAX_TOKENS = 1024  # per sampled reply, for every role
+
+
 class DecodingParams(NamedTuple):
-    temperature: float = 0.8
-    max_tokens: int = 1024
+    temperature: float
     n: int = 1
 
 
@@ -140,7 +142,7 @@ class HttpChatBackend(NamedTuple):
             "model": self.model,
             "messages": messages,
             "temperature": decoding.temperature,
-            "max_tokens": decoding.max_tokens,
+            "max_tokens": MAX_TOKENS,
             "n": decoding.n,
         }
         return _post_json(self.endpoint, self.api_key, payload, _chat_texts)
@@ -188,8 +190,7 @@ class LlmGateway:
         seed_question: str,
         seed_evidence: str,
         seed_sql: str,
-        schema: DatabaseSchema,
-        db: sqlite3.Connection | None = None,
+        db: sqlite3.Connection,
         seed: int = 0,
         *,
         analysis: ParentAnalysis,
@@ -197,14 +198,15 @@ class LlmGateway:
         """A rephrased, grounded variant of the seed.
 
         ``analysis`` is the ``operators.analyze`` result of the parsed seed
-        SQL; the mock rewrites its tree.
+        SQL and holds the schema the prompt shows; the mock rewrites its
+        tree, with literals read from ``db``.
         """
         return self._call(
             "expand", DecodingParams(temperature=0.8),
             lambda: [_mock_expansion(seed_question, seed_evidence, db, seed,
                                      analysis)],
             lambda texts: _parse_expansion(texts[0]),
-            schema, lambda: {
+            analysis.schema, lambda: {
                 "EVIDENCE": seed_evidence or "None.",
                 "QUESTION": seed_question,
                 "GOLD_SQL": seed_sql,
@@ -217,9 +219,8 @@ class LlmGateway:
         question: str,
         evidence: str,
         sql: str,
-        schema: DatabaseSchema,
         op: OperatorId,
-        db: sqlite3.Connection | None = None,
+        db: sqlite3.Connection,
         seed: int = 0,
         *,
         analysis: ParentAnalysis,
@@ -227,13 +228,14 @@ class LlmGateway:
         """The query evolved by one operator, with its question.
 
         ``analysis`` is the ``operators.analyze`` result of the parsed
-        ``sql``; the mock mutates its tree.
+        ``sql`` and holds the schema the prompt shows; the mock mutates its
+        tree, with literals read from ``db``.
         """
         return self._call(
             "evolve", DecodingParams(temperature=0.8),
             lambda: [_mock_evolution(question, evidence, op, seed, db, analysis)],
             lambda texts: _parse_expansion(texts[0]),
-            schema, lambda: {
+            analysis.schema, lambda: {
                 "EVIDENCE": evidence or "None.",
                 "QUESTION": question,
                 "GOLD_SQL": sql,
@@ -248,7 +250,7 @@ class LlmGateway:
         draft: str,
         schema: DatabaseSchema,
         feedback: ExecutionFeedback,
-        db: sqlite3.Connection | None = None,
+        db: sqlite3.Connection,
     ) -> str:
         return self._call(
             "refine", DecodingParams(temperature=0.0),
@@ -283,7 +285,7 @@ class LlmGateway:
         evidence: str,
         schema: DatabaseSchema,
         n: int,
-        gold_sql: str = "",
+        gold_sql: str,
     ) -> list[CotCandidate]:
         """Up to ``n`` samples; the mock's first traces ``gold_sql``, which it needs."""
         if n < 1:
@@ -384,8 +386,6 @@ def _drop_dead_predicate(ast, schema, db):
     or FALSE token as the parser read it, so SQLite reads the value as it
     reads the draft's.
     """
-    if db is None:
-        return None
     try:
         report = resolve_references(ast, schema)
     except SqlgrowError:

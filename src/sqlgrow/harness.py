@@ -80,16 +80,20 @@ class ResultMultiset(NamedTuple):
 
 
 class RefinementOutcome(NamedTuple):
-    """An accepted outcome carries the tree grounding checked and the number
-    of tokens it lexed from ``sql``; a failed one None and 0."""
+    """Accepted when ``reason`` is empty. An accepted outcome carries the tree
+    grounding checked and the number of tokens it lexed from ``sql``; a
+    failed one None and 0."""
 
-    accepted: bool
     sql: str
     attempts: int
     feedback: ExecutionFeedback
     reason: str = ""
     tree: t.Node | None = None
     tokens: int = 0
+
+    @property
+    def accepted(self) -> bool:
+        return not self.reason
 
 
 # Statements may only read. Recursive CTEs read too; the VM step budget
@@ -303,9 +307,9 @@ def ground(sql: str, schema, conn: sqlite3.Connection) -> RefinementOutcome:
     if not reason:
         reason, tree, tokens = _grounding_problem(sql, schema)
         if not reason:
-            return RefinementOutcome(True, sql, 1, feedback, tree=tree, tokens=tokens)
+            return RefinementOutcome(sql, 1, feedback, tree=tree, tokens=tokens)
         feedback = ExecutionFeedback(ok=False, error=reason)
-    return RefinementOutcome(False, sql, 1, feedback, reason)
+    return RefinementOutcome(sql, 1, feedback, reason)
 
 
 def refine_until_valid(
@@ -314,7 +318,7 @@ def refine_until_valid(
     schema,
     conn: sqlite3.Connection,
     refiner,
-    max_attempts: int = 3,
+    max_attempts: int,
 ) -> RefinementOutcome:
     """Ground, and on failure ask the refiner for a revision, up to a bound.
 

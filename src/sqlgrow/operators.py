@@ -15,10 +15,10 @@ Each operator is a deterministic, schema-aware tree rewrite:
 operator's sites, which ``check_applicability`` scores and ``plan_mutation``
 picks from. The resolver's report holds the column bindings, the relation
 each bound column names (``relation_at``), each select core's FROM relations
-(``scopes``) and where each node sits (clause, core, nesting depth, aggregate
-or window, compound operand), so no operator reads a FROM clause or walks a
-core for columns itself. Planning is seeded and grounded: literals come from
-the live database when a connection is available, and join conditions come
+(``scopes``), which cores are compound operands (``cores``) and where each
+node sits (clause, core, nesting depth, aggregate or window), so no operator
+reads a FROM clause or walks a core for columns itself. Planning is seeded
+and grounded: literals come from the live database, and join conditions come
 from the FK graph. Each literal lookup is one query under the harness's step
 budget. Nothing caches them: no plan looks the same column up twice.
 
@@ -99,12 +99,6 @@ def operator_instruction(op: OperatorId) -> str:
     return OPERATOR_INSTRUCTIONS[op]
 
 
-class FeasibilityReport(NamedTuple):
-    operator: OperatorId
-    score: float
-    eligible_sites: tuple[t.Path, ...]
-
-
 class MutationPlan(NamedTuple):
     """Replace ``original``, the node at ``target_path``, with ``replacement``."""
 
@@ -130,8 +124,6 @@ def _value_pool(db, table, column_name) -> list:
     This lookup and ``_absent_value``'s run under the harness's step budget
     and wall cap; one that fails or runs over the budget yields nothing.
     """
-    if db is None:
-        return []
     tab, col = quote_ident(table), quote_ident(column_name)
     try:
         _, rows = _run_query(
@@ -148,16 +140,15 @@ def _value_pool(db, table, column_name) -> list:
 def _absent_value(db, table, column_name, affinity):
     """A value not present in the column, best effort."""
     numeric = affinity in _NUMERIC_AFFINITIES
-    if db is not None:
-        past_max = "+ 1" if numeric else "|| '~'"
-        try:
-            _, rows = _run_query(
-                db, f'SELECT MAX({quote_ident(column_name)}) {past_max} '
-                    f'FROM {quote_ident(table)}', 1)
-        except sqlite3.Error:
-            rows = []
-        if rows and rows[0][0] is not None:
-            return rows[0][0]
+    past_max = "+ 1" if numeric else "|| '~'"
+    try:
+        _, rows = _run_query(
+            db, f'SELECT MAX({quote_ident(column_name)}) {past_max} '
+                f'FROM {quote_ident(table)}', 1)
+    except sqlite3.Error:
+        rows = []
+    if rows and rows[0][0] is not None:
+        return rows[0][0]
     return -999999 if numeric else "__absent__"
 
 
@@ -204,10 +195,9 @@ def analyze(ast: t.Node, schema: DatabaseSchema) -> ParentAnalysis:
         sites={op: sites(analysis) for op, (sites, _) in _OPERATORS.items()})
 
 
-def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> FeasibilityReport:
+def check_applicability(analysis: ParentAnalysis, op: OperatorId) -> float:
     """Rule-based feasibility: score the rewrite sites ``analyze`` enumerated."""
-    sites = tuple(site for site, _ in analysis.sites[op])
-    return FeasibilityReport(op, min(1.0, len(sites) / FULL_SCORE_SITES), sites)
+    return min(1.0, len(analysis.sites[op]) / FULL_SCORE_SITES)
 
 
 def literal_comparisons(ast: t.Node):
@@ -510,7 +500,7 @@ def plan_mutation(
     analysis: ParentAnalysis,
     op: OperatorId,
     seed: int,
-    db: sqlite3.Connection | None = None,
+    db: sqlite3.Connection,
 ) -> MutationPlan:
     """Pick a rewrite site uniformly (seeded) and build its grounded replacement."""
     sites = analysis.sites[op]

@@ -17,7 +17,13 @@ from . import scheduler
 from .cot import CotDiscard, CotRecord, synthesize_cot
 from .dedup import dedup_schema_group, embed_questions
 from .digests import sha256
-from .errors import ConfigError, RunFileError, SqlgrowError, TransportError
+from .errors import (
+    ConfigError,
+    RunFileError,
+    SchemaValidationError,
+    SqlgrowError,
+    TransportError,
+)
 from .features import FEATURE_COLUMNS, FeatureVector, aggregate_features, extract_features
 from .gateway import ROLES, HttpChatBackend, HttpEmbeddingBackend, LlmGateway
 from .harness import ground, open_readonly, refine_until_valid
@@ -159,8 +165,16 @@ class SchemaRepo:
     def path(self, schema_id: str) -> Path:
         return self._paths[schema_id]
 
-    def has(self, schema_id: str) -> bool:
-        return schema_id in self._paths
+    def problem(self, schema_id: str) -> str:
+        """Why ``schema_id`` cannot serve a seed or a row: "" when its schema
+        loads, else "schema not found" or "schema invalid: <error>"."""
+        if schema_id not in self._paths:
+            return "schema not found"
+        try:
+            self.schema(schema_id)
+        except (SchemaValidationError, OSError) as exc:
+            return f"schema invalid: {exc}"
+        return ""
 
     def schema(self, schema_id: str) -> DatabaseSchema:
         if schema_id not in self._schemas:
@@ -202,8 +216,9 @@ _SQL_KEYS = ("SQL", "sql", "query", "gold_sql")
 
 
 def ingest_seeds(path, repo: SchemaRepo):
-    """Check each record's fields, then admit its SQL through ``harness.ground``
-    (SQLite's error before a static reason); failures are quarantined.
+    """Check each record's fields and its database, then admit its SQL through
+    ``harness.ground`` (SQLite's error before a static reason); failures are
+    quarantined, so a database that does not load costs only its own seeds.
 
     A kept seed's tree lives only until its features are measured; the
     expansion stage parses the seed's SQL again.
@@ -230,11 +245,11 @@ def ingest_seeds(path, repo: SchemaRepo):
             reason = "question, SQL, db_id and evidence must be strings"
         elif not question or not sql:
             reason = "missing question or SQL"
-        elif not repo.has(schema_id):
-            reason = "schema not found"
         else:
-            outcome = ground(sql, repo.schema(schema_id), repo.connection(schema_id))
-            reason = outcome.reason
+            reason = repo.problem(schema_id)
+            if not reason:
+                outcome = ground(sql, repo.schema(schema_id), repo.connection(schema_id))
+                reason = outcome.reason
         if reason:
             quarantined.append({"index": i, "question": question,
                                 "schema_id": schema_id, "reason": reason})
@@ -256,7 +271,7 @@ def ingest_seeds(path, repo: SchemaRepo):
 # ---------------------------------------------------------------------------
 
 def _parent(inst, stage, repo, rejections):
-    """A parent's (schema, connection, analysis), or None once it is rejected.
+    """A parent's (connection, analysis), or None once it is rejected.
 
     The tree analysed is a parse of the parent's SQL, the same in a fresh,
     resumed or staged run; it lives only while the parent is evolved. SQL
@@ -270,7 +285,7 @@ def _parent(inst, stage, repo, rejections):
         rejections.append({"stage": stage, "parent": inst.id,
                            "reason": f"unparseable input: {exc}"})
         return None
-    return schema, conn, analyze(tree, schema)
+    return conn, analyze(tree, schema)
 
 
 def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
@@ -315,27 +330,26 @@ def _grow(parent, child_id, stage, op, generate, cfg, schema, conn, gateway,
 
 
 def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
-            rejections: list | None = None):
+            rejections: list):
     """Exploratory expansion of each seed; returns the accepted expansions.
 
     Each seed is parsed from its SQL when it is expanded; a seed whose SQL
     does not parse is one rejection and no model call.
     """
     accepted: list[QueryInstance] = []
-    rejections = rejections if rejections is not None else []
     for seed_inst in seeds:
         parent = _parent(seed_inst, STAGE_EQE, repo, rejections)
         if parent is None:
             continue
-        schema, conn, analysis = parent
+        conn, analysis = parent
         for j in range(cfg.expansions_per_seed):
             call_seed = derive_seed(cfg.global_seed, seed_inst.id, "eqe", j)
             child = _grow(
                 seed_inst, f"{seed_inst.id}/e{j}", STAGE_EQE, None,
                 lambda: gateway.generate_expansion(
                     seed_inst.question, seed_inst.evidence, seed_inst.sql,
-                    schema, db=conn, seed=call_seed, analysis=analysis),
-                cfg, schema, conn, gateway, rejections,
+                    conn, call_seed, analysis=analysis),
+                cfg, analysis.schema, conn, gateway, rejections,
             )
             if child is not None:
                 accepted.append(child)
@@ -343,8 +357,7 @@ def run_eqe(seeds, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
 
 
 def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
-            state: scheduler.EvolutionState, round_no: int,
-            rejections: list | None = None):
+            state: scheduler.EvolutionState, round_no: int, rejections: list):
     """One evolution round from ``state``; returns the newly evolved instances.
 
     Each parent is parsed from its SQL, then resolved and annotated once:
@@ -354,21 +367,18 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
     ``state`` for the rest of the round.
     """
     evolved: list[QueryInstance] = []
-    rejections = rejections if rejections is not None else []
     stage = oge_stage(round_no)
 
     for inst in current:
         parent = _parent(inst, stage, repo, rejections)
         if parent is None:
             continue
-        schema, conn, analysis = parent
-        rule_scores = {
-            op: check_applicability(analysis, op).score
-            for op in OperatorId
-        }
+        conn, analysis = parent
+        rule_scores = {op: check_applicability(analysis, op) for op in OperatorId}
         feas = dict(rule_scores)
         try:
-            llm_scores = gateway.score_feasibility_llm(inst.question, inst.sql, schema)
+            llm_scores = gateway.score_feasibility_llm(inst.question, inst.sql,
+                                                       analysis.schema)
         except SqlgrowError:
             llm_scores = {}
         for op, score in llm_scores.items():
@@ -385,9 +395,9 @@ def run_oge(current, cfg: RunConfig, repo: SchemaRepo, gateway: LlmGateway,
             child = _grow(
                 inst, f"{inst.id}/{op.name.lower()}{round_no}", stage, op,
                 lambda: gateway.generate_evolution(
-                    inst.question, inst.evidence, inst.sql, schema, op,
-                    db=conn, seed=call_seed, analysis=analysis),
-                cfg, schema, conn, gateway, rejections,
+                    inst.question, inst.evidence, inst.sql, op, conn, call_seed,
+                    analysis=analysis),
+                cfg, analysis.schema, conn, gateway, rejections,
             )
             if child is not None:
                 evolved.append(child)
@@ -742,11 +752,10 @@ def verify_dataset(dataset_path, repo: SchemaRepo) -> dict:
     instances = read_jsonl(dataset_path)
     failures = []
     for inst in instances:
-        if repo.has(inst.schema_id):
+        reason = repo.problem(inst.schema_id)
+        if not reason:
             outcome = ground(inst.sql, repo.schema(inst.schema_id), repo.connection(inst.schema_id))
             reason = outcome.reason
-        else:
-            reason = "schema not found"
         if not reason and inst.features is not None:
             reason = _features_problem(inst, outcome.tree)
         if reason:

@@ -39,7 +39,6 @@ class Context(NamedTuple):
     grouped: bool
     in_aggregate: bool = False
     in_window: bool = False
-    in_compound: bool = False
 
 
 class Relation(NamedTuple):
@@ -93,7 +92,7 @@ def _resolve_query(node, path, outer_scopes, cte_env, schema, report, depth, in_
             _resolve_query(node.children[i], (*path, i), outer_scopes, env, schema,
                            report, depth, True)
         # trailing ORDER BY resolves against the left-most core's scope
-        ctx = Context("setop_trailing", path, depth, False, in_compound=True)
+        ctx = Context("setop_trailing", path, depth, False)
         scope = _from_scope(lead, schema, env)
         for i, extra in enumerate(node.children[2:], start=2):
             for j, child in enumerate(extra.children):
@@ -125,7 +124,7 @@ def _resolve_select(node, path, outer_scopes, cte_env, schema, report, depth, in
         kind = clause_node.value[0]
         if kind == "with":
             continue
-        ctx = Context(kind, path, depth, grouped, in_compound=in_compound)
+        ctx = Context(kind, path, depth, grouped)
         use_aliases = alias_env if kind in ("group_by", "having", "order_by") else ()
         for j, child in enumerate(clause_node.children):
             if kind == "from":

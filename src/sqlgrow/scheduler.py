@@ -17,8 +17,6 @@ from typing import NamedTuple
 from .errors import DomainError
 from .operators import OperatorId
 
-DEFAULT_EPSILON = 0.01
-
 
 class _SchedulerFields(NamedTuple):
     counts: dict
@@ -42,10 +40,8 @@ class EvolutionState(_SchedulerFields):
         return self
 
 
-def fresh_state(
-    epsilon: float = DEFAULT_EPSILON,
-    p_target: dict | None = None,
-) -> EvolutionState:
+def fresh_state(epsilon: float, p_target: dict | None = None) -> EvolutionState:
+    """No acceptance counted yet; ``p_target`` None is the uniform target."""
     if p_target is None:
         p_target = {op: 1.0 / len(OperatorId) for op in OperatorId}
     return EvolutionState(

@@ -362,3 +362,23 @@ def write_seed_file(path: Path) -> Path:
             })
     path.write_text(json.dumps(records, indent=2))
     return path
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        description="Write the fixture databases to WORK/dbs, the seeds to "
+                    "WORK/seeds.json and a run config to WORK/run.json.")
+    parser.add_argument("work", type=Path)
+    parser.add_argument("--out", required=True, help="output directory, under WORK")
+    parser.add_argument("--rounds", type=int, required=True)
+    parser.add_argument("--expansions-per-seed", type=int)
+    args = parser.parse_args()
+    build_all(args.work / "dbs")
+    config = {"seeds": str(write_seed_file(args.work / "seeds.json")),
+              "db_dir": str(args.work / "dbs"), "out_dir": str(args.work / args.out),
+              "rounds": args.rounds, "global_seed": 42}
+    if args.expansions_per_seed is not None:
+        config["expansions_per_seed"] = args.expansions_per_seed
+    (args.work / "run.json").write_text(json.dumps(config))

@@ -123,7 +123,7 @@ def mutation_outputs(full_run):
         ast = parse_sql(sql)
         analysis = analyze(ast, schema)
         for op in OperatorId:
-            if check_applicability(analysis, op).score == 0:
+            if check_applicability(analysis, op) == 0:
                 continue
             for seed in range(5):
                 plan = plan_mutation(analysis, op, seed, conn)
@@ -270,7 +270,7 @@ class FixedTeacher:
         self.by_instance = by_instance
         self.current = None
 
-    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql):
         return self.by_instance[self.current][:n]
 
 

@@ -182,7 +182,7 @@ def test_run_oge_resolves_each_parent_once_for_its_operators(
         seeds, _ = pipeline.ingest_seeds(seed_file, repo)
         called = _count_calls(monkeypatch, operators, "resolve_references")
         evolved = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
-                                   scheduler.fresh_state(cfg.epsilon), 1)
+                                   scheduler.fresh_state(cfg.epsilon), 1, [])
     finally:
         repo.close()
     assert evolved
@@ -213,7 +213,7 @@ def test_run_oge_enumerates_each_operators_sites_once_per_parent(
 
             monkeypatch.setitem(operators._OPERATORS, op, (counted, plan))
         evolved = pipeline.run_oge(seeds, cfg, repo, LlmGateway(),
-                                   scheduler.fresh_state(cfg.epsilon), 1)
+                                   scheduler.fresh_state(cfg.epsilon), 1, [])
     finally:
         repo.close()
     assert evolved

@@ -214,23 +214,50 @@ def test_stage_failure_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-def test_a_key_to_a_table_without_a_primary_key_is_a_stage_failure(tmp_path, capsys):
-    # the key names no column and p has no primary key to stand for them
-    dbs = tmp_path / "dbs"
-    dbs.mkdir()
+# the key names no column and p has no primary key to stand for them
+_BARE_REASON = ("schema invalid: foreign key c(y) names no column of p, "
+                "which has no primary key")
+_BARE_SEED = {"question": "Which y?", "SQL": "SELECT y FROM c", "db_id": "bare"}
+
+
+def _bare_database(dbs):
     conn = sqlite3.connect(dbs / "bare.db")
     conn.executescript("CREATE TABLE p (a INTEGER, b TEXT);"
                        "CREATE TABLE c (id INTEGER PRIMARY KEY, y INTEGER REFERENCES p);"
                        "INSERT INTO c VALUES (1, 1);")
     conn.close()
+
+
+def _rejections(out):
+    return [json.loads(line) for line in (out / "rejections.jsonl").read_text().splitlines()]
+
+
+def test_a_key_to_a_table_without_a_primary_key_quarantines_its_seed(tmp_path):
+    dbs = tmp_path / "dbs"
+    dbs.mkdir()
+    _bare_database(dbs)
     seeds = tmp_path / "seeds.json"
-    seeds.write_text(json.dumps([{"question": "Which y?", "SQL": "SELECT y FROM c",
-                                  "db_id": "bare"}]))
+    seeds.write_text(json.dumps([_BARE_SEED]))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": str(seeds), "db_dir": str(dbs),
                                "out_dir": str(tmp_path / "out"), "rounds": 1}))
-    assert main(["run", "--config", str(cfg)]) == 2
-    _one_line_failure(capsys, "foreign key c(y) names no column of p, which has no primary key")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert _rejections(tmp_path / "out") == [
+        {"stage": "ingest", "index": 0, "question": "Which y?", "schema_id": "bare",
+         "reason": _BARE_REASON}]
+
+
+def test_a_database_that_does_not_load_costs_only_its_own_seeds(workspace):
+    tmp_path, cfg = workspace
+    _bare_database(tmp_path / "dbs")
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([_BARE_SEED, *json.loads(seeds.read_text())]))
+    assert main(["run", "--config", str(cfg)]) == 0
+    dataset = read_jsonl(tmp_path / "out" / "dataset.jsonl")
+    assert {inst.schema_id for inst in dataset} == {"olympics"}
+    assert any(inst.stage == "seed" for inst in dataset)
+    quarantined = [r for r in _rejections(tmp_path / "out") if r["stage"] == "ingest"]
+    assert [(r["index"], r["reason"]) for r in quarantined] == [(0, _BARE_REASON)]
 
 
 def test_wall_cap_ends_the_run_without_a_rejection(workspace, monkeypatch, capsys):
@@ -391,6 +418,19 @@ def test_verify_names_the_broken_row(workspace, capsys, fields, reason):
     assert [f["id"] for f in summary["failures"]] == [broken]
     assert reason in summary["failures"][0]["reason"]
     assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_lists_a_row_whose_database_does_not_load(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["run", "--config", str(cfg)]) == 0
+    _bare_database(tmp_path / "dbs")
+    dataset = tmp_path / "out" / "dataset.jsonl"
+    broken = _edit_first_row(dataset, schema_id="bare")
+    capsys.readouterr()
+    assert main(["verify", "--dataset", str(dataset),
+                 "--db-dir", str(tmp_path / "dbs")]) == 2
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["failures"] == [{"id": broken, "reason": _BARE_REASON}]
 
 
 def test_verify_names_a_row_whose_features_differ(workspace, capsys):

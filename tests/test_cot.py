@@ -20,7 +20,7 @@ class ScriptedTeacher:
     def __init__(self, candidates):
         self.candidates = candidates
 
-    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql):
         return self.candidates[:n]
 
 

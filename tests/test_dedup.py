@@ -259,13 +259,13 @@ def _mock_questions(schemas, connections):
         for k, (question, sql) in enumerate(seeds):
             for seed in (0, 1):
                 exp = gateway.generate_expansion(
-                    question, "", sql, schema, conn, seed,
+                    question, "", sql, conn, seed,
                     analysis=analyze(parse_sql(sql), schema))
                 group.append(("EQE", exp.question, None))
             for op in OperatorId:  # evolve the last rephrasing
                 try:
                     evo = gateway.generate_evolution(
-                        exp.question, "", exp.sql, schema, op, conn, k,
+                        exp.question, "", exp.sql, op, conn, k,
                         analysis=analyze(parse_sql(exp.sql), schema))
                 except SqlgrowError:
                     continue

@@ -74,7 +74,7 @@ def analysis_of(sql, schema):
 def test_mock_expansion_contract(gateway, olympics_schema, connections):
     result = gateway.generate_expansion(
         "Who is the heaviest athlete?", "", STAGE_SQL_0,
-        olympics_schema, db=connections["olympics"], seed=5,
+        db=connections["olympics"], seed=5,
         analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result.question.startswith("Rephrased: ")
     ast = parse_sql(result.sql)
@@ -87,7 +87,7 @@ def test_mock_evolution_join_adds_join(gateway, olympics_schema, connections):
     before = extract_features(parse_sql(STAGE_SQL_1)).joins
     result = gateway.generate_evolution(
         "Who won the most medals?", "", STAGE_SQL_1,
-        olympics_schema, OperatorId.JOIN, db=connections["olympics"], seed=1,
+        OperatorId.JOIN, db=connections["olympics"], seed=1,
         analysis=analysis_of(STAGE_SQL_1, olympics_schema))
     assert extract_features(parse_sql(result.sql)).joins == before + 1
 
@@ -95,13 +95,13 @@ def test_mock_evolution_join_adds_join(gateway, olympics_schema, connections):
 def test_mock_evolution_set_produces_setop_root(gateway, olympics_schema, connections):
     sql = "SELECT full_name FROM person WHERE weight > 60"
     result = gateway.generate_evolution(
-        "Who?", "", sql, olympics_schema, OperatorId.SET,
+        "Who?", "", sql, OperatorId.SET,
         db=connections["olympics"], seed=2, analysis=analysis_of(sql, olympics_schema))
     assert parse_sql(result.sql).kind == "setop"
 
 
 def test_mock_determinism(gateway, olympics_schema, connections):
-    args = ("Who?", "", STAGE_SQL_1, olympics_schema, OperatorId.FUNC)
+    args = ("Who?", "", STAGE_SQL_1, OperatorId.FUNC)
     kwargs = {"db": connections["olympics"], "seed": 9,
               "analysis": analysis_of(STAGE_SQL_1, olympics_schema)}
     a = gateway.generate_evolution(*args, **kwargs)
@@ -109,10 +109,10 @@ def test_mock_determinism(gateway, olympics_schema, connections):
     assert a == b
 
 
-def test_mock_refine_fixes_identifier(gateway, olympics_schema):
+def test_mock_refine_fixes_identifier(gateway, olympics_schema, connections):
     fb = ExecutionFeedback(ok=False, error="no such column: full_nam")
     fixed = gateway.refine_sql("who", "SELECT full_nam FROM person",
-                               olympics_schema, fb)
+                               olympics_schema, fb, connections["olympics"])
     assert fixed == "SELECT full_name FROM person"
     # edit-distance oracle: full_name is the nearest schema identifier
     from sqlgrow.gateway import _edit_distance
@@ -120,12 +120,13 @@ def test_mock_refine_fixes_identifier(gateway, olympics_schema):
     assert min(pool, key=lambda n: _edit_distance("full_nam", n)) == "full_name"
 
 
-def test_mock_refine_fixes_identifier_tokens_only(gateway, olympics_schema):
+def test_mock_refine_fixes_identifier_tokens_only(gateway, olympics_schema, connections):
     # a string literal holding the misspelled name, and a longer name that
     # holds it, are not the name SQLite reported
     fb = ExecutionFeedback(ok=False, error="no such column: full_nam")
     draft = "SELECT full_nam FROM person WHERE full_name <> 'full_nam' AND full_nam <> 'x'"
-    assert gateway.refine_sql("who", draft, olympics_schema, fb) == (
+    assert gateway.refine_sql("who", draft, olympics_schema, fb,
+                              connections["olympics"]) == (
         "SELECT full_name FROM person WHERE full_name <> 'full_nam' AND full_name <> 'x'")
 
 
@@ -134,7 +135,7 @@ def test_mock_refine_fixes_quoted_identifier(gateway, olympics_schema, connectio
     draft = 'SELECT p."full_nam" FROM person AS p'
     fb = execute_sql(connections["olympics"], draft)
     assert fb.error == "no such column: p.full_nam"
-    fixed = gateway.refine_sql("who", draft, olympics_schema, fb)
+    fixed = gateway.refine_sql("who", draft, olympics_schema, fb, connections["olympics"])
     assert fixed == "SELECT p.full_name FROM person AS p"
     assert execute_sql(connections["olympics"], fixed).row_count >= 1
 
@@ -143,7 +144,7 @@ def test_mock_refine_repairs_table_then_column(gateway, olympics_schema, connect
     conn = connections["olympics"]
     outcome = harness.refine_until_valid(
         "who", "SELECT p.full_nam FROM persn AS p", olympics_schema, conn,
-        lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn))
+        lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn), max_attempts=3)
     assert outcome.accepted and outcome.attempts == 3
     assert outcome.sql == "SELECT p.full_name FROM person AS p"
 
@@ -155,15 +156,15 @@ def test_mock_refine_repairs_the_name_grounding_reports(gateway, olympics_schema
     conn = connections["olympics"]
     outcome = harness.refine_until_valid(
         "who", 'SELECT "full_nam" FROM person', olympics_schema, conn,
-        lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn))
+        lambda q, s, sc, fb: gateway.refine_sql(q, s, sc, fb, db=conn), max_attempts=3)
     assert outcome.accepted and outcome.attempts == 2
     assert outcome.sql == "SELECT full_name FROM person"
 
 
-def test_mock_refine_identity_when_feedback_fine(gateway, olympics_schema):
+def test_mock_refine_identity_when_feedback_fine(gateway, olympics_schema, connections):
     fb = ExecutionFeedback(ok=True, row_count=3)
     sql = "SELECT full_name FROM person"
-    assert gateway.refine_sql("who", sql, olympics_schema, fb) == sql
+    assert gateway.refine_sql("who", sql, olympics_schema, fb, connections["olympics"]) == sql
 
 
 def test_mock_refine_drops_sampled_out_literal(gateway, olympics_schema, connections):
@@ -235,7 +236,7 @@ def test_mock_teacher_keeps_fences_out_of_its_trace(gateway, olympics_schema, qu
 
 def test_mock_teacher_needs_the_gold_sql(gateway, olympics_schema):
     with pytest.raises(ValueError, match="gold SQL"):
-        gateway.generate_cot_candidates("who", "", olympics_schema, 2)
+        gateway.generate_cot_candidates("who", "", olympics_schema, 2, gold_sql="")
 
 
 def test_mock_strategist_scores_nothing(gateway, olympics_schema):
@@ -266,7 +267,7 @@ def test_every_mock_call_takes_the_one_path(monkeypatch, tmp_path, db_dir):
             finally:
                 active.pop()
             if name == "generate_cot_candidates":
-                teacher.append((args[3], kwargs["gold_sql"], result))
+                teacher.append((args[3], args[4], result))
             return result
         return wrapper
 
@@ -426,62 +427,63 @@ def test_strategize_partial_and_out_of_range_entries(olympics_schema):
     assert set(scores) == {OperatorId.OP}
 
 
-def test_live_expansion_parses_json_response(olympics_schema):
+def test_live_expansion_parses_json_response(olympics_schema, connections):
     backend = StubBackend([
         'prose {"question": "New Q", "evidence": "", "gold_sql": "SELECT 1"} tail'
     ])
     gw = LlmGateway(backends={"expand": backend})
-    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+    result = gw.generate_expansion("old", "", STAGE_SQL_0, connections["olympics"],
                                    analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result.question == "New Q"
     assert result.sql == "SELECT 1"
 
 
-def test_live_evolution_embeds_operator_instruction(olympics_schema):
+def test_live_evolution_embeds_operator_instruction(olympics_schema, connections):
     backend = StubBackend([
         '{"question": "Q", "evidence": "", "gold_sql": "SELECT 1"}'
     ])
     gw = LlmGateway(backends={"evolve": backend})
-    gw.generate_evolution("q", "", STAGE_SQL_0, olympics_schema, OperatorId.SET,
+    gw.generate_evolution("q", "", STAGE_SQL_0, OperatorId.SET, connections["olympics"],
                           analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert "UNION, INTERSECT, EXCEPT" in backend.prompts[0]
 
 
-def test_live_refine_reads_code_block(olympics_schema):
+def test_live_refine_reads_code_block(olympics_schema, connections):
     backend = StubBackend(["thinking...\n```sql\nSELECT 42\n```"])
     gw = LlmGateway(backends={"refine": backend})
     fb = ExecutionFeedback(ok=False, error="boom")
-    assert gw.refine_sql("q", "SELECT 41", olympics_schema, fb) == "SELECT 42"
+    assert gw.refine_sql("q", "SELECT 41", olympics_schema, fb,
+                         connections["olympics"]) == "SELECT 42"
 
 
-def test_live_expansion_retries_malformed_then_parses(olympics_schema):
+def test_live_expansion_retries_malformed_then_parses(olympics_schema, connections):
     backend = StubBackend([
         "no json here at all",
         '{"question": "fixed", "evidence": "", "gold_sql": "SELECT 2"}',
     ])
     gw = LlmGateway(backends={"expand": backend})
-    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+    result = gw.generate_expansion("old", "", STAGE_SQL_0, connections["olympics"],
                                    analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result.sql == "SELECT 2"
     assert len(backend.prompts) == 2
 
 
-def test_live_expansion_with_a_null_question_is_retried(olympics_schema):
+def test_live_expansion_with_a_null_question_is_retried(olympics_schema, connections):
     backend = StubBackend([
         '{"question": null, "evidence": "", "gold_sql": "SELECT 1"}',
         '{"question": "Q", "evidence": "", "gold_sql": "SELECT 2"}',
     ])
     gw = LlmGateway(backends={"expand": backend})
-    result = gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+    result = gw.generate_expansion("old", "", STAGE_SQL_0, connections["olympics"],
                                    analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert result == ExpansionResult("Q", "", "SELECT 2")
     assert len(backend.prompts) == 2
 
 
-def test_live_expansion_gives_up_after_parse_budget(olympics_schema):
+def test_live_expansion_gives_up_after_parse_budget(olympics_schema, connections):
     backend = StubBackend(["junk", "more junk", "still junk"])
     gw = LlmGateway(backends={"expand": backend})
     with pytest.raises(ResponseFormatError):
-        gw.generate_expansion("old", "", STAGE_SQL_0, olympics_schema,
+        gw.generate_expansion("old", "", STAGE_SQL_0, connections["olympics"],
                               analysis=analysis_of(STAGE_SQL_0, olympics_schema))
     assert len(backend.prompts) == 3

@@ -400,7 +400,7 @@ def test_valid_draft_returned_unchanged(connections, olympics_schema):
 
     outcome = refine_until_valid(
         "who", "SELECT full_name FROM person", olympics_schema,
-        connections["olympics"], refiner)
+        connections["olympics"], refiner, max_attempts=3)
     assert outcome.accepted and outcome.attempts == 1
     assert outcome.sql == "SELECT full_name FROM person"
     assert calls == []
@@ -413,7 +413,7 @@ def test_misspelled_column_fixed_on_second_attempt(connections, olympics_schema)
 
     outcome = refine_until_valid(
         "who", "SELECT full_nam FROM person", olympics_schema,
-        connections["olympics"], refiner)
+        connections["olympics"], refiner, max_attempts=3)
     assert outcome.accepted and outcome.attempts == 2
     assert outcome.tree == parse_sql(outcome.sql)
 
@@ -468,7 +468,7 @@ def test_accepted_sql_must_resolve(connections, olympics_schema):
 
     outcome = refine_until_valid(
         "who", "SELECT p.full_name FROM person AS q JOIN person AS p ON p.id = q.id WHERE q.missing_col IS NULL OR 1",
-        olympics_schema, connections["olympics"], refiner)
+        olympics_schema, connections["olympics"], refiner, max_attempts=3)
     assert outcome.accepted
     assert outcome.sql == "SELECT full_name FROM person"
     assert outcome.tree == parse_sql(outcome.sql)

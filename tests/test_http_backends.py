@@ -103,25 +103,27 @@ def test_chat_backend_round_trip(stub_server):
     assert auth == "Bearer sekrit"
 
 
-def test_chat_backend_retries_then_succeeds(stub_server, sleeps, olympics_schema):
+def test_chat_backend_retries_then_succeeds(stub_server, sleeps, olympics_schema,
+                                            connections):
     _Handler.fail_first = 1
     backend = HttpChatBackend(endpoint=f"{stub_server}/v1/chat/completions",
                               model="m1")
     gw = LlmGateway(backends={"refine": backend})
     fb = ExecutionFeedback(ok=False, error="boom")
-    assert gw.refine_sql("q", "SELECT 1", olympics_schema, fb) == "reply 0 to m1"
+    assert gw.refine_sql("q", "SELECT 1", olympics_schema, fb,
+                         connections["olympics"]) == "reply 0 to m1"
     assert len(_Handler.seen) == 2  # one failure plus the success
     assert sleeps == [0.5]
 
 
-def test_chat_backend_exhausts_retries(stub_server, sleeps, olympics_schema):
+def test_chat_backend_exhausts_retries(stub_server, sleeps, olympics_schema, connections):
     _Handler.fail_first = 5
     backend = HttpChatBackend(endpoint=f"{stub_server}/v1/chat/completions",
                               model="m1")
     gw = LlmGateway(backends={"refine": backend})
     fb = ExecutionFeedback(ok=False, error="boom")
     with pytest.raises(TransportError):
-        gw.refine_sql("q", "SELECT 1", olympics_schema, fb)
+        gw.refine_sql("q", "SELECT 1", olympics_schema, fb, connections["olympics"])
     assert len(_Handler.seen) == MAX_TRIES
 
 
@@ -207,28 +209,30 @@ def select_1(schema):
     return analyze(parse_sql("SELECT 1"), schema)
 
 
-def test_transport_failures_stop_after_max_tries(posts, sleeps, olympics_schema):
+def test_transport_failures_stop_after_max_tries(posts, sleeps, olympics_schema,
+                                                 connections):
     posts.script([DOWN] * 10)
     with pytest.raises(TransportError):
-        live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema,
+        live("expand").generate_expansion("q", "", "SELECT 1", connections["olympics"],
                                           analysis=select_1(olympics_schema))
     assert len(posts) == MAX_TRIES == 3
     assert sleeps == [0.5, 1.0]
 
 
-def test_format_failures_stop_after_max_tries(posts, sleeps, olympics_schema):
+def test_format_failures_stop_after_max_tries(posts, sleeps, olympics_schema,
+                                              connections):
     posts.script([chat("no json here")] * 10)
     with pytest.raises(ResponseFormatError):
-        live("evolve").generate_evolution("q", "", "SELECT 1", olympics_schema,
-                                          OperatorId.SET,
+        live("evolve").generate_evolution("q", "", "SELECT 1", OperatorId.SET,
+                                          connections["olympics"],
                                           analysis=select_1(olympics_schema))
     assert len(posts) == 3
     assert sleeps == []  # a malformed reply is resampled at once
 
 
-def test_mixed_failures_share_one_bound(posts, sleeps, olympics_schema):
+def test_mixed_failures_share_one_bound(posts, sleeps, olympics_schema, connections):
     posts.script([DOWN, chat("no json here"), chat(EXPANSION), chat(EXPANSION)])
-    result = live("expand").generate_expansion("q", "", "SELECT 1", olympics_schema,
+    result = live("expand").generate_expansion("q", "", "SELECT 1", connections["olympics"],
                                                analysis=select_1(olympics_schema))
     assert result.sql == "SELECT 1"
     assert len(posts) == 3
@@ -239,7 +243,7 @@ def test_mixed_failures_share_one_bound(posts, sleeps, olympics_schema):
 def test_reply_without_choices_is_a_transport_failure(posts, olympics_schema, reply):
     posts.script([reply] * 3)
     with pytest.raises(TransportError):
-        live("teach").generate_cot_candidates("q", "", olympics_schema, 2)
+        live("teach").generate_cot_candidates("q", "", olympics_schema, 2, "SELECT 1")
     assert len(posts) == 3
 
 

@@ -54,43 +54,43 @@ def test_instruction_catalog_complete():
 # -- applicability -----------------------------------------------------------
 
 def test_nest_infeasible_without_compared_literal(olympics_schema):
-    ast = parse_sql("SELECT full_name FROM person")
-    report = check_applicability(analyze(ast, olympics_schema), OperatorId.NEST)
-    assert report.score == 0.0
-    assert report.eligible_sites == ()
+    analysis = analyze(parse_sql("SELECT full_name FROM person"), olympics_schema)
+    assert check_applicability(analysis, OperatorId.NEST) == 0.0
+    assert analysis.sites[OperatorId.NEST] == []
 
 
 def test_join_feasible_on_stage1(olympics_schema):
     ast = parse_sql(STAGE_SQL_1)
-    report = check_applicability(analyze(ast, olympics_schema), OperatorId.JOIN)
-    assert report.score > 0
-    clause = t.node_at(ast, report.eligible_sites[0])
+    analysis = analyze(ast, olympics_schema)
+    assert check_applicability(analysis, OperatorId.JOIN) > 0
+    clause = t.node_at(ast, analysis.sites[OperatorId.JOIN][0][0])
     assert clause.kind == t.CLAUSE and clause.value[0] == "from"
 
 
 def test_set_always_feasible(olympics_schema):
     for sql in ("SELECT 1", STAGE_SQL_1, "SELECT full_name FROM person"):
-        report = check_applicability(analyze(parse_sql(sql), olympics_schema), OperatorId.SET)
-        assert report.score > 0
-        assert () in report.eligible_sites
+        analysis = analyze(parse_sql(sql), olympics_schema)
+        assert check_applicability(analysis, OperatorId.SET) > 0
+        assert () in [site for site, _ in analysis.sites[OperatorId.SET]]
 
 
 def test_score_saturation(olympics_schema):
     ast = parse_sql("SELECT full_name, weight FROM person WHERE weight > 60")
-    report = check_applicability(analyze(ast, olympics_schema), OperatorId.FUNC)
-    assert report.score == min(1.0, len(report.eligible_sites) / 3)
+    analysis = analyze(ast, olympics_schema)
+    assert check_applicability(analysis, OperatorId.FUNC) == \
+        min(1.0, len(analysis.sites[OperatorId.FUNC]) / 3)
 
 
-def test_unresolvable_parent_has_no_site(olympics_schema):
+def test_unresolvable_parent_has_no_site(olympics_schema, connections):
     ast = parse_sql("SELECT id FROM person JOIN games_competitor "
                     "ON person.id = games_competitor.person_id")
     with pytest.raises(AmbiguousColumnError):
         resolve_references(ast, olympics_schema)
     analysis = analyze(ast, olympics_schema)
     for op in OperatorId:
-        assert check_applicability(analysis, op).score == 0
+        assert check_applicability(analysis, op) == 0
         with pytest.raises(InfeasibleOperatorError):
-            plan_mutation(analysis, op, 0)
+            plan_mutation(analysis, op, 0, connections["olympics"])
 
 
 @pytest.mark.parametrize("sql, resolves", [
@@ -113,7 +113,7 @@ def test_one_analysis_enumerates_each_operators_sites_once(
     assert set(analysis.sites) == set(OperatorId)
     assert (analysis.report is not None) == resolves
     for op in OperatorId:
-        if check_applicability(analysis, op).score:
+        if check_applicability(analysis, op):
             plan_mutation(analysis, op, 0, connections["olympics"])
         else:
             assert analysis.sites[op] == []
@@ -125,9 +125,9 @@ def test_a_cte_named_like_a_table_is_not_that_table(olympics_schema):
     # the outer core reads the CTE, not the person table: no schema column is
     # in its scope, so LOGIC's only sites are the CTE body's WHERE and ORDER BY
     ast = parse_sql("WITH person AS (SELECT id FROM games) SELECT id FROM person")
-    sites = check_applicability(analyze(ast, olympics_schema), OperatorId.LOGIC)
+    sites = analyze(ast, olympics_schema).sites[OperatorId.LOGIC]
     body = (0, 0, 0, 0)
-    assert sites.eligible_sites == (body, body)
+    assert [site for site, _ in sites] == [body, body]
 
 def test_analysis_lets_errors_outside_the_package_through(olympics_schema, monkeypatch):
     def broken(ast, schema):
@@ -144,7 +144,7 @@ def test_plan_deterministic_per_seed(olympics_schema, connections):
     ast = parse_sql(STAGE_SQL_1)
     db = connections["olympics"]
     for op in OperatorId:
-        if check_applicability(analyze(ast, olympics_schema), op).score == 0:
+        if check_applicability(analyze(ast, olympics_schema), op) == 0:
             continue
         # each plan from its own analysis of the tree
         first = apply_mutation(
@@ -154,10 +154,11 @@ def test_plan_deterministic_per_seed(olympics_schema, connections):
         assert render_sql(first) == render_sql(second)
 
 
-def test_plan_infeasible_raises(olympics_schema):
+def test_plan_infeasible_raises(olympics_schema, connections):
     ast = parse_sql("SELECT full_name FROM person")
     with pytest.raises(InfeasibleOperatorError):
-        plan_mutation(analyze(ast, olympics_schema), OperatorId.NEST, 0)
+        plan_mutation(analyze(ast, olympics_schema), OperatorId.NEST, 0,
+                      connections["olympics"])
 
 
 def test_join_plan_edge_belongs_to_fk_graph(olympics_schema, connections):
@@ -234,12 +235,12 @@ def test_lookups_quote_a_double_quote_in_a_name(tmp_path):
 
 # -- application -------------------------------------------------------------
 
-def test_func_wraps_leaf_in_place(olympics_schema):
+def test_func_wraps_leaf_in_place(olympics_schema, connections):
     ast = parse_sql("SELECT weight FROM person")
     analysis = analyze(ast, olympics_schema)
     rendered = set()
     for seed in range(20):
-        plan = plan_mutation(analysis, OperatorId.FUNC, seed)
+        plan = plan_mutation(analysis, OperatorId.FUNC, seed, connections["olympics"])
         assert plan.original == t.column("", "weight")
         assert plan.replacement.kind == t.FUNCTION
         assert plan.replacement.children == (plan.original,)
@@ -313,7 +314,7 @@ def test_purity_input_unchanged(olympics_schema, connections):
     ast = parse_sql(STAGE_SQL_1)
     before = render_sql(ast)
     for op in OperatorId:
-        if check_applicability(analyze(ast, olympics_schema), op).score == 0:
+        if check_applicability(analyze(ast, olympics_schema), op) == 0:
             continue
         plan = plan_mutation(analyze(ast, olympics_schema), op, 3, connections["olympics"])
         apply_mutation(ast, plan)
@@ -468,7 +469,7 @@ def test_chained_mutations_stay_sound(olympics_schema, connections):
         for op in OperatorId:  # deterministic: first feasible operator not yet used
             if op in applied:
                 continue
-            if check_applicability(analyze(ast, olympics_schema), op).score > 0:
+            if check_applicability(analyze(ast, olympics_schema), op) > 0:
                 chosen = op
                 break
         if chosen is None:

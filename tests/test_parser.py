@@ -215,7 +215,7 @@ def test_lexer_is_total_or_raises_cleanly(text):
     assert first == second
 
 
-def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
+def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema, connections):
     # callers share trees (one parent's analysis serves each of its
     # children), so apply_mutation must build a new tree and never change
     # the one it was given
@@ -224,7 +224,8 @@ def test_mutating_a_memoized_tree_leaves_the_memo_intact(olympics_schema):
     mutated = 0
     for op in OperatorId:
         try:
-            plan = plan_mutation(analyze(ast, olympics_schema), op, 0)
+            plan = plan_mutation(analyze(ast, olympics_schema), op, 0,
+                                 connections["olympics"])
         except InfeasibleOperatorError:
             continue
         assert render_sql(apply_mutation(ast, plan)) != before

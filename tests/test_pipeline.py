@@ -163,7 +163,7 @@ def test_ingest_parses_each_accepted_seed_once(repo, mini_seed_file, parsed):
 def test_run_eqe_parses_each_accepted_candidate_once(repo, mini_seed_file, parsed):
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     parsed.clear()
-    accepted = run_eqe(seeds, RunConfig(global_seed=3), repo, LlmGateway())
+    accepted = run_eqe(seeds, RunConfig(global_seed=3), repo, LlmGateway(), [])
     assert accepted
     for child in accepted:
         assert parsed.count(child.sql) == 1
@@ -189,9 +189,9 @@ def test_each_accepted_canonical_candidate_is_lexed_once(repo, mini_seed_file, l
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     cfg = RunConfig(global_seed=3)
     counts = []
-    for grow in (lambda: run_eqe(seeds, cfg, repo, LlmGateway()),
+    for grow in (lambda: run_eqe(seeds, cfg, repo, LlmGateway(), []),
                  lambda: run_oge(seeds, cfg, repo, LlmGateway(),
-                                 scheduler.fresh_state(cfg.epsilon), 1)):
+                                 scheduler.fresh_state(cfg.epsilon), 1, [])):
         lexed.clear()
         children = grow()
         counts.append((children, Counter(lexed)))
@@ -386,7 +386,7 @@ def test_run_eqe_lineage_and_acceptance(repo, mini_seed_file, connections):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     gateway = LlmGateway()
-    accepted = run_eqe(seeds, cfg, repo, gateway)
+    accepted = run_eqe(seeds, cfg, repo, gateway, [])
     assert accepted, "mock expansion should mostly be accepted"
     for inst in accepted:
         assert inst.stage == "EQE"
@@ -403,7 +403,7 @@ def test_run_oge_budget_and_lineage(repo, mini_seed_file, monkeypatch):
     record = scheduler.record_acceptance
     monkeypatch.setattr(scheduler, "record_acceptance",
                         lambda state, op: recorded.append(op) or record(state, op))
-    evolved = run_oge(seeds, cfg, repo, gateway, scheduler.fresh_state(cfg.epsilon), 1)
+    evolved = run_oge(seeds, cfg, repo, gateway, scheduler.fresh_state(cfg.epsilon), 1, [])
     assert len(evolved) <= cfg.budget_k * len(seeds)
     # the round's state counts each accepted child as it is accepted
     assert recorded == [child.operator_applied for child in evolved]
@@ -756,17 +756,15 @@ class FlakyGateway(LlmGateway):
         if self.calls.count(seed) <= self.fail_times:
             raise TransportError("synthetic outage")
 
-    def generate_expansion(self, question, evidence, sql, schema, db=None, seed=0,
-                           *, analysis):
+    def generate_expansion(self, question, evidence, sql, db, seed=0, *, analysis):
         self._outage(seed)
-        return super().generate_expansion(question, evidence, sql, schema,
-                                          db=db, seed=seed, analysis=analysis)
+        return super().generate_expansion(question, evidence, sql, db, seed,
+                                          analysis=analysis)
 
-    def generate_evolution(self, question, evidence, sql, schema, op,
-                           db=None, seed=0, *, analysis):
+    def generate_evolution(self, question, evidence, sql, op, db, seed=0, *, analysis):
         self._outage(seed)
-        return super().generate_evolution(question, evidence, sql, schema, op,
-                                          db=db, seed=seed, analysis=analysis)
+        return super().generate_evolution(question, evidence, sql, op, db, seed,
+                                          analysis=analysis)
 
 
 def test_transport_failure_is_one_rejection_after_one_call(repo, mini_seed_file):
@@ -859,7 +857,7 @@ def test_oge_transport_failure_is_one_rejection_after_one_call(repo, mini_seed_f
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     state = scheduler.fresh_state(cfg.epsilon)
-    assert run_oge(seeds, cfg, repo, LlmGateway(), state, 1)
+    assert run_oge(seeds, cfg, repo, LlmGateway(), state, 1, [])
     gateway = FlakyGateway(fail_times=1)
     rejections = []
     assert run_oge(seeds, cfg, repo, gateway, state, 1, rejections) == []
@@ -961,10 +959,10 @@ def test_run_oge_gates_llm_scores_with_rules(repo, mini_seed_file):
     nest_infeasible = [
         s for s in simple
         if check_applicability(analyze(P(s.sql), repo.schema(s.schema_id)),
-                               OID.NEST).score == 0
+                               OID.NEST) == 0
     ]
     assert nest_infeasible, "fixture should include a NEST-infeasible seed"
-    evolved = run_oge(nest_infeasible, cfg, repo, gateway, state, 1)
+    evolved = run_oge(nest_infeasible, cfg, repo, gateway, state, 1, [])
     assert all(c.operator_applied is not OID.NEST for c in evolved)
 
 
@@ -983,20 +981,19 @@ class SelectiveTeacherGateway(LlmGateway):
         super().__init__()
         self.marker = marker
 
-    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql):
         from sqlgrow.gateway import CotCandidate
 
         if self.marker in question:
             return [CotCandidate("junk", "SELECT nothing FROM nowhere")] * n
-        return super().generate_cot_candidates(question, evidence, schema, n,
-                                               gold_sql=gold_sql)
+        return super().generate_cot_candidates(question, evidence, schema, n, gold_sql)
 
 
 def test_discarded_child_keeps_ancestors(repo, mini_seed_file):
     cfg = RunConfig(global_seed=3)
     seeds, _ = ingest_seeds(mini_seed_file, repo)
     gateway = LlmGateway()
-    eqe = run_eqe(seeds, cfg, repo, gateway)
+    eqe = run_eqe(seeds, cfg, repo, gateway, [])
     assert eqe
     # fail the teacher only for expansion children ("Rephrased" marker)
     selective = SelectiveTeacherGateway("Rephrased")
@@ -1026,7 +1023,7 @@ def test_an_unparseable_parent_is_one_rejection_and_no_model_call(repo):
     gateway = CountingGateway()
     eqe_rejections, oge_rejections = [], []
     assert run_eqe([parent], cfg, repo, gateway, eqe_rejections) == []
-    assert run_oge([parent], cfg, repo, gateway, scheduler.fresh_state(), 1,
+    assert run_oge([parent], cfg, repo, gateway, scheduler.fresh_state(cfg.epsilon), 1,
                    oge_rejections) == []
     assert gateway.roles == []
     for stage, rejections in (("EQE", eqe_rejections), ("OGE-1", oge_rejections)):
@@ -1038,20 +1035,20 @@ class DiscardingDeferringTeacher(LlmGateway):
     """The mock teacher, except that a quarter of the questions get only
     failing candidates and an eighth a transport failure."""
 
-    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql=""):
+    def generate_cot_candidates(self, question, evidence, schema, n, gold_sql):
         bucket = zlib.crc32(question.encode("utf-8")) % 8
         if bucket < 2:
             return [CotCandidate("junk", "SELECT nothing FROM nowhere")] * n
         if bucket == 2:
             raise TransportError("synthetic outage")
-        return super().generate_cot_candidates(question, evidence, schema, n,
-                                               gold_sql=gold_sql)
+        return super().generate_cot_candidates(question, evidence, schema, n, gold_sql)
 
 
 def _grown_pool(repo, seed_file, cfg):
     seeds, _ = ingest_seeds(seed_file, repo)
-    eqe = run_eqe(seeds, cfg, repo, LlmGateway())
-    return seeds + eqe + run_oge(eqe, cfg, repo, LlmGateway(), scheduler.fresh_state(), 1)
+    eqe = run_eqe(seeds, cfg, repo, LlmGateway(), [])
+    return seeds + eqe + run_oge(eqe, cfg, repo, LlmGateway(),
+                                 scheduler.fresh_state(cfg.epsilon), 1, [])
 
 
 def _dedup_by_schema(pool, tau):

@@ -68,7 +68,7 @@ def test_feature_vector_checks_positional_and_keyword_construction():
 
 
 def test_evolution_state_checks_construction_and_counts_only_grow():
-    state = fresh_state()
+    state = fresh_state(0.01)
     with pytest.raises(DomainError, match="^epsilon must be positive$"):
         EvolutionState(state.counts, state.p_target, 0.0)
     with pytest.raises(DomainError, match="^acceptance counts cannot be negative$"):

@@ -106,7 +106,7 @@ def _nth(ast, kind, name, n):
     return paths[n]
 
 
-# (clause, select_path, depth, grouped, in_aggregate, in_window, in_compound)
+# (clause, select_path, depth, grouped, in_aggregate, in_window)
 _CTE_BODY = (0, 0, 0, 0)
 _DERIVED_BODY = (1, 0, 0)
 _CORRELATED_BODY = (2, 0, 0, 0)
@@ -116,69 +116,69 @@ CONTEXT_CASES = [
         "WITH heavy AS (SELECT id, weight FROM person WHERE weight > 60) "
         "SELECT COUNT(*) FROM heavy WHERE id > 1",
         [((), False), (_CTE_BODY, False)], 2,
-        [((t.OPERATOR, ">", 0), ("where", _CTE_BODY, 2, False, False, False, False)),
-         ((t.TABLE, "person", 0), ("from", _CTE_BODY, 2, False, False, False, False)),
-         ((t.OPERATOR, ">", 1), ("where", (), 1, False, False, False, False)),
-         ((t.TABLE, "heavy", 0), ("from", (), 1, False, False, False, False))],
+        [((t.OPERATOR, ">", 0), ("where", _CTE_BODY, 2, False, False, False)),
+         ((t.TABLE, "person", 0), ("from", _CTE_BODY, 2, False, False, False)),
+         ((t.OPERATOR, ">", 1), ("where", (), 1, False, False, False)),
+         ((t.TABLE, "heavy", 0), ("from", (), 1, False, False, False))],
         id="cte"),
     pytest.param(
         "SELECT sub.full_name FROM (SELECT full_name, weight FROM person "
         "WHERE weight < 90) AS sub WHERE sub.full_name LIKE 'A%'",
         [((), False), (_DERIVED_BODY, False)], 2,
-        [((t.COLUMN, "full_name", 0), ("select", (), 1, False, False, False, False)),
+        [((t.COLUMN, "full_name", 0), ("select", (), 1, False, False, False)),
          ((t.COLUMN, "full_name", 1),
-          ("select", _DERIVED_BODY, 2, False, False, False, False)),
-         ((t.OPERATOR, "<", 0), ("where", _DERIVED_BODY, 2, False, False, False, False)),
-         ((t.COLUMN, "full_name", 2), ("where", (), 1, False, False, False, False))],
+          ("select", _DERIVED_BODY, 2, False, False, False)),
+         ((t.OPERATOR, "<", 0), ("where", _DERIVED_BODY, 2, False, False, False)),
+         ((t.COLUMN, "full_name", 2), ("where", (), 1, False, False, False))],
         id="derived-table"),
     pytest.param(
         "SELECT p.full_name FROM person p WHERE EXISTS (SELECT 1 FROM "
         "games_competitor gc WHERE gc.person_id = p.id AND gc.age > "
         "(SELECT MIN(age) FROM games_competitor))",
         [((), False), (_CORRELATED_BODY, False), (_SCALAR_BODY, False)], 3,
-        [((t.COLUMN, "full_name", 0), ("select", (), 1, False, False, False, False)),
+        [((t.COLUMN, "full_name", 0), ("select", (), 1, False, False, False)),
          ((t.OPERATOR, "=", 0),
-          ("where", _CORRELATED_BODY, 2, False, False, False, False)),
-         ((t.COLUMN, "id", 0), ("where", _CORRELATED_BODY, 2, False, False, False, False)),
-         ((t.COLUMN, "age", 1), ("select", _SCALAR_BODY, 3, False, True, False, False))],
+          ("where", _CORRELATED_BODY, 2, False, False, False)),
+         ((t.COLUMN, "id", 0), ("where", _CORRELATED_BODY, 2, False, False, False)),
+         ((t.COLUMN, "age", 1), ("select", _SCALAR_BODY, 3, False, True, False))],
         id="correlated-where"),
     pytest.param(
         "SELECT p.full_name, gc.age FROM person p JOIN games_competitor gc "
         "ON p.id = gc.person_id WHERE gc.age >= 25",
         [((), False)], 1,
-        [((t.TABLE, "person", 0), ("from", (), 1, False, False, False, False)),
-         ((t.TABLE, "games_competitor", 0), ("from", (), 1, False, False, False, False)),
-         ((t.OPERATOR, "=", 0), ("on", (), 1, False, False, False, False)),
-         ((t.COLUMN, "person_id", 0), ("on", (), 1, False, False, False, False)),
-         ((t.OPERATOR, ">=", 0), ("where", (), 1, False, False, False, False))],
+        [((t.TABLE, "person", 0), ("from", (), 1, False, False, False)),
+         ((t.TABLE, "games_competitor", 0), ("from", (), 1, False, False, False)),
+         ((t.OPERATOR, "=", 0), ("on", (), 1, False, False, False)),
+         ((t.COLUMN, "person_id", 0), ("on", (), 1, False, False, False)),
+         ((t.OPERATOR, ">=", 0), ("where", (), 1, False, False, False))],
         id="join-on"),
     pytest.param(
         "SELECT full_name FROM person WHERE weight > 60 UNION "
         "SELECT full_name FROM person WHERE weight < 70 ORDER BY full_name",
         [((0,), True), ((1,), True)], 1,
-        [((t.OPERATOR, ">", 0), ("where", (0,), 1, False, False, False, True)),
-         ((t.OPERATOR, "<", 0), ("where", (1,), 1, False, False, False, True)),
-         ((t.SORT, "asc", 0), ("setop_trailing", (), 1, False, False, False, True)),
+        [((t.OPERATOR, ">", 0), ("where", (0,), 1, False, False, False)),
+         ((t.OPERATOR, "<", 0), ("where", (1,), 1, False, False, False)),
+         ((t.SORT, "asc", 0), ("setop_trailing", (), 1, False, False, False)),
          ((t.COLUMN, "full_name", 2),
-          ("setop_trailing", (), 1, False, False, False, True))],
+          ("setop_trailing", (), 1, False, False, False))],
         id="compound-order-by"),
     pytest.param(
         "SELECT games_id, AVG(age) FROM games_competitor GROUP BY games_id "
         "HAVING MAX(age) > 20 ORDER BY games_id",
         [((), False)], 1,
-        [((t.COLUMN, "games_id", 0), ("select", (), 1, True, False, False, False)),
-         ((t.COLUMN, "age", 0), ("select", (), 1, True, True, False, False)),
-         ((t.OPERATOR, ">", 0), ("having", (), 1, True, False, False, False)),
-         ((t.COLUMN, "age", 1), ("having", (), 1, True, True, False, False)),
-         ((t.COLUMN, "games_id", 2), ("order_by", (), 1, True, False, False, False))],
+        [((t.COLUMN, "games_id", 0), ("select", (), 1, True, False, False)),
+         ((t.COLUMN, "age", 0), ("select", (), 1, True, True, False)),
+         ((t.OPERATOR, ">", 0), ("having", (), 1, True, False, False)),
+         ((t.COLUMN, "age", 1), ("having", (), 1, True, True, False)),
+         ((t.COLUMN, "games_id", 2), ("order_by", (), 1, True, False, False))],
         id="aggregate"),
     pytest.param(
         "SELECT age, SUM(age) OVER (PARTITION BY games_id ORDER BY id) "
         "FROM games_competitor",
         [((), False)], 1,
-        [((t.COLUMN, "age", 0), ("select", (), 1, False, False, False, False)),
-         ((t.COLUMN, "age", 1), ("select", (), 1, False, True, True, False)),
-         ((t.COLUMN, "games_id", 0), ("select", (), 1, False, False, True, False))],
+        [((t.COLUMN, "age", 0), ("select", (), 1, False, False, False)),
+         ((t.COLUMN, "age", 1), ("select", (), 1, False, True, True)),
+         ((t.COLUMN, "games_id", 0), ("select", (), 1, False, False, True))],
         id="window"),
 ]
 

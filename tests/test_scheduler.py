@@ -72,7 +72,7 @@ def test_select_top_k_excludes_zero_even_if_short():
 
 
 def test_record_acceptance_counters():
-    state = fresh_state()
+    state = fresh_state(epsilon=0.01)
     state = record_acceptance(state, OperatorId.FUNC)
     assert state.counts[OperatorId.FUNC] == 1
     assert sum(state.counts.values()) == 1
@@ -96,7 +96,7 @@ def test_state_validation():
 
 @given(st.integers(min_value=0, max_value=200))
 def test_weight_strictly_decreases_in_count(extra):
-    state = fresh_state()
+    state = fresh_state(epsilon=0.01)
     for _ in range(extra):
         state = record_acceptance(state, OperatorId.LOGIC)
     before = scarcity_weight(state, OperatorId.LOGIC)

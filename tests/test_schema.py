@@ -267,7 +267,7 @@ def test_random_schemas_load_or_name_the_table(tmp_path):
 
 def test_a_run_on_a_random_schema_finishes_or_fails_in_one_line(tmp_path, capsys):
     rng = random.Random(20261022)
-    finished = failed = 0
+    invalid = 0
     for i in range(12):
         ddl, cols, _ = _random_ddl(rng)
         dbs = tmp_path / f"dbs{i}"
@@ -281,10 +281,13 @@ def test_a_run_on_a_random_schema_finishes_or_fails_in_one_line(tmp_path, capsys
         cfg.write_text(json.dumps({"seeds": str(seeds), "db_dir": str(dbs),
                                    "out_dir": str(tmp_path / f"out{i}"), "rounds": 1}))
         capsys.readouterr()
-        code = main(["run", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code in (0, 2), (ddl, err)
-        if code == 2:
-            assert len(err.splitlines()) == 1 and err.startswith("stage failure: "), err
-        finished, failed = finished + (code == 0), failed + (code == 2)
-    assert finished >= 3 and failed >= 3, (finished, failed)
+        assert main(["run", "--config", str(cfg)]) == 0, (ddl, capsys.readouterr().err)
+        quarantined = json.loads(
+            (tmp_path / f"out{i}" / "checkpoints" / "quarantine.json").read_text())
+        if quarantined:
+            [seed] = quarantined
+            assert seed["reason"].startswith("schema invalid: "), (ddl, seed)
+            assert len(seed["reason"].splitlines()) == 1, seed
+            invalid += 1
+    # a database that breaks an invariant quarantines its seed, never ends the run
+    assert invalid >= 3, invalid
